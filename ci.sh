@@ -5,7 +5,11 @@
 # checks that protect the paper's §5.3/§5.4 guarantees:
 #   * go vet           — stock static analysis
 #   * go test -race    — the dynamic half of the purity/lock story: every
-#                        test runs under the race detector, module-wide
+#                        test runs under the race detector, module-wide,
+#                        uncached (-count=1) so a stale ok cannot hide a
+#                        flake; then the same for the nested benchmark/
+#                        module (its TestSmoke runs every BENCHMARK.json
+#                        workload at tiny scale and checks the output bytes)
 #   * gofmt            — formatting gate (testdata fixtures excluded: the
 #                        loader-edge fixture deliberately contains a
 #                        vendored file that is not valid Go)
@@ -19,11 +23,6 @@
 #                        a SARIF artifact (sjvet.sarif) for code-scanning
 #                        upload, and a per-analyzer timing/finding-count
 #                        trend artifact (sjvet_timing.json)
-#   * sjbench gates    — columnar >= row throughput (BENCH_columnar.json),
-#                        the disabled-tracing overhead budget
-#                        (BENCH_obs.json, nil-span invariant), and the
-#                        distributed-shuffle bit-for-bit gate
-#                        (BENCH_shuffle.json, local vs 2-worker Fig-5)
 #   * smoke            — sjserved + sjload end to end: correctness burst,
 #                        admission control, graceful drain, then the
 #                        observability surface (traced query artifact,
@@ -34,10 +33,10 @@
 #                        worker SIGKILLed mid-query at an exchange barrier,
 #                        and a traced run must graft worker-origin spans
 #                        into one coherent cross-process trace
-#   * provenance       — each sjbench gate appends its report to the
-#                        BENCH_history.jsonl ledger; the run adds one "ci"
-#                        record (sjvet timing + distributed trace summary)
-#                        and bench-log -check fails on any invalid record
+#   * provenance       — the run writes one "ci" record (sjvet timing +
+#                        distributed trace summary) to a scratch ledger and
+#                        bench-log -check fails on any invalid record; no
+#                        tracked file is written
 #
 # Any nonzero exit fails the gate.
 set -eu
@@ -56,8 +55,11 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
-echo "==> go test -race ./..."
-go test -race ./...
+echo "==> go test -race -count=1 ./..."
+go test -race -count=1 ./...
+
+echo "==> (cd benchmark && go test -race -count=1 ./...)"
+(cd benchmark && go test -race -count=1 ./...)
 
 # sjvet runs against the reviewed baseline (fresh findings fail; stale
 # baseline entries also fail, so the baseline can only shrink alongside a
@@ -88,41 +90,6 @@ if [ -n "${CI_ARTIFACT_DIR:-}" ]; then
   cp sjvet_timing.json "$CI_ARTIFACT_DIR/sjvet_timing.json"
   echo "    uploaded sjvet.sarif and sjvet_timing.json to $CI_ARTIFACT_DIR"
 fi
-
-# Columnar regression gate: the vectorized join kernels must not be slower
-# than the row-at-a-time reference path (sjbench exits nonzero if they
-# are), and the measured run lands in BENCH_columnar.json so the tracked
-# numbers stay honest. Small row count: this is a floor check, not the
-# reference measurement (see EXPERIMENTS.md for one).
-echo "==> sjbench columnar (row-vs-columnar gate)"
-go run ./cmd/sjbench -exp columnar -rows 30000 -out BENCH_columnar.json -history BENCH_history.jsonl
-
-# Observability regression gate: with tracing disabled the rdd hot path is
-# nil-pointer checks only, so it must stay within 3% of the always-
-# collecting baseline (sjbench exits nonzero past the budget) — the
-# performance half of the nil-span invariant (DESIGN.md). The same run
-# gates the distributed leg: Fig-5 over a live 2-worker cluster with
-# fleet-wide tracing on vs off, same 3% budget. The obs package itself
-# must also be sjvet-clean on its own.
-echo "==> sjbench obs (disabled-tracing + distributed-tracing overhead gates)"
-go run ./cmd/sjbench -exp obs -rows 30000 -out BENCH_obs.json -history BENCH_history.jsonl
-
-# Distributed-shuffle gate: the Fig-5 query through an in-process 2-worker
-# cluster (real TCP loopback exchanges) must produce byte-identical rows to
-# the local run (sjbench exits nonzero otherwise) — the bit-for-bit half of
-# the scheduler's determinism contract (DESIGN.md "Distributed execution").
-echo "==> sjbench shuffle (local vs distributed bit-for-bit gate)"
-go run ./cmd/sjbench -exp shuffle -out BENCH_shuffle.json -history BENCH_history.jsonl
-
-# Cost-based planning gate: the chain workload's statistics must flip the
-# join order to the provably cheaper plan with an identical row multiset
-# and no wall-clock regression, and the Fig-5 workload's warm plan must
-# cost no more than the heuristic's (sjbench exits nonzero otherwise) —
-# the planner half of the statistics-store contract (DESIGN.md).
-echo "==> sjbench plan (cold vs warm cost-based planning gate)"
-go run ./cmd/sjbench -exp plan -out BENCH_plan.json -history BENCH_history.jsonl
-echo "==> sjvet ./internal/obs"
-go run ./cmd/sjvet -baseline sjvet.baseline ./internal/obs
 
 # Server smoke: boot sjserved on a random port over a generated catalog,
 # then prove the three serving guarantees end to end:
@@ -162,8 +129,7 @@ ADDR=$(wait_addr "$SMOKE/addr1")
 # search, requests 1..5 hit the cache — the driver's "plan search:" line is
 # the cold-vs-warm comparison. Then the mixed concurrent burst.
 "$SMOKE/sjload" -server "http://$ADDR" -clients 1 -requests 6 -plan-every 1 $QUERY_ARGS
-"$SMOKE/sjload" -server "http://$ADDR" -clients 4 -requests 6 $QUERY_ARGS \
-  -out BENCH_serve.json
+"$SMOKE/sjload" -server "http://$ADDR" -clients 4 -requests 6 $QUERY_ARGS
 kill -TERM "$SRV"
 wait "$SRV"
 
@@ -276,14 +242,13 @@ kill "$W1" 2>/dev/null || true
 wait "$W1" 2>/dev/null || true
 wait "$W2" 2>/dev/null || true
 
-# Provenance ledger: the sjbench gates above each appended an "sjbench"
-# record to BENCH_history.jsonl; this run adds one "ci" record tying the
-# commit to its sjvet timing and the distributed trace summary, then the
-# whole ledger is re-validated — a schema-invalid record fails the gate.
-echo "==> provenance ledger (BENCH_history.jsonl)"
+# Provenance ledger: one "ci" record tying the commit to its sjvet timing
+# and the distributed trace summary, written to a scratch ledger and
+# re-validated — a schema-invalid record fails the gate.
+echo "==> provenance ledger"
 "$SMOKE/scrubjay" bench-log -append -kind ci -note "ci.sh gate run" \
   -vet-timing sjvet_timing.json -trace "$SMOKE/dist.trace.json" \
-  -ledger BENCH_history.jsonl
-"$SMOKE/scrubjay" bench-log -check -ledger BENCH_history.jsonl
+  -ledger "$SMOKE/ledger.jsonl"
+"$SMOKE/scrubjay" bench-log -check -ledger "$SMOKE/ledger.jsonl"
 
 echo "ci.sh: all gates passed"

@@ -19,17 +19,14 @@
 // Latency quantiles come from the same bounded histogram the server's
 // /metrics endpoint uses (internal/obs), observed concurrently by every
 // client — so the p50/p90/p99 sjload prints are directly comparable to
-// the latency_p* keys the server reports. With -out the run lands as a
-// machine-readable JSON summary (BENCH_serve.json in CI).
+// the latency_p* keys the server reports.
 //
 //	sjload -server URL [-clients N] [-requests N] [-domains a,b]
 //	       [-values x,y[:units]] [-window SEC] [-limit N]
 //	       [-timeout-ms N] [-plan-every N] [-expect-rejections]
-//	       [-out BENCH_serve.json]
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -66,20 +63,6 @@ type result struct {
 	err          error
 }
 
-// benchReport is the machine-readable summary written by -out.
-type benchReport struct {
-	Clients         int              `json:"clients"`
-	Requests        int              `json:"requests_per_client"`
-	WallMicros      int64            `json:"wall_micros"`
-	Outcomes        map[string]int   `json:"outcomes"`
-	ThroughputQPS   float64          `json:"throughput_qps"`
-	Latency         map[string]int64 `json:"latency_micros,omitempty"`
-	ColdSearches    int              `json:"cold_searches"`
-	WarmSearches    int              `json:"warm_searches"`
-	ColdSearchAvgUS int64            `json:"cold_search_avg_micros,omitempty"`
-	WarmSearchAvgUS int64            `json:"warm_search_avg_micros,omitempty"`
-}
-
 func main() {
 	serverURL := flag.String("server", "", "sjserved base URL (required)")
 	clients := flag.Int("clients", 8, "concurrent clients")
@@ -91,7 +74,6 @@ func main() {
 	timeoutMS := flag.Int64("timeout-ms", 30_000, "per-request deadline sent to the server")
 	planEvery := flag.Int("plan-every", 4, "every Nth request is plan-only (0 = never)")
 	expectRejections := flag.Bool("expect-rejections", false, "exit 1 unless the server shed load at least once")
-	out := flag.String("out", "", "write the machine-readable run summary to this JSON file")
 	flag.Parse()
 	if *serverURL == "" {
 		fmt.Fprintln(os.Stderr, "sjload: -server is required")
@@ -118,26 +100,18 @@ func main() {
 	// One histogram shared by every client goroutine — the same instrument
 	// the server renders on /metrics, so the quantiles line up.
 	lat := obs.NewRegistry().Histogram("latency", "micros")
-	results, wall := drive(*serverURL, *clients, *requests, q, *window, *limit, *timeoutMS, *planEvery, lat)
-	rep := report(results, *clients, *requests, wall, lat)
+	results := drive(*serverURL, *clients, *requests, q, *window, *limit, *timeoutMS, *planEvery, lat)
+	counts := report(results, *clients, lat)
 
-	if *out != "" {
-		if err := writeReport(*out, rep); err != nil {
-			fmt.Fprintf(os.Stderr, "sjload: writing %s: %v\n", *out, err)
-			os.Exit(1)
-		}
-		fmt.Printf("report written to %s\n", *out)
-	}
-
-	if n := rep.Outcomes[outcomeNames[dropped]]; n > 0 {
+	if n := counts[dropped]; n > 0 {
 		fmt.Printf("FAIL: %d in-flight queries dropped\n", n)
 		os.Exit(1)
 	}
-	if *expectRejections && rep.Outcomes[outcomeNames[rejected]] == 0 {
+	if *expectRejections && counts[rejected] == 0 {
 		fmt.Println("FAIL: expected the server to shed load, but nothing was rejected")
 		os.Exit(1)
 	}
-	if !*expectRejections && rep.Outcomes[outcomeNames[completed]] == 0 {
+	if !*expectRejections && counts[completed] == 0 {
 		fmt.Println("FAIL: no request completed")
 		os.Exit(1)
 	}
@@ -146,7 +120,7 @@ func main() {
 // drive fans out the workload: all clients block on one barrier, then each
 // issues its requests back to back, observing completed latencies into the
 // shared histogram as they land.
-func drive(serverURL string, clients, requests int, q engine.Query, window float64, limit int, timeoutMS int64, planEvery int, lat *obs.Histogram) ([]result, time.Duration) {
+func drive(serverURL string, clients, requests int, q engine.Query, window float64, limit int, timeoutMS int64, planEvery int, lat *obs.Histogram) []result {
 	results := make([]result, clients*requests)
 	start := make(chan struct{})
 	var wg sync.WaitGroup
@@ -189,7 +163,7 @@ func drive(serverURL string, clients, requests int, q engine.Query, window float
 	wg.Wait()
 	elapsed := time.Since(t0)
 	fmt.Printf("%d clients x %d requests in %v\n", clients, requests, elapsed.Round(time.Millisecond))
-	return results, elapsed
+	return results
 }
 
 func classify(err error) result {
@@ -212,8 +186,8 @@ func classify(err error) result {
 
 // report prints outcome counts, latency quantiles from the shared obs
 // histogram, and the cold-vs-warm plan-search comparison, returning the
-// machine-readable summary.
-func report(results []result, clients, requests int, elapsed time.Duration, lat *obs.Histogram) benchReport {
+// outcome counts.
+func report(results []result, clients int, lat *obs.Histogram) [outcomeCount]int {
 	var counts [outcomeCount]int
 	var coldSearch, warmSearch []int64
 	var coldLat, warmLat []time.Duration
@@ -238,16 +212,7 @@ func report(results []result, clients, requests int, elapsed time.Duration, lat 
 			}
 		}
 	}
-	rep := benchReport{
-		Clients:      clients,
-		Requests:     requests,
-		WallMicros:   elapsed.Microseconds(),
-		Outcomes:     map[string]int{},
-		ColdSearches: len(coldLat),
-		WarmSearches: len(warmLat),
-	}
 	for o := completed; o < outcomeCount; o++ {
-		rep.Outcomes[outcomeNames[o]] = counts[int(o)]
 		fmt.Printf("%-10s %d\n", outcomeNames[o]+":", counts[int(o)])
 		if err := firstErr[o]; err != nil {
 			fmt.Printf("           first: %v\n", err)
@@ -256,11 +221,9 @@ func report(results []result, clients, requests int, elapsed time.Duration, lat 
 	if n := lat.Count(); n > 0 {
 		perClient := wall / time.Duration(clients)
 		if perClient > 0 {
-			rep.ThroughputQPS = float64(n) / perClient.Seconds()
-			fmt.Printf("throughput: %.1f qps\n", rep.ThroughputQPS)
+			fmt.Printf("throughput: %.1f qps\n", float64(n)/perClient.Seconds())
 		}
 		p50, p90, p99, max := lat.Quantile(0.50), lat.Quantile(0.90), lat.Quantile(0.99), lat.Max()
-		rep.Latency = map[string]int64{"p50": p50, "p90": p90, "p99": p99, "max": max, "count": n}
 		fmt.Printf("latency: p50=%v p90=%v p99=%v max=%v\n",
 			time.Duration(p50)*time.Microsecond,
 			time.Duration(p90)*time.Microsecond,
@@ -268,27 +231,11 @@ func report(results []result, clients, requests int, elapsed time.Duration, lat 
 			(time.Duration(max) * time.Microsecond).Round(time.Microsecond))
 	}
 	if len(coldLat) > 0 && len(warmLat) > 0 {
-		rep.ColdSearchAvgUS = sumInt64(coldSearch) / int64(len(coldSearch))
-		rep.WarmSearchAvgUS = sumInt64(warmSearch) / int64(len(warmSearch))
 		fmt.Printf("plan search: cold n=%d avg_search=%v avg_latency=%v | warm n=%d avg_search=%v avg_latency=%v\n",
 			len(coldLat), avgMicros(coldSearch), avgDur(coldLat),
 			len(warmLat), avgMicros(warmSearch), avgDur(warmLat))
 	}
-	return rep
-}
-
-// writeReport lands the summary as indented JSON via temp + rename so a
-// concurrent reader never sees a partial file.
-func writeReport(path string, rep benchReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return counts
 }
 
 func sumInt64(xs []int64) int64 {

@@ -21,8 +21,8 @@ func TestRunNaturalJoin(t *testing.T) {
 	if res.OutputRows != 5000 {
 		t.Errorf("output rows = %d, want 5000 (1:1 keys)", res.OutputRows)
 	}
-	if res.Simulated(10) <= 0 || res.Wall <= 0 {
-		t.Error("non-positive timings")
+	if res.Simulated(10) <= 0 {
+		t.Error("non-positive simulated makespan")
 	}
 	if res.Simulated(1) < res.Simulated(10) {
 		t.Error("1-node simulation should not beat 10-node")
@@ -41,58 +41,35 @@ func TestRunInterpJoin(t *testing.T) {
 	}
 }
 
-func TestNaiveInterpJoinAgreesOnOutputScale(t *testing.T) {
-	w := smallWorkload(2048)
-	fast, err := RunInterpJoin(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	naive, err := RunNaiveInterpJoin(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The naive baseline emits one row per matched left row; the real join
-	// may split by residual groups (none here), so counts should be close.
-	diff := fast.OutputRows - naive.OutputRows
-	if diff < 0 {
-		diff = -diff
-	}
-	if diff > fast.OutputRows/5 {
-		t.Errorf("naive=%d vs binned=%d outputs diverge", naive.OutputRows, fast.OutputRows)
-	}
-}
-
-func TestRowSweep(t *testing.T) {
-	s := RowSweep(1000, 10000)
-	if len(s) != 10 || s[0] != 1000 || s[9] != 10000 {
-		t.Errorf("sweep = %v", s)
-	}
-	for i := 1; i < len(s); i++ {
-		if s[i] <= s[i-1] {
-			t.Errorf("sweep not increasing: %v", s)
-		}
-	}
-	if RowSweep(-5, -10)[0] != 1 {
-		t.Error("degenerate sweep should clamp")
-	}
-}
-
+// TestFig3RowsLinearShape asserts Figure 3a's linear-in-rows claim as
+// exact counts rather than timings: a 10× larger natural join produces 10×
+// the output and shuffles exactly 10× the rows (each side once), over the
+// same stage and task structure, so only the per-row work grows.
 func TestFig3RowsLinearShape(t *testing.T) {
-	w := smallWorkload(0)
-	s, err := Fig3Rows("fig3a", RunNaturalJoin, w, RowSweep(4000, 40000), 2)
-	if err != nil {
-		t.Fatal(err)
+	type shape struct{ stages, tasks int }
+	var shapes []shape
+	for _, rows := range []int{4000, 40000} {
+		res, err := RunNaturalJoin(smallWorkload(rows))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.OutputRows != int64(rows) {
+			t.Errorf("rows=%d: output rows = %d, want %d (1:1 keys)", rows, res.OutputRows, rows)
+		}
+		if got := res.Metrics.TotalShuffleRows(); got != int64(2*rows) {
+			t.Errorf("rows=%d: shuffled rows = %d, want exactly %d (both sides once)", rows, got, 2*rows)
+		}
+		sh := shape{stages: len(res.Metrics.Stages)}
+		for _, st := range res.Metrics.Stages {
+			sh.tasks += len(st.Tasks)
+		}
+		shapes = append(shapes, sh)
 	}
-	if len(s.X) != 10 {
-		t.Fatalf("points = %d", len(s.X))
+	if shapes[0] != shapes[1] {
+		t.Errorf("stage/task structure changed with rows: %+v at 4k vs %+v at 40k", shapes[0], shapes[1])
 	}
-	// Time grows with rows; the per-row cost at 40k stays within a loose
-	// factor of the cost at 4k (linear shape with fixed overheads allowed).
-	if s.Y[9] <= s.Y[0] {
-		t.Errorf("time should grow with rows: %v", s.Y)
-	}
-	if !s.RoughlyLinear(8) {
-		t.Errorf("natural join should be roughly linear in rows: %v", s.Y)
+	if shapes[0].stages == 0 || shapes[0].tasks == 0 {
+		t.Errorf("no stages recorded: %+v", shapes[0])
 	}
 }
 
@@ -243,31 +220,6 @@ func TestRunFig6ThrottlingContrast(t *testing.T) {
 // the current metric set).
 func seriesNameFor(col string) string { return col }
 
-func TestEngineLatencyInteractive(t *testing.T) {
-	s, err := EngineLatency([]int{2, 4, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range s.X {
-		if s.Y[i] > 2000 {
-			t.Errorf("solve at %v datasets took %vms; not interactive", s.X[i], s.Y[i])
-		}
-	}
-}
-
-func TestMemoAblation(t *testing.T) {
-	res, err := RunMemoAblation(6, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MemoHits == 0 {
-		t.Error("memoized engine should record hits")
-	}
-	if res.WithMemo <= 0 || res.WithoutMemo <= 0 {
-		t.Error("durations missing")
-	}
-}
-
 func TestSeriesHelpers(t *testing.T) {
 	s := Series{Label: "l", XLabel: "x", YLabel: "y"}
 	s.Add(1, 10)
@@ -277,9 +229,6 @@ func TestSeriesHelpers(t *testing.T) {
 	s.Print(&b)
 	if !strings.Contains(b.String(), "# l") || !strings.Contains(b.String(), "41") {
 		t.Errorf("Print output: %s", b.String())
-	}
-	if !s.RoughlyLinear(1.5) {
-		t.Error("series is roughly linear")
 	}
 	if s.Monotone(0) {
 		t.Error("increasing series is not monotone-decreasing")

@@ -99,8 +99,6 @@ func interpJoinInputs(ctx *rdd.Context, n, parts int) (*dataset.Dataset, *datase
 type JoinRunResult struct {
 	Rows       int
 	OutputRows int64
-	// Wall is the real single-process wall-clock time.
-	Wall time.Duration
 	// Metrics is the recorded task log, replayable onto simulated clusters.
 	Metrics rdd.Metrics
 }
@@ -118,14 +116,11 @@ func RunNaturalJoin(w JoinWorkload) (JoinRunResult, error) {
 	dict := semantics.DefaultDictionary()
 	left, right := naturalJoinInputs(ctx, w.Rows, w.Partitions)
 	ctx.ResetMetrics()
-	start := time.Now()
 	out, err := (&derive.NaturalJoin{}).Apply(left, right, dict)
 	if err != nil {
 		return JoinRunResult{}, err
 	}
-	n := out.Count()
-	wall := time.Since(start)
-	return JoinRunResult{Rows: w.Rows, OutputRows: n, Wall: wall, Metrics: ctx.SnapshotMetrics()}, nil
+	return JoinRunResult{Rows: w.Rows, OutputRows: out.Count(), Metrics: ctx.SnapshotMetrics()}, nil
 }
 
 // RunInterpJoin executes one interpolation join of the synthetic workload.
@@ -134,59 +129,11 @@ func RunInterpJoin(w JoinWorkload) (JoinRunResult, error) {
 	dict := semantics.DefaultDictionary()
 	left, right := interpJoinInputs(ctx, w.Rows, w.Partitions)
 	ctx.ResetMetrics()
-	start := time.Now()
 	out, err := (&derive.InterpolationJoin{WindowSeconds: w.WindowSeconds}).Apply(left, right, dict)
 	if err != nil {
 		return JoinRunResult{}, err
 	}
-	n := out.Count()
-	wall := time.Since(start)
-	return JoinRunResult{Rows: w.Rows, OutputRows: n, Wall: wall, Metrics: ctx.SnapshotMetrics()}, nil
-}
-
-// RowSweep returns the row counts for a Figure 3 left-panel sweep from
-// lo to hi in the paper's 10-step pattern.
-func RowSweep(lo, hi int) []int {
-	if lo <= 0 {
-		lo = 1
-	}
-	if hi < lo {
-		hi = lo
-	}
-	steps := 10
-	out := make([]int, 0, steps)
-	for i := 0; i < steps; i++ {
-		out = append(out, lo+(hi-lo)*i/(steps-1))
-	}
-	return out
-}
-
-// Fig3Rows runs the rows sweep (Figure 3 left panels) for the given join
-// runner, reporting simulated seconds on the paper's 10-node cluster.
-// Each point runs reps times (min 1) and keeps the fastest, suppressing
-// single-host GC noise the way benchmark best-of-N runs do.
-func Fig3Rows(label string, run func(JoinWorkload) (JoinRunResult, error), w JoinWorkload, rowCounts []int, reps int) (Series, error) {
-	if reps < 1 {
-		reps = 1
-	}
-	s := Series{Label: label, XLabel: "rows", YLabel: "seconds(sim,10nodes)"}
-	for _, n := range rowCounts {
-		best := 0.0
-		for r := 0; r < reps; r++ {
-			wn := w
-			wn.Rows = n
-			res, err := run(wn)
-			if err != nil {
-				return Series{}, err
-			}
-			sim := res.Simulated(10).Seconds()
-			if r == 0 || sim < best {
-				best = sim
-			}
-		}
-		s.Add(float64(n), best)
-	}
-	return s, nil
+	return JoinRunResult{Rows: w.Rows, OutputRows: out.Count(), Metrics: ctx.SnapshotMetrics()}, nil
 }
 
 // Fig3Scaling runs one join at fixed rows and replays its task log onto

@@ -1,8 +1,8 @@
-// Package bench is ScrubJay's experiment harness: for every figure in the
-// paper's evaluation (§6 Figure 3, §7 Figures 4-7) it provides a function
-// that generates the workload, runs the system, and returns the series or
-// plan the paper reports. cmd/sjbench prints them; bench_test.go wraps them
-// in testing.B benchmarks.
+// Package bench holds the paper's evaluation fixtures: the §7 case-study
+// catalogs and queries (Figures 4-7), the §6 Figure 3 join runners, and
+// the Series type the examples print. Tests assert the figures' shapes as
+// exact counts and plan identities; throughput is measured by the
+// benchmark/ module (BENCHMARK.json), not here.
 package bench
 
 import (
@@ -54,18 +54,6 @@ func (s *Series) Monotone(slack float64) bool {
 		}
 	}
 	return true
-}
-
-// RoughlyLinear checks y grows close to proportionally with x: the ratio
-// y/x at the last point is within factor of the ratio at the first point.
-func (s *Series) RoughlyLinear(factor float64) bool {
-	if len(s.X) < 2 || s.X[0] == 0 || s.Y[0] == 0 {
-		return false
-	}
-	first := s.Y[0] / s.X[0]
-	last := s.Y[len(s.Y)-1] / s.X[len(s.X)-1]
-	r := last / first
-	return r <= factor && r >= 1/factor
 }
 
 // Sparkline renders a coarse ASCII sparkline of the series for terminal

@@ -2,11 +2,20 @@ package engine
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
+	"scrubjay/internal/dataset"
+	"scrubjay/internal/obs"
+	"scrubjay/internal/pipeline"
+	"scrubjay/internal/rdd"
 	"scrubjay/internal/semantics"
 	"scrubjay/internal/stats"
+	"scrubjay/internal/value"
 )
 
 // ndvSchemas is a minimal all-discrete catalog whose only viable plan is a
@@ -143,5 +152,139 @@ func TestNDVObservedSelectivityWins(t *testing.T) {
 	joined := strings.Join(est.StatsInputs, " ")
 	if strings.Contains(joined, "ndv:") {
 		t.Errorf("estimate inputs %v should not include ndv facts when selectivity was observed", est.StatsInputs)
+	}
+}
+
+// chainCatalog is the join-order workload: a fact table chain_jobs
+// (job → node, rows rows), a 300-row chain_layout (node → rack) and a
+// 30-row chain_racks (rack → location). Answering {job, rack_location}
+// takes two natural joins; both orders are structurally identical, so the
+// cold engine's tie-break starts from the fact table, while joining the
+// two small mappings first touches far fewer rows.
+func chainCatalog(rc *rdd.Context, rows int) (pipeline.Catalog, map[string]semantics.Schema) {
+	const nodes, racks = 300, 30
+	schemas := map[string]semantics.Schema{
+		"chain_jobs": semantics.NewSchema(
+			"job_id", semantics.IDDomain("job"),
+			"node", semantics.IDDomain("compute_node"),
+			"job_name", semantics.ValueEntry("application", "identifier"),
+		),
+		"chain_layout": semantics.NewSchema(
+			"node", semantics.IDDomain("compute_node"),
+			"rack", semantics.IDDomain("rack"),
+		),
+		"chain_racks": semantics.NewSchema(
+			"rack", semantics.IDDomain("rack"),
+			"location", semantics.IDDomain("rack_location"),
+		),
+	}
+	gen := func(n int, row func(i int) value.Row) []value.Row {
+		out := make([]value.Row, n)
+		for i := range out {
+			out[i] = row(i)
+		}
+		return out
+	}
+	jobs := gen(rows, func(i int) value.Row {
+		return value.NewRow(
+			"job_id", value.Str(fmt.Sprintf("job%06d", i)),
+			"node", value.Str(fmt.Sprintf("n%03d", i%nodes)),
+			"job_name", value.Str(fmt.Sprintf("app%d", i%7)))
+	})
+	layout := gen(nodes, func(i int) value.Row {
+		return value.NewRow(
+			"node", value.Str(fmt.Sprintf("n%03d", i)),
+			"rack", value.Str(fmt.Sprintf("r%02d", i%racks)))
+	})
+	rackRows := gen(racks, func(i int) value.Row {
+		return value.NewRow(
+			"rack", value.Str(fmt.Sprintf("r%02d", i)),
+			"location", value.Str(fmt.Sprintf("row%d", i%4)))
+	})
+	cat := pipeline.Catalog{
+		"chain_jobs":   dataset.FromRows(rc, "chain_jobs", jobs, schemas["chain_jobs"], 8),
+		"chain_layout": dataset.FromRows(rc, "chain_layout", layout, schemas["chain_layout"], 1),
+		"chain_racks":  dataset.FromRows(rc, "chain_racks", rackRows, schemas["chain_racks"], 1),
+	}
+	return cat, schemas
+}
+
+// sortedRowJSON is a result's row multiset as sorted JSON encodings.
+func sortedRowJSON(t *testing.T, rows []value.Row) []string {
+	t.Helper()
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = string(b)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestStatsSwitchJoinOrder: statistics recorded from one traced cold run
+// flip the chain query's join order to a plan that costs no more under the
+// same store, and both plans return the identical row multiset. Exact
+// plan identities and estimates only — no wall clock.
+func TestStatsSwitchJoinOrder(t *testing.T) {
+	rc := rdd.NewContext(2)
+	dict := semantics.DefaultDictionary()
+	cat, schemas := chainCatalog(rc, 2000)
+	q := Query{
+		Domains: []string{"job", "rack_location"},
+		Values:  []QueryValue{{Dimension: "application"}},
+	}
+
+	cold, err := New(dict, schemas, DefaultOptions()).Solve(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTracer("plan-switch", nil)
+	qspan := tr.Start(obs.KindQuery, "query")
+	exec := qspan.Child(obs.KindExec, "execute")
+	rc.SetSpan(exec)
+	out, err := pipeline.Execute(context.Background(), rc, cold, cat, dict, pipeline.ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coldRows := out.Collect()
+	rc.SetSpan(nil)
+	exec.End()
+	qspan.End()
+
+	st := stats.NewStore()
+	for name, ds := range cat {
+		st.SetTable(name, stats.TableStats{Rows: ds.Count()})
+	}
+	if n := (stats.Recorder{Store: st}).Record(cold, tr.Artifact().Root, nil); n == 0 {
+		t.Fatal("recorder took no observations from the cold run's trace")
+	}
+
+	opts := DefaultOptions()
+	opts.Stats = st
+	warm, err := New(dict, schemas, opts).Solve(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Hash() == cold.Hash() {
+		t.Fatalf("statistics did not switch the plan:\n%s", warm)
+	}
+	coldEst := CostPlan(cold, st)
+	if warm.Root.Estimate == nil || coldEst == nil {
+		t.Fatalf("missing estimates: warm %+v, cold %+v", warm.Root.Estimate, coldEst)
+	}
+	if warm.Root.Estimate.CPU > coldEst.CPU {
+		t.Errorf("warm plan est CPU %d > cold plan %d under the same store", warm.Root.Estimate.CPU, coldEst.CPU)
+	}
+
+	out, err = pipeline.Execute(context.Background(), rc, warm, cat, dict, pipeline.ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := sortedRowJSON(t, out.Collect()), sortedRowJSON(t, coldRows)
+	if !slices.Equal(got, want) {
+		t.Errorf("warm plan rows differ from cold: %d vs %d rows", len(got), len(want))
 	}
 }

@@ -191,8 +191,9 @@ func (h *Histogram) Observe(v int64) {
 // ObserveDuration records a duration in microseconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Microseconds()) }
 
-// Quantile returns an upper bound for the q-quantile, q in (0,1]. Zero
-// observations yield zero.
+// Quantile returns an upper bound for the q-quantile, q in (0,1]: the
+// ceiling of the bucket holding that rank, clamped to the largest
+// observation so no quantile exceeds Max. Zero observations yield zero.
 func (h *Histogram) Quantile(q float64) int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -203,14 +204,16 @@ func (h *Histogram) Quantile(q float64) int64 {
 	if rank < 1 {
 		rank = 1
 	}
+	b := len(h.buckets) - 1
 	var seen int64
-	for b, n := range h.buckets {
+	for i, n := range h.buckets {
 		seen += n
 		if seen >= rank {
-			return int64(1) << b
+			b = i
+			break
 		}
 	}
-	return int64(1) << (len(h.buckets) - 1)
+	return min(int64(1)<<b, h.max)
 }
 
 // Count returns the number of observations.

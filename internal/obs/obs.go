@@ -13,8 +13,7 @@
 //
 // unconditionally, and the untraced hot path costs a nil check — no
 // allocation, no lock, no clock read. This nil-span invariant is enforced
-// by TestNilSpanZeroAlloc and the disabled-tracing overhead gate in ci.sh
-// (sjbench -exp obs).
+// by TestNilSpanZeroAlloc.
 //
 // Time is an injected monotonic Clock (a duration since an arbitrary
 // origin), never the wall clock directly, so tests freeze it and traces

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"bytes"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -125,8 +127,7 @@ func TestNilSpanSafe(t *testing.T) {
 }
 
 // TestNilSpanZeroAlloc pins the nil-span invariant: the disabled-tracing
-// fast path must not allocate. This is the static half of the <3% overhead
-// gate in ci.sh (sjbench -exp obs is the dynamic half).
+// fast path must not allocate.
 func TestNilSpanZeroAlloc(t *testing.T) {
 	var sp *Span
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -236,6 +237,40 @@ func TestHistogramExtremes(t *testing.T) {
 	}
 }
 
+// TestHistogramQuantileProperties: over seeded random observation sets
+// spanning many magnitudes, every quantile stays an upper bound on the
+// exact rank value yet never exceeds the largest observation, and
+// quantiles are non-decreasing in p.
+func TestHistogramQuantileProperties(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		var h Histogram
+		vals := make([]int64, 1+r.Intn(300))
+		for i := range vals {
+			vals[i] = r.Int63n(int64(1) << uint(1+r.Intn(40)))
+			h.Observe(vals[i])
+		}
+		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
+		hi := h.Max()
+		prev := int64(0)
+		for i := 1; i <= 100; i++ {
+			p := float64(i) / 100
+			q := h.Quantile(p)
+			if q > hi {
+				t.Fatalf("seed %d: Quantile(%v) = %d > Max %d", seed, p, q, hi)
+			}
+			if q < prev {
+				t.Fatalf("seed %d: Quantile(%v) = %d < Quantile(%v) = %d", seed, p, q, p-0.01, prev)
+			}
+			rank := max(int64(p*float64(len(vals))+0.5), 1)
+			if exact := vals[rank-1]; q < exact {
+				t.Fatalf("seed %d: Quantile(%v) = %d below the exact rank value %d", seed, p, q, exact)
+			}
+			prev = q
+		}
+	}
+}
+
 func TestRegistryRender(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("b_total").Add(3)
@@ -249,9 +284,9 @@ func TestRegistryRender(t *testing.T) {
 		"depth=7\n" +
 		"fn_gauge=11\n" +
 		"latency_count=1\n" +
-		"latency_p50_micros=1024\n" +
-		"latency_p90_micros=1024\n" +
-		"latency_p99_micros=1024\n"
+		"latency_p50_micros=1000\n" +
+		"latency_p90_micros=1000\n" +
+		"latency_p99_micros=1000\n"
 	if got != want {
 		t.Errorf("Render:\n%s\nwant:\n%s", got, want)
 	}
