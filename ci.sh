@@ -24,7 +24,9 @@
 #                        upload, and a per-analyzer timing/finding-count
 #                        trend artifact (sjvet_timing.json)
 #   * smoke            — sjserved + sjload end to end: correctness burst,
-#                        admission control, graceful drain, then the
+#                        served CSV byte-identical to the local CLI's (cold
+#                        and as a result-cache hit), admission control,
+#                        graceful drain, then the
 #                        observability surface (traced query artifact,
 #                        GET /v1/trace/{id}, /metrics, pprof isolation),
 #                        then the distributed smoke: 2 sjworker processes,
@@ -93,8 +95,12 @@ fi
 
 # Server smoke: boot sjserved on a random port over a generated catalog,
 # then prove the three serving guarantees end to end:
-#   1. correctness + plan cache: a concurrent sjload burst completes with
-#      zero drops, and a plan-only burst shows cold search vs cached hits;
+#   1. correctness + plan cache: a plan-only burst shows cold search vs
+#      cached hits; the query served twice — cold, then answered from the
+#      result cache — writes a CSV byte-identical to the local CLI's (both
+#      processes keep their default GOMAXPROCS workers: row order depends
+#      on the worker count); a concurrent sjload burst completes with zero
+#      drops;
 #   2. admission control: an oversized burst against a 1-slot/no-queue
 #      server is shed with 429s (sjload -expect-rejections);
 #   3. graceful shutdown: SIGTERM while a burst is in flight — the daemon
@@ -119,7 +125,9 @@ wait_addr() {
 
 QUERY_ARGS="-domains job,rack -values application,temperature_difference"
 
-echo "  -> correctness burst + plan-cache demonstration"
+echo "  -> correctness burst + plan-cache demonstration + served vs local bytes"
+"$SMOKE/scrubjay" query -catalog "$SMOKE/cat" $QUERY_ARGS \
+  -out "csv:$SMOKE/fig5-local.csv" >/dev/null
 "$SMOKE/sjserved" -catalog "$SMOKE/cat" -addr 127.0.0.1:0 \
   -addr-file "$SMOKE/addr1" -cache "$SMOKE/cache" \
   -max-concurrent 2 -max-queue 32 2>"$SMOKE/served1.log" &
@@ -127,8 +135,15 @@ SRV=$!
 ADDR=$(wait_addr "$SMOKE/addr1")
 # Plan-only burst first, against a cold plan cache: request 0 pays the CSP
 # search, requests 1..5 hit the cache — the driver's "plan search:" line is
-# the cold-vs-warm comparison. Then the mixed concurrent burst.
+# the cold-vs-warm comparison. Then the served-vs-local byte check, before
+# any execution has filled the result cache, then the mixed concurrent burst.
 "$SMOKE/sjload" -server "http://$ADDR" -clients 1 -requests 6 -plan-every 1 $QUERY_ARGS
+for RUN in cold cached; do
+  "$SMOKE/scrubjay" query -server "http://$ADDR" $QUERY_ARGS \
+    -out "csv:$SMOKE/fig5-served-$RUN.csv" >/dev/null
+  cmp "$SMOKE/fig5-local.csv" "$SMOKE/fig5-served-$RUN.csv" \
+    || { echo "ci.sh: served result ($RUN) differs from local" >&2; exit 1; }
+done
 "$SMOKE/sjload" -server "http://$ADDR" -clients 4 -requests 6 $QUERY_ARGS
 kill -TERM "$SRV"
 wait "$SRV"
@@ -201,14 +216,13 @@ kill -TERM "$SRV"
 wait "$SRV"
 
 # Distributed smoke: real sjworker processes. The same query runs three
-# ways — local, through the 2-worker cluster, and through the cluster with
-# worker 2 SIGKILLed mid-query (the driver's fault hook fires at the first
-# exchange's push/fetch barrier, so map outputs are already on the dead
-# worker and the fetch must discover the death, re-push to the survivor,
-# and retry). All three CSVs must be byte-identical.
+# ways — local (the CSV from the correctness burst), through the 2-worker
+# cluster, and through the cluster with worker 2 SIGKILLed mid-query (the
+# driver's fault hook fires at the first exchange's push/fetch barrier, so
+# map outputs are already on the dead worker and the fetch must discover
+# the death, re-push to the survivor, and retry). All three CSVs must be
+# byte-identical.
 echo "  -> distributed shuffle: 2 sjworkers, bit-for-bit vs local, mid-query worker kill"
-"$SMOKE/scrubjay" query -catalog "$SMOKE/cat" $QUERY_ARGS \
-  -out "csv:$SMOKE/fig5-local.csv" >/dev/null
 "$SMOKE/sjworker" -addr 127.0.0.1:0 -addr-file "$SMOKE/w1.addr" 2>"$SMOKE/w1.log" &
 W1=$!
 "$SMOKE/sjworker" -addr 127.0.0.1:0 -addr-file "$SMOKE/w2.addr" 2>"$SMOKE/w2.log" &

@@ -105,16 +105,6 @@ func loadCatalog(ctx *rdd.Context, dir string) (pipeline.Catalog, map[string]sem
 	return catalog.Load(ctx, dir)
 }
 
-// columnarCatalog pivots every catalog dataset to the columnar
-// representation, so executed plans run on the vectorized kernels.
-func columnarCatalog(cat pipeline.Catalog) pipeline.Catalog {
-	out := make(pipeline.Catalog, len(cat))
-	for name, ds := range cat {
-		out[name] = ds.Columnar()
-	}
-	return out
-}
-
 // parseSink parses "FMT:PATH" (or "kv:DIR:TABLE") into a wrappers.Source.
 func parseSink(spec string) (wrappers.Source, error) {
 	i := strings.Index(spec, ":")
@@ -154,7 +144,6 @@ func cmdQuery(args []string) error {
 	statsPath := fs.String("stats", "", "statistics store file: loaded (or created) before planning, observations saved back after execution")
 	traceOut := fs.String("trace", "", "record a full execution trace and write the JSON artifact to this path")
 	serverURL := fs.String("server", "", "query a running sjserved instead of the local library")
-	columnar := fs.Bool("columnar", true, "execute on the columnar batch path (false = row-at-a-time reference path)")
 	shuffleWorkers := fs.String("shuffle-workers", "", "comma-separated sjworker exchange addresses; when set, shuffles run through the worker cluster")
 	fs.Parse(args)
 	if *catalogDir == "" && *serverURL == "" {
@@ -218,10 +207,6 @@ func cmdQuery(args []string) error {
 			return err
 		}
 		catalog.Ingest(st, cat, schemas)
-	}
-
-	if *columnar {
-		cat = columnarCatalog(cat)
 	}
 
 	// -trace, -explain-json, and -stats all record the run under a query
@@ -448,7 +433,6 @@ func cmdRun(args []string) error {
 	cacheDir := fs.String("cache", "", "enable the derivation-result cache in this directory")
 	show := fs.Int("show", 10, "print up to this many result rows")
 	serverURL := fs.String("server", "", "execute on a running sjserved instead of the local library")
-	columnar := fs.Bool("columnar", true, "execute on the columnar batch path (false = row-at-a-time reference path)")
 	fs.Parse(args)
 	if (*catalogDir == "" && *serverURL == "") || *planPath == "" {
 		return fmt.Errorf("run: -plan and -catalog (or -server) are required")
@@ -469,9 +453,6 @@ func cmdRun(args []string) error {
 	cat, _, err := loadCatalog(ctx, *catalogDir)
 	if err != nil {
 		return err
-	}
-	if *columnar {
-		cat = columnarCatalog(cat)
 	}
 	c, err := openCache(*cacheDir)
 	if err != nil {

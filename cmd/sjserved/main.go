@@ -21,9 +21,12 @@
 //	         [-debug-addr HOST:PORT] [-debug-addr-file PATH]
 //	         [-shuffle-workers ADDR,ADDR,...]
 //
-// With -shuffle-workers, every query's shuffle exchanges move through the
-// listed sjworker shard processes (registration + heartbeat + retry via
-// internal/cluster); results are bit-for-bit identical to in-process runs.
+// Every query executes on the columnar kernels, over frames built once per
+// dataset at load or registration, and its NDJSON rows are byte-identical to
+// `scrubjay query` run locally on the same catalog. With -shuffle-workers,
+// every query's shuffle exchanges move through the listed sjworker shard
+// processes (registration + heartbeat + retry via internal/cluster); results
+// are bit-for-bit identical to in-process runs.
 package main
 
 import (
@@ -62,7 +65,6 @@ type options struct {
 	cacheBytes     int64
 	planCacheSize  int
 	window         float64
-	columnar       bool
 	traceRing      int
 	debugAddr      string
 	debugAddrFile  string
@@ -85,7 +87,6 @@ func main() {
 	flag.Int64Var(&o.cacheBytes, "cache-bytes", 256<<20, "result-cache budget in bytes")
 	flag.IntVar(&o.planCacheSize, "plan-cache", 256, "plan-cache LRU capacity")
 	flag.Float64Var(&o.window, "window", 120, "default interpolation-join window in seconds")
-	flag.BoolVar(&o.columnar, "columnar", true, "execute queries on the columnar batch path (false = row-at-a-time reference path)")
 	flag.IntVar(&o.traceRing, "trace-ring", 64, "retained query traces for GET /v1/trace/{id} (negative disables tracing)")
 	flag.StringVar(&o.debugAddr, "debug-addr", "", "mount net/http/pprof on this separate listener (empty = no profiling surface)")
 	flag.StringVar(&o.debugAddrFile, "debug-addr-file", "", "write the actual debug listen address to this file")
@@ -167,7 +168,6 @@ func run(o options) error {
 		PlanCacheSize:  o.planCacheSize,
 		WindowSeconds:  o.window,
 		Cache:          resultCache,
-		RowMode:        !o.columnar,
 		TraceRing:      o.traceRing,
 		Placement:      placement,
 		Stats:          statsStore,

@@ -45,8 +45,7 @@ func (w *Worker) ID() string { return w.id }
 func (w *Worker) Live() bool { return !w.failed.Load() }
 
 // Stats returns the worker's latest heartbeat metrics snapshot (the zero
-// snapshot before the first successful probe). The v2 fields stay zero for
-// a v1 worker.
+// snapshot before the first successful probe).
 func (w *Worker) Stats() shuffle.WorkerStats {
 	if st := w.stats.Load(); st != nil {
 		return *st

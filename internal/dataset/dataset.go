@@ -21,10 +21,10 @@ import (
 // carries one of two physical representations — row-at-a-time partitions
 // ([]value.Row) or columnar batches (one *frame.Frame per partition) — and
 // derives the other lazily on demand. Derivations preserve the input
-// representation (columnar in, columnar out), so a plan executed over a
-// columnar catalog stays columnar end-to-end; either way every observable
-// row is identical, which the derivation property suites assert
-// bit-for-bit.
+// representation (columnar in, columnar out); pipeline.Execute hands them
+// columnar inputs only, so an executed plan stays columnar end-to-end. The
+// row-form operators remain as the reference the derivation property
+// suites compare the columnar kernels against, row for row.
 type Dataset struct {
 	name   string
 	rows   *rdd.RDD[value.Row]    // nil when born columnar
@@ -106,10 +106,11 @@ func (d *Dataset) Frames() *rdd.RDD[*frame.Frame] {
 }
 
 // Columnar returns the dataset in columnar representation (itself if it
-// already is). A row-form dataset keeps its row RDD alongside the lazy
-// frame view, so row-level consumers (Count, Collect, streaming in row
-// mode) never pay the row→column pivot just because a derivation marked
-// the result columnar.
+// already is). pipeline.Execute passes every dataset it resolves through
+// here, so plans always run on the columnar kernels. A row-form dataset
+// keeps its row RDD alongside the lazy frame view, so row-level consumers
+// (Count, Collect, the cache writer) never pay the row→column pivot just
+// because execution marked the dataset columnar.
 func (d *Dataset) Columnar() *Dataset {
 	if d.frames != nil {
 		return d

@@ -22,6 +22,9 @@ type keyedFrame struct {
 	h []uint64
 }
 
+// NumRows makes traced exchange stages count the batch's rows.
+func (kf keyedFrame) NumRows() int { return kf.f.NumRows() }
+
 // hashExchange computes each row's composite key hash over cols (convs
 // converts values before hashing, as the join does for right-side units)
 // and redistributes batch slices so equal hashes land in one of numOut
@@ -55,7 +58,7 @@ func hashExchange(frames *rdd.RDD[*frame.Frame], cols []string, convs []func(val
 			}
 		}
 		return out
-	}, func(kf keyedFrame) int64 { return int64(kf.f.NumRows()) })
+	})
 }
 
 // concatKeyed flattens one partition's batches into a single frame and

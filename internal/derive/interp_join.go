@@ -221,7 +221,7 @@ func (j *InterpolationJoin) Apply(left, right *dataset.Dataset, dict *semantics.
 		}
 	}).WithName(right.Name() + "|interp-tag")
 
-	cog := rdd.CoGroup(rdd.WithWire(leftTagged, interpTaggedWire), rdd.WithWire(rightTagged, interpTaggedWire),
+	cog := rdd.CoGroup(leftTagged, rightTagged,
 		func(e interpTagged) string { return e.key },
 		func(e interpTagged) string { return e.key })
 

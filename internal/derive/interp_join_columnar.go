@@ -137,8 +137,8 @@ func interpCandidatesColumnar(left, right *dataset.Dataset, ltCol, rtCol string,
 		}
 		return out
 	}
-	lx := rdd.ExchangePartitions(rdd.WithWire(leftTagged, interpTaggedCWire), numOut, leftTagged.Name(), split, nil)
-	rx := rdd.ExchangePartitions(rdd.WithWire(rightTagged, interpTaggedCWire), numOut, rightTagged.Name(), split, nil)
+	lx := rdd.ExchangePartitions(rdd.WithWire(leftTagged, interpTaggedCWire), numOut, leftTagged.Name(), split)
+	rx := rdd.ExchangePartitions(rdd.WithWire(rightTagged, interpTaggedCWire), numOut, rightTagged.Name(), split)
 
 	return rdd.ZipPartitions(lx, rx, func(part int, ls, rs []interpTaggedC) []interpCand {
 		// Verified first-seen classes over the left entries: a class is one
@@ -221,7 +221,7 @@ func interpAssembleColumnar(cands *rdd.RDD[interpCand], rightResidual, lerpCols,
 			out[d] = append(out[d], c)
 		}
 		return out
-	}, nil)
+	})
 	return rdd.MapPartitions(ex, func(_ int, in []interpCand) []value.Row {
 		byID := make(map[int64]int32, len(in))
 		var groups [][]interpCand

@@ -206,8 +206,8 @@ func (n *NaturalJoin) Apply(left, right *dataset.Dataset, dict *semantics.Dictio
 	}
 
 	joined := rdd.JoinHash(
-		rdd.WithWire(preKeyRows(left.Rows(), leftCols, nil), keyedRowWire),
-		rdd.WithWire(preKeyRows(right.Rows(), rightCols, convs), keyedRowWire),
+		preKeyRows(left.Rows(), leftCols, nil),
+		preKeyRows(right.Rows(), rightCols, convs),
 		func(kr keyedRow) string { return kr.key },
 		func(kr keyedRow) string { return kr.key },
 	)

@@ -24,8 +24,10 @@ func joinColumnar(left, right *dataset.Dataset, schema semantics.Schema, name st
 	if rparts > numOut {
 		numOut = rparts
 	}
-	lex := hashExchange(left.Frames(), leftCols, nil, numOut, name+"|left")
-	rex := hashExchange(right.Frames(), rightCols, convs, numOut, name+"|right")
+	// The exchanges are named after the input lineages, like the row path's
+	// co-group, so traced stages count each input's rows under its own name.
+	lex := hashExchange(left.Frames(), leftCols, nil, numOut, left.Frames().Name()+"|cogroup-left")
+	rex := hashExchange(right.Frames(), rightCols, convs, numOut, right.Frames().Name()+"|cogroup-right")
 
 	frames := rdd.ZipPartitions(lex, rex, func(_ int, ls, rs []keyedFrame) []*frame.Frame {
 		lf, lh := concatKeyed(ls)

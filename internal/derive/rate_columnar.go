@@ -19,7 +19,9 @@ import (
 func rateColumnar(in *dataset.Dataset, schema semantics.Schema, name, timeCol string,
 	counters, groupCols []string) *dataset.Dataset {
 
-	ex := hashExchange(in.Frames(), groupCols, nil, in.Frames().NumPartitions(), name)
+	// Named after the input lineage, like the row path's groupByKey, so the
+	// traced exchange counts input rows under the input's name.
+	ex := hashExchange(in.Frames(), groupCols, nil, in.Frames().NumPartitions(), in.Frames().Name()+"|groupByKey")
 	frames := rdd.MapPartitions(ex, func(_ int, kfs []keyedFrame) []*frame.Frame {
 		f, h := concatKeyed(kfs)
 		if f.NumRows() == 0 {

@@ -10,12 +10,14 @@ import (
 	"scrubjay/internal/value"
 )
 
-// Wire codecs for every element type the derivation kernels shuffle. Each
+// Wire codecs for every element type the executed derivations shuffle. Each
 // shuffle call site attaches the matching wire via rdd.WithWire, which makes
 // that exchange eligible for the distributed path (internal/cluster) when
 // the Context carries a Placement; without one, the wires are inert and the
-// in-process exchange runs unchanged. Elements are self-delimiting, so a
-// merged destination payload decodes by looping until exhausted.
+// in-process exchange runs unchanged. The row-path joins, kept only as the
+// reference the columnar kernels are tested against, attach none and always
+// shuffle in-process. Elements are self-delimiting, so a merged destination
+// payload decodes by looping until exhausted.
 //
 // All codecs round-trip exactly — the same canonical binary forms
 // (value.AppendBinary, the shuffle batch codec) that keep distributed runs
@@ -47,58 +49,6 @@ var keyedFrameWire = &rdd.Wire[keyedFrame]{
 var frameWire = &rdd.Wire[*frame.Frame]{
 	Append: shuffle.AppendFrame,
 	Decode: shuffle.DecodeFrame,
-}
-
-// keyedRowWire carries the natural join's pre-keyed rows.
-var keyedRowWire = &rdd.Wire[keyedRow]{
-	Append: func(buf []byte, kr keyedRow) []byte {
-		buf = appendWireString(buf, kr.key)
-		return kr.row.AppendBinary(buf)
-	},
-	Decode: func(b []byte) (keyedRow, int, error) {
-		key, n, err := decodeWireString(b)
-		if err != nil {
-			return keyedRow{}, 0, err
-		}
-		row, rn, err := value.DecodeRow(b[n:])
-		if err != nil {
-			return keyedRow{}, 0, err
-		}
-		return keyedRow{key: key, row: row}, n + rn, nil
-	},
-}
-
-// interpTaggedWire carries the row-path interpolation join's tagged copies.
-var interpTaggedWire = &rdd.Wire[interpTagged]{
-	Append: func(buf []byte, e interpTagged) []byte {
-		buf = appendWireString(buf, e.key)
-		buf = binary.AppendVarint(buf, e.id)
-		buf = binary.AppendVarint(buf, e.t)
-		buf = binary.AppendVarint(buf, e.binA)
-		return e.row.AppendBinary(buf)
-	},
-	Decode: func(b []byte) (interpTagged, int, error) {
-		var e interpTagged
-		key, pos, err := decodeWireString(b)
-		if err != nil {
-			return e, 0, err
-		}
-		e.key = key
-		for _, dst := range []*int64{&e.id, &e.t, &e.binA} {
-			v, n := binary.Varint(b[pos:])
-			if n <= 0 {
-				return e, 0, fmt.Errorf("derive: truncated interpTagged field")
-			}
-			*dst = v
-			pos += n
-		}
-		row, n, err := value.DecodeRow(b[pos:])
-		if err != nil {
-			return e, 0, err
-		}
-		e.row = row
-		return e, pos + n, nil
-	},
 }
 
 // interpTaggedCWire carries the columnar interpolation join's tagged copies.
@@ -174,17 +124,4 @@ var interpCandWire = &rdd.Wire[interpCand]{
 		c.lrow, c.rrow = lrow, rrow
 		return c, pos + n, nil
 	},
-}
-
-func appendWireString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-func decodeWireString(b []byte) (string, int, error) {
-	l, n := binary.Uvarint(b)
-	if n <= 0 || l > uint64(len(b)-n) {
-		return "", 0, fmt.Errorf("derive: truncated wire string")
-	}
-	return string(b[n : n+int(l)]), n + int(l), nil
 }

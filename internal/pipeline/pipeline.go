@@ -282,6 +282,10 @@ func Execute(ctx context.Context, rc *rdd.Context, p *Plan, cat Catalog, dict *s
 	return execNode(ctx, rc, p.Root, cat, dict, opts)
 }
 
+// execNode is the one place that picks the physical representation: every
+// dataset it resolves — catalog entries, Load sources and cache hits — enters
+// execution through Dataset.Columnar(), and the derivations preserve it, so
+// a plan runs on the columnar kernels whoever built the catalog.
 func execNode(ctx context.Context, rc *rdd.Context, n *Node, cat Catalog, dict *semantics.Dictionary, opts ExecOptions) (*dataset.Dataset, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("pipeline: %w", err)
@@ -293,7 +297,7 @@ func execNode(ctx context.Context, rc *rdd.Context, n *Node, cat Catalog, dict *
 				step.SetBool(obs.AttrCacheHit, true)
 				step.End()
 			}
-			return ds, nil
+			return ds.Columnar(), nil
 		}
 	}
 	var out *dataset.Dataset
@@ -304,14 +308,14 @@ func execNode(ctx context.Context, rc *rdd.Context, n *Node, cat Catalog, dict *
 			if err != nil {
 				return nil, err
 			}
-			out = ds
+			out = ds.Columnar()
 			break
 		}
 		ds, ok := cat[n.Dataset]
 		if !ok {
 			return nil, fmt.Errorf("pipeline: catalog has no dataset %q", n.Dataset)
 		}
-		out = ds
+		out = ds.Columnar()
 	case KindTransform:
 		in, err := execNode(ctx, rc, n.Inputs[0], cat, dict, opts)
 		if err != nil {

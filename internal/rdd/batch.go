@@ -13,14 +13,15 @@ import "sync/atomic"
 // ExchangePartitions materializes r and redistributes its elements into
 // numOut partitions. split is called once per source partition (in
 // parallel, under the rdd compute contract) and returns, for each
-// destination, the elements that partition contributes; weight reports the
-// row count an element carries for shuffle metrics (nil counts elements).
-func ExchangePartitions[T any](r *RDD[T], numOut int, stage string, split func(part int, in []T) [][]T, weight func(T) int64) *RDD[T] {
+// destination, the elements that partition contributes. The shuffle metric
+// counts rows by the same rule as stage rows_out (see rowsIn).
+func ExchangePartitions[T any](r *RDD[T], numOut int, stage string, split func(part int, in []T) [][]T) *RDD[T] {
 	if numOut < 1 {
 		numOut = 1
 	}
-	srcParts := r.materialize(stage+"|exchange-write", false, 0)
+	srcParts := r.materialize(stage + "|exchange-write")
 	buckets := make([][][]T, len(srcParts)) // [src][dst][]T
+	batched := countsRows[T]()
 	var moved int64
 	r.ctx.runTasks(len(srcParts), func(i int) {
 		local := split(i, srcParts[i])
@@ -28,17 +29,11 @@ func ExchangePartitions[T any](r *RDD[T], numOut int, stage string, split func(p
 			panic("rdd.ExchangePartitions: split returned wrong destination count")
 		}
 		buckets[i] = local
-		var w int64
+		var n int64
 		for _, dst := range local {
-			for _, v := range dst {
-				if weight == nil {
-					w++
-				} else {
-					w += weight(v)
-				}
-			}
+			n += rowsIn(dst, batched)
 		}
-		atomic.AddInt64(&moved, w)
+		atomic.AddInt64(&moved, n)
 	})
 	dst, distributed := exchangeVia(r.ctx, r.wire, stage, numOut, buckets)
 	if !distributed {

@@ -16,7 +16,7 @@ func TestExchangePartitionsOrderAndMetrics(t *testing.T) {
 			out[v%2] = append(out[v%2], v)
 		}
 		return out
-	}, nil)
+	})
 	if ex.NumPartitions() != 2 {
 		t.Fatalf("numParts = %d", ex.NumPartitions())
 	}
@@ -27,25 +27,35 @@ func TestExchangePartitionsOrderAndMetrics(t *testing.T) {
 	}
 }
 
+// testBatch is a batch element type: one element carries len(rows) rows.
+type testBatch struct{ rows []int }
+
+func (b testBatch) NumRows() int { return len(b.rows) }
+
+// TestExchangePartitionsWeight: an element type with NumRows counts rows,
+// not elements, in the shuffle metric and in every stage's rows_out.
 func TestExchangePartitionsWeight(t *testing.T) {
 	ctx := NewContext(1)
 	ctx.ResetMetrics()
-	r := FromPartitions(ctx, [][][]int{{{1, 2, 3}, {4}}})
-	ex := ExchangePartitions(r, 1, "w", func(_ int, in [][]int) [][][]int {
-		return [][][]int{in}
-	}, func(b []int) int64 { return int64(len(b)) })
+	r := FromPartitions(ctx, [][]testBatch{{{[]int{1, 2, 3}}, {[]int{4}}}})
+	ex := ExchangePartitions(r, 1, "w", func(_ int, in []testBatch) [][]testBatch {
+		return [][]testBatch{in}
+	})
 	if n := len(ex.Collect()); n != 2 {
 		t.Fatalf("batches = %d", n)
 	}
-	var metric *StageMetrics
+	stages := map[string]StageMetrics{}
 	for _, m := range ctx.SnapshotMetrics().Stages {
-		if m.Name == "w|exchange" {
-			cp := m
-			metric = &cp
-		}
+		stages[m.Name] = m
 	}
-	if metric == nil || metric.ShuffleRows != 4 {
-		t.Fatalf("shuffle rows metric = %+v", metric)
+	if m, ok := stages["w|exchange"]; !ok || m.ShuffleRows != 4 {
+		t.Fatalf("shuffle rows metric = %+v", m)
+	}
+	for _, name := range []string{"w|exchange-write", "w|exchange|collect"} {
+		m, ok := stages[name]
+		if !ok || len(m.Tasks) != 1 || m.Tasks[0].RowsOut != 4 {
+			t.Fatalf("stage %s = %+v, want one task with 4 rows out", name, m)
+		}
 	}
 }
 

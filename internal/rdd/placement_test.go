@@ -107,7 +107,7 @@ func TestExchangePartitionsDistributedMatchesLocal(t *testing.T) {
 			c = c.WithPlacement(p)
 		}
 		r := WithWire(Parallelize(c, data, 6), intWire)
-		ex := ExchangePartitions(r, numOut, "test-exchange", split, nil)
+		ex := ExchangePartitions(r, numOut, "test-exchange", split)
 		parts := make([][]int, ex.NumPartitions())
 		for i := range parts {
 			parts[i] = ex.partition(i)

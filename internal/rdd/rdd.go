@@ -128,11 +128,38 @@ func (r *RDD[T]) partition(part int) []T {
 	return r.compute(part)
 }
 
+// rowCounter is implemented by batch element types (*frame.Frame and the
+// columnar kernels' keyed batches): one element carries NumRows rows.
+type rowCounter interface{ NumRows() int }
+
+// countsRows reports whether T is a batch type whose elements count
+// NumRows rows each. It is decided once per call from T's zero value, so
+// element types without the method never box an element into an interface.
+func countsRows[T any]() bool {
+	var zero T
+	_, ok := any(zero).(rowCounter)
+	return ok
+}
+
+// rowsIn counts the rows one partition carries: NumRows per element when
+// batched, otherwise one per element.
+func rowsIn[T any](part []T, batched bool) int64 {
+	if !batched {
+		return int64(len(part))
+	}
+	var n int64
+	for _, v := range part {
+		n += int64(any(v).(rowCounter).NumRows())
+	}
+	return n
+}
+
 // materialize runs a stage that computes every partition of r on the worker
 // pool and returns the partitions. Under a trace scope it emits a stage
-// span with one timed task span per partition; untraced it records nothing
-// and pays no timing cost (the nil-span fast path).
-func (r *RDD[T]) materialize(stageName string, shuffle bool, shuffleRows int64) [][]T {
+// span with one timed task span per partition, whose rows_out count rows
+// (see rowsIn); untraced it records nothing and pays no timing cost (the
+// nil-span fast path).
+func (r *RDD[T]) materialize(stageName string) [][]T {
 	r.cacheMu.Lock()
 	if r.cached != nil {
 		parts := r.cached
@@ -146,20 +173,18 @@ func (r *RDD[T]) materialize(stageName string, shuffle bool, shuffleRows int64) 
 	if sp := r.ctx.Span(); sp != nil {
 		stage := sp.Child(obs.KindStage, stageName)
 		stage.SetInt(obs.AttrPartitions, int64(r.numParts))
-		if shuffle {
-			stage.SetBool(obs.AttrShuffle, true)
-			stage.SetInt(obs.AttrShuffleRows, shuffleRows)
-		}
 		times := r.ctx.runTimed(r.numParts, stage.Clock(), compute)
 		// Task spans attach post-run in partition order so the trace is
 		// deterministic regardless of worker scheduling.
+		batched := countsRows[T]()
 		var rows int64
 		for i, tm := range times {
+			n := rowsIn(parts[i], batched)
 			task := stage.ChildAt(obs.KindTask, "", tm.start)
 			task.SetInt(obs.AttrPartition, int64(i))
-			task.SetInt(obs.AttrRowsOut, int64(len(parts[i])))
+			task.SetInt(obs.AttrRowsOut, n)
 			task.EndAt(tm.end)
-			rows += int64(len(parts[i]))
+			rows += n
 		}
 		stage.SetInt(obs.AttrRowsOut, rows)
 		stage.End()
@@ -262,7 +287,7 @@ func Union[T any](a, b *RDD[T]) *RDD[T] {
 
 // Collect materializes the RDD into a single slice.
 func (r *RDD[T]) Collect() []T {
-	parts := r.materialize(r.name+"|collect", false, 0)
+	parts := r.materialize(r.name + "|collect")
 	var n int
 	for _, p := range parts {
 		n += len(p)
@@ -276,7 +301,7 @@ func (r *RDD[T]) Collect() []T {
 
 // Count returns the number of elements.
 func (r *RDD[T]) Count() int64 {
-	parts := r.materialize(r.name+"|count", false, 0)
+	parts := r.materialize(r.name + "|count")
 	var n int64
 	for _, p := range parts {
 		n += int64(len(p))
@@ -297,7 +322,7 @@ func (r *RDD[T]) Take(n int) []T {
 // Reduce folds all elements with an associative, commutative f. The second
 // result is false for an empty RDD.
 func Reduce[T any](r *RDD[T], f func(T, T) T) (T, bool) {
-	parts := r.materialize(r.name+"|reduce", false, 0)
+	parts := r.materialize(r.name + "|reduce")
 	var acc T
 	have := false
 	for _, p := range parts {
@@ -315,7 +340,7 @@ func Reduce[T any](r *RDD[T], f func(T, T) T) (T, bool) {
 // Aggregate folds each partition with seqOp from zero, then merges the
 // per-partition results with combOp.
 func Aggregate[T, U any](r *RDD[T], zero func() U, seqOp func(U, T) U, combOp func(U, U) U) U {
-	parts := r.materialize(r.name+"|aggregate", false, 0)
+	parts := r.materialize(r.name + "|aggregate")
 	partial := make([]U, len(parts))
 	r.ctx.runTasks(len(parts), func(i int) {
 		acc := zero()
@@ -335,7 +360,7 @@ func Aggregate[T, U any](r *RDD[T], zero func() U, seqOp func(U, T) U, combOp fu
 // implementation exchanges all rows (a full shuffle) and range-partitions
 // the sorted output back to the original partition count.
 func SortBy[T any](r *RDD[T], less func(a, b T) bool) *RDD[T] {
-	parts := r.materialize(r.name+"|sort-input", false, 0)
+	parts := r.materialize(r.name + "|sort-input")
 	var n int64
 	for _, p := range parts {
 		n += int64(len(p))

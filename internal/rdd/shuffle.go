@@ -34,7 +34,7 @@ func hashKey(key string, mod int) int {
 // into numOut buckets. It returns the destination partitions and the total
 // number of rows exchanged.
 func shuffleExchange[T any](r *RDD[T], key func(T) string, numOut int, stage string) ([][]T, int64) {
-	srcParts := r.materialize(stage+"|shuffle-write", false, 0)
+	srcParts := r.materialize(stage + "|shuffle-write")
 	// Per-source bucketing runs in parallel; the concatenation per
 	// destination ("shuffle read") is cheap appends.
 	buckets := make([][][]T, len(srcParts)) // [src][dst][]T
@@ -228,7 +228,7 @@ func Repartition[T any](r *RDD[T], numParts int) *RDD[T] {
 	if numParts < 1 {
 		numParts = 1
 	}
-	srcParts := r.materialize(r.name+"|repartition-write", false, 0)
+	srcParts := r.materialize(r.name + "|repartition-write")
 	var all []T
 	for _, p := range srcParts {
 		all = append(all, p...)

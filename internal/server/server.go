@@ -18,7 +18,6 @@ import (
 	"scrubjay/internal/rdd"
 	"scrubjay/internal/semantics"
 	"scrubjay/internal/stats"
-	"scrubjay/internal/value"
 	"scrubjay/internal/wrappers"
 )
 
@@ -47,11 +46,6 @@ type Config struct {
 	Cache *cache.Cache
 	// Dict defaults to semantics.DefaultDictionary().
 	Dict *semantics.Dictionary
-	// RowMode disables the columnar execution path: snapshots expose
-	// row-form datasets and results stream through encoding/json. The zero
-	// value — columnar on — is the default; row mode exists as an escape
-	// hatch and for differential testing against the reference path.
-	RowMode bool
 	// TraceRing is how many recent query traces GET /v1/trace/{id} retains
 	// (default 64; negative disables tracing entirely, leaving queries on
 	// the nil-span fast path).
@@ -443,7 +437,7 @@ func (s *Server) execStream(ctx context.Context, w http.ResponseWriter, plan *pi
 		rc = rc.WithPlacement(s.cfg.Placement)
 	}
 	rc.SetSpan(exec)
-	cat, _, version := s.store.Snapshot(rc, !s.cfg.RowMode)
+	cat, _, version := s.store.Snapshot(rc, true)
 	result, err := pipeline.Execute(ctx, rc, plan, cat, s.cfg.Dict, pipeline.ExecOptions{Cache: s.cfg.Cache})
 	if err != nil {
 		exec.End()
@@ -451,21 +445,14 @@ func (s *Server) execStream(ctx context.Context, w http.ResponseWriter, plan *pi
 		writeError(w, s.errStatus(err), "execute: %v", err)
 		return
 	}
-	columnar := result.IsColumnar()
-	var rows []value.Row
-	var frames []*frame.Frame
-	if columnar {
-		frames, err = rdd.Guard(func() []*frame.Frame { return result.Frames().Collect() })
-	} else {
-		rows, err = rdd.Guard(func() []value.Row { return result.Collect() })
-	}
+	frames, err := rdd.Guard(func() []*frame.Frame { return result.Frames().Collect() })
 	if err != nil {
 		exec.End()
 		s.finishTrace(tr, qspan, err.Error())
 		writeError(w, s.errStatus(err), "execute: %v", err)
 		return
 	}
-	total := len(rows)
+	total := 0
 	for _, f := range frames {
 		total += f.NumRows()
 	}
@@ -490,13 +477,7 @@ func (s *Server) execStream(ctx context.Context, w http.ResponseWriter, plan *pi
 		Schema:         result.Schema(),
 		TraceID:        tr.ID(),
 	}})
-	if columnar {
-		streamFrameRows(w, frames, emitted)
-	} else {
-		for _, row := range rows[:emitted] {
-			enc.Encode(StreamLine{Row: row})
-		}
-	}
+	streamFrameRows(w, frames, emitted)
 	enc.Encode(StreamLine{Trailer: &StreamTrailer{
 		Rows:          int64(emitted),
 		Truncated:     truncated,
@@ -522,10 +503,11 @@ func (s *Server) execStream(ctx context.Context, w http.ResponseWriter, plan *pi
 
 // streamFrameRows writes up to limit NDJSON row lines straight out of the
 // result's column vectors, bypassing encoding/json and the row boxing it
-// would require. The byte output must match the row path exactly:
-// AppendRowJSON renders cells in the same sorted-key, same-escaping form as
-// Row.MarshalJSON, and a row with no present cells renders as the bare "{}"
-// line the row path's omitempty Row field produces.
+// would require. The bytes must equal what encoding/json would write for a
+// StreamLine{Row: row}, which Client decodes: AppendRowJSON renders cells in
+// the same sorted-key, same-escaping form as Row.MarshalJSON, and a row with
+// no present cells renders as the bare "{}" line the omitempty Row field
+// produces.
 func streamFrameRows(w http.ResponseWriter, frames []*frame.Frame, limit int) {
 	left := limit
 	var body []byte

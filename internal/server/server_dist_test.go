@@ -40,13 +40,11 @@ func distCluster(t *testing.T, opts cluster.Options) (*cluster.Scheduler, []*shu
 // TestFig5BitForBitDistributed extends the TestFig5BitForBit family to a
 // live 2-worker cluster: the served query's shuffles cross real TCP through
 // sjworker-equivalent shuffle servers, and every row must still be
-// byte-identical JSON, in the same order, as the in-process library run —
-// on both the columnar and the row execution path.
+// byte-identical JSON, in the same order, as the in-process library run.
 func TestFig5BitForBitDistributed(t *testing.T) {
 	met := obs.NewRegistry()
 	sched, _ := distCluster(t, cluster.Options{Metrics: met})
-	runFig5(t, Config{Workers: 2, Placement: sched}, true)
-	runFig5(t, Config{Workers: 2, RowMode: true, Placement: sched}, false)
+	runFig5(t, Config{Workers: 2, Placement: sched})
 	if n := met.Counter("cluster_exchanges_total").Load(); n == 0 {
 		t.Fatal("no exchange crossed the cluster: the distributed path never ran")
 	} else {
@@ -74,7 +72,7 @@ func TestFig5BitForBitDistributedWorkerFailure(t *testing.T) {
 		},
 	})
 	servers = srvs
-	runFig5(t, Config{Workers: 2, Placement: sched}, true)
+	runFig5(t, Config{Workers: 2, Placement: sched})
 	mu.Lock()
 	defer mu.Unlock()
 	if !killed {

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -15,10 +16,12 @@ import (
 
 	"scrubjay/internal/bench"
 	"scrubjay/internal/dataset"
+	"scrubjay/internal/derive"
 	"scrubjay/internal/engine"
 	"scrubjay/internal/pipeline"
 	"scrubjay/internal/rdd"
 	"scrubjay/internal/semantics"
+	"scrubjay/internal/stats"
 	"scrubjay/internal/value"
 )
 
@@ -480,12 +483,20 @@ func TestConcurrentClients(t *testing.T) {
 	}
 }
 
+// fig5Run is one served Fig-5 query plus the inputs it ran over.
+type fig5Run struct {
+	plan    *pipeline.Plan
+	served  []value.Row
+	rows    map[string][]value.Row
+	parts   map[string]int
+	schemas map[string]semantics.Schema
+}
+
 // runFig5 registers the Fig-5 case-study catalog over HTTP on a server with
 // the given config, runs the Fig-5 query over HTTP, reruns the same plan
-// in-process through the library path selected by columnarLib, and asserts
-// the served rows are byte-identical JSON in the same order. It returns the
-// served rows so callers can cross-check the two representations.
-func runFig5(t *testing.T, srvCfg Config, columnarLib bool) []value.Row {
+// in-process through pipeline.Execute over the same rows, and asserts the
+// served rows are byte-identical JSON in the same order.
+func runFig5(t *testing.T, srvCfg Config) fig5Run {
 	t.Helper()
 	cfg := bench.DefaultCaseStudyConfig()
 	cfg.Racks, cfg.NodesPerRack, cfg.AMGRack = 4, 6, 2
@@ -493,22 +504,21 @@ func runFig5(t *testing.T, srvCfg Config, columnarLib bool) []value.Row {
 	cfg.Partitions = 4
 	build := rdd.NewContext(2)
 	srcCat, schemas, _ := bench.DAT1Catalog(build, cfg)
-	rowsByName := map[string][]value.Row{}
-	partsByName := map[string]int{}
+	run := fig5Run{rows: map[string][]value.Row{}, parts: map[string]int{}, schemas: schemas}
 	for name, ds := range srcCat {
-		rowsByName[name] = ds.Collect()
-		partsByName[name] = ds.Rows().NumPartitions()
+		run.rows[name] = ds.Collect()
+		run.parts[name] = ds.Rows().NumPartitions()
 	}
 
 	s := New(NewStore(), srvCfg)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	for name, rows := range rowsByName {
+	for name, rows := range run.rows {
 		resp := postJSON(t, ts.URL+"/v1/catalog/datasets", RegisterRequest{
 			Name:       name,
 			Schema:     schemas[name],
 			Rows:       rows,
-			Partitions: partsByName[name],
+			Partitions: run.parts[name],
 		})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("register %s: status %d: %s", name, resp.StatusCode, decodeError(t, resp))
@@ -533,12 +543,8 @@ func runFig5(t *testing.T, srvCfg Config, columnarLib bool) []value.Row {
 	// Library path over the same materialized rows.
 	rc := rdd.NewContext(2)
 	libCat := pipeline.Catalog{}
-	for name, rows := range rowsByName {
-		if columnarLib {
-			libCat[name] = dataset.FromRowsColumnar(rc, name, rows, schemas[name], partsByName[name])
-		} else {
-			libCat[name] = dataset.FromRows(rc, name, rows, schemas[name], partsByName[name])
-		}
+	for name, rows := range run.rows {
+		libCat[name] = dataset.FromRows(rc, name, rows, schemas[name], run.parts[name])
 	}
 	dict := semantics.DefaultDictionary()
 	eng := engine.New(dict, schemas, engine.DefaultOptions())
@@ -553,7 +559,7 @@ func runFig5(t *testing.T, srvCfg Config, columnarLib bool) []value.Row {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if columnarLib && !out.IsColumnar() {
+	if !out.IsColumnar() {
 		t.Error("library result left the columnar representation")
 	}
 	libRows := out.Collect()
@@ -570,29 +576,56 @@ func runFig5(t *testing.T, srvCfg Config, columnarLib bool) []value.Row {
 			t.Fatalf("row %d differs:\nserver:  %s\nlibrary: %s", i, got, want)
 		}
 	}
-	return gotRows
+	run.plan, run.served = plan, gotRows
+	return run
 }
 
-// TestFig5BitForBit is the end-to-end reproducibility check on the row
-// path: datasets registered over HTTP, queried over HTTP, must produce
-// exactly the rows and plan the library path (engine.Solve +
-// pipeline.Execute in-process) produces — same worker count, same
-// partitioning, byte-identical row JSON in the same order.
-func TestFig5BitForBit(t *testing.T) {
-	runFig5(t, Config{Workers: 2, RowMode: true}, false)
-}
-
-// TestFig5BitForBitColumnar is the same check on the default columnar
-// path — frames built at registration, vectorized derivations, NDJSON
-// streamed straight from column vectors — and additionally asserts the two
-// representations agree on the result as a multiset (row order may differ
-// between paths because partition placement differs, but content must not).
-func TestFig5BitForBitColumnar(t *testing.T) {
-	colRows := runFig5(t, Config{Workers: 2}, true)
-	rowRows := runFig5(t, Config{Workers: 2, RowMode: true}, false)
-	if len(colRows) != len(rowRows) {
-		t.Fatalf("columnar rows = %d, row-path rows = %d", len(colRows), len(rowRows))
+// replayRows executes a plan node by node through the derivations' row-path
+// operators: sources are row-form datasets, so every Apply takes its
+// reference branch, never the columnar kernels pipeline.Execute runs.
+func replayRows(t *testing.T, rc *rdd.Context, n *pipeline.Node, run fig5Run, dict *semantics.Dictionary) *dataset.Dataset {
+	t.Helper()
+	var out *dataset.Dataset
+	var err error
+	switch n.Kind {
+	case pipeline.KindSource:
+		return dataset.FromRows(rc, n.Dataset, run.rows[n.Dataset], run.schemas[n.Dataset], run.parts[n.Dataset])
+	case pipeline.KindTransform:
+		in := replayRows(t, rc, n.Inputs[0], run, dict)
+		tf, terr := derive.NewTransformation(n.Derivation, n.Params)
+		if terr != nil {
+			t.Fatal(terr)
+		}
+		out, err = tf.Apply(in, dict)
+	default:
+		l := replayRows(t, rc, n.Inputs[0], run, dict)
+		r := replayRows(t, rc, n.Inputs[1], run, dict)
+		c, cerr := derive.NewCombination(n.Derivation, n.Params)
+		if cerr != nil {
+			t.Fatal(cerr)
+		}
+		out, err = c.Apply(l, r, dict)
 	}
+	if err != nil {
+		t.Fatalf("%s: %v", n.Derivation, err)
+	}
+	if out.IsColumnar() {
+		t.Fatalf("%s: row replay left the row path", n.Derivation)
+	}
+	return out
+}
+
+// TestFig5BitForBit is the end-to-end reproducibility check: datasets
+// registered over HTTP, queried over HTTP, must produce exactly the rows and
+// plan the library path (engine.Solve + pipeline.Execute in-process)
+// produces — same worker count, same partitioning, byte-identical row JSON
+// in the same order. The served rows must also equal, as a multiset, a
+// whole-plan replay through the row-path reference operators (row order may
+// differ there: partition placement differs between the two paths).
+func TestFig5BitForBit(t *testing.T) {
+	run := runFig5(t, Config{Workers: 2})
+	dict := semantics.DefaultDictionary()
+	ref := replayRows(t, rdd.NewContext(2), run.plan.Root, run, dict).Collect()
 	encode := func(rows []value.Row) []string {
 		out := make([]string, len(rows))
 		for i, r := range rows {
@@ -605,10 +638,37 @@ func TestFig5BitForBitColumnar(t *testing.T) {
 		sort.Strings(out)
 		return out
 	}
-	col, row := encode(colRows), encode(rowRows)
-	for i := range col {
-		if col[i] != row[i] {
-			t.Fatalf("sorted row %d differs:\ncolumnar: %s\nrow path: %s", i, col[i], row[i])
+	got, want := encode(run.served), encode(ref)
+	if len(got) != len(want) {
+		t.Fatalf("served rows = %d, row reference rows = %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("sorted row %d differs:\nserved:        %s\nrow reference: %s", i, got[i], want[i])
+		}
+	}
+}
+
+// TestFig5ServedStats: one served Fig-5 query feeds the statistics store
+// the same per-step selectivities a row-by-row count gives — the recorder
+// reads row counts, not batch counts, off the columnar path's traced stages.
+func TestFig5ServedStats(t *testing.T) {
+	st := stats.NewStore()
+	runFig5(t, Config{Workers: 2, Stats: st})
+	for _, c := range []struct {
+		derivation string
+		want       float64
+	}{
+		{"natural_join", 498.0 / 273},
+		{"interpolation_join", 747.0 / 858},
+	} {
+		d, ok := st.Derivation(c.derivation)
+		if !ok {
+			t.Errorf("%s: no observation recorded", c.derivation)
+			continue
+		}
+		if sel, ok := d.Selectivity(); !ok || math.Abs(sel-c.want) > 1e-9 {
+			t.Errorf("%s selectivity = %v (ok=%v), want %.4f", c.derivation, sel, ok, c.want)
 		}
 	}
 }

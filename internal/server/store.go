@@ -38,8 +38,8 @@ type storedDataset struct {
 	schema semantics.Schema
 	parts  int
 	// frames is the columnar form of rows, built once at registration and
-	// shared by every columnar snapshot — frames are immutable, so serving
-	// them concurrently is safe and each query skips the row→column pivot.
+	// shared by every snapshot — frames are immutable, so serving them
+	// concurrently is safe and each query skips the row→column pivot.
 	frames []*frame.Frame
 }
 
@@ -77,8 +77,7 @@ func (s *Store) Register(name string, rows []value.Row, schema semantics.Schema,
 	if parts <= 0 {
 		parts = 1
 	}
-	// Build the columnar form outside the lock: same partitioning as the
-	// row form, so the two execution paths see identical data placement.
+	// Build the columnar form outside the lock, partitioned as registered.
 	rc := rdd.NewContext(1)
 	frames := dataset.FromRowsColumnar(rc, name, rows, schema, parts).Frames().Collect()
 	s.mu.Lock()
@@ -148,12 +147,14 @@ func (s *Store) Schemas() (map[string]semantics.Schema, int64) {
 }
 
 // Snapshot builds an execution catalog on the given (request-bound) rdd
-// context. Dataset construction is lazy — no partition work runs here —
-// and the row slices and frames are shared, so a snapshot is cheap. The
-// entry refs are copied under the lock; datasets are built after it is
-// released. With columnar set, datasets expose the pre-built frame form
-// so derivations run on the vectorized path.
-func (s *Store) Snapshot(rc *rdd.Context, columnar bool) (pipeline.Catalog, map[string]semantics.Schema, int64) {
+// context. Every dataset exposes the frames pre-built at registration, so
+// derivations run on the vectorized path and no request pays the
+// row→column pivot. Dataset construction is lazy — no partition work runs
+// here — and the frames are shared, so a snapshot is cheap. The entry refs
+// are copied under the lock; datasets are built after it is released. The
+// unnamed bool is ignored: it stays only so existing two-argument callers
+// (the benchmark harness) keep compiling.
+func (s *Store) Snapshot(rc *rdd.Context, _ bool) (pipeline.Catalog, map[string]semantics.Schema, int64) {
 	s.mu.Lock()
 	entries := make(map[string]*storedDataset, len(s.datasets))
 	for name, d := range s.datasets {
@@ -164,11 +165,7 @@ func (s *Store) Snapshot(rc *rdd.Context, columnar bool) (pipeline.Catalog, map[
 	cat := make(pipeline.Catalog, len(entries))
 	schemas := make(map[string]semantics.Schema, len(entries))
 	for name, d := range entries {
-		if columnar && d.frames != nil {
-			cat[name] = dataset.FromFrames(rc, name, d.frames, d.schema)
-		} else {
-			cat[name] = dataset.FromRows(rc, name, d.rows, d.schema, d.parts)
-		}
+		cat[name] = dataset.FromFrames(rc, name, d.frames, d.schema)
 		schemas[name] = d.schema
 	}
 	return cat, schemas, version

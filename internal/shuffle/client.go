@@ -19,9 +19,9 @@ type TraceCtx struct {
 	ParentSpan int
 }
 
-// WorkerStats is the metrics snapshot a v2 ping returns — the compact
-// worker health summary the registry heartbeat aggregates into
-// cluster_worker_* gauges. A v1 worker fills only the first two fields.
+// WorkerStats is the metrics snapshot a ping returns — the compact worker
+// health summary the registry heartbeat aggregates into cluster_worker_*
+// gauges.
 type WorkerStats struct {
 	StoredBytes int64
 	Shuffles    int
@@ -41,16 +41,13 @@ type WorkerStats struct {
 type Conn struct {
 	nc        net.Conn
 	workerID  string
-	version   byte
 	opTimeout time.Duration
 }
 
 // Dial connects to a worker exchange service and performs the hello
-// handshake, negotiating the protocol version: the client advertises
-// ProtoVersion and accepts any server answer in [1, ProtoVersion], so a v2
-// driver interoperates with a v1 worker (and vice versa — a v1 server
-// ignores the trailing version byte and a v2 server answers a version-less
-// hello with 1).
+// handshake: the client advertises ProtoVersion and refuses a worker that
+// answers with any other version (a worker likewise refuses a driver that
+// speaks another version).
 func Dial(ctx context.Context, addr, driverName string, opTimeout time.Duration) (*Conn, error) {
 	d := net.Dialer{}
 	nc, err := d.DialContext(ctx, "tcp", addr)
@@ -70,11 +67,9 @@ func Dial(ctx context.Context, addr, driverName string, opTimeout time.Duration)
 		nc.Close()
 		return nil, fmt.Errorf("shuffle: malformed hello response from %s", addr)
 	}
-	if v := resp[n]; v < 1 || v > ProtoVersion {
+	if v := resp[n]; v != ProtoVersion {
 		nc.Close()
-		return nil, fmt.Errorf("shuffle: worker %s negotiated protocol %d, driver supports 1..%d", addr, v, ProtoVersion)
-	} else {
-		c.version = v
+		return nil, fmt.Errorf("shuffle: worker %s speaks protocol %d, driver speaks %d", addr, v, ProtoVersion)
 	}
 	c.workerID = id
 	return c, nil
@@ -82,9 +77,6 @@ func Dial(ctx context.Context, addr, driverName string, opTimeout time.Duration)
 
 // WorkerID returns the identity the worker reported in the handshake.
 func (c *Conn) WorkerID() string { return c.workerID }
-
-// Version returns the negotiated protocol version.
-func (c *Conn) Version() byte { return c.version }
 
 // Close closes the underlying connection.
 func (c *Conn) Close() error { return c.nc.Close() }
@@ -96,17 +88,14 @@ func (c *Conn) Put(ctx context.Context, shuffleID string, dst, src, seq int, pay
 }
 
 // PutTraced pushes one map-output chunk: payload bytes for (shuffleID,
-// dst), sequenced (src, seq), carrying the trace context on a v2
-// connection (a v1 worker receives the v1 wire form and records nothing).
-// Idempotent on the worker.
+// dst), sequenced (src, seq), carrying the trace context. Idempotent on
+// the worker.
 func (c *Conn) PutTraced(ctx context.Context, shuffleID string, dst, src, seq int, payload []byte, tc TraceCtx) error {
 	req := appendString([]byte{opPut}, shuffleID)
 	req = binary.AppendUvarint(req, uint64(dst))
 	req = binary.AppendUvarint(req, uint64(src))
 	req = binary.AppendUvarint(req, uint64(seq))
-	if c.version >= 2 {
-		req = appendTraceCtx(req, tc)
-	}
+	req = appendTraceCtx(req, tc)
 	req = append(req, payload...)
 	_, err := c.roundTrip(ctx, req)
 	return err
@@ -120,21 +109,18 @@ func (c *Conn) Fetch(ctx context.Context, shuffleID string, dst int) ([]byte, er
 
 // FetchTraced returns the merged payload for destination partition dst of
 // shuffleID — all stored chunks concatenated in (src, seq) order — carrying
-// the trace context on a v2 connection.
+// the trace context.
 func (c *Conn) FetchTraced(ctx context.Context, shuffleID string, dst int, tc TraceCtx) ([]byte, error) {
 	req := appendString([]byte{opFetch}, shuffleID)
 	req = binary.AppendUvarint(req, uint64(dst))
-	if c.version >= 2 {
-		req = appendTraceCtx(req, tc)
-	}
+	req = appendTraceCtx(req, tc)
 	return c.roundTrip(ctx, req)
 }
 
 // Spans ships back and clears the worker's recorded span subtrees for
-// (shuffleID, traceID). Nil on a v1 connection (the worker recorded
-// nothing) and for an untraced shuffle.
+// (shuffleID, traceID). Nil for an untraced shuffle.
 func (c *Conn) Spans(ctx context.Context, shuffleID, traceID string) ([]*obs.SpanRecord, error) {
-	if c.version < 2 || traceID == "" {
+	if traceID == "" {
 		return nil, nil
 	}
 	req := appendString([]byte{opSpans}, shuffleID)
@@ -161,34 +147,29 @@ func (c *Conn) Drop(ctx context.Context, shuffleID string) error {
 }
 
 // Ping checks liveness and returns the worker's metrics snapshot. Used by
-// the registry heartbeat. A v1 worker reports stored bytes and shuffle
-// count only; the v2 fields stay zero.
+// the registry heartbeat.
 func (c *Conn) Ping(ctx context.Context) (WorkerStats, error) {
 	resp, err := c.roundTrip(ctx, []byte{opPing})
 	if err != nil {
 		return WorkerStats{}, err
 	}
-	var vals []int64
-	for len(resp) > 0 && len(vals) < 8 {
+	var vals [8]int64
+	for i := range vals {
 		v, n, err := readUvarint(resp)
 		if err != nil {
-			return WorkerStats{}, err
+			return WorkerStats{}, fmt.Errorf("shuffle: truncated ping response")
 		}
-		vals = append(vals, int64(v))
+		vals[i] = int64(v)
 		resp = resp[n:]
 	}
-	if len(vals) < 2 {
-		return WorkerStats{}, fmt.Errorf("shuffle: truncated ping response")
-	}
-	st := WorkerStats{StoredBytes: vals[0], Shuffles: int(vals[1])}
-	if len(vals) == 8 { // the v2 snapshot extension; absent from a v1 worker
-		st.Goroutines, st.HeapBytes = int(vals[2]), vals[3]
-		st.Fetches, st.FetchP50us, st.FetchP90us, st.FetchP99us = vals[4], vals[5], vals[6], vals[7]
-	}
-	return st, nil
+	return WorkerStats{
+		StoredBytes: vals[0], Shuffles: int(vals[1]),
+		Goroutines: int(vals[2]), HeapBytes: vals[3],
+		Fetches: vals[4], FetchP50us: vals[5], FetchP90us: vals[6], FetchP99us: vals[7],
+	}, nil
 }
 
-// appendTraceCtx appends the v2 trace-context fields.
+// appendTraceCtx appends the trace-context fields.
 func appendTraceCtx(req []byte, tc TraceCtx) []byte {
 	req = appendString(req, tc.TraceID)
 	parent := tc.ParentSpan

@@ -24,8 +24,8 @@ import (
 // Puts are idempotent: re-pushing a chunk after a retry overwrites the
 // identical bytes, so a task observed twice is visible at most once.
 //
-// On a v2 connection each put/fetch may carry a trace context; the server
-// then records its side of the exchange — put, fetch, and merge spans with
+// Each put/fetch carries a trace context; for a traced one the server
+// records its side of the exchange — put, fetch, and merge spans with
 // bytes/chunks attrs — under one obs.Tracer per (shuffle, trace), and
 // ships the completed subtree back on the spans op (cleared worker-side on
 // shipment, on drop, and bounded by liveTraceCap against drivers that
@@ -159,23 +159,21 @@ func (s *Server) acceptLoop() {
 
 // serveConn answers framed requests in order until the peer hangs up or a
 // framing error makes the stream unrecoverable. Application-level errors
-// are answered with statusErr and the connection stays usable. The
-// negotiated protocol version is connection state, set by the hello.
+// are answered with statusErr and the connection stays usable.
 func (s *Server) serveConn(conn net.Conn) {
-	ver := byte(1) // until a hello negotiates otherwise
 	for {
 		req, err := readMessage(conn, DefaultMaxMessage)
 		if err != nil {
 			return
 		}
-		resp := s.handle(req, &ver)
+		resp := s.handle(req)
 		if err := writeMessage(conn, resp); err != nil {
 			return
 		}
 	}
 }
 
-func (s *Server) handle(req []byte, ver *byte) []byte {
+func (s *Server) handle(req []byte) []byte {
 	if len(req) == 0 {
 		return errResponse(fmt.Errorf("empty request"))
 	}
@@ -186,23 +184,21 @@ func (s *Server) handle(req []byte, ver *byte) []byte {
 		if err != nil {
 			return errResponse(err)
 		}
-		// A v2 client appends its version after the driver name; absence
-		// (or an unrecognized 0) means the peer speaks v1. The negotiated
-		// version is min(client, server), echoed in the response.
-		clientVer := byte(1)
-		if len(body) > n && body[n] >= 1 {
-			clientVer = body[n]
-		}
-		*ver = clientVer
-		if *ver > ProtoVersion {
-			*ver = ProtoVersion
+		// Negotiate-or-refuse: the client's version byte follows the
+		// driver name and must be exactly ProtoVersion.
+		if len(body) != n+1 || body[n] != ProtoVersion {
+			got := "none"
+			if len(body) > n {
+				got = fmt.Sprint(body[n])
+			}
+			return errResponse(fmt.Errorf("protocol version %s not supported, worker speaks %d", got, ProtoVersion))
 		}
 		resp := appendString([]byte{statusOK}, s.id)
-		return append(resp, *ver)
+		return append(resp, ProtoVersion)
 	case opPut:
-		return s.handlePut(body, *ver)
+		return s.handlePut(body)
 	case opFetch:
-		return s.handleFetch(body, *ver)
+		return s.handleFetch(body)
 	case opSpans:
 		return s.handleSpans(body)
 	case opDrop:
@@ -231,23 +227,21 @@ func (s *Server) handle(req []byte, ver *byte) []byte {
 		resp := []byte{statusOK}
 		resp = binary.AppendUvarint(resp, uint64(stored))
 		resp = binary.AppendUvarint(resp, uint64(n))
-		if *ver >= 2 {
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			resp = binary.AppendUvarint(resp, uint64(runtime.NumGoroutine()))
-			resp = binary.AppendUvarint(resp, ms.HeapAlloc)
-			resp = binary.AppendUvarint(resp, uint64(s.fetchUS.Count()))
-			resp = binary.AppendUvarint(resp, uint64(s.fetchUS.Quantile(0.50)))
-			resp = binary.AppendUvarint(resp, uint64(s.fetchUS.Quantile(0.90)))
-			resp = binary.AppendUvarint(resp, uint64(s.fetchUS.Quantile(0.99)))
-		}
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		resp = binary.AppendUvarint(resp, uint64(runtime.NumGoroutine()))
+		resp = binary.AppendUvarint(resp, ms.HeapAlloc)
+		resp = binary.AppendUvarint(resp, uint64(s.fetchUS.Count()))
+		resp = binary.AppendUvarint(resp, uint64(s.fetchUS.Quantile(0.50)))
+		resp = binary.AppendUvarint(resp, uint64(s.fetchUS.Quantile(0.90)))
+		resp = binary.AppendUvarint(resp, uint64(s.fetchUS.Quantile(0.99)))
 		return resp
 	default:
 		return errResponse(fmt.Errorf("unknown opcode 0x%02x", op))
 	}
 }
 
-// readTraceCtx consumes the v2 trace-context fields (traceID, parentSpan).
+// readTraceCtx consumes the trace-context fields (traceID, parentSpan).
 func readTraceCtx(body []byte) (traceID string, parent int, n int, err error) {
 	traceID, n, err = readString(body)
 	if err != nil {
@@ -293,7 +287,7 @@ func (s *Server) takeTrace(key traceKey) *workerTrace {
 	return wt
 }
 
-func (s *Server) handlePut(body []byte, ver byte) []byte {
+func (s *Server) handlePut(body []byte) []byte {
 	id, n, err := readString(body)
 	if err != nil {
 		return errResponse(err)
@@ -314,16 +308,12 @@ func (s *Server) handlePut(body []byte, ver byte) []byte {
 		return errResponse(err)
 	}
 	body = body[n:]
-	var wt *workerTrace
-	if ver >= 2 {
-		traceID, parent, n, err := readTraceCtx(body)
-		if err != nil {
-			return errResponse(err)
-		}
-		body = body[n:]
-		wt = s.traceFor(traceKey{shuffle: id, trace: traceID}, parent)
+	traceID, parent, n, err := readTraceCtx(body)
+	if err != nil {
+		return errResponse(err)
 	}
-	chunk := body
+	chunk := body[n:]
+	wt := s.traceFor(traceKey{shuffle: id, trace: traceID}, parent)
 	if src > 1<<31 || seq > 1<<31 || dst > 1<<31 {
 		return errResponse(fmt.Errorf("put indices out of range (dst=%d src=%d seq=%d)", dst, src, seq))
 	}
@@ -374,7 +364,7 @@ func (w *workerTrace) recordPut(dst, src, seq, bytes int, start time.Duration) {
 	sp.EndAt(w.root.Clock()())
 }
 
-func (s *Server) handleFetch(body []byte, ver byte) []byte {
+func (s *Server) handleFetch(body []byte) []byte {
 	id, n, err := readString(body)
 	if err != nil {
 		return errResponse(err)
@@ -384,14 +374,11 @@ func (s *Server) handleFetch(body []byte, ver byte) []byte {
 	if err != nil {
 		return errResponse(err)
 	}
-	var wt *workerTrace
-	if ver >= 2 {
-		traceID, parent, _, terr := readTraceCtx(body[n:])
-		if terr != nil {
-			return errResponse(terr)
-		}
-		wt = s.traceFor(traceKey{shuffle: id, trace: traceID}, parent)
+	traceID, parent, _, err := readTraceCtx(body[n:])
+	if err != nil {
+		return errResponse(err)
 	}
+	wt := s.traceFor(traceKey{shuffle: id, trace: traceID}, parent)
 	var fetchSpan *obs.Span // nil-safe: nil when untraced
 	if wt != nil {
 		fetchSpan = wt.root.Child("worker-fetch", fmt.Sprintf("dst%d", dst))

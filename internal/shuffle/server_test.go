@@ -123,9 +123,9 @@ func TestPing(t *testing.T) {
 	if st.StoredBytes != 5 || st.Shuffles != 1 {
 		t.Fatalf("ping reported %d bytes, %d shuffles", st.StoredBytes, st.Shuffles)
 	}
-	// A v2 connection's ping carries the metrics snapshot extension.
+	// The ping carries the runtime metrics snapshot.
 	if st.Goroutines == 0 || st.HeapBytes == 0 {
-		t.Fatalf("v2 ping snapshot missing runtime stats: %+v", st)
+		t.Fatalf("ping snapshot missing runtime stats: %+v", st)
 	}
 	if _, err := c.Fetch(ctx, "sh#3", 1); err != nil {
 		t.Fatal(err)

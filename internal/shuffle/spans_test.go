@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -173,7 +174,7 @@ func TestDropClearsRecordedSpans(t *testing.T) {
 	}
 }
 
-// TestUntracedOpsRecordNothing: v2 operations with an empty trace context
+// TestUntracedOpsRecordNothing: operations with an empty trace context
 // must not create worker-side trace state.
 func TestUntracedOpsRecordNothing(t *testing.T) {
 	srv := testServer(t)
@@ -221,75 +222,40 @@ func TestLiveTraceCapBoundsState(t *testing.T) {
 	}
 }
 
-// TestV1ClientAgainstV2Server simulates an old driver: a hello with no
-// trailing version byte must negotiate protocol 1, and v1-form put/fetch
-// must work on that connection.
-func TestV1ClientAgainstV2Server(t *testing.T) {
+// TestProtocolVersionRefusal: the handshake is negotiate-or-refuse. A
+// worker answers a hello without a version byte, or with a version other
+// than ProtoVersion, with an error naming both versions; Dial rejects a
+// worker that answers with any version but ProtoVersion.
+func TestProtocolVersionRefusal(t *testing.T) {
 	srv := testServer(t)
-	nc, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	rt := func(req []byte) []byte {
-		t.Helper()
-		if err := writeMessage(nc, req); err != nil {
+	for _, tc := range []struct {
+		name  string
+		hello []byte
+		got   string
+	}{
+		{"no version byte", appendString([]byte{opHello}, "old-driver"), "version none"},
+		{"version 1", append(appendString([]byte{opHello}, "old-driver"), 1), "version 1"},
+	} {
+		nc, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := writeMessage(nc, tc.hello); err != nil {
 			t.Fatal(err)
 		}
 		body, err := readMessage(nc, DefaultMaxMessage)
+		nc.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
-		payload, err := parseResponse(body)
-		if err != nil {
-			t.Fatal(err)
+		_, err = parseResponse(body)
+		want := fmt.Sprintf("%s not supported, worker speaks %d", tc.got, ProtoVersion)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: hello answered %v, want an error containing %q", tc.name, err, want)
 		}
-		return payload
 	}
 
-	resp := rt(appendString([]byte{opHello}, "old-driver"))
-	id, n, err := readString(resp)
-	if err != nil || id != "w-test" {
-		t.Fatalf("hello response id %q err %v", id, err)
-	}
-	if len(resp) != n+1 || resp[n] != 1 {
-		t.Fatalf("version-less hello negotiated %v, want 1", resp[n:])
-	}
-
-	// v1 put: no trace fields; the payload starts right after seq.
-	put := appendString([]byte{opPut}, "sh#v1")
-	for _, v := range []uint64{0, 0, 0} { // dst, src, seq
-		put = appendUvarint(put, v)
-	}
-	put = append(put, []byte("legacy")...)
-	rt(put)
-
-	fetch := appendString([]byte{opFetch}, "sh#v1")
-	fetch = appendUvarint(fetch, 0)
-	if got := rt(fetch); string(got) != "legacy" {
-		t.Fatalf("v1 fetch returned %q", got)
-	}
-
-	// v1 ping answer carries exactly the two v1 fields.
-	ping := rt([]byte{opPing})
-	vals := 0
-	for len(ping) > 0 {
-		_, sz, err := readUvarint(ping)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ping = ping[sz:]
-		vals++
-	}
-	if vals != 2 {
-		t.Fatalf("v1 ping returned %d fields, want 2", vals)
-	}
-}
-
-// TestV2ClientAgainstV1Server runs Dial against a stub that speaks only
-// protocol 1 (ignores the trailing hello byte, answers with version 1):
-// the client must downgrade, send v1-form puts, and report no spans.
-func TestV2ClientAgainstV1Server(t *testing.T) {
+	// A stub worker that answers every hello with version 1.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -301,74 +267,18 @@ func TestV2ClientAgainstV1Server(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		for {
-			req, err := readMessage(conn, DefaultMaxMessage)
-			if err != nil {
-				return
-			}
-			var resp []byte
-			switch req[0] {
-			case opHello:
-				// A v1 server ignores any trailing hello bytes.
-				resp = append(appendString([]byte{statusOK}, "v1-worker"), 1)
-			case opPut:
-				// Strict v1 parse: shuffleID, 3 uvarints, then payload —
-				// a client that wrongly appended trace fields would leave
-				// them glued to the payload, which this stub detects.
-				body := req[1:]
-				_, n, _ := readString(body)
-				body = body[n:]
-				for i := 0; i < 3; i++ {
-					_, n, _ := readUvarint(body)
-					body = body[n:]
-				}
-				if string(body) != "payload" {
-					resp = errResponse(fmt.Errorf("v1 put body corrupted: %q", body))
-				} else {
-					resp = []byte{statusOK}
-				}
-			case opPing:
-				resp = appendUvarint(appendUvarint([]byte{statusOK}, 7), 1)
-			default:
-				resp = errResponse(fmt.Errorf("v1 server: unknown op %d", req[0]))
-			}
-			if writeMessage(conn, resp) != nil {
-				return
-			}
+		if _, err := readMessage(conn, DefaultMaxMessage); err != nil {
+			return
 		}
+		writeMessage(conn, append(appendString([]byte{statusOK}, "v1-worker"), 1))
 	}()
-
 	c, err := Dial(context.Background(), ln.Addr().String(), "driver", 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
+	if err == nil {
+		c.Close()
+		t.Fatal("Dial accepted a worker answering protocol 1")
 	}
-	defer c.Close()
-	if c.Version() != 1 {
-		t.Fatalf("negotiated version %d, want 1", c.Version())
+	want := fmt.Sprintf("speaks protocol 1, driver speaks %d", ProtoVersion)
+	if !strings.Contains(err.Error(), want) {
+		t.Fatalf("Dial error %q, want it to contain %q", err, want)
 	}
-	ctx := context.Background()
-	tc := TraceCtx{TraceID: "t1", ParentSpan: 3}
-	if err := c.PutTraced(ctx, "sh", 0, 0, 0, []byte("payload"), tc); err != nil {
-		t.Fatalf("traced put on v1 conn: %v", err)
-	}
-	recs, err := c.Spans(ctx, "sh", "t1")
-	if err != nil || recs != nil {
-		t.Fatalf("Spans on v1 conn = (%v, %v), want (nil, nil)", recs, err)
-	}
-	st, err := c.Ping(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.StoredBytes != 7 || st.Shuffles != 1 || st.Goroutines != 0 {
-		t.Fatalf("v1 ping parsed as %+v", st)
-	}
-}
-
-// appendUvarint mirrors binary.AppendUvarint for test readability.
-func appendUvarint(b []byte, v uint64) []byte {
-	for v >= 0x80 {
-		b = append(b, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(b, byte(v))
 }

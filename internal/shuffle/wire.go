@@ -11,35 +11,28 @@ import (
 // opcode, of a response the status. Payloads inside messages reuse the
 // uvarint/length-prefix conventions of the batch codec.
 //
-// Version 1 requests:
+// Requests (protocol version ProtoVersion):
 //
-//	hello  driverName                    -> ok workerID negotiatedVersion
-//	put    shuffleID dst src seq bytes   -> ok
-//	fetch  shuffleID dst                 -> ok payload   (chunks merged in
+//	hello  driverName clientVersion      -> ok workerID ProtoVersion
+//	       — negotiate-or-refuse: a hello without a version byte, or with
+//	       any version but ProtoVersion, is answered with an error naming
+//	       both versions.
+//	put    shuffleID dst src seq traceID parentSpan bytes
+//	                                     -> ok
+//	fetch  shuffleID dst traceID parentSpan
+//	                                     -> ok payload   (chunks merged in
 //	                                        (src, seq) order — the worker's
 //	                                        shuffle-read merge task)
-//	drop   shuffleID                     -> ok           (frees the state,
-//	                                        including recorded spans)
-//	ping                                 -> ok storedBytes shuffleCount
-//
-// Version 2 extends the wire per negotiated connection, backward
-// compatibly in both directions:
-//
-//	hello  driverName clientVersion      — a v2 client appends one version
-//	       byte; a v1 server ignores trailing hello bytes, a v2 server
-//	       reads it (absent = client speaks v1). The response's version
-//	       byte is the negotiated min(client, server), so a v1 client
-//	       still sees 1 from a v2 server.
-//	put    shuffleID dst src seq traceID parentSpan bytes
-//	fetch  shuffleID dst traceID parentSpan
-//	       — the distributed-tracing context: traceID ("" = untraced) and
-//	       the driver-side span id owning this exchange. A traced worker
+//	       — traceID ("" = untraced) and the driver-side span id owning the
+//	       exchange are the distributed-tracing context: a traced worker
 //	       records put/merge/fetch spans under a per-(shuffle, trace)
 //	       tracer.
 //	spans  shuffleID traceID             -> ok spanSubtrees
 //	       — ships the completed span subtrees for that (shuffle, trace)
 //	       back to the driver (see AppendSpanSubtrees for the payload
 //	       codec) and clears them worker-side.
+//	drop   shuffleID                     -> ok           (frees the state,
+//	                                        including recorded spans)
 //	ping                                 -> ok storedBytes shuffleCount
 //	                                        goroutines heapBytes fetches
 //	                                        fetchP50us fetchP90us fetchP99us

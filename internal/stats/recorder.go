@@ -51,14 +51,6 @@ var infraSegments = map[string]bool{
 	"box":               true,
 }
 
-// batchSegments mark columnar hash-join exchange stages: their row counts
-// are batch counts, not row counts, so any lineage containing one is
-// useless for cardinality observation.
-var batchSegments = map[string]bool{
-	"left":  true,
-	"right": true,
-}
-
 // Actuals reconstructs per-step observed costs for an executed plan from
 // its trace. root may be the query span or the execute span. sourceRows
 // optionally supplies known source cardinalities (e.g. from ingest) for
@@ -118,9 +110,6 @@ func canonicalLineage(name string) string {
 		base, args, hasArgs := splitCall(seg)
 		if infraSegments[base] {
 			continue
-		}
-		if batchSegments[base] {
-			return ""
 		}
 		if i == 0 && hasArgs {
 			// A parenthesized head is a combine call: its arguments are

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"scrubjay/internal/bench"
 	"scrubjay/internal/dataset"
 	"scrubjay/internal/engine"
 	"scrubjay/internal/obs"
@@ -152,6 +153,74 @@ func TestRecorderFeedsStore(t *testing.T) {
 	}
 	if store.Epoch() == 0 {
 		t.Error("recording new derivations should move the epoch")
+	}
+}
+
+// fig5Actuals executes the Fig-5 plan over the case-study catalog (4 racks
+// × 6 nodes, 1800 s, 4 partitions) built by mk and returns its step actuals.
+func fig5Actuals(t *testing.T, mk func(rc *rdd.Context, name string, rows []value.Row, schema semantics.Schema, parts int) *dataset.Dataset) []stats.StepActual {
+	t.Helper()
+	cfg := bench.DefaultCaseStudyConfig()
+	cfg.Racks, cfg.NodesPerRack, cfg.AMGRack = 4, 6, 2
+	cfg.DAT1DurationSec = 1800
+	cfg.Partitions = 4
+	srcCat, schemas, _ := bench.DAT1Catalog(rdd.NewContext(2), cfg)
+	dict := semantics.DefaultDictionary()
+	plan, err := engine.New(dict, schemas, engine.DefaultOptions()).Solve(context.Background(), bench.Fig5Query())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := rdd.NewContext(2)
+	cat := pipeline.Catalog{}
+	for name, ds := range srcCat {
+		cat[name] = mk(rc, name, ds.Collect(), schemas[name], ds.Rows().NumPartitions())
+	}
+	tr := obs.NewTracer("recorder-test", nil)
+	qspan := tr.Start(obs.KindQuery, "query")
+	exec := qspan.Child(obs.KindExec, "execute")
+	rc.SetSpan(exec)
+	out, err := pipeline.Execute(context.Background(), rc, plan, cat, dict, pipeline.ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out.Collect()
+	exec.End()
+	qspan.End()
+	actuals := stats.Actuals(plan, tr.Artifact().Root, nil)
+	if actuals == nil {
+		t.Fatal("Actuals did not match the trace against the plan")
+	}
+	return actuals
+}
+
+// TestActualsColumnarCatalog: a catalog built columnar observes the same
+// per-step row counts as a row catalog. Traced columnar stages count the
+// rows in each batch, so the join inputs are observed, not just outputs.
+func TestActualsColumnarCatalog(t *testing.T) {
+	row := fig5Actuals(t, dataset.FromRows)
+	col := fig5Actuals(t, dataset.FromRowsColumnar)
+	if len(row) != len(col) {
+		t.Fatalf("row catalog %d steps, columnar catalog %d", len(row), len(col))
+	}
+	for i := range row {
+		r, c := row[i], col[i]
+		if r.Derivation != c.Derivation || r.Key != c.Key || r.RowsIn != c.RowsIn || r.RowsOut != c.RowsOut {
+			t.Errorf("step %d: row catalog %s in=%d out=%d, columnar %s in=%d out=%d",
+				i, r.Derivation, r.RowsIn, r.RowsOut, c.Derivation, c.RowsIn, c.RowsOut)
+		}
+	}
+	byName := map[string]stats.StepActual{}
+	for _, a := range col {
+		byName[a.Derivation] = a
+	}
+	if a := byName["explode_continuous"]; a.RowsOut != 249 {
+		t.Errorf("explode_continuous out = %d, want 249", a.RowsOut)
+	}
+	if a := byName["natural_join"]; a.RowsIn != 273 || a.RowsOut != 498 {
+		t.Errorf("natural_join in/out = %d/%d, want 273/498", a.RowsIn, a.RowsOut)
+	}
+	if a := byName["interpolation_join"]; a.RowsIn != 858 || a.RowsOut != 747 {
+		t.Errorf("interpolation_join in/out = %d/%d, want 858/747", a.RowsIn, a.RowsOut)
 	}
 }
 
