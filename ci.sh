@@ -23,6 +23,9 @@
 #                        a SARIF artifact (sjvet.sarif) for code-scanning
 #                        upload, and a per-analyzer timing/finding-count
 #                        trend artifact (sjvet_timing.json)
+#   * examples         — every examples/* program built and run; any
+#                        nonzero exit fails (each log.Fatals on error, and
+#                        reproducible exits 1 when a replay differs)
 #   * smoke            — sjserved + sjload end to end: correctness burst,
 #                        served CSV byte-identical to the local CLI's (cold
 #                        and as a result-cache hit), admission control,
@@ -93,6 +96,18 @@ if [ -n "${CI_ARTIFACT_DIR:-}" ]; then
   echo "    uploaded sjvet.sarif and sjvet_timing.json to $CI_ARTIFACT_DIR"
 fi
 
+SMOKE=$(mktemp -d)
+trap 'rm -rf "$SMOKE"' EXIT
+
+# Examples: the worked case studies run end to end, not just compile.
+echo "==> examples"
+go build -o "$SMOKE/ex/" ./examples/...
+for EX in "$SMOKE"/ex/*; do
+  echo "  -> $(basename "$EX")"
+  "$EX" >"$SMOKE/ex.log" 2>&1 \
+    || { echo "ci.sh: example $(basename "$EX") failed" >&2; cat "$SMOKE/ex.log" >&2; exit 1; }
+done
+
 # Server smoke: boot sjserved on a random port over a generated catalog,
 # then prove the three serving guarantees end to end:
 #   1. correctness + plan cache: a plan-only burst shows cold search vs
@@ -107,8 +122,6 @@ fi
 #      must exit 0 with every accepted stream finished (sjload exits 1 on
 #      any dropped in-flight query).
 echo "==> server smoke (sjserved + sjload)"
-SMOKE=$(mktemp -d)
-trap 'rm -rf "$SMOKE"' EXIT
 go build -o "$SMOKE" ./cmd/sjserved ./cmd/sjload ./cmd/sjgen ./cmd/scrubjay ./cmd/sjworker
 "$SMOKE/sjgen" -out "$SMOKE/cat" -dat 1 -format jsonl \
   -racks 4 -nodes-per-rack 6 -amg-rack 2 -duration 1200 -seed 1 >/dev/null

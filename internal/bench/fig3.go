@@ -110,26 +110,29 @@ func (r JoinRunResult) Simulated(nodes int) time.Duration {
 }
 
 // RunNaturalJoin executes one natural join of the synthetic workload and
-// returns its measurements.
+// returns its measurements. The inputs enter as columnar datasets, as every
+// dataset does under pipeline execution, so the measured join is the
+// columnar kernel a query runs, not the row reference operator.
 func RunNaturalJoin(w JoinWorkload) (JoinRunResult, error) {
 	ctx := rdd.NewContext(w.Workers)
 	dict := semantics.DefaultDictionary()
 	left, right := naturalJoinInputs(ctx, w.Rows, w.Partitions)
 	ctx.ResetMetrics()
-	out, err := (&derive.NaturalJoin{}).Apply(left, right, dict)
+	out, err := (&derive.NaturalJoin{}).Apply(left.Columnar(), right.Columnar(), dict)
 	if err != nil {
 		return JoinRunResult{}, err
 	}
 	return JoinRunResult{Rows: w.Rows, OutputRows: out.Count(), Metrics: ctx.SnapshotMetrics()}, nil
 }
 
-// RunInterpJoin executes one interpolation join of the synthetic workload.
+// RunInterpJoin executes one interpolation join of the synthetic workload,
+// on columnar inputs for the same reason as RunNaturalJoin.
 func RunInterpJoin(w JoinWorkload) (JoinRunResult, error) {
 	ctx := rdd.NewContext(w.Workers)
 	dict := semantics.DefaultDictionary()
 	left, right := interpJoinInputs(ctx, w.Rows, w.Partitions)
 	ctx.ResetMetrics()
-	out, err := (&derive.InterpolationJoin{WindowSeconds: w.WindowSeconds}).Apply(left, right, dict)
+	out, err := (&derive.InterpolationJoin{WindowSeconds: w.WindowSeconds}).Apply(left.Columnar(), right.Columnar(), dict)
 	if err != nil {
 		return JoinRunResult{}, err
 	}

@@ -263,7 +263,7 @@ func (j *InterpolationJoin) Apply(left, right *dataset.Dataset, dict *semantics.
 // side's residual domain columns, and each residual group interpolates into
 // one output row.
 func interpAssemble(cands *rdd.RDD[interpCand], rightResidual, lerpCols, nearestCols, dropRight []string) *rdd.RDD[value.Row] {
-	perLeft := rdd.GroupByKey(rdd.WithWire(cands, interpCandWire), func(c interpCand) string {
+	perLeft := rdd.GroupByKey(cands, func(c interpCand) string {
 		return strconv.FormatInt(c.id, 10)
 	})
 	return rdd.FlatMap(perLeft, func(g rdd.Group[interpCand]) []value.Row {

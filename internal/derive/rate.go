@@ -192,7 +192,7 @@ func (d *DeriveRate) Apply(in *dataset.Dataset, dict *semantics.Dictionary) (*da
 	if in.IsColumnar() {
 		return rateColumnar(in, schema, name, timeCol, counters, groupCols), nil
 	}
-	grouped := rdd.GroupByKey(rdd.WithWire(in.Rows(), rowWire), func(r value.Row) string {
+	grouped := rdd.GroupByKey(in.Rows(), func(r value.Row) string {
 		return r.KeyStringOn(groupCols)
 	})
 	rows := rdd.FlatMap(grouped, func(g rdd.Group[value.Row]) []value.Row {

@@ -4,26 +4,26 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"scrubjay/internal/frame"
 	"scrubjay/internal/rdd"
 	"scrubjay/internal/shuffle"
 	"scrubjay/internal/value"
 )
 
-// Wire codecs for every element type the executed derivations shuffle. Each
-// shuffle call site attaches the matching wire via rdd.WithWire, which makes
-// that exchange eligible for the distributed path (internal/cluster) when
-// the Context carries a Placement; without one, the wires are inert and the
-// in-process exchange runs unchanged. The row-path joins, kept only as the
-// reference the columnar kernels are tested against, attach none and always
-// shuffle in-process. Elements are self-delimiting, so a merged destination
-// payload decodes by looping until exhausted.
+// Wire codecs for every element type a shipped plan shuffles. Each product
+// path shuffle call site attaches the matching wire via rdd.WithWire, which
+// makes that exchange eligible for the distributed path (internal/cluster)
+// when the Context carries a Placement; without one, the wires are inert
+// and the in-process exchange runs unchanged. The row-path operators, kept
+// only as the reference the columnar kernels are tested against, attach
+// none and always shuffle in-process. Elements are self-delimiting, so a
+// merged destination payload decodes by looping until exhausted.
 //
 // All codecs round-trip exactly — the same canonical binary forms
 // (value.AppendBinary, the shuffle batch codec) that keep distributed runs
 // bit-for-bit identical to in-process ones.
 
-// rowWire carries bare value.Row elements (aggregate, heat, rate shuffles).
+// rowWire carries bare value.Row elements: the row shuffles derive_heat and
+// aggregate_by run on the product path.
 var rowWire = &rdd.Wire[value.Row]{
 	Append: func(buf []byte, r value.Row) []byte { return r.AppendBinary(buf) },
 	Decode: value.DecodeRow,
@@ -43,12 +43,6 @@ var keyedFrameWire = &rdd.Wire[keyedFrame]{
 		}
 		return keyedFrame{f: f, h: h}, n, nil
 	},
-}
-
-// frameWire carries bare *frame.Frame batches.
-var frameWire = &rdd.Wire[*frame.Frame]{
-	Append: shuffle.AppendFrame,
-	Decode: shuffle.DecodeFrame,
 }
 
 // interpTaggedCWire carries the columnar interpolation join's tagged copies.
@@ -91,8 +85,8 @@ var interpTaggedCWire = &rdd.Wire[interpTaggedC]{
 	},
 }
 
-// interpCandWire carries candidate pairs into the regroup-by-left-id
-// exchange (shared by the row and columnar interpolation paths).
+// interpCandWire carries candidate pairs into the columnar interpolation
+// join's regroup-by-left-id exchange.
 var interpCandWire = &rdd.Wire[interpCand]{
 	Append: func(buf []byte, c interpCand) []byte {
 		buf = binary.AppendVarint(buf, c.id)

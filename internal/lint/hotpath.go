@@ -38,7 +38,7 @@ var hotRoots = map[string]map[string]bool{
 	"rdd": {
 		"materialize": true, "runTasks": true, "runTimed": true,
 		"ExchangePartitions": true, "ZipPartitions": true,
-		"shuffleExchange": true,
+		"exchangeByKey": true,
 	},
 	"server": {
 		"execStream": true, "streamFrameRows": true,

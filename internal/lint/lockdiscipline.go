@@ -14,10 +14,8 @@ import (
 // never run).
 var rddActions = map[string]bool{
 	"Collect": true, "Count": true, "Take": true, "Reduce": true,
-	"Aggregate": true, "SortBy": true, "CountByKey": true,
-	"GroupByKey": true, "ReduceByKey": true, "CoGroup": true,
-	"JoinHash": true, "BroadcastJoin": true, "Repartition": true,
-	"Distinct": true, "Execute": true,
+	"Aggregate": true, "GroupByKey": true, "CoGroup": true,
+	"JoinHash": true, "Execute": true,
 }
 
 // LockDisciplineAnalyzer flags mutexes held across a channel operation or a

@@ -15,10 +15,8 @@ const computeContract = "rdd compute closures must be safe to call concurrently 
 // are "compute" bodies in the sense of the contract.
 var rddClosureFuncs = map[string]bool{
 	"Map": true, "FlatMap": true, "Filter": true, "MapPartitions": true,
-	"Generate": true, "GroupByKey": true, "ReduceByKey": true,
-	"CoGroup": true, "JoinHash": true, "BroadcastJoin": true,
-	"Distinct": true, "CountByKey": true, "SortBy": true,
-	"Reduce": true, "Aggregate": true, "Repartition": true,
+	"Generate": true, "GroupByKey": true, "CoGroup": true,
+	"JoinHash": true, "Reduce": true, "Aggregate": true,
 	"ExchangePartitions": true, "ZipPartitions": true,
 }
 

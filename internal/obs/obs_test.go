@@ -343,7 +343,7 @@ func TestTimelineDerivedActuals(t *testing.T) {
 	step := exec.Child(KindStep, "natural_join")
 	step.SetInt(AttrEstRows, 40)
 	step.SetInt(AttrEstShuffleBytes, 4096)
-	write := step.Child(KindStage, "jobs|cogroup-left|shuffle-write")
+	write := step.Child(KindStage, "jobs|cogroup-left|exchange-write")
 	write.SetInt(AttrShuffleRows, 20)
 	write.SetInt(AttrShuffleBytes, 3*1024*1024)
 	// No rows_out on the stage itself: derived from the tasks below.

@@ -2,13 +2,13 @@ package rdd
 
 import "sync/atomic"
 
-// Batch-granular exchange primitives. The columnar kernels shuffle
-// *frame.Frame batches rather than individual rows: a split function
-// buckets each source partition's batches into destination partitions
-// (typically by slicing frames on per-row hash vectors), and destinations
-// receive the batches of every source in source-partition order — the same
-// ordering contract shuffleExchange gives row-level shuffles, so columnar
-// and row plans produce partitions in the same deterministic arrangement.
+// Exchange primitives. ExchangePartitions is the one function that moves
+// elements between partitions: the columnar kernels use it to shuffle
+// *frame.Frame batches (a split function slices each source partition's
+// frames on per-row hash vectors), and GroupByKey/CoGroup use it to route
+// single elements by key hash (exchangeByKey). Destinations receive the
+// elements of every source in source-partition order, so columnar and row
+// plans produce partitions in the same deterministic arrangement.
 
 // ExchangePartitions materializes r and redistributes its elements into
 // numOut partitions. split is called once per source partition (in

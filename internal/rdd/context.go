@@ -3,8 +3,8 @@
 // model the paper builds on (§4.1, §5.3). An RDD is a lazily evaluated,
 // partitioned collection with lineage: narrow operations (map, filter,
 // flatMap) fuse into a single stage per partition, while shuffle operations
-// (groupByKey, coGroup, repartition) force a stage boundary that exchanges
-// rows between partitions.
+// (groupByKey, coGroup, and the columnar kernels' ExchangePartitions) force
+// a stage boundary that exchanges rows between partitions.
 //
 // Execution happens on a worker pool inside one process. Stage and task
 // observability is opt-in: when the Context carries a trace scope (a

@@ -59,8 +59,9 @@ func sortedGroups(gs []Group[int]) []Group[int] {
 }
 
 // TestGroupByKeyDistributedMatchesLocal pins the bit-for-bit contract at
-// the rdd layer: the same GroupByKey over the same data produces identical
-// groups (keys, members, and order) with and without a Placement.
+// the rdd layer: the same GroupByKey (and CoGroup) over the same data
+// produces identical groups (keys, members, and order) with and without a
+// Placement.
 func TestGroupByKeyDistributedMatchesLocal(t *testing.T) {
 	data := make([]int, 500)
 	for i := range data {
@@ -81,6 +82,22 @@ func TestGroupByKeyDistributedMatchesLocal(t *testing.T) {
 	// raw Collect outputs comparable without sorting.
 	if !reflect.DeepEqual(local, dist) {
 		t.Fatalf("distributed grouping differs from local:\nlocal %v\ndist  %v", sortedGroups(local), sortedGroups(dist))
+	}
+
+	// CoGroup: both sides cross the same Placement, one exchange each.
+	cogroup := func(c *Context) []CoGrouped[int, int] {
+		a := WithWire(Parallelize(c, data, 8), intWire)
+		b := WithWire(Parallelize(c, data[:200], 3), intWire)
+		return CoGroup(a, b, key, key).Collect()
+	}
+	localCG := cogroup(NewContext(4))
+	fake = &fakePlacement{}
+	distCG := cogroup(NewContext(4).WithPlacement(fake))
+	if fake.exchanges != 2 {
+		t.Fatalf("cogroup ran %d distributed exchanges, want 2", fake.exchanges)
+	}
+	if !reflect.DeepEqual(localCG, distCG) {
+		t.Fatalf("distributed cogroup differs from local:\nlocal %v\ndist  %v", localCG, distCG)
 	}
 }
 

@@ -107,64 +107,6 @@ func TestQuickGroupByKeyPartition(t *testing.T) {
 	}
 }
 
-func TestQuickReduceByKeyEqualsGroupThenFold(t *testing.T) {
-	prop := func(data []int16, parts uint8) bool {
-		ctx := NewContext(2)
-		p := int(parts%6) + 1
-		xs := make([]int, len(data))
-		for i, d := range data {
-			xs[i] = int(d)
-		}
-		key := func(x int) string { return strconv.Itoa(((x % 3) + 3) % 3) }
-		add := func(a, b int) int { return a + b }
-
-		reduced := ReduceByKey(Parallelize(ctx, xs, p), key, add).Collect()
-		grouped := GroupByKey(Parallelize(ctx, xs, p), key).Collect()
-
-		sums := map[string]int{}
-		for _, g := range grouped {
-			for _, v := range g.Items {
-				sums[g.Key] += v
-			}
-		}
-		if len(reduced) != len(sums) {
-			return false
-		}
-		for _, g := range reduced {
-			if len(g.Items) != 1 || g.Items[0] != sums[g.Key] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 80}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickSortByIsSorted(t *testing.T) {
-	prop := func(data []int, parts uint8) bool {
-		ctx := NewContext(2)
-		p := int(parts%6) + 1
-		got := SortBy(Parallelize(ctx, data, p), func(a, b int) bool { return a < b }).Collect()
-		return sort.IntsAreSorted(got) && equalInts(sortedCopy(got), sortedCopy(data))
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickUnionCountAdds(t *testing.T) {
-	prop := func(a, b []int) bool {
-		ctx := NewContext(2)
-		u := Union(Parallelize(ctx, a, 2), Parallelize(ctx, b, 3))
-		return u.Count() == int64(len(a)+len(b))
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestQuickJoinSizeIsProductOfKeyCounts(t *testing.T) {
 	prop := func(a, b []uint8) bool {
 		ctx := NewContext(2)

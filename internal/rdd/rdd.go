@@ -1,8 +1,6 @@
 package rdd
 
 import (
-	"fmt"
-	"sort"
 	"sync"
 
 	"scrubjay/internal/obs"
@@ -265,24 +263,6 @@ func MapPartitions[A, B any](r *RDD[A], f func(part int, in []A) []B) *RDD[B] {
 	}
 }
 
-// Union concatenates two RDDs (narrow; partitions are appended).
-func Union[T any](a, b *RDD[T]) *RDD[T] {
-	if a.ctx != b.ctx {
-		panic("rdd.Union: RDDs from different contexts")
-	}
-	return &RDD[T]{
-		ctx:      a.ctx,
-		name:     fmt.Sprintf("union(%s,%s)", a.name, b.name),
-		numParts: a.numParts + b.numParts,
-		compute: func(part int) []T {
-			if part < a.numParts {
-				return a.partition(part)
-			}
-			return b.partition(part - a.numParts)
-		},
-	}
-}
-
 // ---- Actions ----
 
 // Collect materializes the RDD into a single slice.
@@ -354,24 +334,4 @@ func Aggregate[T, U any](r *RDD[T], zero func() U, seqOp func(U, T) U, combOp fu
 		acc = combOp(acc, p)
 	}
 	return acc
-}
-
-// SortBy returns a new RDD with all elements totally ordered by less. The
-// implementation exchanges all rows (a full shuffle) and range-partitions
-// the sorted output back to the original partition count.
-func SortBy[T any](r *RDD[T], less func(a, b T) bool) *RDD[T] {
-	parts := r.materialize(r.name + "|sort-input")
-	var n int64
-	for _, p := range parts {
-		n += int64(len(p))
-	}
-	all := make([]T, 0, n)
-	for _, p := range parts {
-		all = append(all, p...)
-	}
-	sort.SliceStable(all, func(i, j int) bool { return less(all[i], all[j]) })
-	out := Parallelize(r.ctx, all, r.numParts)
-	out.name = r.name + "|sortBy"
-	r.ctx.recordShuffle(out.name, n)
-	return out
 }

@@ -1,7 +1,7 @@
 package rdd
 
 import (
-	"fmt"
+	"hash/fnv"
 	"sort"
 	"strconv"
 	"testing"
@@ -102,35 +102,6 @@ func TestMapPartitions(t *testing.T) {
 	}
 }
 
-func TestUnion(t *testing.T) {
-	ctx := NewContext(2)
-	a := Parallelize(ctx, []int{1, 2}, 2)
-	b := Parallelize(ctx, []int{3, 4, 5}, 1)
-	u := Union(a, b)
-	if u.NumPartitions() != 3 {
-		t.Errorf("union partitions = %d", u.NumPartitions())
-	}
-	got := u.Collect()
-	sort.Ints(got)
-	want := []int{1, 2, 3, 4, 5}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("union = %v", got)
-		}
-	}
-}
-
-func TestUnionDifferentContextsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	a := Parallelize(NewContext(1), []int{1}, 1)
-	b := Parallelize(NewContext(1), []int{2}, 1)
-	Union(a, b)
-}
-
 func TestReduceAndAggregate(t *testing.T) {
 	ctx := NewContext(4)
 	r := Parallelize(ctx, intsUpTo(101), 7)
@@ -183,18 +154,6 @@ func TestCacheComputesOnce(t *testing.T) {
 	}
 }
 
-func TestSortBy(t *testing.T) {
-	ctx := NewContext(4)
-	data := []int{5, 3, 9, 1, 7, 2, 8, 0, 6, 4}
-	r := Parallelize(ctx, data, 3)
-	sorted := SortBy(r, func(a, b int) bool { return a < b }).Collect()
-	for i := range sorted {
-		if sorted[i] != i {
-			t.Fatalf("sorted = %v", sorted)
-		}
-	}
-}
-
 func TestGroupByKey(t *testing.T) {
 	ctx := NewContext(4)
 	r := Parallelize(ctx, intsUpTo(100), 8)
@@ -214,26 +173,6 @@ func TestGroupByKey(t *testing.T) {
 	}
 	if total != 100 {
 		t.Errorf("total grouped items = %d", total)
-	}
-}
-
-func TestReduceByKey(t *testing.T) {
-	ctx := NewContext(4)
-	r := Parallelize(ctx, intsUpTo(100), 8)
-	sums := ReduceByKey(r, func(x int) string { return strconv.Itoa(x % 5) },
-		func(a, b int) int { return a + b }).Collect()
-	if len(sums) != 5 {
-		t.Fatalf("keys = %d", len(sums))
-	}
-	grand := 0
-	for _, g := range sums {
-		if len(g.Items) != 1 {
-			t.Fatalf("reduced group has %d items", len(g.Items))
-		}
-		grand += g.Items[0]
-	}
-	if grand != 4950 {
-		t.Errorf("grand total = %d", grand)
 	}
 }
 
@@ -271,53 +210,42 @@ func TestCoGroupAndJoin(t *testing.T) {
 	}
 }
 
-func TestBroadcastJoinMatchesHashJoin(t *testing.T) {
-	ctx := NewContext(4)
-	leftData := make([]string, 0, 60)
-	for i := 0; i < 60; i++ {
-		leftData = append(leftData, fmt.Sprintf("%c%d", 'a'+i%5, i))
-	}
-	rightData := []string{"aR", "cR", "eR", "eS"}
-	left := Parallelize(ctx, leftData, 4)
-	k := func(s string) string { return s[:1] }
-
-	hj := JoinHash(left, Parallelize(ctx, rightData, 2), k, k).Collect()
-	bj := BroadcastJoin(left, rightData, k, k).Collect()
-	canon := func(ps []Pair[string, string]) []string {
-		out := make([]string, len(ps))
-		for i, p := range ps {
-			out[i] = p.Left + "|" + p.Right
+// TestCoGroupDifferentContextsPanics: mixing contexts is a programming
+// error caught before either side's exchange materializes anything.
+func TestCoGroupDifferentContextsPanics(t *testing.T) {
+	computed := false
+	a := &RDD[int]{ctx: NewContext(1), name: "a", numParts: 1, compute: func(int) []int {
+		computed = true //sjvet:ignore purity -- the test asserts this closure never runs
+		return nil
+	}}
+	b := Parallelize(NewContext(1), []int{2}, 1)
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic")
 		}
-		sort.Strings(out)
-		return out
-	}
-	h, b := canon(hj), canon(bj)
-	if len(h) != len(b) {
-		t.Fatalf("hash=%d broadcast=%d", len(h), len(b))
-	}
-	for i := range h {
-		if h[i] != b[i] {
-			t.Fatalf("mismatch at %d: %q vs %q", i, h[i], b[i])
+		if computed {
+			t.Error("an exchange ran before the context check")
 		}
-	}
+	}()
+	k := func(v int) string { return strconv.Itoa(v) }
+	CoGroup(a, b, k, k)
 }
 
-func TestRepartition(t *testing.T) {
-	ctx := NewContext(2)
-	r := Parallelize(ctx, intsUpTo(50), 2)
-	rp := Repartition(r, 8)
-	if rp.NumPartitions() != 8 {
-		t.Errorf("partitions = %d", rp.NumPartitions())
-	}
-	got := rp.Collect()
-	sort.Ints(got)
-	for i := range got {
-		if got[i] != i {
-			t.Fatalf("repartition lost data: %v", got)
+// TestHashKeyMatchesFNV pins key routing to FNV-1a 64 modulo the partition
+// count. Routing decides which partition, and so which position, every
+// grouped row lands in; a silent change would reorder results on every path
+// at once, where local-vs-distributed comparisons cannot see it.
+func TestHashKeyMatchesFNV(t *testing.T) {
+	keys := []string{"", "a", "k7", "rack_temperatures|node-17", "héllo", "温度", "\x00\xff"}
+	for _, k := range keys {
+		h := fnv.New64a()
+		h.Write([]byte(k))
+		sum := h.Sum64()
+		for _, m := range []int{1, 2, 3, 7, 8, 64, 1000003} {
+			if got, want := hashKey(k, m), int(sum%uint64(m)); got != want {
+				t.Errorf("hashKey(%q, %d) = %d, want %d", k, m, got, want)
+			}
 		}
-	}
-	if rp2 := Repartition(r, 0); rp2.NumPartitions() != 1 {
-		t.Errorf("min partitions = %d", rp2.NumPartitions())
 	}
 }
 
@@ -377,37 +305,5 @@ func TestNameAndWithName(t *testing.T) {
 	}
 	if r.Context() != ctx {
 		t.Error("Context identity")
-	}
-}
-
-func TestDistinct(t *testing.T) {
-	ctx := NewContext(3)
-	r := Parallelize(ctx, []int{3, 1, 3, 2, 1, 3}, 3)
-	got := Distinct(r, func(x int) string { return strconv.Itoa(x) }).Collect()
-	sort.Ints(got)
-	want := []int{1, 2, 3}
-	if len(got) != len(want) {
-		t.Fatalf("Distinct = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Distinct = %v", got)
-		}
-	}
-}
-
-func TestCountByKey(t *testing.T) {
-	ctx := NewContext(3)
-	r := Parallelize(ctx, intsUpTo(100), 7)
-	counts := CountByKey(r, func(x int) string { return strconv.Itoa(x % 3) })
-	if counts["0"] != 34 || counts["1"] != 33 || counts["2"] != 33 {
-		t.Errorf("CountByKey = %v", counts)
-	}
-	var total int64
-	for _, n := range counts {
-		total += n
-	}
-	if total != 100 {
-		t.Errorf("total = %d", total)
 	}
 }

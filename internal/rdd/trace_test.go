@@ -33,7 +33,7 @@ func TestMetricsFromSpansShape(t *testing.T) {
 		rows    int64
 		tasks   int
 	}{
-		{"fromPartitions|groupByKey|shuffle-write", false, 0, 3},
+		{"fromPartitions|groupByKey|exchange-write", false, 0, 3},
 		{"fromPartitions|groupByKey|exchange", true, 12, 0},
 		{"fromPartitions|groupByKey|collect", false, 0, 3},
 	}
@@ -74,6 +74,44 @@ func TestMetricsFromSpansShape(t *testing.T) {
 	}
 }
 
+// TestCoGroupTracesOneExchangePerSide pins CoGroup's trace shape: each side
+// records its own write stage and exchange, sized by that side's rows, the
+// same shape the columnar join traces.
+func TestCoGroupTracesOneExchangePerSide(t *testing.T) {
+	ctx := NewContext(2)
+	ctx.ResetMetrics()
+	left := FromPartitions(ctx, [][]int{{1, 2, 3}, {4, 5}}).WithName("L")
+	right := FromPartitions(ctx, [][]int{{2}, {4, 6}, {8, 10, 12, 14}}).WithName("R")
+	key := func(v int) string { return strconv.Itoa(v % 4) }
+	CoGroup(left, right, key, key).Collect()
+
+	want := []struct {
+		name  string
+		rows  int64
+		tasks int
+	}{
+		{"L|cogroup-left|exchange-write", 0, 2},
+		{"L|cogroup-left|exchange", 5, 0},
+		{"R|cogroup-right|exchange-write", 0, 3},
+		{"R|cogroup-right|exchange", 7, 0},
+		{"cogroup(L,R)|collect", 0, 3},
+	}
+	m := ctx.SnapshotMetrics()
+	if len(m.Stages) != len(want) {
+		t.Fatalf("stages = %d, want %d: %+v", len(m.Stages), len(want), m.Stages)
+	}
+	for i, w := range want {
+		st := m.Stages[i]
+		if st.Name != w.name || st.ShuffleRows != w.rows || st.Shuffle != (w.rows > 0) || len(st.Tasks) != w.tasks {
+			t.Errorf("stage %d = %q shuffle=%v/%d tasks=%d, want %q %d rows, %d tasks",
+				i, st.Name, st.Shuffle, st.ShuffleRows, len(st.Tasks), w.name, w.rows, w.tasks)
+		}
+	}
+	if m.TotalShuffleRows() != 12 {
+		t.Errorf("TotalShuffleRows = %d, want 12", m.TotalShuffleRows())
+	}
+}
+
 // TestSimulateMakespanFromSpans pins satellite invariant: SimulateMakespan
 // over span-derived Metrics equals SimulateMakespan over an identical
 // hand-built legacy Metrics value — the span tree is a drop-in source.
@@ -89,7 +127,7 @@ func TestSimulateMakespanFromSpans(t *testing.T) {
 	derived := ctx.SnapshotMetrics()
 
 	legacy := Metrics{Stages: []StageMetrics{
-		{Name: "fromPartitions|groupByKey|shuffle-write", Tasks: make([]TaskMetrics, 3)},
+		{Name: "fromPartitions|groupByKey|exchange-write", Tasks: make([]TaskMetrics, 3)},
 		{Name: "fromPartitions|groupByKey|exchange", Shuffle: true, ShuffleRows: 12},
 		{Name: "fromPartitions|groupByKey|collect", Tasks: make([]TaskMetrics, 3)},
 	}}

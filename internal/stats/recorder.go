@@ -35,8 +35,6 @@ type StepActual struct {
 // stage name leaves the plan-level lineage whose row count the stage
 // observed.
 var infraSegments = map[string]bool{
-	"shuffle-write":     true,
-	"shuffle-read":      true,
 	"exchange":          true,
 	"exchange-write":    true,
 	"collect":           true,
