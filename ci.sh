@@ -10,6 +10,10 @@
 #                        flake; then the same for the nested benchmark/
 #                        module (its TestSmoke runs every BENCHMARK.json
 #                        workload at tiny scale and checks the output bytes)
+#   * fuzz             — 10 s of differential fuzzing of the columnar
+#                        interpolation join against its row-form reference
+#                        (FuzzInterpolationJoin); its seed corpus already
+#                        runs with the ordinary tests
 #   * gofmt            — formatting gate (testdata fixtures excluded: the
 #                        loader-edge fixture deliberately contains a
 #                        vendored file that is not valid Go)
@@ -65,6 +69,9 @@ go test -race -count=1 ./...
 
 echo "==> (cd benchmark && go test -race -count=1 ./...)"
 (cd benchmark && go test -race -count=1 ./...)
+
+echo "==> go test -run='^\$' -fuzz=FuzzInterpolationJoin -fuzztime=10s ./internal/derive"
+go test -run='^$' -fuzz=FuzzInterpolationJoin -fuzztime=10s ./internal/derive
 
 # sjvet runs against the reviewed baseline (fresh findings fail; stale
 # baseline entries also fail, so the baseline can only shrink alongside a

@@ -1,8 +1,11 @@
 package bench
 
 import (
+	"math"
 	"strings"
 	"testing"
+
+	"scrubjay/internal/rdd"
 )
 
 func smallWorkload(rows int) JoinWorkload {
@@ -41,35 +44,46 @@ func TestRunInterpJoin(t *testing.T) {
 	}
 }
 
-// TestFig3RowsLinearShape asserts Figure 3a's linear-in-rows claim as
-// exact counts rather than timings: a 10× larger natural join produces 10×
-// the output and shuffles exactly 10× the rows (each side once), over the
-// same stage and task structure, so only the per-row work grows.
+// TestFig3RowsLinearShape asserts Figure 3's linear-in-rows claim for both
+// joins as exact counts rather than timings: a 10× larger join produces
+// 10× the output and shuffles exactly 10× the rows, over the same stage and
+// task structure, so only the per-row work grows. The natural join (3a)
+// shuffles each side once; the interpolation join (3c) shuffles each left
+// row once and each right row into the two bins its window touches.
 func TestFig3RowsLinearShape(t *testing.T) {
-	type shape struct{ stages, tasks int }
-	var shapes []shape
-	for _, rows := range []int{4000, 40000} {
-		res, err := RunNaturalJoin(smallWorkload(rows))
-		if err != nil {
-			t.Fatal(err)
+	for _, join := range []struct {
+		name     string
+		run      func(JoinWorkload) (JoinRunResult, error)
+		shuffled int // rows shuffled per input row of one side
+	}{
+		{"natural", RunNaturalJoin, 2},
+		{"interpolation", RunInterpJoin, 3},
+	} {
+		type shape struct{ stages, tasks int }
+		var shapes []shape
+		for _, rows := range []int{4000, 40000} {
+			res, err := join.run(smallWorkload(rows))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.OutputRows != int64(rows) {
+				t.Errorf("%s rows=%d: output rows = %d, want %d (one per left row)", join.name, rows, res.OutputRows, rows)
+			}
+			if got, want := res.Metrics.TotalShuffleRows(), int64(join.shuffled*rows); got != want {
+				t.Errorf("%s rows=%d: shuffled rows = %d, want exactly %d", join.name, rows, got, want)
+			}
+			sh := shape{stages: len(res.Metrics.Stages)}
+			for _, st := range res.Metrics.Stages {
+				sh.tasks += len(st.Tasks)
+			}
+			shapes = append(shapes, sh)
 		}
-		if res.OutputRows != int64(rows) {
-			t.Errorf("rows=%d: output rows = %d, want %d (1:1 keys)", rows, res.OutputRows, rows)
+		if shapes[0] != shapes[1] {
+			t.Errorf("%s: stage/task structure changed with rows: %+v at 4k vs %+v at 40k", join.name, shapes[0], shapes[1])
 		}
-		if got := res.Metrics.TotalShuffleRows(); got != int64(2*rows) {
-			t.Errorf("rows=%d: shuffled rows = %d, want exactly %d (both sides once)", rows, got, 2*rows)
+		if shapes[0].stages == 0 || shapes[0].tasks == 0 {
+			t.Errorf("%s: no stages recorded: %+v", join.name, shapes[0])
 		}
-		sh := shape{stages: len(res.Metrics.Stages)}
-		for _, st := range res.Metrics.Stages {
-			sh.tasks += len(st.Tasks)
-		}
-		shapes = append(shapes, sh)
-	}
-	if shapes[0] != shapes[1] {
-		t.Errorf("stage/task structure changed with rows: %+v at 4k vs %+v at 40k", shapes[0], shapes[1])
-	}
-	if shapes[0].stages == 0 || shapes[0].tasks == 0 {
-		t.Errorf("no stages recorded: %+v", shapes[0])
 	}
 }
 
@@ -89,9 +103,12 @@ func TestFig3ScalingShape(t *testing.T) {
 	}
 }
 
+// TestInterpJoinCostlierThanNatural states Figure 3's cost gap as
+// structure, not time: at equal rows the natural join shuffles each input
+// row once (2n), while the interpolation join shuffles each left row once
+// plus each right row once per 2W-wide time bin its window [t−W, t+W]
+// touches. The bins are counted here from the generated instants.
 func TestInterpJoinCostlierThanNatural(t *testing.T) {
-	// Figure 3: at equal rows the interpolation join is roughly an order
-	// of magnitude more expensive than the natural join.
 	w := smallWorkload(30000)
 	nj, err := RunNaturalJoin(w)
 	if err != nil {
@@ -101,9 +118,22 @@ func TestInterpJoinCostlierThanNatural(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ij.Metrics.TotalTaskTime() <= nj.Metrics.TotalTaskTime() {
-		t.Errorf("interp join should cost more: %v vs %v",
-			ij.Metrics.TotalTaskTime(), nj.Metrics.TotalTaskTime())
+	left, right := interpJoinInputs(rdd.NewContext(2), w.Rows, w.Partitions)
+	win := int64(w.WindowSeconds * 1e9)
+	bin := func(t int64) int64 { return int64(math.Floor(float64(t) / float64(2*win))) }
+	want := left.Count()
+	for _, r := range right.Collect() {
+		ts := r.Get("ts").TimeNanosVal()
+		want += bin(ts+win) - bin(ts-win) + 1
+	}
+	if got := nj.Metrics.TotalShuffleRows(); got != int64(2*w.Rows) {
+		t.Errorf("natural join shuffled %d rows, want exactly %d", got, 2*w.Rows)
+	}
+	if got := ij.Metrics.TotalShuffleRows(); got != want {
+		t.Errorf("interpolation join shuffled %d rows, want exactly L + Σ bins touched = %d", got, want)
+	}
+	if want <= int64(2*w.Rows) {
+		t.Errorf("interpolation join shuffles %d rows, not more than the natural join's %d", want, 2*w.Rows)
 	}
 }
 

@@ -31,21 +31,36 @@ func (kf keyedFrame) NumRows() int { return kf.f.NumRows() }
 // partitions. Batches arrive at each destination in source-partition
 // order, matching the row-level shuffle's ordering contract.
 func hashExchange(frames *rdd.RDD[*frame.Frame], cols []string, convs []func(value.Value) value.Value, numOut int, stage string) *rdd.RDD[keyedFrame] {
+	var route func(kf keyedFrame, idx [][]int32)
+	if numOut > 1 {
+		route = func(kf keyedFrame, idx [][]int32) {
+			for i, h := range kf.h {
+				d := int(h % uint64(numOut))
+				idx[d] = append(idx[d], int32(i))
+			}
+		}
+	}
+	return routeExchange(frames, cols, convs, numOut, stage, route)
+}
+
+// routeExchange keys every batch like hashExchange, then moves its rows:
+// route appends, per destination, the indexes of the rows a batch sends
+// there — none, one or several per row — and each destination receives
+// them as one gathered slice of the batch, in row order. A nil route keeps
+// every batch whole in partition 0 (numOut must then be 1).
+func routeExchange(frames *rdd.RDD[*frame.Frame], cols []string, convs []func(value.Value) value.Value, numOut int, stage string, route func(kf keyedFrame, idx [][]int32)) *rdd.RDD[keyedFrame] {
 	keyed := rdd.WithWire(rdd.Map(frames, func(f *frame.Frame) keyedFrame {
 		return keyedFrame{f: f, h: f.HashOn(cols, convs)}
 	}), keyedFrameWire)
 	return rdd.ExchangePartitions(keyed, numOut, stage, func(_ int, in []keyedFrame) [][]keyedFrame {
 		out := make([][]keyedFrame, numOut)
-		if numOut == 1 {
+		if route == nil {
 			out[0] = in
 			return out
 		}
 		for _, kf := range in {
 			idx := make([][]int32, numOut)
-			for i, h := range kf.h {
-				d := int(h % uint64(numOut))
-				idx[d] = append(idx[d], int32(i))
-			}
+			route(kf, idx)
 			for d, ix := range idx {
 				if len(ix) == 0 {
 					continue
@@ -78,6 +93,13 @@ func concatKeyed(kfs []keyedFrame) (*frame.Frame, []uint64) {
 		h = append(h, kf.h...)
 	}
 	return frame.Concat(fs), h
+}
+
+// mergePairs materializes matched row pairs: row lsel[k] of lf beside row
+// rsel[k] of rf minus the drop columns, right cells winning wherever the
+// right row has them (value.Row.Merge).
+func mergePairs(lf *frame.Frame, lsel []int32, rf *frame.Frame, rsel []int32, drop []string) *frame.Frame {
+	return frame.Merge(lf.Gather(lsel), rf.Drop(drop...).Gather(rsel))
 }
 
 // colIndexes resolves column names to positions in f (-1 when absent, read

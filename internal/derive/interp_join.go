@@ -1,7 +1,9 @@
 package derive
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -15,13 +17,13 @@ import (
 // InterpolationJoin relates two datasets over a shared ordered, continuous
 // domain (time) whose recordings do not match exactly — the paper's novel
 // data-parallel algorithm (§5.3). Correspondences are restricted to pairs
-// within a window W. Each dataset is binned twice into bins of width 2W,
-// the second binning offset by exactly W; any two instants within W of each
-// other share a bin in at least one binning, so candidate pairs are found
-// with local work only — no global sort, no pairwise distance matrix. Pairs
-// whose instants share a first-binning bin are emitted there; all other
-// in-window pairs are emitted from the offset binning, so no pair is
-// produced twice.
+// within a window W, found by binning time into bins of width 2W so that
+// candidate pairs need local work only — no global sort, no pairwise
+// distance matrix. The columnar kernel (interpJoinColumnar) bins the left
+// side once and replicates each right row into the two bins its window
+// touches; the row-form reference below bins both sides twice, the second
+// binning offset by W, and emits each pair from exactly one binning. Both
+// find every in-window pair exactly once.
 //
 // Every other shared domain dimension must match exactly, and right-side
 // rows are grouped by their remaining (unshared) domain columns; per group
@@ -119,6 +121,21 @@ type interpCand struct {
 	rt   int64
 }
 
+// interpSpec is an interpolation join resolved against its two schemas.
+// dropRight holds the right join columns (the left's, and so the probe
+// row's instant, survive); rightResidual the right's unshared domain
+// columns, within each combination of which a left row interpolates
+// independently; lerpCols and nearestCols the right value columns on
+// ordered and unordered dimensions.
+type interpSpec struct {
+	w                        int64 // window W, nanoseconds
+	ltCol, rtCol             string
+	leftExact, rightExact    []string
+	convs                    []func(value.Value) value.Value
+	dropRight, rightResidual []string
+	lerpCols, nearestCols    []string
+}
+
 // Apply implements Combination.
 func (j *InterpolationJoin) Apply(left, right *dataset.Dataset, dict *semantics.Dictionary) (*dataset.Dataset, error) {
 	schema, err := j.DeriveSchema(left.Schema(), right.Schema(), dict)
@@ -129,62 +146,49 @@ func (j *InterpolationJoin) Apply(left, right *dataset.Dataset, dict *semantics.
 	if err != nil {
 		return nil, err
 	}
-	w := int64(j.WindowSeconds * 1e9)
-	leftExact := make([]string, len(exact))
-	rightExact := make([]string, len(exact))
-	for i, p := range exact {
-		leftExact[i] = p.LeftCol
-		rightExact[i] = p.RightCol
+	s := &interpSpec{
+		w:     int64(j.WindowSeconds * 1e9),
+		ltCol: timePair.LeftCol, rtCol: timePair.RightCol,
+		convs: rightConverters(exact, left.Schema(), right.Schema(), dict),
 	}
-	convs := rightConverters(exact, left.Schema(), right.Schema(), dict)
-
-	// Right-side join columns always drop from merged rows: they denote
-	// the same entity as the left's. In particular the probe row's instant
-	// survives, not the matched right sample's.
-	var dropRight []string
-	for _, p := range append(exact, timePair) {
-		dropRight = append(dropRight, p.RightCol)
+	sharedRight := map[string]bool{timePair.RightCol: true}
+	for _, p := range exact {
+		s.leftExact = append(s.leftExact, p.LeftCol)
+		s.rightExact = append(s.rightExact, p.RightCol)
+		s.dropRight = append(s.dropRight, p.RightCol)
+		sharedRight[p.RightCol] = true
 	}
-	// Right-side residual domain columns: unshared domains (e.g. a sensor
-	// location). Per left row, interpolation happens independently within
-	// each residual combination.
-	var rightResidual []string
-	{
-		sharedRight := map[string]bool{timePair.RightCol: true}
-		for _, p := range exact {
-			sharedRight[p.RightCol] = true
-		}
-		for _, c := range right.Schema().DomainColumns() {
-			if !sharedRight[c] {
-				rightResidual = append(rightResidual, c)
-			}
+	s.dropRight = append(s.dropRight, timePair.RightCol)
+	for _, c := range right.Schema().DomainColumns() {
+		if !sharedRight[c] {
+			s.rightResidual = append(s.rightResidual, c)
 		}
 	}
-	// Right value columns partition into interpolable (ordered dimension)
-	// and nearest-only.
-	var lerpCols, nearestCols []string
 	for _, c := range right.Schema().ValueColumns() {
 		dim, ok := dict.LookupDimension(right.Schema()[c].Dimension)
 		if ok && dim.Ordered {
-			lerpCols = append(lerpCols, c)
+			s.lerpCols = append(s.lerpCols, c)
 		} else {
-			nearestCols = append(nearestCols, c)
+			s.nearestCols = append(s.nearestCols, c)
 		}
 	}
 
-	ltCol, rtCol := timePair.LeftCol, timePair.RightCol
 	name := fmt.Sprintf("interpolation_join(%s,%s)", left.Name(), right.Name())
-
 	if left.IsColumnar() && right.IsColumnar() {
-		cands := interpCandidatesColumnar(left, right, ltCol, rtCol, leftExact, rightExact, convs, w)
-		rows := interpAssembleColumnar(cands, rightResidual, lerpCols, nearestCols, dropRight)
-		return dataset.New(name, rows.WithName(name), schema).Columnar(), nil
+		return interpJoinColumnar(left.Frames(), right.Frames(), s, schema, name), nil
 	}
+	return dataset.New(name, interpJoinRows(left, right, s).WithName(name), schema), nil
+}
 
+// interpJoinRows is the row-form reference the columnar kernel is tested
+// against: dual binning over composite string keys, a co-group per
+// (exact key, binning, bin), then a regroup of the in-window candidates by
+// left row, split by residual key and interpolated.
+func interpJoinRows(left, right *dataset.Dataset, s *interpSpec) *rdd.RDD[value.Row] {
 	// Tag left rows with unique ids and both bin keys.
 	tagBoth := func(exKey string, t int64) (keyA, keyB string, binA int64) {
-		binA = floorDiv(t, 2*w)
-		binB := floorDiv(t+w, 2*w)
+		binA = floorDiv(t, 2*s.w)
+		binB := floorDiv(t+s.w, 2*s.w)
 		return exKey + "|A" + strconv.FormatInt(binA, 10),
 			exKey + "|B" + strconv.FormatInt(binB, 10),
 			binA
@@ -192,13 +196,13 @@ func (j *InterpolationJoin) Apply(left, right *dataset.Dataset, dict *semantics.
 	leftTagged := rdd.MapPartitions(left.Rows(), func(part int, in []value.Row) []interpTagged {
 		out := make([]interpTagged, 0, 2*len(in))
 		for i, r := range in {
-			tv := r.Get(ltCol)
+			tv := r.Get(s.ltCol)
 			if tv.Kind() != value.KindTime {
 				continue
 			}
 			t := tv.TimeNanosVal()
 			id := int64(part)<<40 | int64(i)
-			exKey := joinKey(r, leftExact, nil)
+			exKey := joinKey(r, s.leftExact, nil)
 			ka, kb, binA := tagBoth(exKey, t)
 			out = append(out,
 				interpTagged{key: ka, id: id, t: t, binA: binA, row: r},
@@ -208,12 +212,12 @@ func (j *InterpolationJoin) Apply(left, right *dataset.Dataset, dict *semantics.
 	}).WithName(left.Name() + "|interp-tag")
 
 	rightTagged := rdd.FlatMap(right.Rows(), func(r value.Row) []interpTagged {
-		tv := r.Get(rtCol)
+		tv := r.Get(s.rtCol)
 		if tv.Kind() != value.KindTime {
 			return nil
 		}
 		t := tv.TimeNanosVal()
-		exKey := joinKey(r, rightExact, convs)
+		exKey := joinKey(r, s.rightExact, s.convs)
 		ka, kb, binA := tagBoth(exKey, t)
 		return []interpTagged{
 			{key: ka, t: t, binA: binA, row: r},
@@ -240,7 +244,7 @@ func (j *InterpolationJoin) Apply(left, right *dataset.Dataset, dict *semantics.
 				if dt < 0 {
 					dt = -dt
 				}
-				if dt > w {
+				if dt > s.w {
 					continue
 				}
 				// Dedup: pairs sharing a first-binning bin are emitted
@@ -254,26 +258,26 @@ func (j *InterpolationJoin) Apply(left, right *dataset.Dataset, dict *semantics.
 		return out
 	}).WithName("interp-candidates")
 
-	rows := interpAssemble(cands, rightResidual, lerpCols, nearestCols, dropRight)
-	return dataset.New(name, rows.WithName(name), schema), nil
-}
-
-// interpAssemble is the downstream half of the interpolation join on the
-// row path: candidates regroup by their left row's id, split by the right
-// side's residual domain columns, and each residual group interpolates into
-// one output row.
-func interpAssemble(cands *rdd.RDD[interpCand], rightResidual, lerpCols, nearestCols, dropRight []string) *rdd.RDD[value.Row] {
+	// Candidates regroup by left row; each partition emits its left rows in
+	// ascending id — left input order, the columnar kernel's order too.
 	perLeft := rdd.GroupByKey(cands, func(c interpCand) string {
 		return strconv.FormatInt(c.id, 10)
 	})
-	return rdd.FlatMap(perLeft, func(g rdd.Group[interpCand]) []value.Row {
-		return assembleLeftGroup(g.Items, rightResidual, lerpCols, nearestCols, dropRight)
+	return rdd.MapPartitions(perLeft, func(_ int, gs []rdd.Group[interpCand]) []value.Row {
+		byID := slices.Clone(gs)
+		slices.SortFunc(byID, func(a, b rdd.Group[interpCand]) int {
+			return cmp.Compare(a.Items[0].id, b.Items[0].id)
+		})
+		var out []value.Row
+		for _, g := range byID {
+			out = append(out, assembleLeftGroup(g.Items, s.rightResidual, s.lerpCols, s.nearestCols, s.dropRight)...)
+		}
+		return out
 	})
 }
 
 // assembleLeftGroup turns one left row's candidates into output rows: one
-// per right-residual combination, in sorted residual-key order. Shared by
-// the row and columnar assemble stages so both emit identical rows.
+// per right-residual combination, in sorted residual-key order.
 func assembleLeftGroup(cs []interpCand, rightResidual, lerpCols, nearestCols, dropRight []string) []value.Row {
 	if len(rightResidual) == 0 {
 		return []value.Row{interpolateCandidates(cs, lerpCols, nearestCols, dropRight)}

@@ -1,243 +1,278 @@
 package derive
 
 import (
+	"cmp"
+	"slices"
+	"strings"
+
 	"scrubjay/internal/dataset"
 	"scrubjay/internal/frame"
 	"scrubjay/internal/rdd"
+	"scrubjay/internal/semantics"
 	"scrubjay/internal/value"
 )
 
-// Vectorized front end of the interpolation join. The row path renders a
-// composite string key per tagged copy (exact columns plus bin tag) and
-// co-groups on it; here the exact columns hash once per batch as a vector
-// (frame.HashOn), the bin tag folds into that hash with integer mixing, and
-// the tagged copies exchange on the mixed hash with no string keys at all.
-// Because the key is a hash rather than the values themselves, pairing
-// groups entries into verified classes — same tag, same bin, equal exact
-// columns — before any pair is emitted, so hash collisions cannot create
-// pairs the row path would not.
-//
-// Candidate order replicates the row path's CoGroup semantics: classes
-// emit in the order their first left entry arrives, each class left-major
-// then right-major in arrival order. With one partition the candidate
-// stream is identical to the row path's; across partitions only placement
-// differs (hash-of-hash versus hash-of-string), so outputs agree as
-// multisets.
-
-// interpTaggedC is one tagged bin copy of a row in the columnar front end.
-type interpTaggedC struct {
-	kh      uint64 // mixed hash: exact columns ⊕ tag ⊕ bin index
-	id      int64  // left rows only: unique id for regrouping
-	t       int64  // instant, unix nanos
-	binA    int64  // first-binning index, for pair dedup
-	binSelf int64  // the bin this copy was emitted for
-	tag     byte   // 'A' first binning, 'B' offset binning
-	row     value.Row
-}
-
-// binKeyMix folds a row's exact-column hash with the binning tag and bin
-// index into the exchange key for one tagged copy.
-func binKeyMix(h uint64, tag byte, bin int64) uint64 {
-	const prime = 1099511628211
-	x := (h ^ uint64(tag)) * prime
-	x = (x ^ uint64(bin)) * prime
-	return x
-}
-
-// exactRowsEqual reports whether two rows agree on every exact-match join
-// pair, converting right-side units as the row path's key rendering does.
-func exactRowsEqual(l, r value.Row, lcols, rcols []string, convs []func(value.Value) value.Value) bool {
-	for i := range lcols {
-		rv := r.Get(rcols[i])
-		if convs != nil && convs[i] != nil {
-			rv = convs[i](rv)
+// interpJoinColumnar is the vectorized interpolation join (§5.3). Time is
+// cut into bins 2W wide: a left row goes to its instant's bin, a right row
+// to both bins its window [t−W, t+W] touches, routed on the exact-key hash
+// mixed with the bin, so every in-window pair meets once, in the left row's
+// bin, after one keyed-frame exchange per side. Rows without a time route
+// nowhere; a right row routed twice to one partition is a harmless
+// duplicate. Output order: left rows in arrival order, each left row's
+// residual classes in joinKey order — the row-form reference's order, so
+// at one partition the two row streams are identical.
+func interpJoinColumnar(left, right *rdd.RDD[*frame.Frame], s *interpSpec, schema semantics.Schema, name string) *dataset.Dataset {
+	numOut := max(left.NumPartitions(), right.NumPartitions())
+	lex := routeExchange(left, s.leftExact, nil, numOut, left.Name()+"|cogroup-left", binRoute(s.ltCol, 0, 2*s.w, numOut))
+	rex := routeExchange(right, s.rightExact, s.convs, numOut, right.Name()+"|cogroup-right", binRoute(s.rtCol, s.w, 2*s.w, numOut))
+	frames := rdd.ZipPartitions(lex, rex, func(_ int, ls, rs []keyedFrame) []*frame.Frame {
+		lf, lh := concatKeyed(ls)
+		rf, rh := concatKeyed(rs)
+		if lf.NumRows() == 0 || rf.NumRows() == 0 {
+			return framesOf(frame.Empty())
 		}
-		if !l.Get(lcols[i]).Equal(rv) {
-			return false
-		}
-	}
-	return true
-}
-
-// tagFramesC emits the two tagged bin copies of every row in a columnar
-// dataset. withIDs assigns the left side's unique per-row ids; ids follow
-// the partition's row order, matching the row path's numbering. Each source
-// row is boxed once and shared by both copies, mirroring how the row path's
-// copies reference one input row.
-func tagFramesC(frames *rdd.RDD[*frame.Frame], tCol string, exactCols []string,
-	convs []func(value.Value) value.Value, w int64, withIDs bool, name string) *rdd.RDD[interpTaggedC] {
-
-	return rdd.MapPartitions(frames, func(part int, fs []*frame.Frame) []interpTaggedC {
-		var out []interpTaggedC
-		base := 0
-		for _, f := range fs {
-			n := f.NumRows()
-			if n == 0 {
-				continue
-			}
-			eh := f.HashOn(exactCols, convs)
-			tc := f.Col(tCol)
-			typed := tc != nil && tc.Kind() == value.KindTime
-			var tInts []int64
-			if typed {
-				tInts = tc.Ints()
-			}
-			for i := 0; i < n; i++ {
-				var t int64
-				if typed && tc.Present(i) {
-					t = tInts[i]
-				} else {
-					var v value.Value
-					if tc != nil {
-						v = tc.Value(i)
-					}
-					if v.Kind() != value.KindTime {
-						continue
-					}
-					t = v.TimeNanosVal()
-				}
-				binA := floorDiv(t, 2*w)
-				binB := floorDiv(t+w, 2*w)
-				var id int64
-				if withIDs {
-					id = int64(part)<<40 | int64(base+i)
-				}
-				r := f.RowAt(i)
-				out = append(out,
-					interpTaggedC{kh: binKeyMix(eh[i], 'A', binA), id: id, t: t,
-						binA: binA, binSelf: binA, tag: 'A', row: r},
-					interpTaggedC{kh: binKeyMix(eh[i], 'B', binB), id: id, t: t,
-						binA: binA, binSelf: binB, tag: 'B', row: r})
-			}
-			base += n
-		}
-		return out
-	}).WithName(name)
-}
-
-// interpCandidatesColumnar produces the in-window candidate pairs for two
-// columnar datasets. The bins and dedup rule are the row path's (§5.3 dual
-// binning); only the keying differs, so every pairing is verified against
-// the conditions the string key encoded.
-func interpCandidatesColumnar(left, right *dataset.Dataset, ltCol, rtCol string,
-	leftExact, rightExact []string, convs []func(value.Value) value.Value, w int64) *rdd.RDD[interpCand] {
-
-	leftTagged := tagFramesC(left.Frames(), ltCol, leftExact, nil, w, true, left.Name()+"|interp-tag")
-	rightTagged := tagFramesC(right.Frames(), rtCol, rightExact, convs, w, false, right.Name()+"|interp-tag")
-
-	numOut := left.Frames().NumPartitions()
-	if n := right.Frames().NumPartitions(); n > numOut {
-		numOut = n
-	}
-	split := func(_ int, in []interpTaggedC) [][]interpTaggedC {
-		out := make([][]interpTaggedC, numOut)
-		for _, e := range in {
-			d := int(e.kh % uint64(numOut))
-			out[d] = append(out[d], e)
-		}
-		return out
-	}
-	lx := rdd.ExchangePartitions(rdd.WithWire(leftTagged, interpTaggedCWire), numOut, leftTagged.Name(), split)
-	rx := rdd.ExchangePartitions(rdd.WithWire(rightTagged, interpTaggedCWire), numOut, rightTagged.Name(), split)
-
-	return rdd.ZipPartitions(lx, rx, func(part int, ls, rs []interpTaggedC) []interpCand {
-		// Verified first-seen classes over the left entries: a class is one
-		// (exact values, tag, bin) combination, exactly a row-path CoGroup
-		// key. Hash buckets may hold several classes (collisions), so class
-		// membership always re-checks the underlying values.
-		type class struct{ ls, rs []int32 }
-		var classes []class
-		buckets := make(map[uint64][]int32, len(ls))
-		for i := range ls {
-			e := &ls[i]
-			gid := int32(-1)
-			for _, g := range buckets[e.kh] {
-				rep := &ls[classes[g].ls[0]]
-				if rep.tag == e.tag && rep.binSelf == e.binSelf &&
-					exactRowsEqual(rep.row, e.row, leftExact, leftExact, nil) {
-					gid = g
-					break
-				}
-			}
-			if gid < 0 {
-				gid = int32(len(classes))
-				classes = append(classes, class{})
-				buckets[e.kh] = append(buckets[e.kh], gid)
-			}
-			classes[gid].ls = append(classes[gid].ls, int32(i))
-		}
-		for i := range rs {
-			e := &rs[i]
-			for _, g := range buckets[e.kh] {
-				rep := &ls[classes[g].ls[0]]
-				if rep.tag == e.tag && rep.binSelf == e.binSelf &&
-					exactRowsEqual(rep.row, e.row, leftExact, rightExact, convs) {
-					classes[g].rs = append(classes[g].rs, int32(i))
-					break
-				}
-			}
-		}
-		var out []interpCand
-		for _, c := range classes {
-			if len(c.rs) == 0 {
-				continue
-			}
-			for _, li := range c.ls {
-				l := &ls[li]
-				for _, ri := range c.rs {
-					r := &rs[ri]
-					dt := l.t - r.t
-					if dt < 0 {
-						dt = -dt
-					}
-					if dt > w {
-						continue
-					}
-					// Dedup: pairs sharing a first-binning bin are emitted
-					// there; the offset binning emits only the rest.
-					if l.tag == 'B' && l.binA == r.binA {
-						continue
-					}
-					out = append(out, interpCand{id: l.id, lrow: l.row, lt: l.t, rrow: r.row, rt: r.t})
-				}
-			}
-		}
-		return out
-	}).WithName("interp-candidates")
-}
-
-// interpAssembleColumnar is the columnar downstream half: the same
-// regroup-by-left-id as the row path's interpAssemble, but keyed on the id
-// integer itself — no per-candidate string rendering, no string-keyed
-// grouping. Group emission order (first-seen id, then sorted residual keys)
-// matches interpAssemble exactly, so at one partition the two stages
-// produce identical row streams.
-func interpAssembleColumnar(cands *rdd.RDD[interpCand], rightResidual, lerpCols, nearestCols, dropRight []string) *rdd.RDD[value.Row] {
-	numOut := cands.NumPartitions()
-	ex := rdd.ExchangePartitions(rdd.WithWire(cands, interpCandWire), numOut, cands.Name(), func(_ int, in []interpCand) [][]interpCand {
-		out := make([][]interpCand, numOut)
-		for _, c := range in {
-			d := int(uint64(c.id) % uint64(numOut))
-			out[d] = append(out[d], c)
-		}
-		return out
+		return framesOf(s.probe(lf, lh, rf, rh))
 	})
-	return rdd.MapPartitions(ex, func(_ int, in []interpCand) []value.Row {
-		byID := make(map[int64]int32, len(in))
-		var groups [][]interpCand
-		for _, c := range in {
-			gid, ok := byID[c.id]
+	return dataset.NewFrames(name, frames.WithName(name), schema)
+}
+
+// binRoute sends every row with an instant t in tCol to each bin of the
+// given width that [t−reach, t+reach] touches.
+func binRoute(tCol string, reach, width int64, numOut int) func(kf keyedFrame, idx [][]int32) {
+	return func(kf keyedFrame, idx [][]int32) {
+		tc := kf.f.Col(tCol)
+		for i, h := range kf.h {
+			t, ok := instantAt(tc, i)
 			if !ok {
-				gid = int32(len(groups))
-				byID[c.id] = gid
-				groups = append(groups, nil)
+				continue
 			}
-			groups[gid] = append(groups[gid], c)
+			for bin := floorDiv(t-reach, width); bin <= floorDiv(t+reach, width); bin++ {
+				d := int(binKeyMix(h, bin) % uint64(numOut))
+				idx[d] = append(idx[d], int32(i))
+			}
 		}
-		var out []value.Row
-		for _, cs := range groups {
-			out = append(out, assembleLeftGroup(cs, rightResidual, lerpCols, nearestCols, dropRight)...)
+	}
+}
+
+// binKeyMix folds an integer (a bin index, a group id) into a key hash
+// with one FNV-64 step.
+func binKeyMix(h uint64, bin int64) uint64 { return (h ^ uint64(bin)) * 1099511628211 }
+
+// instantAt reads cell i of a time column as Unix nanoseconds; ok is false
+// when the column is missing, the cell absent, or its value not a time.
+func instantAt(c *frame.Column, i int) (t int64, ok bool) {
+	if c == nil || !c.Present(i) {
+		return 0, false
+	}
+	if c.Kind() == value.KindTime {
+		return c.Ints()[i], true
+	}
+	v := c.Value(i)
+	return v.TimeNanosVal(), v.Kind() == value.KindTime
+}
+
+// probe joins one partition; every row of lf and rf has an instant.
+func (s *interpSpec) probe(lf *frame.Frame, lh []uint64, rf *frame.Frame, rh []uint64) *frame.Frame {
+	// Left rows group by verified exact key; reps[g] is group g's first row.
+	lIdx, rIdx := colIndexes(lf, s.leftExact), colIndexes(rf, s.rightExact)
+	var reps []int32
+	buckets := make(map[uint64][]int32, lf.NumRows())
+	groupOf := func(f *frame.Frame, i int, idx []int, h uint64, convs []func(value.Value) value.Value) int32 {
+		for _, g := range buckets[h] {
+			if frame.ValuesEqualOn(lf, int(reps[g]), lIdx, f, i, idx, convs) {
+				return g
+			}
 		}
-		return out
+		return -1
+	}
+	lgroup := make([]int32, lf.NumRows())
+	for i := range lgroup {
+		if lgroup[i] = groupOf(lf, i, lIdx, lh[i], nil); lgroup[i] < 0 {
+			lgroup[i] = int32(len(reps))
+			reps = append(reps, int32(i))
+			buckets[lh[i]] = append(buckets[lh[i]], lgroup[i])
+		}
+	}
+
+	// Right rows join a group, then a residual class: the rows whose
+	// residual columns render one joinKey string. A row whose residual
+	// values equal an earlier row's takes that row's class, so a key renders
+	// once per distinct value, not per row.
+	type class struct {
+		group int32
+		key   string
+	}
+	type seen struct{ rep, class int32 }
+	var classes []class
+	byKey := map[class]int32{}
+	byValue := map[uint64][]seen{}
+	resIdx := colIndexes(rf, s.rightResidual)
+	resHash := rf.HashOn(s.rightResidual, nil)
+	rclass := make([]int32, rf.NumRows())
+	for j := range rclass {
+		rclass[j] = -1
+		g := groupOf(rf, j, rIdx, rh[j], s.convs)
+		if g < 0 {
+			continue
+		}
+		vh := binKeyMix(resHash[j], int64(g))
+		for _, v := range byValue[vh] {
+			if classes[v.class].group == g && frame.ValuesEqualOn(rf, int(v.rep), resIdx, rf, j, resIdx, nil) {
+				rclass[j] = v.class
+				break
+			}
+		}
+		if rclass[j] < 0 {
+			c := class{group: g}
+			if len(resIdx) > 0 {
+				c.key = frameKey(rf, j, resIdx) //sjvet:ignore hotalloc -- once per distinct residual value
+			}
+			id, ok := byKey[c]
+			if !ok {
+				id = int32(len(classes))
+				classes = append(classes, c)
+				byKey[c] = id
+			}
+			rclass[j] = id
+			byValue[vh] = append(byValue[vh], seen{int32(j), id})
+		}
+	}
+
+	// Class c's rows, sorted by time (arrival order on ties), are
+	// sorted[runs[c]:runs[c+1]] with instants st; byGroup lists the classes
+	// in (group, key) order, group g's being byGroup[gFirst[g]:gFirst[g+1]].
+	rtc := rf.Col(s.rtCol)
+	rts := make([]int64, rf.NumRows())
+	runs := make([]int32, len(classes)+1)
+	for j, c := range rclass {
+		if rts[j], _ = instantAt(rtc, j); c >= 0 {
+			runs[c+1]++
+		}
+	}
+	for c := range classes {
+		runs[c+1] += runs[c]
+	}
+	sorted, next := make([]int32, runs[len(classes)]), slices.Clone(runs)
+	for j, c := range rclass {
+		if c >= 0 {
+			sorted[next[c]] = int32(j)
+			next[c]++
+		}
+	}
+	byTime := func(a, b int32) int { return cmp.Or(cmp.Compare(rts[a], rts[b]), cmp.Compare(a, b)) }
+	st := make([]int64, len(sorted))
+	byGroup := make([]int32, len(classes))
+	gFirst := make([]int32, len(reps)+1)
+	for c := range classes {
+		slices.SortFunc(sorted[runs[c]:runs[c+1]], byTime)
+		for k := runs[c]; k < runs[c+1]; k++ {
+			st[k] = rts[sorted[k]]
+		}
+		byGroup[c] = int32(c)
+		gFirst[classes[c].group+1]++
+	}
+	slices.SortFunc(byGroup, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(classes[a].group, classes[b].group), strings.Compare(classes[a].key, classes[b].key))
 	})
+	for g := range reps {
+		gFirst[g+1] += gFirst[g]
+	}
+
+	// Per left row and class: the brackets b ≤ lt ≤ a and the nearest row
+	// (b unless a is strictly closer). Lerp columns interpolate between
+	// bsel and asel; where asel is -1 they copy bsel's row.
+	ltc, n := lf.Col(s.ltCol), lf.NumRows()
+	lsel, nsel, bsel, asel := make([]int32, 0, n), make([]int32, 0, n), make([]int32, 0, n), make([]int32, 0, n)
+	frac := make([]float64, 0, n)
+	for i, g := range lgroup {
+		lt, _ := instantAt(ltc, i)
+		for _, c := range byGroup[gFirst[g]:gFirst[g+1]] {
+			run, ts := sorted[runs[c]:runs[c+1]], st[runs[c]:runs[c+1]]
+			b, a := -1, -1
+			q, _ := slices.BinarySearch(ts, lt)
+			if q < len(ts) && ts[q]-lt <= s.w {
+				a = q
+			}
+			if q < len(ts) && ts[q] == lt {
+				b = q
+			} else if q > 0 && lt-ts[q-1] <= s.w {
+				b, _ = slices.BinarySearch(ts, ts[q-1])
+			}
+			if b < 0 && a < 0 {
+				continue
+			}
+			near := b
+			if b < 0 || (a >= 0 && ts[a]-lt < lt-ts[b]) {
+				near = a
+			}
+			lsel, nsel = append(lsel, int32(i)), append(nsel, run[near])
+			switch {
+			case b < 0:
+				bsel, asel, frac = append(bsel, run[a]), append(asel, -1), append(frac, 0)
+			case a < 0 || ts[a] == ts[b]:
+				bsel, asel, frac = append(bsel, run[b]), append(asel, -1), append(frac, 0)
+			default:
+				bsel, asel = append(bsel, run[b]), append(asel, run[a])
+				frac = append(frac, float64(lt-ts[b])/float64(ts[a]-ts[b]))
+			}
+		}
+	}
+
+	// The right side gathers at the nearest row; the lerp columns, and the
+	// nearest columns with absent cells, are rebuilt: the row path sets
+	// both on every output row.
+	drop := append(slices.Clip(s.dropRight), s.lerpCols...)
+	rebuilt := make([]frame.Column, 0, len(s.lerpCols)+len(s.nearestCols))
+	for _, c := range s.lerpCols {
+		rebuilt = append(rebuilt, lerpColumn(rf.Col(c), c, bsel, asel, frac)) //sjvet:ignore hotalloc -- per column
+	}
+	for _, c := range s.nearestCols {
+		if col := rf.Col(c); col == nil || !col.AllPresent() {
+			rebuilt = append(rebuilt, lerpColumn(col, c, nsel, nil, nil)) //sjvet:ignore hotalloc -- per column
+			drop = append(drop, c)
+		}
+	}
+	out := mergePairs(lf, lsel, rf, nsel, drop)
+	if len(rebuilt) > 0 {
+		out = frame.Merge(out, frame.New(rebuilt...))
+	}
+	return out
+}
+
+// lerpColumn builds a fully present column from col (nil reads as all
+// null): where asel[k] ≥ 0, cell k interpolates rows bsel[k] and asel[k] at
+// frac[k] with value.Lerp, a null bracket yielding the other's value;
+// elsewhere (and throughout when asel is nil) it copies row bsel[k].
+func lerpColumn(col *frame.Column, name string, bsel, asel []int32, frac []float64) frame.Column {
+	if col != nil && col.Kind() == value.KindFloat && col.AllPresent() {
+		fs := col.Floats()
+		out := make([]float64, len(bsel))
+		for k, b := range bsel {
+			out[k] = fs[b]
+			if asel != nil && asel[k] >= 0 {
+				out[k] = value.Lerp(value.Float(fs[b]), value.Float(fs[asel[k]]), frac[k]).FloatVal()
+			}
+		}
+		return frame.FloatColumn(name, out)
+	}
+	at := func(i int32) value.Value {
+		if col == nil {
+			return value.Null()
+		}
+		return col.Value(int(i))
+	}
+	bld := frame.NewBuilder(name, len(bsel))
+	for k, b := range bsel {
+		v := at(b)
+		if asel != nil && asel[k] >= 0 {
+			switch av := at(asel[k]); {
+			case v.IsNull():
+				v = av
+			case !av.IsNull():
+				v = value.Lerp(v, av, frac[k])
+			}
+		}
+		bld.Set(k, v)
+	}
+	return bld.Finish()
 }

@@ -1,0 +1,299 @@
+package derive
+
+import (
+	"encoding/json"
+	"fmt"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"scrubjay/internal/dataset"
+	"scrubjay/internal/rdd"
+	"scrubjay/internal/semantics"
+	"scrubjay/internal/value"
+)
+
+// interpCase is one interpolation-join instance: both sides and the window.
+type interpCase struct {
+	ls, rs       semantics.Schema
+	lrows, rrows []value.Row
+	window       float64
+}
+
+// encodeRows renders rows as kind-tagged JSON, so Int(1) and Float(1), or
+// an absent cell and a present null, never compare equal.
+func encodeRows(t testing.TB, rows []value.Row) []string {
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = string(b)
+	}
+	return out
+}
+
+// checkInterpKernel runs c through the row-form reference and the columnar
+// kernel at the given partition count and requires the same rows: in
+// exactly the same order on one partition, as a multiset otherwise.
+func checkInterpKernel(t testing.TB, c interpCase, parts int) {
+	t.Helper()
+	dict := semantics.DefaultDictionary()
+	ij := &InterpolationJoin{WindowSeconds: c.window}
+	ctx := rdd.NewContext(3)
+	ref, err := ij.Apply(dataset.FromRows(ctx, "l", cloneRows(c.lrows), c.ls, parts),
+		dataset.FromRows(ctx, "r", cloneRows(c.rrows), c.rs, parts), dict)
+	if err != nil {
+		t.Fatalf("row path: %v", err)
+	}
+	out, err := ij.Apply(dataset.FromRowsColumnar(ctx, "l", cloneRows(c.lrows), c.ls, parts),
+		dataset.FromRowsColumnar(ctx, "r", cloneRows(c.rrows), c.rs, parts), dict)
+	if err != nil {
+		t.Fatalf("columnar path: %v", err)
+	}
+	if !out.IsColumnar() {
+		t.Fatal("columnar inputs produced a row-form output")
+	}
+	got, want := encodeRows(t, out.Collect()), encodeRows(t, ref.Collect())
+	order := "exact order"
+	if parts > 1 {
+		sort.Strings(got)
+		sort.Strings(want)
+		order = "sorted"
+	}
+	if len(got) != len(want) {
+		t.Fatalf("parts %d: kernel %d rows, reference %d rows\n got %v\nwant %v", parts, len(got), len(want), got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("parts %d row %d (%s):\n got %s\nwant %s", parts, i, order, got[i], want[i])
+		}
+	}
+}
+
+func sec(s float64) value.Value { return value.TimeNanos(int64(s * 1e9)) }
+
+// interpTestSchemas: an exact node column, a residual location, an
+// interpolated temperature and a nearest-only state on the right.
+func interpTestSchemas() (left, right semantics.Schema) {
+	left = semantics.NewSchema(
+		"node", semantics.IDDomain("compute_node"),
+		"t", semantics.TimeDomain(),
+		"load", semantics.ValueEntry("fraction", "fraction"),
+	)
+	right = semantics.NewSchema(
+		"node_id", semantics.IDDomain("compute_node"),
+		"ts", semantics.TimeDomain(),
+		"loc", semantics.IDDomain("rack_location"),
+		"temp", semantics.ValueEntry("temperature", "kelvin"),
+		"state", semantics.ValueEntry("identity", "identifier"),
+	)
+	return
+}
+
+func lrow(node string, t value.Value, load float64) value.Row {
+	r := value.NewRow("node", value.Str(node), "load", value.Float(load))
+	if !t.IsNull() {
+		r["t"] = t
+	}
+	return r
+}
+
+func rrow(node string, ts, temp value.Value, state string) value.Row {
+	r := value.NewRow("node_id", value.Str(node), "state", value.Str(state))
+	if !ts.IsNull() {
+		r["ts"] = ts
+	}
+	if !temp.IsNull() {
+		r["temp"] = temp
+	}
+	return r
+}
+
+// TestInterpJoinEdgeCases holds the kernel to the row-form reference cell
+// for cell on the cases its binning, bracketing and key handling must get
+// right.
+func TestInterpJoinEdgeCases(t *testing.T) {
+	ls, rs := interpTestSchemas()
+	f := value.Float
+	cases := map[string]interpCase{
+		"duplicate right instants": {ls: ls, rs: rs, window: 3, lrows: []value.Row{
+			lrow("n0", sec(10), 0.1), lrow("n0", sec(12), 0.2), lrow("n0", sec(8), 0.3),
+		}, rrows: []value.Row{
+			rrow("n0", sec(14), f(304), "c"),
+			rrow("n0", sec(10), f(300), "a"), rrow("n0", sec(10), f(301), "b"),
+			rrow("n0", sec(14), f(305), "d"), rrow("n0", sec(6), f(296), "e"),
+		}},
+		"dt equals window": {ls: ls, rs: rs, window: 2, lrows: []value.Row{
+			lrow("n0", sec(0), 0.1), lrow("n0", sec(10), 0.2), lrow("n0", sec(20), 0.3),
+		}, rrows: []value.Row{
+			rrow("n0", sec(-2), f(298), "a"), rrow("n0", sec(2), f(302), "b"),
+			rrow("n0", sec(12), f(312), "c"), rrow("n0", sec(17.5), f(317), "d"),
+		}},
+		"bin edge": {ls: ls, rs: rs, window: 2, lrows: []value.Row{
+			lrow("n0", sec(4), 0.1), lrow("n0", sec(8), 0.2), lrow("n0", sec(3.999), 0.3), lrow("n0", sec(8.001), 0.4),
+		}, rrows: []value.Row{
+			rrow("n0", sec(6), f(306), "a"),
+		}},
+		"pre-epoch": {ls: ls, rs: rs, window: 2, lrows: []value.Row{
+			lrow("n0", sec(-3), 0.1), lrow("n0", sec(-7), 0.2), lrow("n0", sec(-0.5), 0.3),
+		}, rrows: []value.Row{
+			rrow("n0", sec(-5), f(295), "a"), rrow("n0", sec(-1), f(299), "b"), rrow("n0", sec(0.5), f(300), "c"),
+		}},
+		"missing or non-time instants": {ls: ls, rs: rs, window: 2, lrows: []value.Row{
+			lrow("n0", value.Null(), 0.1), lrow("n0", value.Str("soon"), 0.2),
+			lrow("n0", value.Int(5), 0.3), lrow("n0", sec(5), 0.4),
+		}, rrows: []value.Row{
+			rrow("n0", value.Null(), f(300), "a"), rrow("n0", value.Str("4"), f(301), "b"),
+			rrow("n0", sec(4), f(304), "c"), rrow("n0", value.Int(6), f(306), "d"),
+		}},
+		"mixed int and float lerp column": {ls: ls, rs: rs, window: 4, lrows: []value.Row{
+			lrow("n0", sec(1), 0.1), lrow("n0", sec(3), 0.2), lrow("n0", sec(5), 0.3),
+		}, rrows: []value.Row{
+			rrow("n0", sec(0), value.Int(300), "a"), rrow("n0", sec(2), value.Int(300), "b"),
+			rrow("n0", sec(4), f(310.5), "c"), rrow("n0", sec(6), value.Int(320), "d"),
+		}},
+		"lerp column absent in both brackets": {ls: ls, rs: rs, window: 4, lrows: []value.Row{
+			lrow("n0", sec(1), 0.1), lrow("n0", sec(5), 0.2), lrow("n1", sec(2.5), 0.3),
+		}, rrows: []value.Row{
+			rrow("n0", sec(0), value.Null(), "a"), rrow("n0", sec(2), value.Null(), "b"),
+			rrow("n0", sec(4), f(304), "c"), rrow("n0", sec(6), value.Null(), "d"),
+			rrow("n1", sec(1), value.Null(), "e"),
+			value.NewRow("node_id", value.Str("n1"), "ts", sec(3)), // no state either
+		}},
+		"residual keys compare as rendered": {ls: ls, rs: rs, window: 3, lrows: []value.Row{
+			lrow("n0", sec(1), 0.1), lrow("n0", sec(4), 0.2),
+		}, rrows: func() []value.Row {
+			locs := []value.Value{value.Int(1), value.Str("1"), value.Float(1), value.Str(""), value.Null(), value.Str("top")}
+			var rows []value.Row
+			for i, loc := range locs {
+				r := rrow("n0", sec(float64(i)), f(300+float64(i)), fmt.Sprintf("s%d", i))
+				if !loc.IsNull() {
+					r["loc"] = loc
+				}
+				rows = append(rows, r)
+			}
+			return rows
+		}()},
+		"empty left":  {ls: ls, rs: rs, window: 2, rrows: []value.Row{rrow("n0", sec(1), f(300), "a")}},
+		"empty right": {ls: ls, rs: rs, window: 2, lrows: []value.Row{lrow("n0", sec(1), 0.1)}},
+	}
+
+	// Exact columns in different units: the right side's Celsius keys
+	// convert to the left's Kelvin before they match.
+	kl := semantics.NewSchema(
+		"temp_k", semantics.DomainEntry("temperature", "kelvin"),
+		"t", semantics.TimeDomain(),
+		"load", semantics.ValueEntry("fraction", "fraction"),
+	)
+	kr := semantics.NewSchema(
+		"temp_c", semantics.DomainEntry("temperature", "degrees_celsius"),
+		"ts", semantics.TimeDomain(),
+		"fan", semantics.ValueEntry("fan_speed", "rpm"),
+	)
+	var klrows, krrows []value.Row
+	for i, k := range []float64{290, 300, 300, 301.25} {
+		klrows = append(klrows, value.NewRow("temp_k", f(k), "t", sec(float64(i)), "load", f(float64(i))))
+		krrows = append(krrows, value.NewRow("temp_c", f(k-273.15), "ts", sec(float64(i)+0.5), "fan", f(1000+float64(i))))
+	}
+	krrows = append(krrows, value.NewRow("temp_c", value.Int(27), "ts", sec(1), "fan", f(2000)))
+	cases["unit-converted exact column"] = interpCase{ls: kl, rs: kr, window: 1, lrows: klrows, rrows: krrows}
+
+	// No exact columns: the instant alone relates the rows.
+	tl := semantics.NewSchema("t", semantics.TimeDomain(), "lid", semantics.ValueEntry("identity", "identifier"))
+	tr := semantics.NewSchema("ts", semantics.TimeDomain(), "watts", semantics.ValueEntry("power", "watts"))
+	var tlrows, trrows []value.Row
+	for i := 0; i < 12; i++ {
+		tlrows = append(tlrows, value.NewRow("t", sec(float64(i)*1.5), "lid", value.Str(fmt.Sprintf("L%d", i))))
+		trrows = append(trrows, value.NewRow("ts", sec(float64(11-i)*1.25), "watts", f(float64(100+i))))
+	}
+	cases["time-only join"] = interpCase{ls: tl, rs: tr, window: 1, lrows: tlrows, rrows: trrows}
+
+	names := make([]string, 0, len(cases))
+	for name := range cases {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		t.Run(name, func(t *testing.T) {
+			for _, parts := range []int{1, 3, 7} {
+				checkInterpKernel(t, cases[name], parts)
+			}
+		})
+	}
+}
+
+// byteSource hands out fuzz bytes, then zeros once they run out.
+type byteSource []byte
+
+func (b *byteSource) next(n int) int {
+	if len(*b) == 0 {
+		return 0
+	}
+	v := int((*b)[0]) % n
+	*b = (*b)[1:]
+	return v
+}
+
+// interpCaseFromBytes builds a small catalog from fuzz bytes: few nodes,
+// instants on a half-second grid around the epoch (duplicates, bin edges
+// and |dt| == W are common), missing and non-time instants, Int/Float/null
+// lerp cells, and residual keys that differ in kind but render alike.
+func interpCaseFromBytes(data []byte) (interpCase, int) {
+	src := byteSource(data)
+	ls, rs := interpTestSchemas()
+	c := interpCase{ls: ls, rs: rs, window: 0.5 * float64(1+src.next(6))}
+	parts := 1 + src.next(5)
+	instant := func() value.Value {
+		switch k := src.next(16); {
+		case k == 0:
+			return value.Null()
+		case k == 1:
+			return value.Str("later")
+		default:
+			return sec(0.5 * float64(src.next(25)-12))
+		}
+	}
+	nodes := []string{"n0", "n1", ""}
+	for i, n := 0, src.next(16); i < n; i++ {
+		r := lrow(nodes[src.next(3)], instant(), float64(i))
+		if r["node"].StrVal() == "" {
+			delete(r, "node")
+		}
+		c.lrows = append(c.lrows, r)
+	}
+	locs := []value.Value{value.Null(), value.Str("top"), value.Int(1), value.Str("1"), value.Float(1)}
+	temps := []value.Value{value.Null(), value.Int(300), value.Float(300.5), value.Float(-2), value.Int(7)}
+	for i, n := 0, src.next(16); i < n; i++ {
+		r := rrow(nodes[src.next(3)], instant(), temps[src.next(len(temps))], fmt.Sprintf("s%d", i))
+		if r["node_id"].StrVal() == "" {
+			delete(r, "node_id")
+		}
+		if loc := locs[src.next(len(locs))]; !loc.IsNull() {
+			r["loc"] = loc
+		}
+		if src.next(4) == 0 {
+			delete(r, "state")
+		}
+		c.rrows = append(c.rrows, r)
+	}
+	return c, parts
+}
+
+// FuzzInterpolationJoin is differential: the columnar kernel must equal
+// the row-form reference on every generated catalog, in exact order on one
+// partition. The seed corpus runs as an ordinary test.
+func FuzzInterpolationJoin(f *testing.F) {
+	f.Add([]byte{})
+	rng := rand.New(rand.NewSource(25))
+	for i := 0; i < 48; i++ {
+		seed := make([]byte, 32+rng.Intn(160))
+		rng.Read(seed)
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, parts := interpCaseFromBytes(data)
+		checkInterpKernel(t, c, parts)
+	})
+}

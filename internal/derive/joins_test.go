@@ -300,14 +300,20 @@ func naiveWindowPairs(lts, rts []int64, w int64) map[[2]int]bool {
 }
 
 func TestInterpJoinBinningFindsAllPairsExactlyOnce(t *testing.T) {
-	// Property: the dual-binning candidate generation inside the
-	// interpolation join discovers every in-window pair exactly once.
-	// We exercise it end to end by joining keyed singletons: each left row
-	// has a unique id value column; each right row a unique value; the
-	// number of output rows per left row equals the number of residual
-	// groups, so instead we count candidates via a 1-residual-group setup
-	// and compare the set of (left,right) nearest matches against the
-	// naive reference for several random instances.
+	// Property: the binning inside the interpolation join — the columnar
+	// kernel's single binning with the right side replicated, and the row
+	// reference's dual binning — discovers every in-window pair exactly
+	// once. Each right row carries a unique residual domain value, so every
+	// in-window pair becomes exactly one output row; the set of
+	// (left, right) pairs must equal the naive reference.
+	for _, mk := range []func(*rdd.Context, string, []value.Row, semantics.Schema, int) *dataset.Dataset{
+		dataset.FromRows, dataset.FromRowsColumnar,
+	} {
+		checkBinningFindsAllPairs(t, mk)
+	}
+}
+
+func checkBinningFindsAllPairs(t *testing.T, mk func(*rdd.Context, string, []value.Row, semantics.Schema, int) *dataset.Dataset) {
 	rng := rand.New(rand.NewSource(42))
 	dict := semantics.DefaultDictionary()
 	for trial := 0; trial < 20; trial++ {
@@ -342,8 +348,8 @@ func TestInterpJoinBinningFindsAllPairsExactlyOnce(t *testing.T) {
 		for j := range rrows {
 			rrows[j] = value.NewRow("ts", value.TimeNanos(rts[j]), "rid", value.Str(fmt.Sprintf("R%d", j)))
 		}
-		left := dataset.FromRows(ctx, "l", lrows, ls, 3)
-		right := dataset.FromRows(ctx, "r", rrows, rs, 3)
+		left := mk(ctx, "l", lrows, ls, 3)
+		right := mk(ctx, "r", rrows, rs, 3)
 		out, err := (&InterpolationJoin{WindowSeconds: float64(w) / 1e9}).Apply(left, right, dict)
 		if err != nil {
 			t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"scrubjay/internal/dataset"
+	"scrubjay/internal/frame"
 	"scrubjay/internal/rdd"
 	"scrubjay/internal/semantics"
 	"scrubjay/internal/value"
@@ -82,6 +83,19 @@ func joinKey(r value.Row, cols []string, convert []func(value.Value) value.Value
 			v = convert[i](v)
 		}
 		b.WriteString(v.String())
+		b.WriteByte(0)
+	}
+	return b.String()
+}
+
+// frameKey renders row i of f over the columns at cols (-1: absent) exactly
+// as joinKey renders a row.
+func frameKey(f *frame.Frame, i int, cols []int) string {
+	var b strings.Builder
+	for _, c := range cols {
+		if c >= 0 {
+			b.WriteString(f.ColAt(c).Value(i).String()) //sjvet:ignore hotalloc -- per key column
+		}
 		b.WriteByte(0)
 	}
 	return b.String()

@@ -91,8 +91,7 @@ func joinColumnar(left, right *dataset.Dataset, schema semantics.Schema, name st
 				}
 			}
 		}
-		out := frame.Merge(lf.Gather(lsel), rf.Drop(dropRight...).Gather(rsel))
-		return framesOf(out)
+		return framesOf(mergePairs(lf, lsel, rf, rsel, dropRight))
 	})
 	return dataset.NewFrames(name, frames.WithName(name), schema)
 }

@@ -659,8 +659,8 @@ func TestFig5ServedStats(t *testing.T) {
 		derivation string
 		want       float64
 	}{
-		{"natural_join", 498.0 / 273},
-		{"interpolation_join", 747.0 / 858},
+		{"natural_join", 249.0 / 273},
+		{"interpolation_join", 747.0 / 429},
 	} {
 		d, ok := st.Derivation(c.derivation)
 		if !ok {

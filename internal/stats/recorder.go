@@ -35,18 +35,16 @@ type StepActual struct {
 // stage name leaves the plan-level lineage whose row count the stage
 // observed.
 var infraSegments = map[string]bool{
-	"exchange":          true,
-	"exchange-write":    true,
-	"collect":           true,
-	"count":             true,
-	"mapPartitions":     true,
-	"cogroup-left":      true,
-	"cogroup-right":     true,
-	"interp-tag":        true,
-	"interp-candidates": true,
-	"groupByKey":        true,
-	"unbox":             true,
-	"box":               true,
+	"exchange":       true,
+	"exchange-write": true,
+	"collect":        true,
+	"count":          true,
+	"mapPartitions":  true,
+	"cogroup-left":   true,
+	"cogroup-right":  true,
+	"groupByKey":     true,
+	"unbox":          true,
+	"box":            true,
 }
 
 // Actuals reconstructs per-step observed costs for an executed plan from
