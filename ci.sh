@@ -19,14 +19,12 @@
 #                        vendored file that is not valid Go)
 #   * sjvet            — ScrubJay-specific invariants (purity, determinism,
 #                        lockdiscipline, unitsafety, frameimmut, ctxflow,
-#                        goroleak, the hot-path allocation discipline pair
-#                        hotalloc/retain, and the flow-sensitive trio
+#                        goroleak, and the flow-sensitive trio
 #                        errflow/leakcheck/lockorder; see DESIGN.md
-#                        "Enforced invariants"), over library code AND
-#                        tests, with a reviewed baseline (sjvet.baseline),
-#                        a SARIF artifact (sjvet.sarif) for code-scanning
-#                        upload, and a per-analyzer timing/finding-count
-#                        trend artifact (sjvet_timing.json)
+#                        "Enforced invariants"), one pass over library code
+#                        AND tests with no baseline (any finding fails),
+#                        plus a SARIF artifact (sjvet.sarif) for
+#                        code-scanning upload
 #   * examples         — every examples/* program built and run; any
 #                        nonzero exit fails (each log.Fatals on error, and
 #                        reproducible exits 1 when a replay differs)
@@ -42,10 +40,6 @@
 #                        worker SIGKILLed mid-query at an exchange barrier,
 #                        and a traced run must graft worker-origin spans
 #                        into one coherent cross-process trace
-#   * provenance       — the run writes one "ci" record (sjvet timing +
-#                        distributed trace summary) to a scratch ledger and
-#                        bench-log -check fails on any invalid record; no
-#                        tracked file is written
 #
 # Any nonzero exit fails the gate.
 set -eu
@@ -73,23 +67,15 @@ echo "==> (cd benchmark && go test -race -count=1 ./...)"
 echo "==> go test -run='^\$' -fuzz=FuzzInterpolationJoin -fuzztime=10s ./internal/derive"
 go test -run='^$' -fuzz=FuzzInterpolationJoin -fuzztime=10s ./internal/derive
 
-# sjvet runs against the reviewed baseline (fresh findings fail; stale
-# baseline entries also fail, so the baseline can only shrink alongside a
-# source fix) and emits sjvet.sarif for the code-scanning artifact upload.
-# -timing prints the per-analyzer wall-clock breakdown, so a cost
-# regression in the interprocedural/hot-path build stages is attributable
-# before it blows the budget; -timing-json lands the same rows plus raw
-# finding counts in sjvet_timing.json, the run-over-run trend artifact.
-# Wall-clock budget: the whole pass must stay fast enough to sit in every
-# CI run, so anything over 30s fails the gate.
-echo "==> sjvet -timing -timing-json sjvet_timing.json -sarif sjvet.sarif -baseline sjvet.baseline ./..."
+# sjvet runs once over library code and tests (a -tests run covers both):
+# any finding fails, and sjvet.sarif is emitted for the code-scanning
+# artifact upload. -timing prints the per-analyzer wall-clock breakdown, so
+# a cost regression in the interprocedural build stage is attributable
+# before it blows the budget. Wall-clock budget: the pass must stay fast
+# enough to sit in every CI run, so anything over 30s fails the gate.
+echo "==> sjvet -tests -timing -sarif sjvet.sarif ./..."
 SJVET_T0=$(date +%s)
-go run ./cmd/sjvet -timing -timing-json sjvet_timing.json -sarif sjvet.sarif -baseline sjvet.baseline ./...
-
-# The -tests pass shares the baseline: hotalloc/retain skip _test.go files,
-# so the grandfathered library findings are the same set.
-echo "==> sjvet -tests -baseline sjvet.baseline ./..."
-go run ./cmd/sjvet -tests -baseline sjvet.baseline ./...
+go run ./cmd/sjvet -tests -timing -sarif sjvet.sarif ./...
 SJVET_T1=$(date +%s)
 SJVET_ELAPSED=$((SJVET_T1 - SJVET_T0))
 echo "    sjvet wall-clock: ${SJVET_ELAPSED}s (budget 30s)"
@@ -99,8 +85,7 @@ if [ "$SJVET_ELAPSED" -gt 30 ]; then
 fi
 if [ -n "${CI_ARTIFACT_DIR:-}" ]; then
   cp sjvet.sarif "$CI_ARTIFACT_DIR/sjvet.sarif"
-  cp sjvet_timing.json "$CI_ARTIFACT_DIR/sjvet_timing.json"
-  echo "    uploaded sjvet.sarif and sjvet_timing.json to $CI_ARTIFACT_DIR"
+  echo "    uploaded sjvet.sarif to $CI_ARTIFACT_DIR"
 fi
 
 SMOKE=$(mktemp -d)
@@ -275,14 +260,5 @@ cmp "$SMOKE/fig5-local.csv" "$SMOKE/fig5-killed.csv" \
 kill "$W1" 2>/dev/null || true
 wait "$W1" 2>/dev/null || true
 wait "$W2" 2>/dev/null || true
-
-# Provenance ledger: one "ci" record tying the commit to its sjvet timing
-# and the distributed trace summary, written to a scratch ledger and
-# re-validated — a schema-invalid record fails the gate.
-echo "==> provenance ledger"
-"$SMOKE/scrubjay" bench-log -append -kind ci -note "ci.sh gate run" \
-  -vet-timing sjvet_timing.json -trace "$SMOKE/dist.trace.json" \
-  -ledger "$SMOKE/ledger.jsonl"
-"$SMOKE/scrubjay" bench-log -check -ledger "$SMOKE/ledger.jsonl"
 
 echo "ci.sh: all gates passed"

@@ -9,7 +9,6 @@
 //	scrubjay run    -catalog DIR|-server URL -plan plan.json [-out FMT:PATH] [-cache DIR]
 //	scrubjay trace  FILE|TRACE-ID [-server URL] [-check]
 //	scrubjay show   -in FMT:PATH [-n 20]
-//	scrubjay bench-log [-ledger FILE] [-check] [-append -kind ci|sjbench [-exp NAME] [-note STR] [-bench FILE] [-vet-timing FILE] [-trace FILE]]
 //	scrubjay dict
 //	scrubjay formats
 //	scrubjay derivations
@@ -59,8 +58,6 @@ func main() {
 		err = cmdTrace(os.Args[2:])
 	case "show":
 		err = cmdShow(os.Args[2:])
-	case "bench-log":
-		err = cmdBenchLog(os.Args[2:])
 	case "dict":
 		err = cmdDict()
 	case "formats":
@@ -93,7 +90,6 @@ func usage() {
   scrubjay run    -catalog DIR|-server URL -plan plan.json [-out FMT:PATH] [-cache DIR]
   scrubjay trace  FILE|TRACE-ID [-server URL] [-check]
   scrubjay show   -in FMT:PATH [-n 20]
-  scrubjay bench-log [-ledger FILE] [-check] [-append -kind ci|sjbench [-exp NAME] [-note STR] [-bench FILE] [-vet-timing FILE] [-trace FILE]]
   scrubjay dict
   scrubjay formats
   scrubjay derivations`)

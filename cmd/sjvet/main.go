@@ -7,31 +7,27 @@
 //     and ExecFailures flattened into generic errors
 //   - frameimmut: writes to published (shared) frame storage
 //   - goroleak: goroutines with no termination edge
-//   - hotalloc: per-iteration allocation on the serving hot path
 //   - leakcheck: conns/files/tickers/spans not released on every CFG path
 //   - lockdiscipline: blocking operations while holding a mutex
 //   - lockorder: module-wide lock-acquisition-order cycles (deadlocks)
 //   - purity: impure rdd/kernel compute closures
-//   - retain: hot-path callees pinning caller buffers
 //   - unitsafety: arithmetic across mismatched units
 //
 // Any finding is printed as file:line:col: [analyzer] message and the
 // process exits nonzero, so sjvet slots directly into CI next to go vet.
+// There is no baseline: the module is clean, and every finding fails.
 // Flow-sensitive findings (errflow, leakcheck, lockorder) carry the
 // control-flow path that demonstrates them: indented step lines in text
 // output and SARIF codeFlows in the -sarif artifact.
 //
 // Usage:
 //
-//	sjvet [-json] [-tests] [-list] [-run a,b] [-timing] [-timing-json file] [-C dir] [-sarif file] [-baseline file] [-write-baseline] [packages]
+//	sjvet [-json] [-tests] [-list] [-run a,b] [-timing] [-C dir] [-sarif file] [packages]
 //
 // -run restricts the run to a comma-separated subset of analyzers (e.g.
-// -run hotalloc,retain); with -baseline, entries for analyzers outside the
-// subset are ignored rather than reported stale. -timing prints the
-// wall-clock cost of each analyzer (and the shared summary/hot-path build
-// stages) to stderr, so a regression in analysis cost is visible before it
-// blows the CI budget; -timing-json writes the same rows plus per-analyzer
-// finding counts as a JSON artifact for trend tracking.
+// -run leakcheck,errflow). -timing prints the wall-clock cost of each
+// analyzer (and the shared summary build stage) to stderr, so a regression
+// in analysis cost is visible before it blows the CI budget.
 //
 // Package patterns are module-relative ("./...", "./internal/rdd",
 // "scrubjay/internal/derive/..."); the default and "./..." analyze the whole
@@ -42,19 +38,11 @@
 //	//sjvet:ignore <analyzer> -- reason
 //
 // on the offending line or the line above it (scoped to the enclosing
-// function), or grandfathered in a reviewed baseline file:
-//
-//	sjvet -write-baseline -baseline sjvet.baseline ./...   # record
-//	sjvet -baseline sjvet.baseline ./...                   # enforce
-//
-// With -baseline, sjvet fails on findings not in the baseline AND on stale
-// baseline entries (listed but no longer produced), so the file can only
-// shrink together with the source fix. -sarif writes a SARIF 2.1.0 log of
-// the fresh findings for CI artifact upload.
+// function). -sarif writes a SARIF 2.1.0 log of the findings for CI
+// artifact upload.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -77,12 +65,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	withTests := fs.Bool("tests", false, "also analyze _test.go files")
 	list := fs.Bool("list", false, "list analyzers and exit")
 	chdir := fs.String("C", "", "directory to resolve the module from (default: cwd)")
-	sarifPath := fs.String("sarif", "", "write a SARIF 2.1.0 log of the (fresh) findings to this file")
-	baselinePath := fs.String("baseline", "", "baseline file of reviewed findings to grandfather")
-	writeBaseline := fs.Bool("write-baseline", false, "write current findings to the -baseline file and exit 0")
+	sarifPath := fs.String("sarif", "", "write a SARIF 2.1.0 log of the findings to this file")
 	runNames := fs.String("run", "", "comma-separated analyzer names to run (default: the whole suite)")
 	timing := fs.Bool("timing", false, "print per-analyzer wall-clock timing to stderr")
-	timingJSON := fs.String("timing-json", "", "write per-analyzer timing and finding counts as JSON to this file")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -101,10 +86,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "sjvet:", err)
 			return 2
 		}
-	}
-	if *writeBaseline && *baselinePath == "" {
-		fmt.Fprintln(stderr, "sjvet: -write-baseline requires -baseline <file>")
-		return 2
 	}
 
 	dir := *chdir
@@ -137,66 +118,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "sjvet: timing %-16s %8.1fms\n", t.Name, float64(t.Elapsed.Microseconds())/1000)
 		}
 	}
-	if *timingJSON != "" {
-		// Counts are pre-baseline: the artifact tracks analyzer activity and
-		// cost over time, not the CI pass/fail verdict.
-		if err := writeTimingJSON(*timingJSON, timings, findings); err != nil {
-			fmt.Fprintln(stderr, "sjvet:", err)
-			return 2
-		}
-	}
-
-	if *writeBaseline {
-		if err := os.WriteFile(*baselinePath, lint.FormatBaseline(findings), 0o644); err != nil {
-			fmt.Fprintln(stderr, "sjvet:", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "sjvet: wrote %d baseline entr%s to %s\n",
-			len(findings), plural(len(findings), "y", "ies"), *baselinePath)
-		return 0
-	}
-
-	var stale []lint.BaselineEntry
-	if *baselinePath != "" {
-		data, err := os.ReadFile(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(stderr, "sjvet:", err)
-			return 2
-		}
-		entries, err := lint.ParseBaseline(data)
-		if err != nil {
-			fmt.Fprintln(stderr, "sjvet:", err)
-			return 2
-		}
-		if *runNames != "" {
-			// With -run, baseline entries for analyzers outside the subset
-			// are out of scope, not stale.
-			active := map[string]bool{}
-			for _, a := range analyzers {
-				active[a.Name] = true
-			}
-			kept := entries[:0]
-			for _, e := range entries {
-				if active[e.Analyzer] {
-					kept = append(kept, e)
-				}
-			}
-			entries = kept
-		}
-		if len(fs.Args()) > 0 {
-			// Likewise for a package-scoped run: entries for files the run
-			// never analyzed are out of scope, not stale.
-			files := selectedFiles(mod, selected, root)
-			kept := entries[:0]
-			for _, e := range entries {
-				if files[e.File] {
-					kept = append(kept, e)
-				}
-			}
-			entries = kept
-		}
-		findings, _, stale = lint.ApplyBaseline(findings, entries)
-	}
 
 	if *sarifPath != "" {
 		data, err := lint.EncodeSARIF(findings, analyzers)
@@ -225,32 +146,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 	}
-	fail := false
 	if len(findings) > 0 {
 		if !*jsonOut {
 			fmt.Fprintf(stderr, "sjvet: %d finding(s)\n", len(findings))
 		}
-		fail = true
-	}
-	if len(stale) > 0 {
-		for _, e := range stale {
-			fmt.Fprintf(stderr, "sjvet: stale baseline entry (finding no longer produced): %s\t%s\t%s\n", e.File, e.Analyzer, e.Message)
-		}
-		fmt.Fprintf(stderr, "sjvet: %d stale baseline entr%s — remove them in the same change that fixed the source, or regenerate with -write-baseline\n",
-			len(stale), plural(len(stale), "y", "ies"))
-		fail = true
-	}
-	if fail {
 		return 1
 	}
 	return 0
-}
-
-func plural(n int, one, many string) string {
-	if n == 1 {
-		return one
-	}
-	return many
 }
 
 // relativize rewrites finding (and path-step) filenames relative to the
@@ -268,51 +170,6 @@ func relativize(fs []lint.Finding, root string) {
 			fs[i].Steps[j].Pos.Filename = rel(fs[i].Steps[j].Pos.Filename)
 		}
 	}
-}
-
-// timingRow is one entry of the -timing-json artifact.
-type timingRow struct {
-	Name     string  `json:"name"`
-	Ms       float64 `json:"ms"`
-	Findings int     `json:"findings"`
-}
-
-// writeTimingJSON records per-analyzer wall-clock cost and raw finding
-// counts — the trend artifact CI archives run over run.
-func writeTimingJSON(path string, timings []lint.AnalyzerTiming, findings []lint.Finding) error {
-	counts := map[string]int{}
-	for _, f := range findings {
-		counts[f.Analyzer]++
-	}
-	rows := make([]timingRow, 0, len(timings))
-	for _, t := range timings {
-		rows = append(rows, timingRow{
-			Name:     t.Name,
-			Ms:       float64(t.Elapsed.Microseconds()) / 1000,
-			Findings: counts[t.Name],
-		})
-	}
-	data, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// selectedFiles lists the module-root-relative filenames of the analyzed
-// packages — the scope baseline entries are matched against.
-func selectedFiles(mod *lint.Module, pkgs []*lint.Package, root string) map[string]bool {
-	files := map[string]bool{}
-	for _, pkg := range pkgs {
-		for _, file := range pkg.Files {
-			name := mod.Fset.Position(file.Pos()).Filename
-			if rel, err := filepath.Rel(root, name); err == nil && !strings.HasPrefix(rel, "..") {
-				name = filepath.ToSlash(rel)
-			}
-			files[name] = true
-		}
-	}
-	return files
 }
 
 // selectPackages filters the module's packages by the command-line patterns.

@@ -80,54 +80,48 @@ func TestRunList(t *testing.T) {
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("-list exit = %d, want 0", code)
 	}
-	for _, name := range []string{"purity:", "determinism:", "lockdiscipline:", "unitsafety:", "frameimmut:", "ctxflow:", "goroleak:", "hotalloc:", "retain:"} {
-		if !strings.Contains(stdout.String(), name) {
-			t.Errorf("-list missing %s\n%s", name, stdout.String())
+	want := lint.AnalyzerNames(lint.Analyzers())
+	lines := strings.Split(strings.TrimSpace(stdout.String()), "\n")
+	if len(lines) != len(want) {
+		t.Fatalf("-list printed %d analyzers, want %d:\n%s", len(lines), len(want), stdout.String())
+	}
+	for i, name := range want {
+		if !strings.HasPrefix(lines[i], name+":") {
+			t.Errorf("-list line %d = %q, want the %s analyzer", i, lines[i], name)
 		}
 	}
 }
 
-// TestRunAnalyzerFilter: -run restricts the suite, keeps the exit-code
-// contract (0 clean / 1 findings / 2 usage), and treats baseline entries
-// for unselected analyzers or unanalyzed packages as out of scope rather
-// than stale.
+// TestRunAnalyzerFilter: -run restricts the suite and keeps the exit-code
+// contract (0 clean / 1 findings / 2 usage).
 func TestRunAnalyzerFilter(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-C", fixture(t), "-run", "hotalloc,retain", "./hot"}, &stdout, &stderr); code != 1 {
-		t.Fatalf("-run hotalloc,retain ./hot: exit = %d, want 1; stderr: %s", code, stderr.String())
+	if code := run([]string{"-C", fixture(t), "-run", "purity,unitsafety", "./..."}, &stdout, &stderr); code != 1 {
+		t.Fatalf("-run purity,unitsafety: exit = %d, want 1; stderr: %s", code, stderr.String())
 	}
 	for _, line := range strings.Split(strings.TrimSpace(stdout.String()), "\n") {
-		if !strings.Contains(line, "[hotalloc]") && !strings.Contains(line, "[retain]") {
+		if !strings.Contains(line, "[purity]") && !strings.Contains(line, "[unitsafety]") {
 			t.Errorf("-run leaked a foreign analyzer's finding: %s", line)
 		}
 	}
-	if !strings.Contains(stdout.String(), "[retain]") {
-		t.Errorf("expected retain findings in ./hot:\n%s", stdout.String())
+	if !strings.Contains(stdout.String(), "[unitsafety]") {
+		t.Errorf("expected unitsafety findings:\n%s", stdout.String())
+	}
+
+	// The purity package only violates purity: the other analyzers find
+	// nothing there.
+	stdout.Reset()
+	if code := run([]string{"-C", fixture(t), "-run", "unitsafety,leakcheck", "./purity"}, &stdout, &stderr); code != 0 {
+		t.Errorf("-run unitsafety,leakcheck ./purity: exit = %d, want 0; stdout: %s", code, stdout.String())
 	}
 
 	stdout.Reset()
+	stderr.Reset()
 	if code := run([]string{"-C", fixture(t), "-run", "nosuchanalyzer", "./..."}, &stdout, &stderr); code != 2 {
 		t.Errorf("-run with an unknown analyzer: exit = %d, want 2", code)
 	}
 	if !strings.Contains(stderr.String(), "nosuchanalyzer") {
 		t.Errorf("diagnostic should name the unknown analyzer: %s", stderr.String())
-	}
-
-	// Record the full-suite baseline for ./hot, then re-run with only
-	// hotalloc selected and only the rdd package analyzed: the retain and
-	// hot-package entries are out of scope, so nothing is stale and the
-	// clean selection exits 0.
-	dir := t.TempDir()
-	baseline := filepath.Join(dir, "b")
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-C", fixture(t), "-baseline", baseline, "-write-baseline", "./hot"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-write-baseline ./hot: exit = %d; stderr: %s", code, stderr.String())
-	}
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-C", fixture(t), "-baseline", baseline, "-run", "hotalloc", "./rdd"}, &stdout, &stderr); code != 0 {
-		t.Errorf("out-of-scope baseline entries reported: exit = %d; stdout: %s stderr: %s", code, stdout.String(), stderr.String())
 	}
 }
 
@@ -175,66 +169,6 @@ func TestRunSarif(t *testing.T) {
 	}
 	if !strings.Contains(string(data), `"results": []`) {
 		t.Errorf("clean run should still write a log with empty results:\n%s", data)
-	}
-}
-
-// TestRunBaselineWorkflow drives the full lifecycle: record a baseline,
-// verify it silences the recorded findings, then shrink it without a source
-// fix and verify nothing resurfaces silently (fresh findings fail the run).
-func TestRunBaselineWorkflow(t *testing.T) {
-	dir := t.TempDir()
-	baseline := filepath.Join(dir, "sjvet.baseline")
-	var stdout, stderr bytes.Buffer
-
-	if code := run([]string{"-C", fixture(t), "-baseline", baseline, "-write-baseline", "./purity"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-write-baseline exit = %d, want 0; stderr: %s", code, stderr.String())
-	}
-	data, err := os.ReadFile(baseline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "purity/purity.go\tpurity\t") {
-		t.Fatalf("baseline should record fixture findings:\n%s", data)
-	}
-
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-C", fixture(t), "-baseline", baseline, "./purity"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("baselined run exit = %d, want 0; stdout: %s stderr: %s", code, stdout.String(), stderr.String())
-	}
-
-	// Shrink the baseline without fixing the source: the dropped entry's
-	// finding is fresh again and the run must fail.
-	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	if err := os.WriteFile(baseline, []byte(strings.Join(lines[:len(lines)-1], "\n")+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-C", fixture(t), "-baseline", baseline, "./purity"}, &stdout, &stderr); code != 1 {
-		t.Fatalf("shrunk baseline without source fix: exit = %d, want 1", code)
-	}
-	if stdout.String() == "" {
-		t.Error("the un-baselined finding should be printed")
-	}
-
-	// A stale entry (finding no longer produced) must also fail.
-	stale := append([]string{}, lines...)
-	stale = append(stale, "purity/purity.go\tpurity\tno such finding anymore")
-	if err := os.WriteFile(baseline, []byte(strings.Join(stale, "\n")+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-C", fixture(t), "-baseline", baseline, "./purity"}, &stdout, &stderr); code != 1 {
-		t.Fatalf("stale baseline entry: exit = %d, want 1; stderr: %s", code, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "stale baseline entry") {
-		t.Errorf("stderr should name the stale entry, got: %s", stderr.String())
-	}
-
-	if code := run([]string{"-write-baseline"}, &stdout, &stderr); code != 2 {
-		t.Error("-write-baseline without -baseline should exit 2")
 	}
 }
 

@@ -125,7 +125,7 @@ func (s *interpSpec) probe(lf *frame.Frame, lh []uint64, rf *frame.Frame, rh []u
 		if rclass[j] < 0 {
 			c := class{group: g}
 			if len(resIdx) > 0 {
-				c.key = frameKey(rf, j, resIdx) //sjvet:ignore hotalloc -- once per distinct residual value
+				c.key = frameKey(rf, j, resIdx) // once per distinct residual value
 			}
 			id, ok := byKey[c]
 			if !ok {
@@ -224,11 +224,11 @@ func (s *interpSpec) probe(lf *frame.Frame, lh []uint64, rf *frame.Frame, rh []u
 	drop := append(slices.Clip(s.dropRight), s.lerpCols...)
 	rebuilt := make([]frame.Column, 0, len(s.lerpCols)+len(s.nearestCols))
 	for _, c := range s.lerpCols {
-		rebuilt = append(rebuilt, lerpColumn(rf.Col(c), c, bsel, asel, frac)) //sjvet:ignore hotalloc -- per column
+		rebuilt = append(rebuilt, lerpColumn(rf.Col(c), c, bsel, asel, frac))
 	}
 	for _, c := range s.nearestCols {
 		if col := rf.Col(c); col == nil || !col.AllPresent() {
-			rebuilt = append(rebuilt, lerpColumn(col, c, nsel, nil, nil)) //sjvet:ignore hotalloc -- per column
+			rebuilt = append(rebuilt, lerpColumn(col, c, nsel, nil, nil))
 			drop = append(drop, c)
 		}
 	}

@@ -94,7 +94,7 @@ func frameKey(f *frame.Frame, i int, cols []int) string {
 	var b strings.Builder
 	for _, c := range cols {
 		if c >= 0 {
-			b.WriteString(f.ColAt(c).Value(i).String()) //sjvet:ignore hotalloc -- per key column
+			b.WriteString(f.ColAt(c).Value(i).String())
 		}
 		b.WriteByte(0)
 	}

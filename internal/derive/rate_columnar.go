@@ -124,10 +124,9 @@ func rateColumnar(in *dataset.Dataset, schema semantics.Schema, name, timeCol st
 				}
 			}
 			if bld == nil {
-				//sjvet:ignore hotalloc -- constructed once, then Reset-reused for every later counter column
 				bld = frame.NewBuilder(RateColumn(c), len(sel))
 			} else {
-				//sjvet:ignore hotalloc -- Reset only reallocates past the high-water mark; RateColumn names the output column
+				// Reset only reallocates past the high-water mark.
 				bld.Reset(RateColumn(c), len(sel))
 			}
 			b := bld

@@ -63,8 +63,6 @@ type Options struct {
 	WindowSeconds float64
 	// MaxVariants bounds the transformation-closure size kept per dataset.
 	MaxVariants int
-	// DisableMemo turns off pairwise memoization (for the ablation bench).
-	DisableMemo bool
 	// Stats supplies observed statistics for physical costing. When nil the
 	// engine runs the pure structural search (zero costing overhead and
 	// byte-identical plans to the historical heuristic); when set, candidate
@@ -370,11 +368,9 @@ func (e *Engine) better(a, b combineResult) bool {
 // value dimensions.
 func (e *Engine) combinePair(ga, gb *group, wanted map[string]bool, wantedKey string) *combineResult {
 	memoKey := ga.key() + "|" + gb.key() + "|" + wantedKey
-	if !e.opts.DisableMemo {
-		if r, ok := e.pairMemo[memoKey]; ok {
-			e.memoHits++
-			return r
-		}
+	if r, ok := e.pairMemo[memoKey]; ok {
+		e.memoHits++
+		return r
 	}
 	best := combineResult{}
 	for _, va := range ga.variants {
@@ -390,9 +386,7 @@ func (e *Engine) combinePair(ga, gb *group, wanted map[string]bool, wantedKey st
 		}
 	}
 	out := &best
-	if !e.opts.DisableMemo {
-		e.pairMemo[memoKey] = out
-	}
+	e.pairMemo[memoKey] = out
 	return out
 }
 

@@ -266,15 +266,6 @@ func TestSolveMemoization(t *testing.T) {
 	if e.MemoHits() != second {
 		t.Errorf("MemoHits should reset per solve: third solve reported %d, want %d", e.MemoHits(), second)
 	}
-	// With memoization disabled, no hits accrue.
-	opts := DefaultOptions()
-	opts.DisableMemo = true
-	e2 := New(semantics.DefaultDictionary(), fig5Schemas(), opts)
-	e2.Solve(context.Background(), fig5Query())
-	e2.Solve(context.Background(), fig5Query())
-	if e2.MemoHits() != 0 {
-		t.Errorf("disabled memo recorded %d hits", e2.MemoHits())
-	}
 }
 
 func TestSolvedPlanExecutesEndToEnd(t *testing.T) {

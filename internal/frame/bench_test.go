@@ -2,13 +2,14 @@ package frame
 
 import (
 	"math"
+	"strconv"
 	"testing"
 
 	"scrubjay/internal/value"
 )
 
-// The two hot-path allocation fixes surfaced by sjvet's hotalloc analyzer
-// are gated here with allocation-counting benchmarks:
+// Two allocation fixes on the serving path are pinned here by measured
+// allocation counts (testing.AllocsPerRun), with benchmarks alongside:
 //
 //   - AppendRowJSON's non-finite float cells used to render through
 //     fmt.Sprintf("%g"), two allocations per NaN/Inf cell on the NDJSON
@@ -57,25 +58,62 @@ func BenchmarkAppendRowJSON(b *testing.B) {
 	}
 }
 
-func BenchmarkMergeCoalesce(b *testing.B) {
-	const n, cols = 512, 8
+// TestAppendRowJSONAllocFree: encoding a row into a buffer with room makes
+// no allocation, NaN/±Inf cells included.
+func TestAppendRowJSONAllocFree(t *testing.T) {
+	f := benchStreamFrame(256)
+	keys := f.EncodedKeys()
+	var dst []byte
+	allocs := testing.AllocsPerRun(20, func() {
+		for r := 0; r < f.NumRows(); r++ {
+			dst = f.AppendRowJSON(dst[:0], r, keys)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("AppendRowJSON: %.0f allocations per %d rows, want 0", allocs, f.NumRows())
+	}
+}
+
+// TestMergeCoalesceAllocsFlat: Merge shares one builder across every
+// coalesced column, so doubling the coalesced columns from 4 to 8 adds at
+// most 4 allocations (the finished columns' own storage), not a builder
+// per column.
+func TestMergeCoalesceAllocsFlat(t *testing.T) {
+	count := func(cols int) float64 {
+		fa, fb := coalesceFrames(512, cols)
+		return testing.AllocsPerRun(20, func() { Merge(fa, fb) })
+	}
+	a4, a8 := count(4), count(8)
+	if a8-a4 > 4 {
+		t.Errorf("Merge: %.0f allocations with 4 coalesced columns, %.0f with 8; want at most 4 more", a4, a8)
+	}
+}
+
+// coalesceFrames builds two n-row frames over the same cols float columns:
+// a's are fully present, b's half present, so Merge must coalesce every
+// column cell-wise.
+func coalesceFrames(n, cols int) (*Frame, *Frame) {
 	acols := make([]Column, 0, cols)
 	bcols := make([]Column, 0, cols)
-	names := []string{"c0", "c1", "c2", "c3", "c4", "c5", "c6", "c7"}
-	for j, name := range names {
+	for j := 0; j < cols; j++ {
+		name := "c" + strconv.Itoa(j)
 		full := make([]float64, n)
 		for i := range full {
 			full[i] = float64(i * (j + 1))
 		}
 		acols = append(acols, FloatColumn(name, full))
-		// b's column is half-present so Merge must coalesce cell-wise.
 		bb := NewBuilder(name, n)
 		for i := 0; i < n; i += 2 {
 			bb.Set(i, value.Float(float64(i)-0.5))
 		}
 		bcols = append(bcols, bb.Finish())
 	}
-	fa, fb := New(acols...), New(bcols...)
+	return New(acols...), New(bcols...)
+}
+
+func BenchmarkMergeCoalesce(b *testing.B) {
+	const n = 512
+	fa, fb := coalesceFrames(n, 8)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -581,10 +581,9 @@ func Merge(a, b *Frame) *Frame {
 			cols = append(cols, *bc)
 		default:
 			if bld == nil {
-				//sjvet:ignore hotalloc -- constructed once per Merge, then Reset-reused for every later column
 				bld = NewBuilder(ac.name, a.n)
 			} else {
-				//sjvet:ignore hotalloc -- Reset only reallocates past the high-water mark; amortized it is allocation-free
+				// Reset only reallocates past the high-water mark.
 				bld.Reset(ac.name, a.n)
 			}
 			for r := 0; r < a.n; r++ {

@@ -130,12 +130,18 @@ func TestGoldenMulti(t *testing.T) {
 	}
 }
 
-// TestDeterministicOutput loads and analyzes testdata/multi twice from
+// TestDeterministicOutput loads and analyzes each fixture module twice from
 // scratch and byte-compares every emitter: text, JSON and SARIF output must
-// be identical across runs so CI diffs and the baseline file are stable.
+// be identical across runs so CI diffs are stable.
 func TestDeterministicOutput(t *testing.T) {
+	for _, fixture := range []string{"multi", "src"} {
+		t.Run(fixture, func(t *testing.T) { checkDeterministic(t, fixture) })
+	}
+}
+
+func checkDeterministic(t *testing.T, fixture string) {
 	render := func() (string, string, string) {
-		m := loadFixture(t, "multi")
+		m := loadFixture(t, fixture)
 		findings := Run(m, Analyzers())
 		text := formatFindings(m, findings)
 		j, err := EncodeJSON(findings)
@@ -161,6 +167,28 @@ func TestDeterministicOutput(t *testing.T) {
 	}
 	if t1 == "" {
 		t.Error("determinism test rendered no findings; fixture should be dirty")
+	}
+}
+
+// TestHotAnalyzerDeterminism loads and analyzes the src fixture twice with
+// only the analyzers that consume interprocedural parameter facts and
+// byte-compares the rendered findings, so the summary and escape layers stay
+// map-iteration-free when run in isolation, not just under the full suite.
+func TestHotAnalyzerDeterminism(t *testing.T) {
+	selected, err := SelectAnalyzers(Analyzers(), "frameimmut,goroleak,leakcheck")
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func() string {
+		m := loadFixture(t, "src")
+		return formatFindings(m, Run(m, selected))
+	}
+	r1, r2 := render(), render()
+	if r1 != r2 {
+		t.Errorf("frameimmut/goroleak/leakcheck output differs between runs:\n--- run 1 ---\n%s--- run 2 ---\n%s", r1, r2)
+	}
+	if r1 == "" {
+		t.Error("summary-driven analyzers rendered no findings; the src fixture should be dirty")
 	}
 }
 
@@ -197,10 +225,9 @@ func TestSuppression(t *testing.T) {
 }
 
 // TestSelfClean enforces the acceptance criterion that sjvet runs clean on
-// the ScrubJay module itself: every true positive has been fixed, every
-// justified exception carries a //sjvet:ignore directive, and every
-// grandfathered hot-path allocation sits in the reviewed sjvet.baseline —
-// which must also carry no stale entries, so it can only shrink.
+// the ScrubJay module itself, tests included: every true positive has been
+// fixed and every justified exception carries a //sjvet:ignore directive.
+// There is no baseline — any finding fails.
 func TestSelfClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
@@ -209,38 +236,14 @@ func TestSelfClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := LoadModule(root, LoadOptions{})
+	m, err := LoadModule(root, LoadOptions{IncludeTests: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(m.Pkgs) < 20 {
 		t.Fatalf("expected the full module to load, got %d packages", len(m.Pkgs))
 	}
-	findings := Run(m, Analyzers())
-	relativizeTo(m, findings)
-	data, err := os.ReadFile(filepath.Join(root, "sjvet.baseline"))
-	if err != nil {
-		t.Fatalf("reading reviewed baseline: %v", err)
-	}
-	entries, err := ParseBaseline(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, _, stale := ApplyBaseline(findings, entries)
-	for _, f := range fresh {
-		t.Errorf("fresh finding not in sjvet.baseline: %s", formatFindings(m, []Finding{f}))
-	}
-	for _, e := range stale {
-		t.Errorf("stale baseline entry (finding no longer produced): %s\t%s\t%s", e.File, e.Analyzer, e.Message)
-	}
-}
-
-// relativizeTo rewrites finding filenames relative to the module root, the
-// form baseline entries are keyed on.
-func relativizeTo(m *Module, fs []Finding) {
-	for i := range fs {
-		if rel, err := filepath.Rel(m.Root, fs[i].Pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
-			fs[i].Pos.Filename = filepath.ToSlash(rel)
-		}
+	for _, f := range Run(m, Analyzers()) {
+		t.Errorf("finding: %s", formatFindings(m, []Finding{f}))
 	}
 }

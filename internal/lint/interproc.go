@@ -40,13 +40,10 @@ const (
 	// a field, a slice/map element, a channel send, or a composite literal.
 	// Unlike a plain ParamEscapes return (where the caller keeps custody of
 	// the value it receives back), a retained parameter may be referenced
-	// after the call returns, which forbids the caller from recycling the
-	// buffer (arena/slab reuse would corrupt the retained view).
+	// after the call returns. leakcheck uses this so that handing a
+	// resource to a helper that retains it counts as transferring
+	// ownership, not as leaking it.
 	ParamRetained
-	// ParamBoxed: the parameter is converted to an interface (passed to an
-	// interface-typed parameter or explicitly converted), allocating a box
-	// when the value is not pointer-shaped.
-	ParamBoxed
 	// ParamCaptured: the parameter is referenced from a function literal.
 	// Weaker than ParamToGoroutine — many captures are read-only and die
 	// with the call (a sort.Slice comparator) — but a capturing literal
@@ -94,17 +91,6 @@ type Summary struct {
 	// UsesCtx: the context parameter is referenced somewhere in the body
 	// (threaded into a call, selected on, checked, or stored).
 	UsesCtx bool
-
-	// Allocs are the function's own heap allocation sites, in source order,
-	// each classified loop-carried or once-per-call (see escape.go).
-	Allocs []AllocSite
-	// Allocates: the function (or a transitive callee outside a function
-	// literal) performs at least one heap allocation per call.
-	Allocates bool
-	// AllocDetail describes the first allocation cause, chaining through
-	// callees: "makes a new []value.Value", "calls NewBuilder: makes a new
-	// []value.Value", ...
-	AllocDetail string
 }
 
 // RecvFacts returns the facts for the method receiver.
@@ -163,8 +149,7 @@ type FuncInfo struct {
 	Pkg     *Package
 	Summary Summary
 
-	calls     []callRec
-	loopCalls []loopCall
+	calls []callRec
 }
 
 // callRec records one static call site for the fixpoint fold: which
@@ -175,7 +160,6 @@ type callRec struct {
 	recvRoot *types.Var
 	argRoots []*types.Var
 	inLit    bool
-	pos      token.Pos
 }
 
 // Interproc is the queryable result of the module-wide summary computation.
@@ -274,7 +258,6 @@ func BuildInterproc(m *Module) *Interproc {
 	}
 	for _, fi := range order {
 		collectIntra(fi)
-		collectAllocs(fi)
 	}
 	for _, scc := range sccOrder(ip, order) {
 		// Callee-first SCC order: facts below this component are final, so
@@ -369,14 +352,6 @@ func foldCalls(ip *Interproc, fi *FuncInfo) bool {
 		if cs.RunsForever && !rec.inLit && !s.RunsForever {
 			s.RunsForever = true
 			s.ForeverDetail = "calls " + name + ": " + cs.ForeverDetail
-			changed = true
-		}
-		if cs.Allocates && !rec.inLit && !s.Allocates {
-			// A closure that calls an allocating helper only allocates when
-			// the closure runs, so literals are excluded here; hotalloc sees
-			// their call sites through loopCalls instead.
-			s.Allocates = true
-			s.AllocDetail = "calls " + name + ": " + cs.AllocDetail
 			changed = true
 		}
 		if rec.recvRoot != nil {
@@ -675,32 +650,6 @@ func callIntra(fi *FuncInfo, call *ast.CallExpr, inLit bool,
 			s.BlockDetail = "pipeline." + name
 		}
 	}
-	// A parameter handed to an interface-typed slot is boxed, whoever the
-	// callee is; the expression type of call.Fun carries the signature for
-	// static and dynamic calls alike.
-	if tv, ok := info.Types[call.Fun]; ok && tv.Type != nil && !tv.IsType() {
-		if sig, ok := tv.Type.Underlying().(*types.Signature); ok {
-			np := sig.Params().Len()
-			for i, arg := range call.Args {
-				var pt types.Type
-				switch {
-				case sig.Variadic() && i >= np-1:
-					if call.Ellipsis.IsValid() {
-						continue
-					}
-					pt = sig.Params().At(np - 1).Type().(*types.Slice).Elem()
-				case i < np:
-					pt = sig.Params().At(i).Type()
-				}
-				if pt == nil || !types.IsInterface(pt) {
-					continue
-				}
-				if v := argRoot(arg); isParam(v) && !types.IsInterface(v.Type()) {
-					s.addFact(v, ParamBoxed)
-				}
-			}
-		}
-	}
 	// A release-method call on the parameter itself (not on one of its
 	// fields) records ParamReleased: `func drop(c *Conn) { c.Close() }`
 	// releases its argument wherever it is called from.
@@ -722,7 +671,7 @@ func callIntra(fi *FuncInfo, call *ast.CallExpr, inLit bool,
 		}
 		return
 	}
-	rec := callRec{callee: obj, inLit: inLit, pos: call.Pos()}
+	rec := callRec{callee: obj, inLit: inLit}
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		if selObj, ok := info.ObjectOf(sel.Sel).(*types.Func); ok && selObj != nil {
 			if sig, ok := selObj.Type().(*types.Signature); ok && sig.Recv() != nil {
@@ -741,8 +690,7 @@ func callIntra(fi *FuncInfo, call *ast.CallExpr, inLit bool,
 	if modPath == "" || !samePathPrefix(obj.Pkg().Path(), modPath) {
 		// External callee (stdlib): a reference-typed parameter handed to
 		// unknown code must be assumed retained.
-		for i, root := range rec.argRoots {
-			_ = i
+		for _, root := range rec.argRoots {
 			if isParam(root) && sharedRootType(root.Type()) {
 				s.addFact(root, ParamEscapes)
 			}

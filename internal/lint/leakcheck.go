@@ -11,12 +11,11 @@ import (
 // files, and the worker process. A conn or file leaked there accumulates
 // across queries instead of dying with a short-lived command.
 var leakcheckPackages = map[string]bool{
-	"shuffle":    true,
-	"cluster":    true,
-	"server":     true,
-	"cache":      true,
-	"sjworker":   true,
-	"provenance": true,
+	"shuffle":  true,
+	"cluster":  true,
+	"server":   true,
+	"cache":    true,
+	"sjworker": true,
 }
 
 // releaseMethods are the method names that relinquish a tracked resource.

@@ -33,9 +33,7 @@ type Finding struct {
 	Message  string
 	// Steps, when present, trace the control-flow path that produces the
 	// finding (acquisition site, branch taken, exit), rendered into SARIF
-	// codeFlows and indented under the finding in golden output. Steps
-	// never participate in baseline matching — the baseline keys on
-	// (file, analyzer, message) only.
+	// codeFlows and indented under the finding in golden output.
 	Steps []TraceStep
 }
 
@@ -72,10 +70,6 @@ type Pass struct {
 	// once per Run over the whole module, so summaries see every package
 	// even when analysis is scoped to a few.
 	IP *Interproc
-	// Hot is the module-wide hot-path closure (see hotpath.go): the
-	// functions reachable from the serving-path roots, with the reason
-	// each one is hot.
-	Hot *HotPaths
 	// Flow is the flow-sensitive layer (see cfg.go): a per-function CFG
 	// cache plus the module-wide lock-order graph, shared across analyzers
 	// so each function's graph is built once per run.
@@ -113,8 +107,6 @@ func Analyzers() []*Analyzer {
 		FrameImmutAnalyzer(),
 		CtxFlowAnalyzer(),
 		GoroLeakAnalyzer(),
-		HotAllocAnalyzer(),
-		RetainAnalyzer(),
 		LockOrderAnalyzer(),
 		LeakCheckAnalyzer(),
 		ErrFlowAnalyzer(),
@@ -165,9 +157,6 @@ func RunPackagesTimed(m *Module, analyzers []*Analyzer, pkgs []*Package) ([]Find
 	start := time.Now()
 	ip := BuildInterproc(m)
 	ipElapsed := time.Since(start)
-	start = time.Now()
-	hot := BuildHotPaths(m, ip)
-	hotElapsed := time.Since(start)
 	flow := NewFlow(m, ip)
 
 	perAnalyzer := make(map[string]time.Duration, len(analyzers))
@@ -179,7 +168,7 @@ func RunPackagesTimed(m *Module, analyzers []*Analyzer, pkgs []*Package) ([]Find
 				continue
 			}
 			var raw []Finding
-			pass := &Pass{Analyzer: a, Pkg: pkg, Fset: m.Fset, IP: ip, Hot: hot, Flow: flow, findings: &raw}
+			pass := &Pass{Analyzer: a, Pkg: pkg, Fset: m.Fset, IP: ip, Flow: flow, findings: &raw}
 			start = time.Now()
 			a.Run(pass)
 			perAnalyzer[a.Name] += time.Since(start)
@@ -192,10 +181,7 @@ func RunPackagesTimed(m *Module, analyzers []*Analyzer, pkgs []*Package) ([]Find
 	}
 	SortFindings(findings)
 
-	timings := []AnalyzerTiming{
-		{Name: "build/interproc", Elapsed: ipElapsed},
-		{Name: "build/hotpath", Elapsed: hotElapsed},
-	}
+	timings := []AnalyzerTiming{{Name: "build/interproc", Elapsed: ipElapsed}}
 	for _, a := range analyzers {
 		timings = append(timings, AnalyzerTiming{Name: a.Name, Elapsed: perAnalyzer[a.Name]})
 	}
@@ -233,7 +219,7 @@ func SelectAnalyzers(all []*Analyzer, names string) ([]*Analyzer, error) {
 }
 
 // SortFindings orders findings by (file, line, column, analyzer, message) —
-// the canonical order every emitter (text, JSON, SARIF, baseline) relies on
+// the canonical order every emitter (text, JSON, SARIF) relies on
 // for stable CI diffs.
 func SortFindings(findings []Finding) {
 	sort.Slice(findings, func(i, j int) bool {

@@ -131,11 +131,11 @@ func TestJSONRoundTrip(t *testing.T) {
 }
 
 // TestAnalyzersComplete pins the suite composition: the ScrubJay invariants
-// from the paper (and the PR-2/PR-3 lifecycle invariants) each have an
-// analyzer, the hot-path allocation discipline pair, plus the flow-sensitive
-// trio (errflow, leakcheck, lockorder) built on the CFG layer.
+// from the paper and the lifecycle invariants each have an analyzer, plus
+// the flow-sensitive trio (errflow, leakcheck, lockorder) built on the CFG
+// layer.
 func TestAnalyzersComplete(t *testing.T) {
-	want := []string{"ctxflow", "determinism", "errflow", "frameimmut", "goroleak", "hotalloc", "leakcheck", "lockdiscipline", "lockorder", "purity", "retain", "unitsafety"}
+	want := []string{"ctxflow", "determinism", "errflow", "frameimmut", "goroleak", "leakcheck", "lockdiscipline", "lockorder", "purity", "unitsafety"}
 	if got := AnalyzerNames(Analyzers()); !reflect.DeepEqual(got, want) {
 		t.Errorf("Analyzers() = %v, want %v", got, want)
 	}
