@@ -18,9 +18,8 @@
 #                        loader-edge fixture deliberately contains a
 #                        vendored file that is not valid Go)
 #   * sjvet            — ScrubJay-specific invariants (purity, determinism,
-#                        lockdiscipline, unitsafety, frameimmut, ctxflow,
-#                        goroleak, and the flow-sensitive trio
-#                        errflow/leakcheck/lockorder; see DESIGN.md
+#                        lockdiscipline, frameimmut, ctxflow, and the
+#                        flow-sensitive pair errflow/leakcheck; see DESIGN.md
 #                        "Enforced invariants"), one pass over library code
 #                        AND tests with no baseline (any finding fails),
 #                        plus a SARIF artifact (sjvet.sarif) for

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"scrubjay/internal/catalog"
 	"scrubjay/internal/rdd"
 	"scrubjay/internal/server"
 )
@@ -56,7 +57,7 @@ func TestCmdQueryServerMode(t *testing.T) {
 	// Local library mode still works against the same catalog (shared
 	// loader): guards the thin-wrapper refactor.
 	ctx := rdd.NewContext(1)
-	if _, _, err := loadCatalog(ctx, dir); err != nil {
+	if _, _, err := catalog.Load(ctx, dir); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -95,12 +95,6 @@ func usage() {
   scrubjay derivations`)
 }
 
-// loadCatalog delegates to the shared catalog loader (internal/catalog),
-// which sjserved uses too.
-func loadCatalog(ctx *rdd.Context, dir string) (pipeline.Catalog, map[string]semantics.Schema, error) {
-	return catalog.Load(ctx, dir)
-}
-
 // parseSink parses "FMT:PATH" (or "kv:DIR:TABLE") into a wrappers.Source.
 func parseSink(spec string) (wrappers.Source, error) {
 	i := strings.Index(spec, ":")
@@ -189,7 +183,7 @@ func cmdQuery(args []string) error {
 		fmt.Fprintf(os.Stderr, "shuffle cluster: %d workers\n", len(sched.Registry().Workers()))
 	}
 	dict := semantics.DefaultDictionary()
-	cat, schemas, err := loadCatalog(ctx, *catalogDir)
+	cat, schemas, err := catalog.Load(ctx, *catalogDir)
 	if err != nil {
 		return err
 	}
@@ -357,9 +351,6 @@ func explainReport(q engine.Query, plan *pipeline.Plan, trace *engine.Trace, art
 	return doc
 }
 
-// serverQuery answers a query through a running sjserved: one /v1/plan
-// call for the derivation sequence (so -plan still works), then a
-// /v1/execute of that exact plan, streamed back as rows.
 // faultOptions builds the cluster options for -shuffle-workers, wiring in
 // the CI fault injection hook: when SCRUBJAY_FAULT_KILL_PID names a worker
 // process, it is SIGKILLed at the first exchange's push/fetch barrier —
@@ -385,6 +376,9 @@ func faultOptions() cluster.Options {
 	return opts
 }
 
+// serverQuery answers a query through a running sjserved: one /v1/plan
+// call for the derivation sequence (so -plan still works), then a
+// /v1/execute of that exact plan, streamed back as rows.
 func serverQuery(serverURL string, q engine.Query, window float64, planOut, out string, show int) error {
 	cl := &server.Client{BaseURL: serverURL}
 	pr, err := cl.Plan(server.QueryRequest{Query: q, WindowSeconds: window})
@@ -446,7 +440,7 @@ func cmdRun(args []string) error {
 	}
 	ctx := rdd.NewContext(0)
 	dict := semantics.DefaultDictionary()
-	cat, _, err := loadCatalog(ctx, *catalogDir)
+	cat, _, err := catalog.Load(ctx, *catalogDir)
 	if err != nil {
 		return err
 	}

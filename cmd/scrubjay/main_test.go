@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"scrubjay/internal/bench"
+	"scrubjay/internal/catalog"
 	"scrubjay/internal/rdd"
 	"scrubjay/internal/wrappers"
 )
@@ -45,7 +46,7 @@ func TestLoadCatalog(t *testing.T) {
 	// Add a file the loader must skip.
 	os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("hi"), 0o644)
 	ctx := rdd.NewContext(1)
-	cat, schemas, err := loadCatalog(ctx, dir)
+	cat, schemas, err := catalog.Load(ctx, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,11 +59,11 @@ func TestLoadCatalog(t *testing.T) {
 		}
 	}
 	// Empty catalog fails.
-	if _, _, err := loadCatalog(ctx, t.TempDir()); err == nil {
+	if _, _, err := catalog.Load(ctx, t.TempDir()); err == nil {
 		t.Error("empty catalog should fail")
 	}
 	// Missing directory fails.
-	if _, _, err := loadCatalog(ctx, filepath.Join(dir, "nope")); err == nil {
+	if _, _, err := catalog.Load(ctx, filepath.Join(dir, "nope")); err == nil {
 		t.Error("missing dir should fail")
 	}
 }
@@ -191,7 +192,7 @@ func TestLoadCatalogKV(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	loaded, schemas, err := loadCatalog(ctx, dir)
+	loaded, schemas, err := catalog.Load(ctx, dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,19 +6,17 @@
 //   - errflow: errors overwritten or discarded before any path reads them,
 //     and ExecFailures flattened into generic errors
 //   - frameimmut: writes to published (shared) frame storage
-//   - goroleak: goroutines with no termination edge
 //   - leakcheck: conns/files/tickers/spans not released on every CFG path
 //   - lockdiscipline: blocking operations while holding a mutex
-//   - lockorder: module-wide lock-acquisition-order cycles (deadlocks)
 //   - purity: impure rdd/kernel compute closures
-//   - unitsafety: arithmetic across mismatched units
 //
-// Any finding is printed as file:line:col: [analyzer] message and the
-// process exits nonzero, so sjvet slots directly into CI next to go vet.
-// There is no baseline: the module is clean, and every finding fails.
-// Flow-sensitive findings (errflow, leakcheck, lockorder) carry the
-// control-flow path that demonstrates them: indented step lines in text
-// output and SARIF codeFlows in the -sarif artifact.
+// Each analyzer earns its place by catching a one-line mutation of the real
+// tree (internal/lint TestRealTreeWitnesses). Any finding is printed as
+// file:line:col: [analyzer] message and the process exits nonzero, so sjvet
+// slots directly into CI next to go vet. There is no baseline: the module
+// is clean, and every finding fails. Flow-sensitive findings (errflow,
+// leakcheck) carry the control-flow path that demonstrates them: indented
+// step lines in text output and SARIF codeFlows in the -sarif artifact.
 //
 // Usage:
 //

@@ -27,7 +27,7 @@ func TestRunTextOutput(t *testing.T) {
 		t.Fatalf("exit code = %d, want 1 (fixture has findings); stderr: %s", code, stderr.String())
 	}
 	out := stdout.String()
-	for _, analyzer := range []string{"[purity]", "[determinism]", "[lockdiscipline]", "[unitsafety]"} {
+	for _, analyzer := range []string{"[purity]", "[determinism]", "[lockdiscipline]", "[leakcheck]"} {
 		if !strings.Contains(out, analyzer) {
 			t.Errorf("output missing %s findings:\n%s", analyzer, out)
 		}
@@ -96,23 +96,23 @@ func TestRunList(t *testing.T) {
 // contract (0 clean / 1 findings / 2 usage).
 func TestRunAnalyzerFilter(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-C", fixture(t), "-run", "purity,unitsafety", "./..."}, &stdout, &stderr); code != 1 {
-		t.Fatalf("-run purity,unitsafety: exit = %d, want 1; stderr: %s", code, stderr.String())
+	if code := run([]string{"-C", fixture(t), "-run", "purity,determinism", "./..."}, &stdout, &stderr); code != 1 {
+		t.Fatalf("-run purity,determinism: exit = %d, want 1; stderr: %s", code, stderr.String())
 	}
 	for _, line := range strings.Split(strings.TrimSpace(stdout.String()), "\n") {
-		if !strings.Contains(line, "[purity]") && !strings.Contains(line, "[unitsafety]") {
+		if !strings.Contains(line, "[purity]") && !strings.Contains(line, "[determinism]") {
 			t.Errorf("-run leaked a foreign analyzer's finding: %s", line)
 		}
 	}
-	if !strings.Contains(stdout.String(), "[unitsafety]") {
-		t.Errorf("expected unitsafety findings:\n%s", stdout.String())
+	if !strings.Contains(stdout.String(), "[determinism]") {
+		t.Errorf("expected determinism findings:\n%s", stdout.String())
 	}
 
 	// The purity package only violates purity: the other analyzers find
 	// nothing there.
 	stdout.Reset()
-	if code := run([]string{"-C", fixture(t), "-run", "unitsafety,leakcheck", "./purity"}, &stdout, &stderr); code != 0 {
-		t.Errorf("-run unitsafety,leakcheck ./purity: exit = %d, want 0; stdout: %s", code, stdout.String())
+	if code := run([]string{"-C", fixture(t), "-run", "frameimmut,leakcheck", "./purity"}, &stdout, &stderr); code != 0 {
+		t.Errorf("-run frameimmut,leakcheck ./purity: exit = %d, want 0; stdout: %s", code, stdout.String())
 	}
 
 	stdout.Reset()

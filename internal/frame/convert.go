@@ -8,9 +8,7 @@ import (
 // Convert rescales a float payload vector from unit from to unit to,
 // returning a new vector (the input is never modified — frames are
 // immutable). It is the vectorized core of the convert_units kernel: one
-// factor lookup per column instead of one per row. cmd/sjvet's unitsafety
-// analyzer tracks the unit tag through this call exactly as it does for
-// units.Dict.Convert.
+// factor lookup per column instead of one per row.
 func Convert(d *units.Dict, vals []float64, from, to string) ([]float64, error) {
 	out := make([]float64, len(vals))
 	for i, v := range vals {

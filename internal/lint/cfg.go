@@ -1,11 +1,11 @@
 // Control-flow graphs for flow-sensitive analysis. The AST/summary-based
-// analyzers (PRs 1/4/6) are path-blind: they can see that a function *may*
-// close a connection but not that it does so *on every path*, and they can
-// see lock acquisitions but not the order two locks are held in. This file
-// adds the missing layer: a purely syntactic per-function CFG over go/ast —
-// basic blocks linked by control edges, with if/for/range/switch/select,
-// labeled break/continue, goto, panic exits and defer modeled — plus a
-// generic forward-dataflow walker, exposed to analyzers through Pass.Flow.
+// analyzers are path-blind: they can see that a function *may* close a
+// connection but not that it does so *on every path*, or that an error is
+// read before it is overwritten. This file adds the missing layer: a purely
+// syntactic per-function CFG over go/ast — basic blocks linked by control
+// edges, with if/for/range/switch/select, labeled break/continue, goto,
+// panic exits and defer modeled — plus a generic forward-dataflow walker,
+// exposed to analyzers through Pass.Flow.
 //
 // Design choices, in the order they matter to the analyzers built on top:
 //
@@ -36,7 +36,6 @@ import (
 	"go/ast"
 	"go/printer"
 	"go/token"
-	"sort"
 	"strings"
 )
 
@@ -556,19 +555,14 @@ func RunForward[S any](c *CFG, spec FlowSpec[S]) (in, out map[*Block]S) {
 
 // Flow is the per-run flow-sensitive layer handed to analyzers via
 // Pass.Flow: a CFG cache (functions are analyzed by several analyzers; the
-// graph is built once) plus the lazily built module-wide lock-order graph.
+// graph is built once).
 type Flow struct {
-	mod  *Module
-	ip   *Interproc
 	cfgs map[*ast.BlockStmt]*CFG
-
-	lockOnce  bool
-	lockGraph *lockOrderGraph
 }
 
 // NewFlow creates the flow layer for one module run.
-func NewFlow(mod *Module, ip *Interproc) *Flow {
-	return &Flow{mod: mod, ip: ip, cfgs: map[*ast.BlockStmt]*CFG{}}
+func NewFlow() *Flow {
+	return &Flow{cfgs: map[*ast.BlockStmt]*CFG{}}
 }
 
 // CFG returns the (cached) control-flow graph for a function body.
@@ -581,8 +575,8 @@ func (f *Flow) CFG(name string, body *ast.BlockStmt) *CFG {
 	return c
 }
 
-// funcCFGs walks a file and yields every function unit — declarations and
-// literals — with a stable display name, in source order.
+// funcUnit is one function declaration or literal with a stable display
+// name; fileFuncs yields a file's units in source order.
 type funcUnit struct {
 	Name string
 	Decl *ast.FuncDecl // nil for literals
@@ -628,14 +622,4 @@ func recvTypeName(t ast.Expr) string {
 		return recvTypeName(t.X)
 	}
 	return "?"
-}
-
-// sortedBlocksByPos is a helper for deterministic reporting when analyzers
-// collect per-block facts.
-func sortedBlocksByPos(fset *token.FileSet, blocks []*Block) []*Block {
-	out := append([]*Block(nil), blocks...)
-	sort.SliceStable(out, func(i, j int) bool {
-		return fset.Position(out[i].Pos).Offset < fset.Position(out[j].Pos).Offset
-	})
-	return out
 }

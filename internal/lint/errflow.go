@@ -367,6 +367,16 @@ func isExecFailureType(t types.Type) bool {
 		named.Obj().Pkg() != nil && named.Obj().Pkg().Name() == "rdd"
 }
 
+// namedOwner strips pointers/aliases down to a named type, nil otherwise.
+func namedOwner(t types.Type) *types.Named {
+	t = types.Unalias(t)
+	if p, ok := t.(*types.Pointer); ok {
+		t = types.Unalias(p.Elem())
+	}
+	named, _ := t.(*types.Named)
+	return named
+}
+
 func caseMatchesExecFailure(info *types.Info, cc *ast.CaseClause) bool {
 	for _, e := range cc.List {
 		if tv, ok := info.Types[e]; ok && isExecFailureType(tv.Type) {

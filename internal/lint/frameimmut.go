@@ -95,15 +95,20 @@ type frameFnState struct {
 	// frame-typed vars inside the body that are NOT in this set are
 	// function-literal parameters (published by definition).
 	defined map[*types.Var]bool
+	// accessorLocals maps a reference-typed local bound to a payload
+	// accessor result (fs := col.Floats()) to that accessor call: an index
+	// write through the local lands in the frame's live payload.
+	accessorLocals map[*types.Var]*ast.CallExpr
 }
 
 func checkFrameFn(pass *Pass, fd *ast.FuncDecl) {
 	st := &frameFnState{
-		pass:    pass,
-		info:    pass.Pkg.Info,
-		decl:    fd,
-		pubPos:  map[*types.Var]token.Pos{},
-		defined: map[*types.Var]bool{},
+		pass:           pass,
+		info:           pass.Pkg.Info,
+		decl:           fd,
+		pubPos:         map[*types.Var]token.Pos{},
+		defined:        map[*types.Var]bool{},
+		accessorLocals: map[*types.Var]*ast.CallExpr{},
 	}
 	st.collectPublications()
 	st.checkWrites()
@@ -208,6 +213,9 @@ func (st *frameFnState) collectPublications() {
 				}
 				if node.Tok == token.DEFINE {
 					st.defined[v] = true
+					if len(node.Lhs) == len(node.Rhs) {
+						st.bindAccessor(v, node.Rhs[i])
+					}
 				}
 				if !isFrameData(v.Type()) {
 					continue
@@ -235,6 +243,9 @@ func (st *frameFnState) collectPublications() {
 							continue
 						}
 						st.defined[v] = true
+						if i < len(vs.Values) {
+							st.bindAccessor(v, vs.Values[i])
+						}
 						if isFrameData(v.Type()) && i < len(vs.Values) && !st.freshExpr(vs.Values[i]) {
 							st.publish(v, vs.Pos())
 						}
@@ -288,6 +299,31 @@ func (st *frameFnState) collectPublications() {
 		}
 		return true
 	})
+}
+
+// bindAccessor records v as an alias of a frame's live payload when its
+// initializer is a payload accessor chain and v shares its referent (a
+// slice, not a copied scalar element).
+func (st *frameFnState) bindAccessor(v *types.Var, init ast.Expr) {
+	if acc, _, ok := payloadAccessorChain(st.info, init); ok && sharedRootType(v.Type()) {
+		st.accessorLocals[v] = acc
+	}
+}
+
+// accessorAlias returns the accessor call behind an index write through a
+// local bound to a payload accessor result (fs[b] = x after
+// fs := col.Floats()), nil otherwise.
+func (st *frameFnState) accessorAlias(lhs ast.Expr) *ast.CallExpr {
+	ix, ok := lhs.(*ast.IndexExpr)
+	if !ok {
+		return nil
+	}
+	id := rootIdent(ix.X)
+	if id == nil {
+		return nil
+	}
+	v, _ := st.info.ObjectOf(id).(*types.Var)
+	return st.accessorLocals[v]
 }
 
 // publishMentioned publishes every frame-typed local mentioned in e.
@@ -482,7 +518,9 @@ func (st *frameFnState) checkWrite(lhs ast.Expr, pos token.Pos, parallel string)
 	}
 	accessor, has := st.chainHasFrameData(lhs)
 	if !has {
-		return
+		if accessor = st.accessorAlias(lhs); accessor == nil {
+			return
+		}
 	}
 	root := rootIdent(lhs)
 	if root != nil {
@@ -562,7 +600,7 @@ func (st *frameFnState) checkCall(call *ast.CallExpr, parallel string) {
 // payloadAccessorChain recognizes an argument expression that is (or
 // indexes/slices into) the result of a frame accessor method, returning the
 // accessor expression and the frame receiver it was called on.
-func payloadAccessorChain(info *types.Info, e ast.Expr) (ast.Expr, ast.Expr, bool) {
+func payloadAccessorChain(info *types.Info, e ast.Expr) (*ast.CallExpr, ast.Expr, bool) {
 	e = ast.Unparen(e)
 	for {
 		switch x := e.(type) {

@@ -78,14 +78,6 @@ type Summary struct {
 	// callees: "channel receive", "calls drain: channel send", ...
 	BlockDetail string
 
-	// RunsForever: the function contains an unbounded for-loop with no
-	// return, break, goto, channel receive, or context-Done edge — or
-	// unconditionally calls a function that does. A goroutine running such
-	// a body can never terminate.
-	RunsForever bool
-	// ForeverDetail describes the loop or the call chain reaching it.
-	ForeverDetail string
-
 	// CtxParam is the first parameter of type context.Context, nil if none.
 	CtxParam *types.Var
 	// UsesCtx: the context parameter is referenced somewhere in the body
@@ -349,11 +341,6 @@ func foldCalls(ip *Interproc, fi *FuncInfo) bool {
 			s.BlockDetail = "calls " + name + ": " + cs.BlockDetail
 			changed = true
 		}
-		if cs.RunsForever && !rec.inLit && !s.RunsForever {
-			s.RunsForever = true
-			s.ForeverDetail = "calls " + name + ": " + cs.ForeverDetail
-			changed = true
-		}
 		if rec.recvRoot != nil {
 			if _, ok := s.paramFact(rec.recvRoot); ok {
 				if f := cs.RecvFacts(); f != 0 && s.addFact(rec.recvRoot, f) {
@@ -534,8 +521,8 @@ func collectIntra(fi *FuncInfo) {
 			switch node := n.(type) {
 			case *ast.FuncLit:
 				// The literal's body contributes WritesGlobal and param
-				// captures, but not Blocks/RunsForever: closures run on
-				// whichever goroutine eventually invokes them.
+				// captures, but not Blocks: closures run on whichever
+				// goroutine eventually invokes them.
 				ast.Inspect(node.Body, func(cn ast.Node) bool {
 					if id, ok := cn.(*ast.Ident); ok {
 						if v, _ := info.ObjectOf(id).(*types.Var); isParam(v) {
@@ -617,11 +604,6 @@ func collectIntra(fi *FuncInfo) {
 					if v := argRoot(arg); isParam(v) {
 						s.addFact(v, ParamToGoroutine)
 					}
-				}
-			case *ast.ForStmt:
-				if node.Cond == nil && !inLit && !s.RunsForever && loopRunsForever(info, node) {
-					s.RunsForever = true
-					s.ForeverDetail = "unbounded for-loop with no return, break, or channel/context edge"
 				}
 			case *ast.CallExpr:
 				callIntra(fi, node, inLit, isParam, argRoot, rootVar)
@@ -713,57 +695,6 @@ func selectHasDefault(sel *ast.SelectStmt) bool {
 		if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
 			return true
 		}
-	}
-	return false
-}
-
-// loopRunsForever reports whether an unbounded for-loop (no condition) has
-// no termination edge: no return/break/goto, no channel receive (unary or
-// select case or range-over-channel), and no context-Done mention, anywhere
-// in the body outside nested function literals.
-func loopRunsForever(info *types.Info, loop *ast.ForStmt) bool {
-	exits := false
-	ast.Inspect(loop.Body, func(n ast.Node) bool {
-		if exits {
-			return false
-		}
-		switch node := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.BranchStmt:
-			if node.Tok == token.BREAK || node.Tok == token.GOTO {
-				exits = true
-			}
-		case *ast.ReturnStmt:
-			exits = true
-		case *ast.UnaryExpr:
-			if node.Op == token.ARROW {
-				exits = true // a closed channel unblocks the receive
-			}
-		case *ast.RangeStmt:
-			if tv, ok := info.Types[node.X]; ok {
-				if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-					exits = true
-				}
-			}
-		case *ast.CallExpr:
-			if isCtxDoneCall(info, node) {
-				exits = true
-			}
-		}
-		return !exits
-	})
-	return !exits
-}
-
-// isCtxDoneCall recognizes ctx.Done() on a context.Context value.
-func isCtxDoneCall(info *types.Info, call *ast.CallExpr) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Done" {
-		return false
-	}
-	if tv, ok := info.Types[sel.X]; ok {
-		return isContextType(tv.Type)
 	}
 	return false
 }

@@ -79,12 +79,6 @@ func TestInterprocSummaries(t *testing.T) {
 		t.Error("Solve: should have a used context parameter")
 	}
 
-	// server.pump runs forever; the clean goroutine bodies do not.
-	pump := lookupFunc(t, m, ip, "server", "pump")
-	if !pump.Summary.RunsForever {
-		t.Error("pump: should carry RunsForever")
-	}
-
 	// locks.notify blocks on a channel send through its receiver.
 	notify := lookupFunc(t, m, ip, "locks", "notify")
 	if !notify.Summary.Blocks || notify.Summary.BlockDetail != "channel send" {

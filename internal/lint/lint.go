@@ -71,8 +71,8 @@ type Pass struct {
 	// even when analysis is scoped to a few.
 	IP *Interproc
 	// Flow is the flow-sensitive layer (see cfg.go): a per-function CFG
-	// cache plus the module-wide lock-order graph, shared across analyzers
-	// so each function's graph is built once per run.
+	// cache shared across analyzers so each function's graph is built once
+	// per run.
 	Flow *Flow
 
 	findings *[]Finding
@@ -103,11 +103,8 @@ func Analyzers() []*Analyzer {
 		PurityAnalyzer(),
 		DeterminismAnalyzer(),
 		LockDisciplineAnalyzer(),
-		UnitSafetyAnalyzer(),
 		FrameImmutAnalyzer(),
 		CtxFlowAnalyzer(),
-		GoroLeakAnalyzer(),
-		LockOrderAnalyzer(),
 		LeakCheckAnalyzer(),
 		ErrFlowAnalyzer(),
 	}
@@ -157,7 +154,7 @@ func RunPackagesTimed(m *Module, analyzers []*Analyzer, pkgs []*Package) ([]Find
 	start := time.Now()
 	ip := BuildInterproc(m)
 	ipElapsed := time.Since(start)
-	flow := NewFlow(m, ip)
+	flow := NewFlow()
 
 	perAnalyzer := make(map[string]time.Duration, len(analyzers))
 	var findings []Finding

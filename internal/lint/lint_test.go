@@ -52,7 +52,7 @@ func TestSuppressedLineMatching(t *testing.T) {
 	if s.suppressed(mk("a.go", 10, "determinism")) {
 		t.Error("directive naming another analyzer must not suppress")
 	}
-	if !s.suppressed(mk("a.go", 21, "unitsafety")) {
+	if !s.suppressed(mk("a.go", 21, "leakcheck")) {
 		t.Error("bare directive should suppress every analyzer")
 	}
 	if s.suppressed(mk("b.go", 10, "purity")) {
@@ -130,12 +130,12 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAnalyzersComplete pins the suite composition: the ScrubJay invariants
-// from the paper and the lifecycle invariants each have an analyzer, plus
-// the flow-sensitive trio (errflow, leakcheck, lockorder) built on the CFG
+// TestAnalyzersComplete pins the suite composition: the seven analyzers
+// that each catch a mutation of the real tree (TestRealTreeWitnesses),
+// including the flow-sensitive pair (errflow, leakcheck) built on the CFG
 // layer.
 func TestAnalyzersComplete(t *testing.T) {
-	want := []string{"ctxflow", "determinism", "errflow", "frameimmut", "goroleak", "leakcheck", "lockdiscipline", "lockorder", "purity", "unitsafety"}
+	want := []string{"ctxflow", "determinism", "errflow", "frameimmut", "leakcheck", "lockdiscipline", "purity"}
 	if got := AnalyzerNames(Analyzers()); !reflect.DeepEqual(got, want) {
 		t.Errorf("Analyzers() = %v, want %v", got, want)
 	}

@@ -12,7 +12,7 @@ import (
 func TestEncodeSARIF(t *testing.T) {
 	findings := []Finding{
 		{Pos: token.Position{Filename: "internal/rdd/rdd.go", Line: 12, Column: 3}, Analyzer: "purity", Message: "writes captured state"},
-		{Pos: token.Position{Filename: "internal/server/server.go", Line: 40, Column: 9}, Analyzer: "goroleak", Message: "leaked goroutine"},
+		{Pos: token.Position{Filename: "internal/server/server.go", Line: 40, Column: 9}, Analyzer: "leakcheck", Message: "conn not released on every path"},
 	}
 	data, err := EncodeSARIF(findings, Analyzers())
 	if err != nil {

@@ -1,43 +1,8 @@
 // Package cluster is the multi-module fixture's flow-sensitive half: one
-// lock-order cycle, one conn leaked on an error path, and one error
-// overwritten before it is read — each the minimal demonstration of the
-// lockorder, leakcheck and errflow analyzers on a second module.
+// conn leaked on an error path and one error overwritten before it is read
+// — each the minimal demonstration of the leakcheck and errflow analyzers
+// on a second module.
 package cluster
-
-import "sync"
-
-// Pool guards the free list.
-type Pool struct {
-	mu   sync.Mutex
-	free int
-}
-
-// Gauge guards the counters.
-type Gauge struct {
-	mu sync.Mutex
-	n  int
-}
-
-// TakeThenCount locks pool before gauge.
-func TakeThenCount(p *Pool, g *Gauge) {
-	p.mu.Lock()
-	g.mu.Lock()
-	g.n++
-	p.free--
-	g.mu.Unlock()
-	p.mu.Unlock()
-}
-
-// CountThenTake locks gauge before pool — the inversion that completes the
-// lockorder cycle.
-func CountThenTake(p *Pool, g *Gauge) {
-	g.mu.Lock()
-	p.mu.Lock()
-	p.free++
-	g.n--
-	p.mu.Unlock()
-	g.mu.Unlock()
-}
 
 // Conn is a minimal closable connection.
 type Conn struct {

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"sjvetmulti/rdd"
-	"sjvetmulti/units"
 )
 
 var hits int
@@ -36,13 +35,6 @@ func (s *Server) Push(v int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.ch <- v
-}
-
-// Mixed differences kelvin against fahrenheit (unitsafety).
-func Mixed(d *units.Dict, a, b float64) float64 {
-	x, _ := d.Convert(a, "celsius", "kelvin")
-	y, _ := d.Convert(b, "celsius", "fahrenheit")
-	return x - y
 }
 
 // Drain blocks on the done channel but never consults its context — the

@@ -10,7 +10,6 @@ import (
 	"sync"
 
 	"sjvetmulti/rdd"
-	"sjvetmulti/units"
 )
 
 // Registry is a mutex-guarded name table.
@@ -35,13 +34,6 @@ func (r *Registry) Names() []string {
 // Doubled uses a pure compute closure.
 func Doubled(r *rdd.RDD) []int {
 	return rdd.Map(r, func(v int) int { return v * 2 }).Collect()
-}
-
-// Delta converts both quantities to kelvin before differencing.
-func Delta(d *units.Dict, a, b float64) float64 {
-	x, _ := d.Convert(a, "celsius", "kelvin")
-	y, _ := d.Convert(b, "fahrenheit", "kelvin")
-	return x - y
 }
 
 // Wait threads its context through the blocking wait — the clean pattern.

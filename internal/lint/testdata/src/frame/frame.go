@@ -1,10 +1,8 @@
 // Package frame is a miniature stand-in for the real columnar batch: just
-// enough API surface (closure-taking mask kernels, the vectorized Convert)
-// for the analyzers to recognize frame kernel closures and unit-tagged
-// payload vectors.
+// enough API surface (closure-taking mask kernels, payload accessors, a
+// builder) for the analyzers to recognize frame kernel closures and
+// published frame storage.
 package frame
-
-import "sjvettest/units"
 
 // Frame is a batch of rows, reduced to one int column.
 type Frame struct {
@@ -33,19 +31,6 @@ func MaskValues(f *Frame, col string, pred func(int) bool) []bool {
 		keep[i] = pred(c)
 	}
 	return keep
-}
-
-// Convert rescales a float payload vector from unit from to unit to.
-func Convert(d *units.Dict, vals []float64, from, to string) ([]float64, error) {
-	out := make([]float64, len(vals))
-	for i, v := range vals {
-		conv, err := d.Convert(v, from, to)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = conv
-	}
-	return out, nil
 }
 
 // Column is one named payload vector of a frozen frame, sharing its storage.

@@ -71,6 +71,22 @@ func DirtyExchange(fr *frame.Frame) {
 	})
 }
 
+// DirtyAccessorAlias binds the live payload to a local first — the way
+// kernels read payloads — and then writes through the local.
+func DirtyAccessorAlias(fr *frame.Frame) {
+	cells := fr.Cells()
+	cells[0] = 9
+}
+
+// CleanAccessorAlias only reads through the bound payload; a bound element
+// is a copy, so bumping it leaves the frame alone.
+func CleanAccessorAlias(fr *frame.Frame) int {
+	cells := fr.Cells()
+	first := fr.Cells()[0]
+	first++
+	return cells[0] + first
+}
+
 // CleanBuilder accumulates through the builder and only reads after Freeze.
 func CleanBuilder(vals []int) int {
 	b := frame.NewBuilder()

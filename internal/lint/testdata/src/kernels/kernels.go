@@ -1,13 +1,8 @@
 // Package kernels exercises the analyzers over the columnar substrate:
-// frame mask-kernel closures inherit the rdd compute contract (purity), and
-// vectors built by frame.Convert carry their target unit into element
-// arithmetic (unitsafety).
+// frame mask-kernel closures inherit the rdd compute contract (purity).
 package kernels
 
-import (
-	"sjvettest/frame"
-	"sjvettest/units"
-)
+import "sjvettest/frame"
 
 var scanned int
 
@@ -33,19 +28,4 @@ func CleanMasks(f *frame.Frame) []bool {
 	return frame.MaskValues(f, "temp", func(v int) bool {
 		return v > threshold // reading captures is fine
 	})
-}
-
-// DirtyVectorDelta differences elements of a kelvin vector against a
-// celsius scalar.
-func DirtyVectorDelta(d *units.Dict, raw []float64, ambient float64) float64 {
-	hot, _ := frame.Convert(d, raw, "celsius", "kelvin")
-	amb, _ := d.Convert(ambient, "fahrenheit", "celsius")
-	return hot[0] - amb
-}
-
-// CleanVectorDelta converts both sides to a common unit first.
-func CleanVectorDelta(d *units.Dict, raw []float64, ambient float64) float64 {
-	hot, _ := frame.Convert(d, raw, "celsius", "kelvin")
-	amb, _ := d.Convert(ambient, "fahrenheit", "kelvin")
-	return hot[0] - amb
 }

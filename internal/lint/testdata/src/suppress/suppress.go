@@ -3,10 +3,7 @@
 // named analyzer does not match the finding (which must still be reported).
 package suppress
 
-import (
-	"sjvettest/rdd"
-	"sjvettest/units"
-)
+import "sjvettest/rdd"
 
 // Suppressed findings: none of these may be reported.
 func Suppressed() int {
@@ -35,28 +32,37 @@ func WrongAnalyzer() int {
 	return n
 }
 
-// consume feeds a probe value through fn and offsets the quantity.
-func consume(fn func(int) int, q float64) float64 {
-	return float64(fn(0)) + q
+var probes int
+
+// bump counts a probe in package-level state: calling it from a compute
+// closure is a purity finding at the call.
+func bump(v int) int {
+	probes++
+	return v
 }
 
-// LeakedDirective: the directive sits inside the closure, so it must NOT
-// suppress the unit-mix finding on the call's closing line, which belongs
-// to the enclosing function body (one line below the directive).
-func LeakedDirective(d *units.Dict, v float64) float64 {
-	k, _ := d.Convert(v, "celsius", "kelvin")
-	c, _ := d.Convert(v, "kelvin", "celsius")
-	return consume(func(x int) int {
-		return x //sjvet:ignore unitsafety -- scoped to this closure only
-	}, k-c)
+// consume feeds a probe value through fn and offsets the result.
+func consume(fn func(int) int, q int) int {
+	return fn(0) + q
+}
+
+// LeakedDirective: the directive sits inside the inner closure, so it must
+// NOT suppress the purity finding on the call's closing line, which belongs
+// to the enclosing rdd.Map body (one line below the directive).
+func LeakedDirective(r *rdd.RDD) *rdd.RDD {
+	return rdd.Map(r, func(v int) int {
+		return consume(func(x int) int {
+			return x //sjvet:ignore purity -- scoped to this closure only
+		}, bump(v))
+	})
 }
 
 // ProperlyPlaced: the same shape with the directive in the enclosing
-// scope, which does suppress the mix on its own line.
-func ProperlyPlaced(d *units.Dict, v float64) float64 {
-	k, _ := d.Convert(v, "celsius", "kelvin")
-	c, _ := d.Convert(v, "kelvin", "celsius")
-	return consume(func(x int) int {
-		return x
-	}, k-c) //sjvet:ignore unitsafety -- reviewed: display-only delta
+// scope, which does suppress the finding on its own line.
+func ProperlyPlaced(r *rdd.RDD) *rdd.RDD {
+	return rdd.Map(r, func(v int) int {
+		return consume(func(x int) int {
+			return x
+		}, bump(v)) //sjvet:ignore purity -- reviewed: the probe counter is advisory
+	})
 }
