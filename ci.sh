@@ -10,10 +10,12 @@
 #                        flake; then the same for the nested benchmark/
 #                        module (its TestSmoke runs every BENCHMARK.json
 #                        workload at tiny scale and checks the output bytes)
-#   * fuzz             — 10 s of differential fuzzing of the columnar
-#                        interpolation join against its row-form reference
-#                        (FuzzInterpolationJoin); its seed corpus already
-#                        runs with the ordinary tests
+#   * fuzz             — 10 s each of differential fuzzing of two columnar
+#                        kernels against their row-form references: the
+#                        interpolation join (FuzzInterpolationJoin) and the
+#                        group kernel under aggregate and derive_heat
+#                        (FuzzGroupAggregate); their seed corpora already
+#                        run with the ordinary tests
 #   * gofmt            — formatting gate (testdata fixtures excluded: the
 #                        loader-edge fixture deliberately contains a
 #                        vendored file that is not valid Go)
@@ -65,6 +67,9 @@ echo "==> (cd benchmark && go test -race -count=1 ./...)"
 
 echo "==> go test -run='^\$' -fuzz=FuzzInterpolationJoin -fuzztime=10s ./internal/derive"
 go test -run='^$' -fuzz=FuzzInterpolationJoin -fuzztime=10s ./internal/derive
+
+echo "==> go test -run='^\$' -fuzz=FuzzGroupAggregate -fuzztime=10s ./internal/derive"
+go test -run='^$' -fuzz=FuzzGroupAggregate -fuzztime=10s ./internal/derive
 
 # sjvet runs once over library code and tests (a -tests run covers both):
 # any finding fails, and sjvet.sarif is emitted for the code-scanning

@@ -146,6 +146,10 @@ func (d *DeriveActiveFrequency) Apply(in *dataset.Dataset, dict *semantics.Dicti
 		return nil, err
 	}
 	out := d.out()
+	name := in.Name() + "|derive_active_frequency"
+	if in.IsColumnar() {
+		return floatColumnKernel(in, schema, name, out, activeFrequencyCells(aperf, mperf, base)), nil
+	}
 	rows := rdd.Map(in.Rows(), func(r value.Row) value.Row {
 		a, aok := r.Get(aperf).AsFloat()
 		m, mok := r.Get(mperf).AsFloat()
@@ -155,6 +159,5 @@ func (d *DeriveActiveFrequency) Apply(in *dataset.Dataset, dict *semantics.Dicti
 		}
 		return r.With(out, value.Float(a/m*b))
 	})
-	name := in.Name() + "|derive_active_frequency"
-	return matchRepr(in, dataset.New(name, rows.WithName(name), schema)), nil
+	return dataset.New(name, rows.WithName(name), schema), nil
 }

@@ -1,19 +1,24 @@
 package derive
 
 import (
-	"scrubjay/internal/dataset"
+	"slices"
+
 	"scrubjay/internal/frame"
 	"scrubjay/internal/rdd"
 	"scrubjay/internal/value"
 )
 
-// Shared plumbing for the vectorized kernels. The columnar operators key
-// batches on per-column hash vectors (frame.HashOn) instead of per-row key
-// strings: one pass per key column over a dense vector replaces a
-// strings.Builder round trip per row. Hashes route rows between
-// partitions and bucket them inside one; every hash match is verified with
-// frame.ValuesEqualOn before it influences a result, so collisions cannot
-// change answers.
+// Shared plumbing for the vectorized kernels. Every shipped derivation
+// runs on frames: given columnar input it computes columnar output without
+// unboxing a row, so value.Row appears only where a caller collects or
+// shows a result, and every element a plan exchanges is a keyedFrame. The
+// row-path implementations remain only as the reference the kernels are
+// tested against. The columnar operators key batches on per-column hash
+// vectors (frame.HashOn) instead of per-row key strings: one pass per key
+// column over a dense vector replaces a strings.Builder round trip per
+// row. Hashes route rows between partitions and bucket them inside one;
+// every hash match is verified with frame.ValuesEqualOn before it
+// influences a result, so collisions cannot change answers.
 
 // keyedFrame is a batch traveling through a hash exchange together with
 // its rows' composite key hashes.
@@ -117,13 +122,76 @@ func colIndexes(f *frame.Frame, cols []string) []int {
 // one-element batch slice, the shape columnar rdd partitions carry.
 func framesOf(f *frame.Frame) []*frame.Frame { return []*frame.Frame{f} }
 
-// matchRepr keeps a derivation representation-preserving: operators
-// without a vectorized kernel compute on the row path, and when the input
-// was columnar the output is re-boxed into batches so the rest of the
-// plan (joins in particular) stays on the columnar path.
-func matchRepr(in, out *dataset.Dataset) *dataset.Dataset {
-	if in.IsColumnar() {
-		return out.Columnar()
+// rowGroups lists a batch's rows by group: group g is
+// rows[start[g]:start[g+1]], groups in first-seen order and each group's
+// rows in batch order — the order GroupByKey gives the row path.
+type rowGroups struct {
+	rows, start []int32
+}
+
+func (g rowGroups) len() int { return len(g.start) - 1 }
+
+func (g rowGroups) at(k int) []int32 { return g.rows[g.start[k]:g.start[k+1]] }
+
+// groupRows groups f's rows by their values on cols; h holds the rows'
+// hashes on cols. A hash maps to its newest group and chain links the
+// older groups sharing it, each told apart by ValuesEqualOn against the
+// group's first row.
+func groupRows(f *frame.Frame, h []uint64, cols []string) rowGroups {
+	idx := colIndexes(f, cols)
+	n := f.NumRows()
+	gid := make([]int32, n)
+	var first, chain []int32
+	head := make(map[uint64]int32, n)
+	for i := 0; i < n; i++ {
+		g, seen := head[h[i]]
+		if !seen {
+			g = -1
+		}
+		for g >= 0 && !frame.ValuesEqualOn(f, i, idx, f, int(first[g]), idx, nil) {
+			g = chain[g]
+		}
+		if g < 0 {
+			g = int32(len(first))
+			first = append(first, int32(i))
+			if seen {
+				chain = append(chain, head[h[i]])
+			} else {
+				chain = append(chain, -1)
+			}
+			head[h[i]] = g
+		}
+		gid[i] = g
 	}
-	return out
+	start := make([]int32, len(first)+1)
+	for _, g := range gid {
+		start[g+1]++
+	}
+	for g := range first {
+		start[g+1] += start[g]
+	}
+	rows, next := make([]int32, n), slices.Clone(start)
+	for i, g := range gid {
+		rows[next[g]] = int32(i)
+		next[g]++
+	}
+	return rowGroups{rows: rows, start: start}
+}
+
+// floatCells reads column c's cells as value.Value.AsFloat coerces them:
+// typed int and float vectors directly, any other storage boxed per cell.
+// A nil column reads every cell as absent.
+func floatCells(c *frame.Column) func(i int) (float64, bool) {
+	switch {
+	case c == nil:
+		return func(int) (float64, bool) { return 0, false }
+	case c.Kind() == value.KindFloat:
+		flts := c.Floats()
+		return func(i int) (float64, bool) { return flts[i], c.Present(i) }
+	case c.Kind() == value.KindInt:
+		ints := c.Ints()
+		return func(i int) (float64, bool) { return float64(ints[i]), c.Present(i) }
+	default:
+		return func(i int) (float64, bool) { return c.Value(i).AsFloat() }
+	}
 }

@@ -46,10 +46,11 @@ func rowStrings(rows []value.Row) []string {
 	return out
 }
 
+func mkFloat(rng *rand.Rand, base, spread float64) value.Value {
+	return value.Float(base + spread*rng.Float64())
+}
+
 func propGenerators() map[string]func(*rand.Rand) propCase {
-	mkFloat := func(rng *rand.Rand, base, spread float64) value.Value {
-		return value.Float(base + spread*rng.Float64())
-	}
 	nodeTempRows := func(rng *rand.Rand) []value.Row {
 		n := 5 + rng.Intn(40)
 		rows := make([]value.Row, n)
@@ -108,17 +109,57 @@ func propGenerators() map[string]func(*rand.Rand) propCase {
 				inputs: []propInput{{s, rows}}}
 		},
 		"aggregate": func(rng *rand.Rand) propCase {
+			// Two group columns, "cpu" sometimes absent; "temp" is typed
+			// float, typed int, or mixed (boxed storage); "label" mixes
+			// strings and numbers (Compare orders across kinds); node n4's
+			// "temp" and "label" cells are all null or absent.
 			s := semantics.NewSchema(
 				"node", semantics.IDDomain("compute_node"),
+				"cpu", semantics.IDDomain("cpu"),
 				"temp", semantics.ValueEntry("temperature", "kelvin"),
+				"label", semantics.ValueEntry("identity", "identifier"),
 			)
+			rows := nodeTempRows(rng)
+			labels := []value.Value{value.Str("b"), value.Str("a"), value.Int(3), value.Float(-1.5), value.Null()}
+			storage := rng.Intn(3) // 0: typed float temps, 1: typed int, 2: mixed
+			for _, r := range rows {
+				if t, ok := r["temp"]; ok && storage < 2 {
+					f, _ := t.AsFloat()
+					r["temp"] = value.Float(f)
+					if storage == 1 {
+						r["temp"] = value.Int(int64(f))
+					}
+				}
+				if rng.Intn(4) > 0 {
+					r["cpu"] = value.Str(fmt.Sprintf("c%d", rng.Intn(2)))
+				}
+				if rng.Intn(4) > 0 {
+					r["label"] = labels[rng.Intn(len(labels))]
+				}
+				if rng.Intn(6) == 0 {
+					r["node"] = value.Str("n4")
+					if _, ok := r["temp"]; ok && storage == 2 {
+						r["temp"] = value.Null()
+					} else {
+						delete(r, "temp") // keeps typed storage typed
+					}
+					delete(r, "label")
+				}
+			}
 			ops := []string{"mean", "sum", "min", "max", "count"}
+			groupBy := []string{"node"}
+			if rng.Intn(2) == 0 {
+				groupBy = []string{"node", "cpu"}
+			}
 			return propCase{
 				params: map[string]any{
-					"group_by": []string{"node"},
-					"ops":      map[string]string{"temp": ops[rng.Intn(len(ops))]},
+					"group_by": groupBy,
+					"ops": map[string]string{
+						"temp":  ops[rng.Intn(len(ops))],
+						"label": ops[rng.Intn(len(ops))],
+					},
 				},
-				inputs: []propInput{{s, nodeTempRows(rng)}},
+				inputs: []propInput{{s, rows}},
 			}
 		},
 		"explode_discrete": func(rng *rand.Rand) propCase {
@@ -206,8 +247,16 @@ func propGenerators() map[string]func(*rand.Rand) propCase {
 				"node", semantics.IDDomain("compute_node"),
 				"temp", semantics.ValueEntry("temperature", "kelvin"),
 			)
+			// nodeTempRows leaves some source cells absent; add explicit
+			// nulls, which the row path moves like any present cell.
+			rows := nodeTempRows(rng)
+			for _, r := range rows {
+				if rng.Intn(8) == 0 {
+					r["temp"] = value.Null()
+				}
+			}
 			return propCase{params: map[string]any{"from": "temp", "to": "T"},
-				inputs: []propInput{{s, nodeTempRows(rng)}}}
+				inputs: []propInput{{s, rows}}}
 		},
 		"convert_units": func(rng *rand.Rand) propCase {
 			s := semantics.NewSchema(
@@ -234,13 +283,23 @@ func propGenerators() map[string]func(*rand.Rand) propCase {
 			rows := make([]value.Row, n)
 			for i := range rows {
 				r := value.NewRow("node", value.Str(fmt.Sprintf("n%d", rng.Intn(4))))
-				if rng.Intn(5) > 0 {
+				switch rng.Intn(5) {
+				case 0: // missing numerator
+				case 1:
+					r["instr"] = mkFloat(rng, 0, 1e5)
+				case 2:
+					r["instr"] = value.Str("many") // not numeric
+				default:
 					r["instr"] = value.Int(int64(rng.Intn(100000)))
 				}
-				switch rng.Intn(5) {
+				switch rng.Intn(6) {
 				case 0: // missing denominator
 				case 1:
 					r["dur"] = value.Float(0) // division by zero
+				case 2:
+					r["dur"] = value.Int(0)
+				case 3:
+					r["dur"] = value.Int(int64(1 + rng.Intn(10)))
 				default:
 					r["dur"] = mkFloat(rng, 0.1, 10)
 				}
@@ -259,7 +318,15 @@ func propGenerators() map[string]func(*rand.Rand) propCase {
 			rows := make([]value.Row, n)
 			for i := range rows {
 				r := value.NewRow("load", mkFloat(rng, 0, 1))
-				if rng.Intn(6) > 0 {
+				switch rng.Intn(8) {
+				case 0: // missing span
+				case 1:
+					r["span"] = value.Str("bogus") // not a span: no duration
+				case 2:
+					r["span"] = value.Null()
+				case 3:
+					r["span"] = value.TimeNanos(int64(rng.Intn(4_000_000_000)))
+				default:
 					start := int64(rng.Intn(4_000_000_000))
 					r["span"] = value.Span(start, start+int64(rng.Intn(2_000_000_000)))
 				}
@@ -268,27 +335,7 @@ func propGenerators() map[string]func(*rand.Rand) propCase {
 			return propCase{params: map[string]any{}, inputs: []propInput{{s, rows}}}
 		},
 		"derive_heat": func(rng *rand.Rand) propCase {
-			s := semantics.NewSchema(
-				"aisle", semantics.IDDomain("rack_aisle"),
-				"rack", semantics.IDDomain("rack"),
-				"t", semantics.TimeDomain(),
-				"temp", semantics.ValueEntry("temperature", "kelvin"),
-			)
-			n := 6 + rng.Intn(40)
-			rows := make([]value.Row, n)
-			aisles := []string{AisleHot, AisleCold, "other"}
-			for i := range rows {
-				r := value.NewRow(
-					"aisle", value.Str(aisles[rng.Intn(len(aisles))]),
-					"rack", value.Str(fmt.Sprintf("r%d", rng.Intn(3))),
-					"t", value.TimeNanos(int64(rng.Intn(4))*1_000_000_000),
-				)
-				if rng.Intn(6) > 0 {
-					r["temp"] = mkFloat(rng, 290, 20)
-				}
-				rows[i] = r
-			}
-			return propCase{params: map[string]any{}, inputs: []propInput{{s, rows}}}
+			return propCase{params: map[string]any{}, inputs: []propInput{heatInput(rng)}}
 		},
 		"derive_active_frequency": func(rng *rand.Rand) propCase {
 			s := semantics.NewSchema(
@@ -302,13 +349,24 @@ func propGenerators() map[string]func(*rand.Rand) propCase {
 			for i := range rows {
 				r := value.NewRow("cpu", value.Str(fmt.Sprintf("c%d", rng.Intn(4))),
 					"freq", mkFloat(rng, 1, 3))
-				if rng.Intn(5) > 0 {
-					r["aperf"] = mkFloat(rng, 0, 3e9)
+				if rng.Intn(4) == 0 {
+					r["freq"] = value.Int(int64(1 + rng.Intn(3)))
 				}
 				switch rng.Intn(5) {
 				case 0: // missing
 				case 1:
+					r["aperf"] = value.Int(int64(rng.Intn(3e9)))
+				default:
+					r["aperf"] = mkFloat(rng, 0, 3e9)
+				}
+				switch rng.Intn(6) {
+				case 0: // missing
+				case 1:
 					r["mperf"] = value.Float(0)
+				case 2:
+					r["mperf"] = value.Int(0)
+				case 3:
+					r["mperf"] = value.Int(int64(1e9 + rng.Intn(1e9)))
 				default:
 					r["mperf"] = mkFloat(rng, 1e9, 2e9)
 				}
@@ -438,6 +496,54 @@ func applyDerivation(name string, pc propCase, ds []*dataset.Dataset, dict *sema
 	return tr.Apply(ds[0], dict)
 }
 
+// heatInput draws a derive_heat input that exercises what the group kernel
+// can get wrong: Celsius or Kelvin readings (a unit conversion per group),
+// Int temperatures among Float ones (boxed storage), missing and non-string
+// aisle cells, and hot rows without a temperature ahead of the first valid
+// one — each row's "seq" tells the representative row apart.
+func heatInput(rng *rand.Rand) propInput {
+	units := "kelvin"
+	if rng.Intn(2) == 0 {
+		units = "degrees_celsius"
+	}
+	s := semantics.NewSchema(
+		"aisle", semantics.IDDomain("rack_aisle"),
+		"rack", semantics.IDDomain("rack"),
+		"t", semantics.TimeDomain(),
+		"temp", semantics.ValueEntry("temperature", units),
+		"seq", semantics.ValueEntry("count", "count"),
+	)
+	n := 6 + rng.Intn(40)
+	rows := make([]value.Row, n)
+	aisles := []value.Value{value.Str(AisleHot), value.Str(AisleCold), value.Str("other"), value.Int(1), value.Null()}
+	mixed := rng.Intn(2) == 0
+	for i := range rows {
+		r := value.NewRow(
+			"rack", value.Str(fmt.Sprintf("r%d", rng.Intn(3))),
+			"t", value.TimeNanos(int64(rng.Intn(4))*1_000_000_000),
+			"seq", value.Int(int64(i)),
+		)
+		switch k := rng.Intn(10); {
+		case k < 4:
+			r["aisle"] = value.Str(AisleHot)
+		case k < 8:
+			r["aisle"] = value.Str(AisleCold)
+		case k == 8:
+			r["aisle"] = aisles[2+rng.Intn(len(aisles)-2)]
+		default: // missing aisle
+		}
+		switch k := rng.Intn(6); {
+		case k == 0: // missing temperature
+		case k == 1 && mixed:
+			r["temp"] = value.Int(int64(15 + rng.Intn(20)))
+		default:
+			r["temp"] = mkFloat(rng, 15, 20)
+		}
+		rows[i] = r
+	}
+	return propInput{s, rows}
+}
+
 // TestColumnarMatchesRowPath runs every registered derivation on identical
 // random inputs through both execution paths and requires identical rows:
 // as a multiset always, and in exact order on one partition.
@@ -456,7 +562,7 @@ func TestColumnarMatchesRowPath(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(len(name)*131 + 7)))
 			for trial := 0; trial < 12; trial++ {
 				pc := gen(rng)
-				for _, parts := range []int{1, 3} {
+				for _, parts := range []int{1, 2, 3, 4} {
 					ctx := rdd.NewContext(3)
 					rowIn := make([]*dataset.Dataset, len(pc.inputs))
 					colIn := make([]*dataset.Dataset, len(pc.inputs))

@@ -105,16 +105,15 @@ func convertFrame(f *frame.Frame, u *units.Dict, col, from, to string) *frame.Fr
 	if cc, ok := frame.ConvertColumn(u, c, from, to); ok {
 		return f.With(cc)
 	}
+	conv, err := u.Converter(from, to)
 	b := frame.NewBuilder(c.Name(), f.NumRows())
 	for i := 0; i < f.NumRows(); i++ {
 		if !c.Present(i) {
 			continue
 		}
 		v := c.Value(i)
-		if fv, ok := v.AsFloat(); ok && v.Kind() != value.KindTime {
-			if conv, err := u.Convert(fv, from, to); err == nil {
-				v = value.Float(conv)
-			}
+		if fv, ok := v.AsFloat(); ok && v.Kind() != value.KindTime && err == nil {
+			v = value.Float(conv(fv))
 		}
 		b.Set(i, v)
 	}
@@ -192,6 +191,10 @@ func (d *DeriveRatio) Apply(in *dataset.Dataset, dict *semantics.Dictionary) (*d
 		return nil, err
 	}
 	num, den, as := d.Numerator, d.Denominator, d.As
+	name := fmt.Sprintf("%s|ratio(%s/%s)", in.Name(), num, den)
+	if in.IsColumnar() {
+		return floatColumnKernel(in, schema, name, as, ratioCells(num, den)), nil
+	}
 	rows := rdd.Map(in.Rows(), func(r value.Row) value.Row {
 		q, err := value.Div(r.Get(num), r.Get(den))
 		if err != nil {
@@ -199,6 +202,5 @@ func (d *DeriveRatio) Apply(in *dataset.Dataset, dict *semantics.Dictionary) (*d
 		}
 		return r.With(as, q)
 	})
-	name := fmt.Sprintf("%s|ratio(%s/%s)", in.Name(), num, den)
-	return matchRepr(in, dataset.New(name, rows.WithName(name), schema)), nil
+	return dataset.New(name, rows.WithName(name), schema), nil
 }

@@ -115,6 +115,10 @@ func (d *DeriveDuration) Apply(in *dataset.Dataset, dict *semantics.Dictionary) 
 		return nil, err
 	}
 	outCol := d.out(col)
+	name := in.Name() + "|derive_duration"
+	if in.IsColumnar() {
+		return floatColumnKernel(in, schema, name, outCol, durationCells(col)), nil
+	}
 	rows := rdd.Map(in.Rows(), func(r value.Row) value.Row {
 		v := r.Get(col)
 		if v.Kind() != value.KindSpan {
@@ -122,6 +126,5 @@ func (d *DeriveDuration) Apply(in *dataset.Dataset, dict *semantics.Dictionary) 
 		}
 		return r.With(outCol, value.Float(float64(v.SpanDurationNanos())/1e9))
 	})
-	name := in.Name() + "|derive_duration"
-	return matchRepr(in, dataset.New(name, rows.WithName(name), schema)), nil
+	return dataset.New(name, rows.WithName(name), schema), nil
 }

@@ -149,7 +149,14 @@ func (d *DeriveHeat) Apply(in *dataset.Dataset, dict *semantics.Dictionary) (*da
 		}
 	}
 	out := d.out()
-	grouped := rdd.GroupByKey(rdd.WithWire(in.Rows(), rowWire), func(r value.Row) string {
+	name := in.Name() + "|derive_heat"
+	if in.IsColumnar() {
+		// nil when the units do not convert: every row then lacks a
+		// temperature, as the row path's per-row Convert error makes it.
+		toKelvin, _ := u.Converter(tempUnits, "kelvin")
+		return heatColumnar(in, schema, name, groupCols, aisleCol, tempCol, out, toKelvin), nil
+	}
+	grouped := rdd.GroupByKey(in.Rows(), func(r value.Row) string {
 		return r.KeyStringOn(groupCols)
 	})
 	rows := rdd.FlatMap(grouped, func(g rdd.Group[value.Row]) []value.Row {
@@ -186,6 +193,5 @@ func (d *DeriveHeat) Apply(in *dataset.Dataset, dict *semantics.Dictionary) (*da
 		nr[out] = value.Float(heat)
 		return []value.Row{nr}
 	})
-	name := in.Name() + "|derive_heat"
-	return matchRepr(in, dataset.New(name, rows.WithName(name), schema)), nil
+	return dataset.New(name, rows.WithName(name), schema), nil
 }

@@ -175,18 +175,16 @@ func rightConverters(pairs []joinPair, left, right semantics.Schema, dict *seman
 		if lu == ru {
 			continue
 		}
-		from, to := ru, lu
-		u := dict.Units
+		conv, err := dict.Units.Converter(ru, lu)
+		if err != nil {
+			continue // unconvertible values key as they are
+		}
 		convs[i] = func(v value.Value) value.Value {
 			f, ok := v.AsFloat()
 			if !ok || v.Kind() == value.KindTime {
 				return v
 			}
-			c, err := u.Convert(f, from, to)
-			if err != nil {
-				return v
-			}
-			return value.Float(c)
+			return value.Float(conv(f))
 		}
 	}
 	return convs

@@ -5,7 +5,6 @@ import (
 
 	"scrubjay/internal/dataset"
 	"scrubjay/internal/frame"
-	"scrubjay/internal/rdd"
 	"scrubjay/internal/semantics"
 	"scrubjay/internal/value"
 )
@@ -19,36 +18,7 @@ import (
 func rateColumnar(in *dataset.Dataset, schema semantics.Schema, name, timeCol string,
 	counters, groupCols []string) *dataset.Dataset {
 
-	// Named after the input lineage, like the row path's groupByKey, so the
-	// traced exchange counts input rows under the input's name.
-	ex := hashExchange(in.Frames(), groupCols, nil, in.Frames().NumPartitions(), in.Frames().Name()+"|groupByKey")
-	frames := rdd.MapPartitions(ex, func(_ int, kfs []keyedFrame) []*frame.Frame {
-		f, h := concatKeyed(kfs)
-		if f.NumRows() == 0 {
-			return framesOf(frame.Empty())
-		}
-		gIdx := colIndexes(f, groupCols)
-
-		// Group rows by counter identity in first-seen order; buckets hold
-		// group ids per hash, disambiguated by value equality.
-		var groups [][]int32
-		buckets := make(map[uint64][]int32, f.NumRows())
-		for i := 0; i < f.NumRows(); i++ {
-			gid := int32(-1)
-			for _, g := range buckets[h[i]] {
-				if frame.ValuesEqualOn(f, i, gIdx, f, int(groups[g][0]), gIdx, nil) {
-					gid = g
-					break
-				}
-			}
-			if gid < 0 {
-				gid = int32(len(groups))
-				groups = append(groups, nil)
-				buckets[h[i]] = append(buckets[h[i]], gid)
-			}
-			groups[gid] = append(groups[gid], int32(i))
-		}
-
+	return groupColumnar(in, schema, name, groupCols, func(f *frame.Frame, groups rowGroups) *frame.Frame {
 		tc := f.Col(timeCol)
 		typedTime := tc != nil && tc.Kind() == value.KindTime
 		var tInts []int64
@@ -78,9 +48,8 @@ func rateColumnar(in *dataset.Dataset, schema semantics.Schema, name, timeCol st
 		// Sort each group by time and pick the valid consecutive pairs.
 		var sel, prevSel []int32
 		var dts []float64
-		for _, g := range groups {
-			idx := make([]int32, len(g))
-			copy(idx, g)
+		for g := 0; g < groups.len(); g++ {
+			idx := groups.at(g) // kernel-owned scratch: sorted in place
 			sort.SliceStable(idx, func(a, b int) bool { return timeLess(idx[a], idx[b]) })
 			for k := 1; k < len(idx); k++ {
 				dtN := timeNanos(idx[k]) - timeNanos(idx[k-1])
@@ -96,33 +65,7 @@ func rateColumnar(in *dataset.Dataset, schema semantics.Schema, name, timeCol st
 		out := f.Drop(counters...).Gather(sel)
 		var bld *frame.Builder // one scratch, Reset-reused across counter columns
 		for _, c := range counters {
-			cc := f.Col(c)
-			getF := func(i int32) (float64, bool) {
-				if cc == nil {
-					return 0, false
-				}
-				return cc.Value(int(i)).AsFloat()
-			}
-			if cc != nil {
-				switch cc.Kind() {
-				case value.KindInt:
-					ints := cc.Ints()
-					getF = func(i int32) (float64, bool) {
-						if !cc.Present(int(i)) {
-							return 0, false
-						}
-						return float64(ints[i]), true
-					}
-				case value.KindFloat:
-					flts := cc.Floats()
-					getF = func(i int32) (float64, bool) {
-						if !cc.Present(int(i)) {
-							return 0, false
-						}
-						return flts[i], true
-					}
-				}
-			}
+			getF := floatCells(f.Col(c))
 			if bld == nil {
 				bld = frame.NewBuilder(RateColumn(c), len(sel))
 			} else {
@@ -131,8 +74,8 @@ func rateColumnar(in *dataset.Dataset, schema semantics.Schema, name, timeCol st
 			}
 			b := bld
 			for k := range sel {
-				pv, pok := getF(prevSel[k])
-				cv, cok := getF(sel[k])
+				pv, pok := getF(int(prevSel[k]))
+				cv, cok := getF(int(sel[k]))
 				if !pok || !cok || cv < pv {
 					// Missing sample or counter reset: no valid rate.
 					continue
@@ -141,7 +84,6 @@ func rateColumnar(in *dataset.Dataset, schema semantics.Schema, name, timeCol st
 			}
 			out = out.With(b.Finish())
 		}
-		return framesOf(out)
+		return out
 	})
-	return dataset.NewFrames(name, frames.WithName(name), schema)
 }

@@ -338,6 +338,9 @@ func (a *AggregateBy) DeriveSchema(in semantics.Schema, dict *semantics.Dictiona
 	return out, nil
 }
 
+// aggOp is one aggregate: value column col folded by op.
+type aggOp struct{ col, op string }
+
 // Apply implements Transformation.
 func (a *AggregateBy) Apply(in *dataset.Dataset, dict *semantics.Dictionary) (*dataset.Dataset, error) {
 	schema, err := a.DeriveSchema(in.Schema(), dict)
@@ -345,14 +348,17 @@ func (a *AggregateBy) Apply(in *dataset.Dataset, dict *semantics.Dictionary) (*d
 		return nil, err
 	}
 	groupBy := append([]string(nil), a.GroupBy...)
-	type aggOp struct{ col, op string }
 	ops := make([]aggOp, 0, len(a.Ops))
 	for c, o := range a.Ops {
 		ops = append(ops, aggOp{c, o})
 	}
 	sort.Slice(ops, func(i, j int) bool { return ops[i].col < ops[j].col })
+	name := in.Name() + "|aggregate"
+	if in.IsColumnar() {
+		return aggregateColumnar(in, schema, name, groupBy, ops), nil
+	}
 
-	grouped := rdd.GroupByKey(rdd.WithWire(in.Rows(), rowWire), func(r value.Row) string {
+	grouped := rdd.GroupByKey(in.Rows(), func(r value.Row) string {
 		return r.KeyStringOn(groupBy)
 	})
 	rows := rdd.Map(grouped, func(g rdd.Group[value.Row]) value.Row {
@@ -398,6 +404,5 @@ func (a *AggregateBy) Apply(in *dataset.Dataset, dict *semantics.Dictionary) (*d
 		}
 		return out
 	})
-	name := in.Name() + "|aggregate"
-	return matchRepr(in, dataset.New(name, rows.WithName(name), schema)), nil
+	return dataset.New(name, rows.WithName(name), schema), nil
 }

@@ -66,6 +66,10 @@ func (r *RenameColumn) Apply(in *dataset.Dataset, dict *semantics.Dictionary) (*
 		return nil, err
 	}
 	from, to := r.From, r.To
+	name := fmt.Sprintf("%s|rename(%s->%s)", in.Name(), from, to)
+	if in.IsColumnar() {
+		return renameColumnar(in, schema, name, from, to), nil
+	}
 	rows := rdd.Map(in.Rows(), func(row value.Row) value.Row {
 		v, ok := row[from]
 		if !ok {
@@ -75,6 +79,5 @@ func (r *RenameColumn) Apply(in *dataset.Dataset, dict *semantics.Dictionary) (*
 		nr[to] = v
 		return nr
 	})
-	name := fmt.Sprintf("%s|rename(%s->%s)", in.Name(), from, to)
-	return matchRepr(in, dataset.New(name, rows.WithName(name), schema)), nil
+	return dataset.New(name, rows.WithName(name), schema), nil
 }

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"testing"
 
+	"scrubjay/internal/units"
 	"scrubjay/internal/value"
 )
 
@@ -120,5 +121,26 @@ func BenchmarkMergeCoalesce(b *testing.B) {
 		if Merge(fa, fb).NumRows() != n {
 			b.Fatal("bad merge")
 		}
+	}
+}
+
+// TestConvertAllocsPerColumn: Convert resolves the unit conversion once per
+// call, so a column of any length costs the output slice plus the one
+// resolved converter — nothing per value.
+func TestConvertAllocsPerColumn(t *testing.T) {
+	d := units.Default()
+	count := func(n int) float64 {
+		vals := make([]float64, n)
+		for i := range vals {
+			vals[i] = float64(i) * 0.5
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := Convert(d, vals, "degrees_celsius", "kelvin"); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a1, a1k := count(1), count(1000); a1k != a1 || a1k > 2 {
+		t.Errorf("Convert: %.0f allocations over 1 value, %.0f over 1000; want the same, at most 2 (output + converter)", a1, a1k)
 	}
 }

@@ -147,6 +147,24 @@ func FloatColumn(name string, vals []float64) Column {
 	return Column{name: name, kind: value.KindFloat, flts: vals, n: len(vals)}
 }
 
+// FloatColumnWhere builds a float-kinded column whose cell i holds vals[i]
+// when ok[i] and is absent otherwise.
+func FloatColumnWhere(name string, vals []float64, ok []bool) Column {
+	c := FloatColumn(name, vals)
+	for _, o := range ok {
+		if !o {
+			c.pres = newBits(len(ok))
+			for i, o := range ok {
+				if o {
+					setBit(c.pres, i)
+				}
+			}
+			break
+		}
+	}
+	return c
+}
+
 // withFloats returns a copy of a float-kinded column with its payload
 // vector replaced (presence and name preserved). Used by the vectorized
 // unit-conversion kernel; the input column is not modified.

@@ -8,15 +8,15 @@ import (
 // Convert rescales a float payload vector from unit from to unit to,
 // returning a new vector (the input is never modified — frames are
 // immutable). It is the vectorized core of the convert_units kernel: one
-// factor lookup per column instead of one per row.
+// factor lookup per column (units.Dict.Converter) instead of one per row.
 func Convert(d *units.Dict, vals []float64, from, to string) ([]float64, error) {
+	conv, err := d.Converter(from, to)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]float64, len(vals))
 	for i, v := range vals {
-		conv, err := d.Convert(v, from, to)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = conv
+		out[i] = conv(v)
 	}
 	return out, nil
 }

@@ -346,6 +346,19 @@ func (f *Frame) With(col Column) *Frame {
 	return newFrame(cols, f.n)
 }
 
+// Rename returns a frame with column from relabeled to, sharing its
+// payload and presence bits; a column already named to is replaced. A
+// frame without from is returned as is.
+func (f *Frame) Rename(from, to string) *Frame {
+	i, ok := f.index[from]
+	if !ok || from == to {
+		return f
+	}
+	c := f.cols[i]
+	c.name = to
+	return f.Drop(from).With(c)
+}
+
 // Gather returns a new frame holding the rows idx (in that order). Indices
 // may repeat; each must be in range.
 func (f *Frame) Gather(idx []int32) *Frame {

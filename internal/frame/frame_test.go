@@ -245,3 +245,53 @@ func TestTimeColumnHelpers(t *testing.T) {
 	}
 	rowsEqual(t, want, f.ToRows())
 }
+
+// TestRenameSharesStorage: Rename relabels one column exactly as the row
+// path moves a cell between keys — absent cells stay absent — and shares
+// the payload and presence bits instead of copying them.
+func TestRenameSharesStorage(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	rows := randRows(rng, 200)
+	f := FromRows(rows)
+	for _, from := range []string{"c0", "c1", "c2", "c3"} {
+		g := f.Rename(from, "renamed")
+		if g.Col(from) != nil {
+			t.Fatalf("Rename(%s): source column survives", from)
+		}
+		src, dst := f.Col(from), g.Col("renamed")
+		if dst.Kind() != src.Kind() || (src.pres != nil && &src.pres[0] != &dst.pres[0]) {
+			t.Fatalf("Rename(%s): presence or kind not shared", from)
+		}
+		if len(src.ints) > 0 && &src.ints[0] != &dst.ints[0] || len(src.flts) > 0 && &src.flts[0] != &dst.flts[0] ||
+			len(src.strs) > 0 && &src.strs[0] != &dst.strs[0] || len(src.boxd) > 0 && &src.boxd[0] != &dst.boxd[0] {
+			t.Fatalf("Rename(%s): payload copied", from)
+		}
+		for i, r := range rows {
+			want := r.Clone()
+			if v, ok := want[from]; ok {
+				delete(want, from)
+				want["renamed"] = v
+			}
+			if got := g.RowAt(i); !got.Equal(want) {
+				t.Fatalf("Rename(%s) row %d: got %v, want %v", from, i, got, want)
+			}
+		}
+	}
+	if f.Rename("missing", "x") != f {
+		t.Error("Rename of an absent column should return the frame itself")
+	}
+	if g := f.Rename("c0", "c1"); g.NumCols() != f.NumCols()-1 || g.Col("c1").Kind() != value.KindInt {
+		t.Error("Rename onto an existing name should replace that column")
+	}
+}
+
+func TestFloatColumnWhere(t *testing.T) {
+	vals := []float64{1, 2, 3}
+	if c := FloatColumnWhere("x", vals, []bool{true, true, true}); !c.AllPresent() {
+		t.Error("all-ok column should carry no presence bitmap")
+	}
+	c := FloatColumnWhere("x", vals, []bool{true, false, true})
+	if !c.Present(0) || c.Present(1) || !c.Present(2) || !c.Value(2).Equal(value.Float(3)) {
+		t.Errorf("presence or payload wrong: %v %v %v", c.Value(0), c.Value(1), c.Value(2))
+	}
+}

@@ -210,46 +210,74 @@ func (d *Dict) dimensionOf(e *Expr) (string, error) {
 // conversions; composite conversions are purely linear (a rate like
 // celsius/second has no meaningful offset).
 func (d *Dict) Convert(v float64, from, to string) (float64, error) {
+	conv, err := d.Converter(from, to)
+	if err != nil {
+		return 0, err
+	}
+	return conv(v), nil
+}
+
+// Converter resolves a conversion once and returns it as a function, so a
+// column converts with one lookup instead of one per value. The function
+// performs exactly Convert's float operations: identity when from == to,
+// (v*fromScale+fromOffset-toOffset)/toScale between simple units, and
+// v*fromScale/toScale between composites. The error is Convert's.
+func (d *Dict) Converter(from, to string) (func(float64) float64, error) {
 	if from == to {
-		return v, nil
+		return identity, nil
+	}
+	// Registered names are simple (they cannot hold composite syntax), so
+	// the common case needs no parse.
+	if fu, ok := d.units[from]; ok {
+		if tu, ok := d.units[to]; ok && fu.Dimension == tu.Dimension {
+			return affine(fu, tu), nil
+		}
 	}
 	fe, err := Parse(from)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	te, err := Parse(to)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	fd, err := d.dimensionOf(fe)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	td, err := d.dimensionOf(te)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	if fd != td {
-		return 0, fmt.Errorf("units: cannot convert %q (%s) to %q (%s): different dimensions", from, fd, to, td)
+		return nil, fmt.Errorf("units: cannot convert %q (%s) to %q (%s): different dimensions", from, fd, to, td)
 	}
 	if fe.Kind == "simple" && te.Kind == "simple" {
-		fu := d.units[fe.Name]
-		tu := d.units[te.Name]
-		base := v*fu.Scale + fu.Offset
-		return (base - tu.Offset) / tu.Scale, nil
+		return affine(d.units[fe.Name], d.units[te.Name]), nil
 	}
 	if fe.Kind == "list" || te.Kind == "list" {
-		return 0, fmt.Errorf("units: list units are not scalar-convertible")
+		return nil, fmt.Errorf("units: list units are not scalar-convertible")
 	}
 	fs, err := d.linearScale(fe)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	ts, err := d.linearScale(te)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	return v * fs / ts, nil
+	return func(v float64) float64 { return v * fs / ts }, nil
+}
+
+func identity(v float64) float64 { return v }
+
+// affine converts between two simple units through their dimension's base.
+func affine(fu, tu Unit) func(float64) float64 {
+	fs, fo, ts, to := fu.Scale, fu.Offset, tu.Scale, tu.Offset
+	return func(v float64) float64 {
+		base := v*fs + fo
+		return (base - to) / ts
+	}
 }
 
 // linearScale returns the multiplicative factor from the expression to the

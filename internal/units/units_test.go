@@ -277,3 +277,80 @@ func TestEnergyAndCurrentUnits(t *testing.T) {
 		t.Errorf("joules/seconds dimension = %q, %v", dim, err)
 	}
 }
+
+// perValueConvert is the conversion formula Convert applied per value
+// before conversions were resolved once: every call parses both units and
+// resolves both dimensions.
+func perValueConvert(d *Dict, v float64, from, to string) float64 {
+	if from == to {
+		return v
+	}
+	fe, _ := Parse(from)
+	te, _ := Parse(to)
+	if fe.Kind == "simple" && te.Kind == "simple" {
+		fu, tu := d.units[fe.Name], d.units[te.Name]
+		base := v*fu.Scale + fu.Offset
+		return (base - tu.Offset) / tu.Scale
+	}
+	fs, _ := d.linearScale(fe)
+	ts, _ := d.linearScale(te)
+	return v * fs / ts
+}
+
+// TestConverterMatchesPerValueFormula pins Converter bit for bit to the
+// per-value formula for every same-dimension pair of simple units in the
+// default dictionary, and for rate pairs over them, on values that include
+// signed zeros, NaN and the infinities.
+func TestConverterMatchesPerValueFormula(t *testing.T) {
+	d := Default()
+	vals := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+		1, -1, 273.15, -40, 1e-300, 6.02e23, math.MaxFloat64, math.SmallestNonzeroFloat64}
+	var pairs [][2]string
+	names := d.Names()
+	for _, a := range names {
+		for _, b := range names {
+			if d.units[a].Dimension == d.units[b].Dimension {
+				pairs = append(pairs, [2]string{a, b})
+			}
+		}
+	}
+	simple := len(pairs)
+	for _, p := range pairs[:simple] {
+		for _, den := range []string{"seconds", "minutes"} {
+			pairs = append(pairs, [2]string{Rate(p[0], "seconds"), Rate(p[1], den)})
+		}
+	}
+	for _, p := range pairs {
+		conv, err := d.Converter(p[0], p[1])
+		if err != nil {
+			t.Fatalf("Converter(%q, %q): %v", p[0], p[1], err)
+		}
+		for _, v := range vals {
+			got, want := conv(v), perValueConvert(d, v, p[0], p[1])
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%q -> %q at %v: got %v (%#x), want %v (%#x)",
+					p[0], p[1], v, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+			if c, err := d.Convert(v, p[0], p[1]); err != nil || math.Float64bits(c) != math.Float64bits(want) {
+				t.Errorf("Convert(%v, %q, %q) = %v, %v; want %v", v, p[0], p[1], c, err, want)
+			}
+		}
+	}
+	if simple < 50 {
+		t.Fatalf("only %d same-dimension simple pairs; the default dictionary shrank?", simple)
+	}
+}
+
+func TestConverterErrorsMatchConvert(t *testing.T) {
+	d := Default()
+	for _, p := range [][2]string{
+		{"seconds", "watts"}, {"nope", "watts"}, {"list<identifier>", "list<identifier>x"},
+		{"seconds/watts", "watts/seconds"}, {"list<identifier>", "list<seconds>"},
+	} {
+		_, cerr := d.Converter(p[0], p[1])
+		_, err := d.Convert(1, p[0], p[1])
+		if cerr == nil || err == nil || cerr.Error() != err.Error() {
+			t.Errorf("%q -> %q: Converter error %v, Convert error %v", p[0], p[1], cerr, err)
+		}
+	}
+}
