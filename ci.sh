@@ -14,8 +14,11 @@
 #                        kernels against their row-form references: the
 #                        interpolation join (FuzzInterpolationJoin) and the
 #                        group kernel under aggregate and derive_heat
-#                        (FuzzGroupAggregate); their seed corpora already
-#                        run with the ordinary tests
+#                        (FuzzGroupAggregate); and 10 s of pipelined puts
+#                        against a live shuffle worker (FuzzPipelinedPuts:
+#                        one burst of arbitrary puts, every fetch equal to
+#                        the last-write-wins (src, seq) merge); their seed
+#                        corpora already run with the ordinary tests
 #   * gofmt            — formatting gate (testdata fixtures excluded: the
 #                        loader-edge fixture deliberately contains a
 #                        vendored file that is not valid Go)
@@ -70,6 +73,12 @@ go test -run='^$' -fuzz=FuzzInterpolationJoin -fuzztime=10s ./internal/derive
 
 echo "==> go test -run='^\$' -fuzz=FuzzGroupAggregate -fuzztime=10s ./internal/derive"
 go test -run='^$' -fuzz=FuzzGroupAggregate -fuzztime=10s ./internal/derive
+
+# Each FuzzPipelinedPuts input costs a few loopback round trips, so the
+# default 60 s minimization of every new interesting input would eat the
+# whole budget; 1 s keeps the 10 s spent mostly on new inputs.
+echo "==> go test -run='^\$' -fuzz=FuzzPipelinedPuts -fuzztime=10s -fuzzminimizetime=1s ./internal/shuffle"
+go test -run='^$' -fuzz=FuzzPipelinedPuts -fuzztime=10s -fuzzminimizetime=1s ./internal/shuffle
 
 # sjvet runs once over library code and tests (a -tests run covers both):
 # any finding fails, and sjvet.sarif is emitted for the code-scanning

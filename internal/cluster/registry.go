@@ -1,6 +1,6 @@
 // Package cluster is the driver-side scheduler for ScrubJay's distributed
 // execution: it tracks live sjworker shard processes (registration +
-// heartbeat), owns a small connection pool per worker, and implements
+// heartbeat), owns a fixed connection pool per worker, and implements
 // rdd.Placement by planning each shuffle's destination partitions onto
 // workers with per-task retry, straggler re-execution, and deadline/cancel
 // propagation. It is the live counterpart of internal/rdd's simsched, which
@@ -19,16 +19,23 @@ import (
 )
 
 // Worker is one registered shard worker: its exchange address, the identity
-// it reported at handshake, and a pooled set of connections. Dead workers
-// stay dead — the scheduler reassigns their partitions and never dials them
-// again within this registry's lifetime (a restarted worker re-registers as
-// a new entry).
+// it reported at handshake, and its connection pool. Dead workers stay dead
+// — the scheduler reassigns their partitions and never dials them again
+// within this registry's lifetime (a restarted worker re-registers as a new
+// entry).
+//
+// The pool is the per-worker concurrency bound: poolSize slots, each
+// holding a connection or nil (to be dialed on next use). A caller takes a
+// slot with get, waiting while every slot is busy, and gives it back with
+// put (healthy) or discard (broken). A healthy connection is never closed
+// for want of room, so once the slots are filled an exchange dials nothing;
+// only a connection that failed is replaced.
 type Worker struct {
 	addr string
 	id   string
 
 	reg  *Registry
-	pool chan *shuffle.Conn
+	pool chan *shuffle.Conn // capacity poolSize: one entry per idle slot
 
 	failed atomic.Bool
 	misses atomic.Int32
@@ -53,41 +60,73 @@ func (w *Worker) Stats() shuffle.WorkerStats {
 	return shuffle.WorkerStats{}
 }
 
-// get returns a pooled connection or dials a fresh one.
+// get takes a connection slot, waiting while all are busy, and returns its
+// connection — dialing one when the slot is empty.
 func (w *Worker) get(ctx context.Context) (*shuffle.Conn, error) {
 	if !w.Live() {
-		return nil, fmt.Errorf("cluster: worker %s(%s) is marked failed", w.id, w.addr)
+		return nil, w.errFailed()
 	}
 	select {
 	case c := <-w.pool:
+		if !w.Live() {
+			w.put(c) // closes it: the worker failed while we waited
+			return nil, w.errFailed()
+		}
+		return w.ready(ctx, c)
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+// ready turns a taken slot into a usable connection, dialing into an empty
+// slot; the slot goes back empty when the dial fails.
+func (w *Worker) ready(ctx context.Context, c *shuffle.Conn) (*shuffle.Conn, error) {
+	if c != nil {
 		return c, nil
-	default:
-		return shuffle.Dial(ctx, w.addr, w.reg.driverName, w.reg.opTimeout)
 	}
+	c, err := shuffle.Dial(ctx, w.addr, w.reg.driverName, w.reg.opTimeout)
+	if err != nil {
+		w.pool <- nil
+		return nil, err
+	}
+	return c, nil
 }
 
-// put returns a healthy connection to the pool (closing it when full).
+func (w *Worker) errFailed() error {
+	return fmt.Errorf("cluster: worker %s(%s) is marked failed", w.id, w.addr)
+}
+
+// put returns a healthy connection to its slot.
 func (w *Worker) put(c *shuffle.Conn) {
+	w.pool <- c
 	if !w.Live() {
-		c.Close()
-		return
-	}
-	select {
-	case w.pool <- c:
-	default:
-		c.Close()
+		w.drain() // MarkFailed may have drained before c came back
 	}
 }
 
-// drain closes every pooled connection.
+// discard closes a broken connection and empties its slot, so the next get
+// dials afresh.
+func (w *Worker) discard(c *shuffle.Conn) {
+	c.Close()
+	w.pool <- nil
+}
+
+// drain closes every idle pooled connection, leaving its slot empty.
 func (w *Worker) drain() {
-	for {
+	taken := 0
+	for empty := false; !empty; {
 		select {
 		case c := <-w.pool:
-			c.Close()
+			if c != nil {
+				c.Close()
+			}
+			taken++
 		default:
-			return
+			empty = true
 		}
+	}
+	for ; taken > 0; taken-- {
+		w.pool <- nil
 	}
 }
 
@@ -108,7 +147,9 @@ type Registry struct {
 }
 
 // NewRegistry creates an empty registry. driverName identifies this driver
-// in worker handshakes; opTimeout bounds each exchange round trip.
+// in worker handshakes; opTimeout bounds each exchange round trip; poolSize
+// is the number of connections kept open to each worker, which also bounds
+// the requests in flight to it (default 4).
 func NewRegistry(driverName string, opTimeout time.Duration, poolSize int) *Registry {
 	if opTimeout <= 0 {
 		opTimeout = 5 * time.Second
@@ -120,15 +161,19 @@ func NewRegistry(driverName string, opTimeout time.Duration, poolSize int) *Regi
 }
 
 // Register dials addr, performs the exchange handshake, and adds the worker
-// to the fleet. Returns the registered Worker.
+// to the fleet with every pool slot already connected. Returns the
+// registered Worker.
 func (r *Registry) Register(ctx context.Context, addr string) (*Worker, error) {
 	w := &Worker{addr: addr, reg: r, pool: make(chan *shuffle.Conn, r.poolSize)}
-	c, err := shuffle.Dial(ctx, addr, r.driverName, r.opTimeout)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: registering %s: %w", addr, err)
+	for i := 0; i < r.poolSize; i++ {
+		c, err := shuffle.Dial(ctx, addr, r.driverName, r.opTimeout)
+		if err != nil {
+			w.drain()
+			return nil, fmt.Errorf("cluster: registering %s: %w", addr, err)
+		}
+		w.id = c.WorkerID()
+		w.pool <- c
 	}
-	w.id = c.WorkerID()
-	w.pool <- c
 	r.mu.Lock()
 	r.workers = append(r.workers, w)
 	r.mu.Unlock()
@@ -213,19 +258,21 @@ func (r *Registry) StopHeartbeat() {
 	<-done
 }
 
+// probe pings every live worker that has an idle connection slot. A worker
+// whose slots are all busy is skipped, not counted as a miss: it is serving
+// exchanges, and each of those fails it on its own deadline if it hangs.
 func (r *Registry) probe(misses int) {
 	for _, w := range r.Live() {
-		ctx, cancel := context.WithTimeout(context.Background(), r.opTimeout)
-		c, err := w.get(ctx)
-		var st shuffle.WorkerStats
-		if err == nil {
-			st, err = c.Ping(ctx)
+		var slot *shuffle.Conn
+		select {
+		case slot = <-w.pool:
+		default:
+			continue
 		}
+		ctx, cancel := context.WithTimeout(context.Background(), r.opTimeout)
+		st, err := w.ping(ctx, slot)
 		cancel()
 		if err != nil {
-			if c != nil {
-				c.Close()
-			}
 			if int(w.misses.Add(1)) >= misses {
 				r.MarkFailed(w)
 			}
@@ -233,8 +280,22 @@ func (r *Registry) probe(misses int) {
 		}
 		w.misses.Store(0)
 		w.stats.Store(&st)
-		w.put(c)
 	}
+}
+
+// ping runs one heartbeat on a taken connection slot and gives it back.
+func (w *Worker) ping(ctx context.Context, slot *shuffle.Conn) (shuffle.WorkerStats, error) {
+	c, err := w.ready(ctx, slot)
+	if err != nil {
+		return shuffle.WorkerStats{}, err
+	}
+	st, err := c.Ping(ctx)
+	if err != nil {
+		w.discard(c)
+		return shuffle.WorkerStats{}, err
+	}
+	w.put(c)
+	return st, nil
 }
 
 // Close stops the heartbeat and closes all pooled connections.

@@ -13,10 +13,10 @@ import (
 )
 
 // Options tunes the Scheduler. Zero values select the defaults noted.
+//
+// There is no concurrency option: each worker's connection pool (the
+// registry's poolSize) bounds the requests in flight to it.
 type Options struct {
-	// FetchConcurrency bounds in-flight destination pushes and fetches —
-	// the exchange backpressure (default 8).
-	FetchConcurrency int
 	// TaskRetries is how many times one destination's push/fetch task is
 	// re-executed on a fresh worker after a failure (default 3).
 	TaskRetries int
@@ -36,9 +36,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.FetchConcurrency < 1 {
-		o.FetchConcurrency = 8
-	}
 	if o.TaskRetries < 1 {
 		o.TaskRetries = 3
 	}
@@ -140,7 +137,10 @@ func (s *Scheduler) hook(phase, stage string) {
 // Exchange implements rdd.Placement: push every (src, dst) bucket to the
 // destination's owner worker, barrier, then fetch each destination's merged
 // payload. Worker failures reassign the destination to the next live worker
-// and re-execute its task from the driver-retained encoded buckets.
+// and re-execute its task from the driver-retained encoded buckets. Every
+// destination's push and fetch runs at once; the owners' connection pools
+// bound how many are on the wire. Traced, the two phases record as "push"
+// and "fetch" children of the exchange span.
 func (s *Scheduler) Exchange(ctx context.Context, stage string, numOut int, enc [][][]byte) ([][]byte, error) {
 	live := s.reg.Live()
 	if len(live) == 0 {
@@ -161,34 +161,24 @@ func (s *Scheduler) Exchange(ctx context.Context, stage string, numOut int, enc 
 		owners[d] = live[d%len(live)]
 	}
 
-	sem := make(chan struct{}, s.opts.FetchConcurrency)
-	runBounded := func(f func()) func() {
-		return func() {
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			f()
-		}
-	}
-
-	// Push phase: per destination, serially push that destination's chunks
-	// from every source; destinations proceed in parallel under the
-	// backpressure semaphore. A failure reassigns the destination and
-	// re-pushes it in full (puts are idempotent, re-sent chunks overwrite).
+	// Push phase: per destination, pipeline that destination's chunks from
+	// every source on one connection; destinations proceed in parallel. A
+	// failure reassigns the destination and re-pushes it in full (puts are
+	// idempotent, re-sent chunks overwrite).
 	s.hook("push", stage)
+	push := parent.Child("push", stage)
+	push.SetInt(obs.AttrPartitions, int64(numOut))
 	errs := make([]error, numOut)
 	var wg sync.WaitGroup
 	for d := 0; d < numOut; d++ {
-		d := d
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			runBounded(func() {
-				w, err := s.pushWithRetry(ctx, id, stage, d, owners[d], enc, tc)
-				owners[d], errs[d] = w, err
-			})()
+			owners[d], errs[d] = s.pushWithRetry(ctx, id, stage, d, owners[d], enc, tc)
 		}()
 	}
 	wg.Wait()
+	push.End()
 	for _, err := range errs {
 		if err != nil {
 			s.dropAsync(id)
@@ -199,18 +189,18 @@ func (s *Scheduler) Exchange(ctx context.Context, stage string, numOut int, enc 
 
 	// Fetch phase: per destination, fetch the merged payload from its
 	// owner, with retry-on-new-worker and straggler backup.
+	fetch := parent.Child("fetch", stage)
+	fetch.SetInt(obs.AttrPartitions, int64(numOut))
 	out := make([][]byte, numOut)
 	for d := 0; d < numOut; d++ {
-		d := d
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			runBounded(func() {
-				out[d], errs[d] = s.fetchWithRecovery(ctx, id, stage, d, owners[d], enc, tc)
-			})()
+			out[d], errs[d] = s.fetchWithRecovery(ctx, id, stage, d, owners[d], enc, tc)
 		}()
 	}
 	wg.Wait()
+	fetch.End()
 	s.hook("fetch", stage)
 	for _, err := range errs {
 		if err != nil {
@@ -239,7 +229,7 @@ func (s *Scheduler) collectSpans(ctx context.Context, id string, parent *obs.Spa
 		}
 		recs, err := c.Spans(ctx, id, parent.TraceID())
 		if err != nil {
-			c.Close()
+			w.discard(c)
 			continue
 		}
 		w.put(c)
@@ -279,34 +269,35 @@ func (s *Scheduler) pushWithRetry(ctx context.Context, id, stage string, d int, 
 	return w, fmt.Errorf("cluster: push %s dst %d: retries exhausted: %w", stage, d, lastErr)
 }
 
-// pushDstTo ships every (src, seq) chunk for destination d to worker w on
-// one pooled connection.
+// pushDstTo ships every (src, seq) chunk for destination d to worker w as
+// one pipelined burst on one pooled connection.
 func (s *Scheduler) pushDstTo(ctx context.Context, id string, d int, w *Worker, enc [][][]byte, tc shuffle.TraceCtx) error {
+	var chunks []shuffle.Chunk
+	var size int64
+	for src := range enc {
+		payload := enc[src][d]
+		size += int64(len(payload))
+		for seq := 0; len(payload) > 0; seq++ {
+			n := min(len(payload), s.opts.ChunkBytes)
+			chunks = append(chunks, shuffle.Chunk{Dst: d, Src: src, Seq: seq, Payload: payload[:n]})
+			payload = payload[n:]
+		}
+	}
+	if len(chunks) == 0 {
+		return nil
+	}
 	c, err := w.get(ctx)
 	if err != nil {
 		return err
 	}
-	for src := range enc {
-		payload := enc[src][d]
-		if len(payload) == 0 {
-			continue
-		}
-		for seq := 0; len(payload) > 0; seq++ {
-			chunk := payload
-			if len(chunk) > s.opts.ChunkBytes {
-				chunk = chunk[:s.opts.ChunkBytes]
-			}
-			if err := c.PutTraced(ctx, id, d, src, seq, chunk, tc); err != nil {
-				c.Close()
-				return err
-			}
-			if s.bytesOut != nil {
-				s.bytesOut.Add(int64(len(chunk)))
-			}
-			payload = payload[len(chunk):]
-		}
+	if err := c.PutAll(ctx, id, chunks, tc); err != nil {
+		w.discard(c)
+		return err
 	}
 	w.put(c)
+	if s.bytesOut != nil {
+		s.bytesOut.Add(size)
+	}
 	return nil
 }
 
@@ -398,7 +389,7 @@ func (s *Scheduler) fetchFrom(ctx context.Context, id string, d int, w *Worker, 
 	}
 	payload, err := c.FetchTraced(ctx, id, d, tc)
 	if err != nil {
-		c.Close()
+		w.discard(c)
 		return nil, err
 	}
 	w.put(c)
@@ -440,7 +431,7 @@ func (s *Scheduler) dropAsync(id string) {
 				if c.Drop(ctx, id) == nil {
 					w.put(c)
 				} else {
-					c.Close()
+					w.discard(c)
 				}
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -315,5 +316,120 @@ func TestHeartbeatSnapshotAndGauges(t *testing.T) {
 		if !strings.Contains(out, key) || strings.Contains(out, key+"0\n") {
 			t.Fatalf("gauge %s absent or zero:\n%s", key, out)
 		}
+	}
+}
+
+// TestSteadyStateExchangesOpenNoConnections: the pool is dialed once, so
+// after a warm-up exchange, twenty more exchanges of 8 destinations over 2
+// workers make the workers accept no new connection.
+func TestSteadyStateExchangesOpenNoConnections(t *testing.T) {
+	sched, servers := testCluster(t, 2, Options{})
+	const srcs, dsts = 8, 8
+	enc := testEnc(srcs, dsts)
+	accepted := func() int64 {
+		var n int64
+		for _, srv := range servers {
+			n += srv.Accepted()
+		}
+		return n
+	}
+	if _, err := sched.Exchange(context.Background(), "warm-up", dsts, enc); err != nil {
+		t.Fatal(err)
+	}
+	before := accepted()
+	for i := 0; i < 20; i++ {
+		out, err := sched.Exchange(context.Background(), fmt.Sprintf("steady-%d", i), dsts, enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for d := 0; d < dsts; d++ {
+			if got, want := string(out[d]), wantMerged(srcs, d); got != want {
+				t.Fatalf("exchange %d dst %d: %q, want %q", i, d, got, want)
+			}
+		}
+	}
+	if after := accepted(); after != before {
+		t.Fatalf("20 steady-state exchanges opened %d new connections, want 0", after-before)
+	}
+}
+
+// patterned returns n bytes that differ from position to position and from
+// source to source, so any reordered or dropped chunk changes the merge.
+func patterned(src, n int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(i*7 + src*131 + i/251)
+	}
+	return b
+}
+
+// TestPipelinedBurstManyChunks pushes 10 000 three-byte chunks to one
+// destination. The acks of a pipelined burst queue up unread while the
+// driver writes, so an unbounded burst could fill both socket buffers and
+// stall until the op deadline; the exchange must instead finish with no
+// retry (no round trip timed out) and merge in (src, seq) order.
+func TestPipelinedBurstManyChunks(t *testing.T) {
+	met := obs.NewRegistry()
+	sched, _ := testCluster(t, 2, Options{ChunkBytes: 3, StragglerAfter: -1, Metrics: met})
+	enc := [][][]byte{{patterned(0, 15000)}, {patterned(1, 15000)}}
+	out, err := sched.Exchange(context.Background(), "stage-burst", 1, enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append(patterned(0, 15000), patterned(1, 15000)...)
+	if !bytes.Equal(out[0], want) {
+		t.Fatalf("merged %d bytes differ from the (src, seq) concatenation of %d", len(out[0]), len(want))
+	}
+	if n := met.Counter("cluster_task_retries_total").Load(); n != 0 {
+		t.Fatalf("burst needed %d retries", n)
+	}
+}
+
+// TestWorkerClosedMidBurst closes the destination's owner while its
+// pipelined burst is being stored: the push fails, re-executes on the
+// survivor, and the merge is still bit-for-bit.
+func TestWorkerClosedMidBurst(t *testing.T) {
+	const total = 30000 // bytes per source, pushed as 3-byte chunks
+	var servers []*shuffle.Server
+	var storedAtClose int64
+	closed := make(chan struct{})
+	met := obs.NewRegistry()
+	hook := func(phase, stage string) {
+		switch phase {
+		case "push":
+			go func() {
+				defer close(closed)
+				for {
+					if stored, _ := servers[0].Stats(); stored > 0 {
+						storedAtClose = stored
+						servers[0].Close()
+						return
+					}
+					runtime.Gosched()
+				}
+			}()
+		case "barrier":
+			<-closed
+		}
+	}
+	sched, srvs := testCluster(t, 2, Options{ChunkBytes: 3, StragglerAfter: -1, Metrics: met, PhaseHook: hook})
+	servers = srvs
+	enc := [][][]byte{{patterned(0, total)}, {patterned(1, total)}}
+	out, err := sched.Exchange(context.Background(), "stage-midburst", 1, enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if storedAtClose >= 2*total {
+		t.Fatalf("owner closed after storing all %d bytes: not mid-burst", storedAtClose)
+	}
+	want := append(patterned(0, total), patterned(1, total)...)
+	if !bytes.Equal(out[0], want) {
+		t.Fatalf("merged %d bytes differ from the (src, seq) concatenation of %d", len(out[0]), len(want))
+	}
+	if live := sched.Registry().Live(); len(live) != 1 || live[0].ID() != "w1" {
+		t.Fatalf("want only w1 live after the owner died, have %d", len(live))
+	}
+	if met.Counter("cluster_task_retries_total").Load() == 0 {
+		t.Fatal("the failed push was not retried")
 	}
 }

@@ -63,7 +63,7 @@ func TestConcurrentStress(t *testing.T) {
 		}
 	}()
 
-	sched := NewScheduler(reg, Options{StragglerAfter: -1, FetchConcurrency: 4})
+	sched := NewScheduler(reg, Options{StragglerAfter: -1})
 	reg.StartHeartbeat(15*time.Millisecond, 3)
 	defer reg.StopHeartbeat()
 

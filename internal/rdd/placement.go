@@ -88,12 +88,15 @@ func exchangeVia[T any](c *Context, w *Wire[T], stage string, numOut int, bucket
 	if c.placement == nil || w == nil {
 		return nil, false
 	}
-	// Encode per source partition, in parallel under the task pool.
+	// Encode per source partition, in parallel under the task pool. Encode
+	// and decode each record a span beside the exchange span, so a trace
+	// splits driver-side codec time from time on the wire.
+	encSpan := c.Span().Child("exchange-encode", stage)
 	enc := make([][][]byte, len(buckets))
-	var encBytes int64
+	var encBytes, encElems int64
 	c.runTasks(len(buckets), func(i int) {
 		local := make([][]byte, numOut)
-		var n int64
+		var n, elems int64
 		for d, bucket := range buckets[i] {
 			if len(bucket) == 0 {
 				continue
@@ -104,10 +107,15 @@ func exchangeVia[T any](c *Context, w *Wire[T], stage string, numOut int, bucket
 			}
 			local[d] = buf
 			n += int64(len(buf))
+			elems += int64(len(bucket))
 		}
 		enc[i] = local
 		atomic.AddInt64(&encBytes, n)
+		atomic.AddInt64(&encElems, elems)
 	})
+	encSpan.SetInt("bytes", encBytes)
+	encSpan.SetInt("elements", encElems)
+	encSpan.End()
 
 	goCtx := c.goCtx
 	if goCtx == nil {
@@ -142,6 +150,7 @@ func exchangeVia[T any](c *Context, w *Wire[T], stage string, numOut int, bucket
 
 	// Decode per destination partition, in parallel. A decode error is a
 	// data-plane failure (corrupt payload), not a user-code panic.
+	decSpan := c.Span().Child("exchange-decode", stage)
 	dst := make([][]T, numOut)
 	decodeErrs := make([]error, numOut)
 	c.runTasks(numOut, func(d int) {
@@ -162,6 +171,14 @@ func exchangeVia[T any](c *Context, w *Wire[T], stage string, numOut int, bucket
 		}
 		dst[d] = part
 	})
+	var decBytes, decElems int64
+	for d, part := range dst {
+		decBytes += int64(len(merged[d]))
+		decElems += int64(len(part))
+	}
+	decSpan.SetInt("bytes", decBytes)
+	decSpan.SetInt("elements", decElems)
+	decSpan.End()
 	for d, err := range decodeErrs {
 		if err != nil {
 			panic(&ExecFailure{Stage: stage, Cause: fmt.Errorf("decoding destination %d: %w", d, err)})

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -147,13 +148,16 @@ func TestFig5DistributedTrace(t *testing.T) {
 	}
 
 	exchanges := 0
+	stageBytes := map[string]int64{}
 	for _, ex := range a.Root.FindAll(obs.KindStage) {
 		if !strings.HasSuffix(ex.Name, "|shuffle-fetch") {
 			continue
 		}
 		exchanges++
 		workerKids := 0
+		phases := map[string]int{}
 		for _, c := range ex.Children {
+			phases[c.Kind]++
 			origin, _ := c.Attrs[obs.AttrOrigin].(string)
 			if !strings.HasPrefix(origin, "worker@") {
 				continue
@@ -170,9 +174,32 @@ func TestFig5DistributedTrace(t *testing.T) {
 		if workerKids == 0 {
 			t.Fatalf("exchange span %s has no worker-origin children", ex.Name)
 		}
+		// The scheduler names its two phases under the exchange span.
+		if phases["push"] != 1 || phases["fetch"] != 1 {
+			t.Fatalf("exchange span %s has phase children %v, want one push and one fetch", ex.Name, phases)
+		}
+		stageBytes[strings.TrimSuffix(ex.Name, "|shuffle-fetch")] += ex.AttrInt(obs.AttrShuffleBytes)
 	}
 	if exchanges == 0 {
 		t.Fatal("trace contains no exchange spans: the distributed path never ran")
+	}
+	// Driver-side encode and decode bracket every exchange, and both move
+	// exactly the bytes the exchange shipped.
+	for _, kind := range []string{"exchange-encode", "exchange-decode"} {
+		spans := a.Root.FindAll(kind)
+		if len(spans) != exchanges {
+			t.Fatalf("%d %s spans, want one per exchange (%d)", len(spans), kind, exchanges)
+		}
+		got := map[string]int64{}
+		for _, sp := range spans {
+			if sp.AttrInt("elements") <= 0 {
+				t.Fatalf("%s span %s records no elements", kind, sp.Name)
+			}
+			got[sp.Name] += sp.AttrInt("bytes")
+		}
+		if !reflect.DeepEqual(got, stageBytes) {
+			t.Fatalf("%s bytes per stage %v, exchange spans shipped %v", kind, got, stageBytes)
+		}
 	}
 
 	tl := a.Timeline()

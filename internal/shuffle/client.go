@@ -1,6 +1,7 @@
 package shuffle
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -40,9 +41,26 @@ type WorkerStats struct {
 // a hung worker surfaces as an error instead of wedging a fetch slot.
 type Conn struct {
 	nc        net.Conn
+	br        *bufio.Reader // responses; a pipelined burst's acks arrive in one read
 	workerID  string
 	opTimeout time.Duration
 }
+
+// Chunk is one map-output put: Payload bytes for destination Dst,
+// sequenced (Src, Seq).
+type Chunk struct {
+	Dst, Src, Seq int
+	Payload       []byte
+}
+
+// putBurst bounds the puts PutAll writes before reading their acks. The
+// worker answers while the driver is still writing, and nobody reads those
+// answers until the burst is out; 64 unread acks (5 bytes each, or one short
+// error string) always fit the socket buffers, so neither side can stall on
+// a full pipe however many chunks a destination has. A burst also stops
+// once it carries DefaultChunkBytes of payload, so one opTimeout deadline
+// never covers much more data than a single chunk.
+const putBurst = 64
 
 // Dial connects to a worker exchange service and performs the hello
 // handshake: the client advertises ProtoVersion and refuses a worker that
@@ -54,7 +72,7 @@ func Dial(ctx context.Context, addr, driverName string, opTimeout time.Duration)
 	if err != nil {
 		return nil, err
 	}
-	c := &Conn{nc: nc, opTimeout: opTimeout}
+	c := &Conn{nc: nc, br: bufio.NewReader(nc), opTimeout: opTimeout}
 	req := appendString([]byte{opHello}, driverName)
 	req = append(req, ProtoVersion)
 	resp, err := c.roundTrip(ctx, req)
@@ -81,24 +99,69 @@ func (c *Conn) WorkerID() string { return c.workerID }
 // Close closes the underlying connection.
 func (c *Conn) Close() error { return c.nc.Close() }
 
-// Put pushes one untraced map-output chunk — PutTraced with an empty trace
-// context.
+// Put pushes one untraced map-output chunk: payload bytes for (shuffleID,
+// dst), sequenced (src, seq). Idempotent on the worker.
 func (c *Conn) Put(ctx context.Context, shuffleID string, dst, src, seq int, payload []byte) error {
-	return c.PutTraced(ctx, shuffleID, dst, src, seq, payload, TraceCtx{})
+	return c.PutAll(ctx, shuffleID, []Chunk{{Dst: dst, Src: src, Seq: seq, Payload: payload}}, TraceCtx{})
 }
 
-// PutTraced pushes one map-output chunk: payload bytes for (shuffleID,
-// dst), sequenced (src, seq), carrying the trace context. Idempotent on
-// the worker.
-func (c *Conn) PutTraced(ctx context.Context, shuffleID string, dst, src, seq int, payload []byte, tc TraceCtx) error {
-	req := appendString([]byte{opPut}, shuffleID)
-	req = binary.AppendUvarint(req, uint64(dst))
-	req = binary.AppendUvarint(req, uint64(src))
-	req = binary.AppendUvarint(req, uint64(seq))
-	req = appendTraceCtx(req, tc)
-	req = append(req, payload...)
-	_, err := c.roundTrip(ctx, req)
-	return err
+// PutAll pushes chunks of shuffleID as pipelined puts carrying the trace
+// context: each burst of up to putBurst requests leaves in one vectored
+// write, payloads referenced rather than copied, and its acks are then read
+// in order — one round trip per burst instead of one per chunk. Every ack
+// is consumed even after a worker error, so the connection stays usable;
+// the first worker error is returned. A transport error leaves the
+// connection unusable. Puts are idempotent on the worker.
+func (c *Conn) PutAll(ctx context.Context, shuffleID string, chunks []Chunk, tc TraceCtx) error {
+	for len(chunks) > 0 {
+		n, size := 1, len(chunks[0].Payload)
+		for n < len(chunks) && n < putBurst && size+len(chunks[n].Payload) <= DefaultChunkBytes {
+			size += len(chunks[n].Payload)
+			n++
+		}
+		if err := c.putBurst(ctx, shuffleID, chunks[:n], tc); err != nil {
+			return err
+		}
+		chunks = chunks[n:]
+	}
+	return nil
+}
+
+func (c *Conn) putBurst(ctx context.Context, shuffleID string, chunks []Chunk, tc TraceCtx) error {
+	if err := c.arm(ctx); err != nil {
+		return err
+	}
+	// Every header lives in one buffer sized so appends never move it (the
+	// slices already handed to bufs stay valid): frame length, opcode, the
+	// two strings and six uvarints, two of them the strings' lengths.
+	per := 4 + 1 + len(shuffleID) + len(tc.TraceID) + 6*binary.MaxVarintLen64
+	hdrs := make([]byte, 0, len(chunks)*per)
+	bufs := make(net.Buffers, 0, 2*len(chunks))
+	for _, ch := range chunks {
+		start := len(hdrs)
+		hdrs = append(hdrs, 0, 0, 0, 0, opPut)
+		hdrs = appendString(hdrs, shuffleID)
+		hdrs = binary.AppendUvarint(hdrs, uint64(ch.Dst))
+		hdrs = binary.AppendUvarint(hdrs, uint64(ch.Src))
+		hdrs = binary.AppendUvarint(hdrs, uint64(ch.Seq))
+		hdrs = appendTraceCtx(hdrs, tc)
+		binary.BigEndian.PutUint32(hdrs[start:], uint32(len(hdrs)-start-4+len(ch.Payload)))
+		bufs = append(bufs, hdrs[start:len(hdrs):len(hdrs)], ch.Payload)
+	}
+	if _, err := bufs.WriteTo(c.nc); err != nil {
+		return err
+	}
+	var firstErr error
+	for range chunks {
+		body, err := readMessage(c.br, DefaultMaxMessage)
+		if err != nil {
+			return err
+		}
+		if _, err := parseResponse(body); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return firstErr
 }
 
 // Fetch returns the untraced merged payload for destination dst —
@@ -179,7 +242,9 @@ func appendTraceCtx(req []byte, tc TraceCtx) []byte {
 	return binary.AppendUvarint(req, uint64(parent))
 }
 
-func (c *Conn) roundTrip(ctx context.Context, req []byte) ([]byte, error) {
+// arm sets the deadline of one request/response exchange:
+// min(ctx deadline, opTimeout).
+func (c *Conn) arm(ctx context.Context) error {
 	deadline := time.Now().Add(c.opTimeout)
 	if c.opTimeout <= 0 {
 		deadline = time.Now().Add(5 * time.Second)
@@ -188,15 +253,19 @@ func (c *Conn) roundTrip(ctx context.Context, req []byte) ([]byte, error) {
 		deadline = d
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
-	if err := c.nc.SetDeadline(deadline); err != nil {
+	return c.nc.SetDeadline(deadline)
+}
+
+func (c *Conn) roundTrip(ctx context.Context, req []byte) ([]byte, error) {
+	if err := c.arm(ctx); err != nil {
 		return nil, err
 	}
 	if err := writeMessage(c.nc, req); err != nil {
 		return nil, err
 	}
-	body, err := readMessage(c.nc, DefaultMaxMessage)
+	body, err := readMessage(c.br, DefaultMaxMessage)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,10 @@
 package shuffle
 
 import (
+	"bytes"
+	"context"
+	"fmt"
+	"sort"
 	"testing"
 	"time"
 
@@ -104,6 +108,79 @@ func FuzzDecodeSpanSubtrees(f *testing.F) {
 		if n2 != len(buf) || len(recs2) != len(recs) {
 			t.Fatalf("re-encode changed shape: %d subtrees in %d bytes vs %d in %d",
 				len(recs2), n2, len(recs), len(buf))
+		}
+	})
+}
+
+// FuzzPipelinedPuts writes an arbitrary sequence of puts — duplicates and
+// empty payloads included — as one PutAll on one connection, then fetches
+// every destination on that same connection. Each fetch must be the
+// (src, seq)-ordered concatenation with the last write of a key winning,
+// and the connection must stay usable throughout. Input bytes decode as
+// repeated [dst, src, seq, len, payload...] records.
+func FuzzPipelinedPuts(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 2, 'a', 'b', 0, 0, 0, 1, 'c'})
+	f.Add([]byte{1, 0, 0, 1, 'x', 1, 0, 0, 1, 'y', 1, 0, 0, 0}) // duplicate key, last write empty
+	f.Add([]byte{2, 3, 1, 3, 'p', 'q', 'r', 2, 3, 0, 1, 's', 2, 0, 1, 2, 't'})
+	var burst []byte // more puts than one burst carries
+	for i := 0; i < 70; i++ {
+		burst = append(burst, byte(i%3), byte(i%4), byte(i/4), 1, byte('A'+i%26))
+	}
+	f.Add(burst)
+
+	srv, err := Serve("127.0.0.1:0", "w-fuzz")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { srv.Close() })
+	c, err := Dial(context.Background(), srv.Addr(), "driver-fuzz", 5*time.Second)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { c.Close() })
+	const dsts = 4
+	n := 0
+	f.Fuzz(func(t *testing.T, b []byte) {
+		ctx := context.Background()
+		n++
+		id := fmt.Sprintf("fuzz#%d", n)
+		var chunks []Chunk
+		want := make([]map[[2]int][]byte, dsts) // dst -> (src, seq) -> last payload
+		for len(b) >= 4 {
+			ch := Chunk{Dst: int(b[0]) % dsts, Src: int(b[1]) % 4, Seq: int(b[2]) % 4}
+			l := min(int(b[3])%9, len(b)-4)
+			ch.Payload, b = b[4:4+l], b[4+l:]
+			chunks = append(chunks, ch)
+			if want[ch.Dst] == nil {
+				want[ch.Dst] = map[[2]int][]byte{}
+			}
+			want[ch.Dst][[2]int{ch.Src, ch.Seq}] = ch.Payload
+		}
+		if err := c.PutAll(ctx, id, chunks, TraceCtx{}); err != nil {
+			t.Fatalf("PutAll of %d chunks: %v", len(chunks), err)
+		}
+		for d := 0; d < dsts; d++ {
+			keys := make([][2]int, 0, len(want[d]))
+			for k := range want[d] {
+				keys = append(keys, k)
+			}
+			sort.Slice(keys, func(i, j int) bool {
+				return keys[i][0] < keys[j][0] || keys[i][0] == keys[j][0] && keys[i][1] < keys[j][1]
+			})
+			var merged []byte
+			for _, k := range keys {
+				merged = append(merged, want[d][k]...)
+			}
+			got, err := c.Fetch(ctx, id, d)
+			if err != nil {
+				t.Fatalf("fetch dst %d: %v", d, err)
+			}
+			if !bytes.Equal(got, merged) {
+				t.Fatalf("dst %d: fetched %q, want %q", d, got, merged)
+			}
+		}
+		if err := c.Drop(ctx, id); err != nil {
+			t.Fatalf("drop: %v", err)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package shuffle
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"net"
@@ -40,6 +41,8 @@ type Server struct {
 	conns    map[net.Conn]struct{}
 	bytes    int64
 	closed   bool
+
+	accepted atomic.Int64
 
 	fetchUS *obs.Histogram // merge latency, reported in the ping snapshot
 
@@ -121,6 +124,11 @@ func (s *Server) Close() error {
 	return err
 }
 
+// Accepted reports how many connections the server has accepted since
+// Serve. A driver in steady state reuses its pooled connections, so this
+// stops growing after the first exchange.
+func (s *Server) Accepted() int64 { return s.accepted.Load() }
+
 // Stats reports stored payload bytes and live shuffle count.
 func (s *Server) Stats() (storedBytes int64, shuffles int) {
 	s.mu.Lock()
@@ -135,6 +143,7 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
+		s.accepted.Add(1)
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -159,10 +168,13 @@ func (s *Server) acceptLoop() {
 
 // serveConn answers framed requests in order until the peer hangs up or a
 // framing error makes the stream unrecoverable. Application-level errors
-// are answered with statusErr and the connection stays usable.
+// are answered with statusErr and the connection stays usable. Reads are
+// buffered: a pipelined burst of puts arrives in a few reads, not two per
+// message.
 func (s *Server) serveConn(conn net.Conn) {
+	br := bufio.NewReader(conn)
 	for {
-		req, err := readMessage(conn, DefaultMaxMessage)
+		req, err := readMessage(br, DefaultMaxMessage)
 		if err != nil {
 			return
 		}
@@ -322,9 +334,8 @@ func (s *Server) handlePut(body []byte) []byte {
 		start = wt.root.Clock()()
 	}
 	key := src<<32 | seq
-	// Copy: chunk aliases the request buffer owned by this read loop.
-	stored := append([]byte(nil), chunk...)
-
+	// Stored without a copy: readMessage allocates a fresh body for every
+	// message, so chunk shares its buffer with nothing else.
 	s.mu.Lock()
 	byDst, ok := s.shuffles[id]
 	if !ok {
@@ -339,11 +350,11 @@ func (s *Server) handlePut(body []byte) []byte {
 	if old, dup := chunks[key]; dup {
 		s.bytes -= int64(len(old))
 	}
-	chunks[key] = stored
-	s.bytes += int64(len(stored))
+	chunks[key] = chunk
+	s.bytes += int64(len(chunk))
 	s.mu.Unlock()
 	if wt != nil {
-		wt.recordPut(int(dst), int(src), int(seq), len(stored), start)
+		wt.recordPut(int(dst), int(src), int(seq), len(chunk), start)
 	}
 	return []byte{statusOK}
 }

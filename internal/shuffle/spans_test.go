@@ -100,10 +100,12 @@ func TestWorkerRecordsAndShipsSpans(t *testing.T) {
 	ctx := context.Background()
 	tc := TraceCtx{TraceID: "t42", ParentSpan: 7}
 
+	var chunks []Chunk
 	for src := 0; src < 3; src++ {
-		if err := c.PutTraced(ctx, "sh#9", 0, src, 0, []byte("abcd"), tc); err != nil {
-			t.Fatal(err)
-		}
+		chunks = append(chunks, Chunk{Dst: 0, Src: src, Seq: 0, Payload: []byte("abcd")})
+	}
+	if err := c.PutAll(ctx, "sh#9", chunks, tc); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := c.FetchTraced(ctx, "sh#9", 0, tc); err != nil {
 		t.Fatal(err)
@@ -159,7 +161,7 @@ func TestDropClearsRecordedSpans(t *testing.T) {
 	c := testDial(t, srv)
 	ctx := context.Background()
 	tc := TraceCtx{TraceID: "t43", ParentSpan: 1}
-	if err := c.PutTraced(ctx, "sh#10", 0, 0, 0, []byte("x"), tc); err != nil {
+	if err := c.PutAll(ctx, "sh#10", []Chunk{{Payload: []byte("x")}}, tc); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Drop(ctx, "sh#10"); err != nil {
@@ -202,7 +204,7 @@ func TestLiveTraceCapBoundsState(t *testing.T) {
 	ctx := context.Background()
 	for i := 0; i < liveTraceCap+5; i++ {
 		tc := TraceCtx{TraceID: fmt.Sprintf("t%d", i), ParentSpan: 1}
-		if err := c.PutTraced(ctx, fmt.Sprintf("sh#%d", i), 0, 0, 0, []byte("x"), tc); err != nil {
+		if err := c.PutAll(ctx, fmt.Sprintf("sh#%d", i), []Chunk{{Payload: []byte("x")}}, tc); err != nil {
 			t.Fatal(err)
 		}
 	}
