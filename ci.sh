@@ -14,7 +14,9 @@
 #                        kernels against their row-form references: the
 #                        interpolation join (FuzzInterpolationJoin) and the
 #                        group kernel under aggregate and derive_heat
-#                        (FuzzGroupAggregate); and 10 s of pipelined puts
+#                        (FuzzGroupAggregate); 10 s of the value binary
+#                        codec (FuzzValueBinary: decode, re-encode, JSON
+#                        round trip); and 10 s of pipelined puts
 #                        against a live shuffle worker (FuzzPipelinedPuts:
 #                        one burst of arbitrary puts, every fetch equal to
 #                        the last-write-wins (src, seq) merge); their seed
@@ -73,6 +75,13 @@ go test -run='^$' -fuzz=FuzzInterpolationJoin -fuzztime=10s ./internal/derive
 
 echo "==> go test -run='^\$' -fuzz=FuzzGroupAggregate -fuzztime=10s ./internal/derive"
 go test -run='^$' -fuzz=FuzzGroupAggregate -fuzztime=10s ./internal/derive
+
+# FuzzValueBinary: arbitrary bytes through the value decoder; whatever
+# decodes must re-encode, re-decode and JSON round-trip unchanged. Its
+# interesting inputs are cheap but many, so minimization is capped at 1 s
+# like the shuffle fuzzer's below.
+echo "==> go test -run='^\$' -fuzz=FuzzValueBinary -fuzztime=10s -fuzzminimizetime=1s ./internal/value"
+go test -run='^$' -fuzz=FuzzValueBinary -fuzztime=10s -fuzzminimizetime=1s ./internal/value
 
 # Each FuzzPipelinedPuts input costs a few loopback round trips, so the
 # default 60 s minimization of every new interesting input would eat the

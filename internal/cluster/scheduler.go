@@ -139,8 +139,9 @@ func (s *Scheduler) hook(phase, stage string) {
 // payload. Worker failures reassign the destination to the next live worker
 // and re-execute its task from the driver-retained encoded buckets. Every
 // destination's push and fetch runs at once; the owners' connection pools
-// bound how many are on the wire. Traced, the two phases record as "push"
-// and "fetch" children of the exchange span.
+// bound how many are on the wire. Traced, the phases record as "push",
+// "barrier", "fetch", "collect-spans" (only when the trace context crosses
+// the wire) and "drop" children of the exchange span.
 func (s *Scheduler) Exchange(ctx context.Context, stage string, numOut int, enc [][][]byte) ([][]byte, error) {
 	live := s.reg.Live()
 	if len(live) == 0 {
@@ -179,13 +180,16 @@ func (s *Scheduler) Exchange(ctx context.Context, stage string, numOut int, enc 
 	}
 	wg.Wait()
 	push.End()
+	barrier := parent.Child("barrier", stage)
 	for _, err := range errs {
 		if err != nil {
-			s.dropAsync(id)
+			barrier.End()
+			s.drop(parent, id, stage)
 			return nil, err
 		}
 	}
 	s.hook("barrier", stage)
+	barrier.End()
 
 	// Fetch phase: per destination, fetch the merged payload from its
 	// owner, with retry-on-new-worker and straggler backup.
@@ -204,12 +208,12 @@ func (s *Scheduler) Exchange(ctx context.Context, stage string, numOut int, enc 
 	s.hook("fetch", stage)
 	for _, err := range errs {
 		if err != nil {
-			s.dropAsync(id)
+			s.drop(parent, id, stage)
 			return nil, err
 		}
 	}
-	s.collectSpans(ctx, id, parent)
-	s.dropAsync(id)
+	s.collectSpans(ctx, id, stage, parent)
+	s.drop(parent, id, stage)
 	return out, nil
 }
 
@@ -218,10 +222,12 @@ func (s *Scheduler) Exchange(ctx context.Context, stage string, numOut int, enc 
 // renumbered into the driver's trace and rebased to the exchange start,
 // each stamped with its worker origin. Best-effort: a worker that fails
 // here loses its spans, never the query.
-func (s *Scheduler) collectSpans(ctx context.Context, id string, parent *obs.Span) {
+func (s *Scheduler) collectSpans(ctx context.Context, id, stage string, parent *obs.Span) {
 	if parent == nil || parent.TraceID() == "" {
 		return
 	}
+	sp := parent.Child("collect-spans", stage)
+	defer sp.End()
 	for _, w := range s.reg.Live() {
 		c, err := w.get(ctx)
 		if err != nil {
@@ -420,9 +426,13 @@ func (s *Scheduler) replacement(exclude *Worker) *Worker {
 	return nil
 }
 
-// dropAsync frees worker-side shuffle state in the background.
-func (s *Scheduler) dropAsync(id string) {
+// drop frees worker-side shuffle state in the background. Its "drop" span
+// times only the hand-off: the exchange does not wait for the workers.
+func (s *Scheduler) drop(parent *obs.Span, id, stage string) {
+	sp := parent.Child("drop", stage)
+	defer sp.End()
 	workers := s.reg.Live()
+	sp.SetInt("workers", int64(len(workers)))
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), s.reg.opTimeout)
 		defer cancel()

@@ -1,9 +1,11 @@
 package derive
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"scrubjay/internal/dataset"
@@ -28,6 +30,10 @@ type propInput struct {
 type propCase struct {
 	params map[string]any
 	inputs []propInput
+	// wantRows, when nonzero, is the output row count both paths must
+	// produce: it pins the lookalike cases, where both paths share the
+	// key rendering and could agree on merging two keys.
+	wantRows int
 }
 
 func cloneRows(rows []value.Row) []value.Row {
@@ -610,5 +616,172 @@ func TestColumnarMatchesRowPath(t *testing.T) {
 				}
 			}
 		})
+	}
+
+	// Key cells of two kinds that render alike: the kernels key them
+	// apart, and so must the row reference. Outputs compare by their
+	// kind-tagged JSON, which tells the two cells apart where String
+	// would not.
+	for _, pair := range lookalikePairs {
+		for name, gen := range lookalikeCases(pair) {
+			t.Run("lookalike/"+pair.name+"/"+name, func(t *testing.T) {
+				pc := gen()
+				for _, parts := range []int{1, 2, 3} {
+					ctx := rdd.NewContext(3)
+					rowIn := make([]*dataset.Dataset, len(pc.inputs))
+					colIn := make([]*dataset.Dataset, len(pc.inputs))
+					for i, in := range pc.inputs {
+						nm := fmt.Sprintf("in%d", i)
+						rowIn[i] = dataset.FromRows(ctx, nm, cloneRows(in.rows), in.schema, parts)
+						colIn[i] = dataset.FromRowsColumnar(ctx, nm, cloneRows(in.rows), in.schema, parts)
+					}
+					rowOut, err := applyDerivation(name, pc, rowIn, dict)
+					if err != nil {
+						t.Fatalf("parts %d: row path: %v", parts, err)
+					}
+					colOut, err := applyDerivation(name, pc, colIn, dict)
+					if err != nil {
+						t.Fatalf("parts %d: columnar path: %v", parts, err)
+					}
+					got, want := rowJSON(t, colOut.Collect()), rowJSON(t, rowOut.Collect())
+					if strings.Join(got, "\n") != strings.Join(want, "\n") {
+						t.Fatalf("parts %d:\n got %s\nwant %s", parts, got, want)
+					}
+					if len(got) != pc.wantRows {
+						t.Fatalf("parts %d: %d rows, want %d (one per key kind):\n%s", parts, len(got), pc.wantRows, got)
+					}
+				}
+			})
+		}
+	}
+}
+
+// rowJSON renders rows as sorted kind-tagged JSON.
+func rowJSON(t *testing.T, rows []value.Row) []string {
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = string(b)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// lookalike is a pair of key cells of different kinds that render alike;
+// a nil cell is absent.
+type lookalike struct {
+	name string
+	a, b *value.Value
+}
+
+var lookalikePairs = []lookalike{
+	{"int-vs-string", ptr(value.Int(1)), ptr(value.Str("1"))},
+	{"absent-vs-empty", nil, ptr(value.Str(""))},
+}
+
+func ptr(v value.Value) *value.Value { return &v }
+
+// setCell writes v to col, or leaves col absent when v is nil.
+func setCell(r value.Row, col string, v *value.Value) value.Row {
+	if v != nil {
+		r[col] = *v
+	}
+	return r
+}
+
+// lookalikeCases builds, per derivation that keys on rendered values in
+// its row reference, an input whose key column holds both cells of p.
+func lookalikeCases(p lookalike) map[string]func() propCase {
+	sec := func(i int) value.Value { return value.TimeNanos(int64(i) * 1_000_000_000) }
+	return map[string]func() propCase{
+		"natural_join": func() propCase {
+			ls := semantics.NewSchema(
+				"node", semantics.IDDomain("compute_node"),
+				"load", semantics.ValueEntry("fraction", "fraction"),
+			)
+			rs := semantics.NewSchema(
+				"node_id", semantics.IDDomain("compute_node"),
+				"temp", semantics.ValueEntry("temperature", "kelvin"),
+			)
+			var lrows, rrows []value.Row
+			for i, v := range []*value.Value{p.a, p.b, p.a, p.b} {
+				lrows = append(lrows, setCell(value.NewRow("load", value.Float(float64(i))), "node", v))
+				rrows = append(rrows, setCell(value.NewRow("temp", value.Float(300+float64(i))), "node_id", v))
+			}
+			return propCase{inputs: []propInput{{ls, lrows}, {rs, rrows}}, wantRows: 8}
+		},
+		"interpolation_join": func() propCase {
+			ls := semantics.NewSchema(
+				"node", semantics.IDDomain("compute_node"),
+				"t", semantics.TimeDomain(),
+				"load", semantics.ValueEntry("fraction", "fraction"),
+			)
+			rs := semantics.NewSchema(
+				"node_id", semantics.IDDomain("compute_node"),
+				"time", semantics.TimeDomain(),
+				"sensor", semantics.IDDomain("rack"),
+				"temp", semantics.ValueEntry("temperature", "kelvin"),
+			)
+			lrows := []value.Row{
+				value.NewRow("node", value.Str("n0"), "t", sec(1), "load", value.Float(0.5)),
+				value.NewRow("node", value.Str("n0"), "t", sec(3), "load", value.Float(0.25)),
+			}
+			var rrows []value.Row
+			for i, v := range []*value.Value{p.a, p.b, p.a, p.b} {
+				r := value.NewRow("node_id", value.Str("n0"), "time", sec(i+1), "temp", value.Float(290+float64(i)))
+				rrows = append(rrows, setCell(r, "sensor", v))
+			}
+			return propCase{params: map[string]any{"window_seconds": 2.0},
+				inputs: []propInput{{ls, lrows}, {rs, rrows}}, wantRows: 4}
+		},
+		"aggregate": func() propCase {
+			s := semantics.NewSchema(
+				"node", semantics.IDDomain("compute_node"),
+				"temp", semantics.ValueEntry("temperature", "kelvin"),
+			)
+			var rows []value.Row
+			for i, v := range []*value.Value{p.a, p.b, p.a, p.b} {
+				rows = append(rows, setCell(value.NewRow("temp", value.Float(290+float64(i))), "node", v))
+			}
+			return propCase{
+				params:   map[string]any{"group_by": []string{"node"}, "ops": map[string]string{"temp": "sum"}},
+				inputs:   []propInput{{s, rows}},
+				wantRows: 2,
+			}
+		},
+		"derive_heat": func() propCase {
+			s := semantics.NewSchema(
+				"aisle", semantics.IDDomain("rack_aisle"),
+				"rack", semantics.IDDomain("rack"),
+				"t", semantics.TimeDomain(),
+				"temp", semantics.ValueEntry("temperature", "kelvin"),
+			)
+			var rows []value.Row
+			for i, v := range []*value.Value{p.a, p.b, p.a, p.b} {
+				aisle := AisleHot
+				if i >= 2 {
+					aisle = AisleCold
+				}
+				r := value.NewRow("aisle", value.Str(aisle), "t", sec(0), "temp", value.Float(300+float64(i)))
+				rows = append(rows, setCell(r, "rack", v))
+			}
+			return propCase{params: map[string]any{}, inputs: []propInput{{s, rows}}, wantRows: 2}
+		},
+		"derive_rate": func() propCase {
+			s := semantics.NewSchema(
+				"t", semantics.TimeDomain(),
+				"cpu", semantics.IDDomain("cpu"),
+				"instr", semantics.ValueEntry("instructions", "instructions"),
+			)
+			var rows []value.Row
+			for i, v := range []*value.Value{p.a, p.b, p.a, p.b, p.a, p.b} {
+				r := value.NewRow("t", sec(i), "instr", value.Int(int64(100*i*i)))
+				rows = append(rows, setCell(r, "cpu", v))
+			}
+			return propCase{params: map[string]any{}, inputs: []propInput{{s, rows}}, wantRows: 4}
+		},
 	}
 }

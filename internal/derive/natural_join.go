@@ -76,29 +76,43 @@ func mergedJoinSchema(left, right semantics.Schema, pairs []joinPair) (semantics
 // key, converting right-side scalar units to left-side units so that
 // semantically equal values key identically.
 func joinKey(r value.Row, cols []string, convert []func(value.Value) value.Value) string {
-	var b strings.Builder
+	return string(appendJoinKey(nil, r, cols, convert))
+}
+
+// appendJoinKey appends joinKey's rendering of r to b.
+func appendJoinKey(b []byte, r value.Row, cols []string, convert []func(value.Value) value.Value) []byte {
 	for i, c := range cols {
 		v := r.Get(c)
 		if convert != nil && convert[i] != nil {
 			v = convert[i](v)
 		}
-		b.WriteString(v.String())
-		b.WriteByte(0)
+		b = appendKeyPart(b, v)
 	}
-	return b.String()
+	return b
 }
 
 // frameKey renders row i of f over the columns at cols (-1: absent) exactly
 // as joinKey renders a row.
 func frameKey(f *frame.Frame, i int, cols []int) string {
-	var b strings.Builder
+	var b []byte
 	for _, c := range cols {
+		v := value.Null()
 		if c >= 0 {
-			b.WriteString(f.ColAt(c).Value(i).String())
+			v = f.ColAt(c).Value(i)
 		}
-		b.WriteByte(0)
+		b = appendKeyPart(b, v)
 	}
-	return b.String()
+	return string(b)
+}
+
+// appendKeyPart appends one key part: the value's kind byte, its rendering
+// and a 0 terminator. The kind byte keys apart values that render alike
+// (Int(1) and Str("1"), an absent cell and Str("")), as the kind-strict
+// frame kernels compare them.
+func appendKeyPart(b []byte, v value.Value) []byte {
+	b = append(b, byte(v.Kind()))
+	b = append(b, v.String()...)
+	return append(b, 0)
 }
 
 // keyedRow pairs a row with its precomputed composite join key.
@@ -117,15 +131,7 @@ func preKeyRows(rows *rdd.RDD[value.Row], cols []string, convs []func(value.Valu
 		out := make([]keyedRow, len(in))
 		scratch := make([]byte, 0, 64)
 		for i, r := range in {
-			scratch = scratch[:0]
-			for j, c := range cols {
-				v := r.Get(c)
-				if convs != nil && convs[j] != nil {
-					v = convs[j](v)
-				}
-				scratch = append(scratch, v.String()...)
-				scratch = append(scratch, 0)
-			}
+			scratch = appendJoinKey(scratch[:0], r, cols, convs)
 			out[i] = keyedRow{key: string(scratch), row: r}
 		}
 		return out

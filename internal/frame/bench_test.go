@@ -2,6 +2,7 @@ package frame
 
 import (
 	"math"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -72,6 +73,52 @@ func TestAppendRowJSONAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("AppendRowJSON: %.0f allocations per %d rows, want 0", allocs, f.NumRows())
+	}
+}
+
+// TestRowAtBytesPerRow: unboxing a six-column row costs one map of six
+// 48-byte values, which fits the 576-byte map group size class, about
+// 624 B/row. With a 64-byte value.Value it took the 704-byte class, about
+// 752 B/row.
+func TestRowAtBytesPerRow(t *testing.T) {
+	const n = 10_000
+	ints := make([]value.Value, n)
+	names := make([]value.Value, n)
+	spans := make([]value.Value, n)
+	mixed := make([]value.Value, n)
+	times := make([]int64, n)
+	flts := make([]float64, n)
+	for i := range n {
+		ints[i] = value.Int(int64(i))
+		names[i] = value.Str("node-" + strconv.Itoa(i%64))
+		spans[i] = value.Span(int64(i), int64(i)+5)
+		mixed[i] = value.Int(int64(i))
+		if i%2 == 0 {
+			mixed[i] = value.Str("x")
+		}
+		times[i] = int64(i) * 1_000_000_000
+		flts[i] = float64(i) / 4
+	}
+	f := New(
+		TimeColumn("time", times),
+		ColumnOf("node", names),
+		FloatColumn("cpu", flts),
+		ColumnOf("count", ints),
+		ColumnOf("span", spans),
+		ColumnOf("mixed", mixed),
+	)
+	rows := make([]value.Row, n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range rows {
+		rows[i] = f.RowAt(i)
+	}
+	runtime.ReadMemStats(&after)
+	if len(rows[n-1]) != 6 {
+		t.Fatalf("RowAt returned %d columns, want 6", len(rows[n-1]))
+	}
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per > 640 {
+		t.Errorf("RowAt: %d B/row over %d rows of 6 columns, want at most 640", per, n)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"scrubjay/internal/obs"
@@ -78,6 +79,11 @@ func (e *ExecFailure) Error() string {
 // Unwrap exposes the cause to errors.Is/As.
 func (e *ExecFailure) Unwrap() error { return e.Cause }
 
+// encScratch recycles exchange encode buffers across source partitions and
+// exchanges, so an encode grows a buffer by doubling only while it is
+// larger than any before it.
+var encScratch = sync.Pool{New: func() any { return new([]byte) }}
+
 // exchangeVia routes bucketed shuffle output through the Context's
 // Placement. buckets is [src][dst][]T as produced by the map-side tasks.
 // Returns (nil, false) when the exchange is not eligible (no placement or
@@ -95,22 +101,33 @@ func exchangeVia[T any](c *Context, w *Wire[T], stage string, numOut int, bucket
 	enc := make([][][]byte, len(buckets))
 	var encBytes, encElems int64
 	c.runTasks(len(buckets), func(i int) {
-		local := make([][]byte, numOut)
-		var n, elems int64
+		// Every destination encodes into one recycled scratch buffer; the
+		// source's payloads then take a single exact-size allocation, each
+		// destination a capped sub-slice of it.
+		scratch := encScratch.Get().(*[]byte)
+		buf := (*scratch)[:0]
+		ends := make([]int, numOut)
+		var elems int64
 		for d, bucket := range buckets[i] {
-			if len(bucket) == 0 {
-				continue
-			}
-			var buf []byte
 			for _, v := range bucket {
 				buf = w.Append(buf, v)
 			}
-			local[d] = buf
-			n += int64(len(buf))
+			ends[d] = len(buf)
 			elems += int64(len(bucket))
 		}
+		exact := append([]byte(nil), buf...)
+		*scratch = buf
+		encScratch.Put(scratch)
+		local := make([][]byte, numOut)
+		lo := 0
+		for d, hi := range ends {
+			if hi > lo {
+				local[d] = exact[lo:hi:hi]
+			}
+			lo = hi
+		}
 		enc[i] = local
-		atomic.AddInt64(&encBytes, n)
+		atomic.AddInt64(&encBytes, int64(len(exact)))
 		atomic.AddInt64(&encElems, elems)
 	})
 	encSpan.SetInt("bytes", encBytes)

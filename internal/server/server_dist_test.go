@@ -174,9 +174,11 @@ func TestFig5DistributedTrace(t *testing.T) {
 		if workerKids == 0 {
 			t.Fatalf("exchange span %s has no worker-origin children", ex.Name)
 		}
-		// The scheduler names its two phases under the exchange span.
-		if phases["push"] != 1 || phases["fetch"] != 1 {
-			t.Fatalf("exchange span %s has phase children %v, want one push and one fetch", ex.Name, phases)
+		// The scheduler names its five phases under the exchange span.
+		for _, ph := range exchangePhases {
+			if phases[ph] != 1 {
+				t.Fatalf("exchange span %s has phase children %v, want one each of %v", ex.Name, phases, exchangePhases)
+			}
 		}
 		stageBytes[strings.TrimSuffix(ex.Name, "|shuffle-fetch")] += ex.AttrInt(obs.AttrShuffleBytes)
 	}
@@ -209,4 +211,27 @@ func TestFig5DistributedTrace(t *testing.T) {
 	if !strings.Contains(tl, "origin=driver") || !strings.Contains(tl, "origin=worker@") {
 		t.Fatalf("timeline lacks origin columns:\n%s", tl)
 	}
+
+	// A span whose trace has no id carries no trace context over the wire:
+	// the workers record nothing, so there is nothing to collect and no
+	// collect-spans phase, while the other four phases still record.
+	untraced := obs.NewTracer("", nil).Start(obs.KindStage, "untraced|shuffle-fetch")
+	enc := [][][]byte{{[]byte("a"), []byte("b")}, {nil, []byte("c")}}
+	if _, err := sched.Exchange(obs.ContextWithSpan(t.Context(), untraced), "untraced", 2, enc); err != nil {
+		t.Fatal(err)
+	}
+	untraced.End()
+	phases := map[string]int{}
+	for _, c := range untraced.Children() {
+		phases[c.Kind()]++
+	}
+	for _, ph := range exchangePhases {
+		if want := ph != "collect-spans"; (phases[ph] == 1) != want {
+			t.Fatalf("untraced exchange has phase children %v, want one each of %v but collect-spans", phases, exchangePhases)
+		}
+	}
 }
+
+// exchangePhases are the children cluster.Scheduler.Exchange opens under a
+// traced exchange span.
+var exchangePhases = []string{"push", "barrier", "fetch", "collect-spans", "drop"}

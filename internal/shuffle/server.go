@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -178,23 +178,24 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		resp := s.handle(req)
-		if err := writeMessage(conn, resp); err != nil {
+		if err := writeMessage(conn, s.handle(req)...); err != nil {
 			return
 		}
 	}
 }
 
-func (s *Server) handle(req []byte) []byte {
+// handle answers one request. The response body is the concatenation of
+// the returned parts; only a fetch returns more than one.
+func (s *Server) handle(req []byte) [][]byte {
 	if len(req) == 0 {
-		return errResponse(fmt.Errorf("empty request"))
+		return [][]byte{errResponse(fmt.Errorf("empty request"))}
 	}
 	op, body := req[0], req[1:]
 	switch op {
 	case opHello:
 		_, n, err := readString(body)
 		if err != nil {
-			return errResponse(err)
+			return [][]byte{errResponse(err)}
 		}
 		// Negotiate-or-refuse: the client's version byte follows the
 		// driver name and must be exactly ProtoVersion.
@@ -203,20 +204,20 @@ func (s *Server) handle(req []byte) []byte {
 			if len(body) > n {
 				got = fmt.Sprint(body[n])
 			}
-			return errResponse(fmt.Errorf("protocol version %s not supported, worker speaks %d", got, ProtoVersion))
+			return [][]byte{errResponse(fmt.Errorf("protocol version %s not supported, worker speaks %d", got, ProtoVersion))}
 		}
 		resp := appendString([]byte{statusOK}, s.id)
-		return append(resp, ProtoVersion)
+		return [][]byte{append(resp, ProtoVersion)}
 	case opPut:
-		return s.handlePut(body)
+		return [][]byte{s.handlePut(body)}
 	case opFetch:
 		return s.handleFetch(body)
 	case opSpans:
-		return s.handleSpans(body)
+		return [][]byte{s.handleSpans(body)}
 	case opDrop:
 		id, _, err := readString(body)
 		if err != nil {
-			return errResponse(err)
+			return [][]byte{errResponse(err)}
 		}
 		s.mu.Lock()
 		if byDst, ok := s.shuffles[id]; ok {
@@ -233,7 +234,7 @@ func (s *Server) handle(req []byte) []byte {
 			}
 		}
 		s.mu.Unlock()
-		return []byte{statusOK}
+		return [][]byte{{statusOK}}
 	case opPing:
 		stored, n := s.Stats()
 		resp := []byte{statusOK}
@@ -247,9 +248,9 @@ func (s *Server) handle(req []byte) []byte {
 		resp = binary.AppendUvarint(resp, uint64(s.fetchUS.Quantile(0.50)))
 		resp = binary.AppendUvarint(resp, uint64(s.fetchUS.Quantile(0.90)))
 		resp = binary.AppendUvarint(resp, uint64(s.fetchUS.Quantile(0.99)))
-		return resp
+		return [][]byte{resp}
 	default:
-		return errResponse(fmt.Errorf("unknown opcode 0x%02x", op))
+		return [][]byte{errResponse(fmt.Errorf("unknown opcode 0x%02x", op))}
 	}
 }
 
@@ -375,19 +376,23 @@ func (w *workerTrace) recordPut(dst, src, seq, bytes int, start time.Duration) {
 	sp.EndAt(w.root.Clock()())
 }
 
-func (s *Server) handleFetch(body []byte) []byte {
+// handleFetch answers a fetch with the status byte followed by the stored
+// chunks in (src, seq) order, uncopied: serveConn writes them with one
+// vectored write. A stored chunk is never modified (a re-put or a drop
+// replaces the map entry, not the bytes), so the write needs no lock.
+func (s *Server) handleFetch(body []byte) [][]byte {
 	id, n, err := readString(body)
 	if err != nil {
-		return errResponse(err)
+		return [][]byte{errResponse(err)}
 	}
 	body = body[n:]
 	dst, n, err := readUvarint(body)
 	if err != nil {
-		return errResponse(err)
+		return [][]byte{errResponse(err)}
 	}
 	traceID, parent, _, err := readTraceCtx(body[n:])
 	if err != nil {
-		return errResponse(err)
+		return [][]byte{errResponse(err)}
 	}
 	wt := s.traceFor(traceKey{shuffle: id, trace: traceID}, parent)
 	var fetchSpan *obs.Span // nil-safe: nil when untraced
@@ -414,11 +419,11 @@ func (s *Server) handleFetch(body []byte) []byte {
 		mergeSpan.SetInt("chunks", int64(len(keys)))
 		mergeSpan.SetInt("bytes", int64(total))
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	resp := make([]byte, 1, 1+total)
-	resp[0] = statusOK
+	slices.Sort(keys)
+	resp := make([][]byte, 1, 1+len(keys))
+	resp[0] = []byte{statusOK}
 	for _, k := range keys {
-		resp = append(resp, chunks[k]...)
+		resp = append(resp, chunks[k])
 	}
 	s.mu.Unlock()
 	s.fetchUS.ObserveDuration(time.Since(mergeStart))

@@ -67,12 +67,19 @@ const DefaultMaxMessage = 64 << 20
 // is shipped as ceil(len/chunk) sequenced puts.
 const DefaultChunkBytes = 4 << 20
 
-// writeMessage frames and writes one message body: header and body leave in
-// one vectored write (writev on a TCP connection), so a message costs one
-// syscall and never a second segment for its 4-byte header.
-func writeMessage(w io.Writer, body []byte) error {
-	hdr := binary.BigEndian.AppendUint32(make([]byte, 0, 4), uint32(len(body)))
-	bufs := net.Buffers{hdr, body}
+// writeMessage frames and writes one message whose body is the
+// concatenation of parts: header and parts leave in one vectored write
+// (writev on a TCP connection), so a message costs one syscall, never a
+// second segment for its 4-byte header, and a body in several parts is
+// never copied into one buffer.
+func writeMessage(w io.Writer, parts ...[]byte) error {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	bufs := make(net.Buffers, 0, 1+len(parts))
+	bufs = append(bufs, binary.BigEndian.AppendUint32(make([]byte, 0, 4), uint32(n)))
+	bufs = append(bufs, parts...)
 	_, err := bufs.WriteTo(w)
 	return err
 }

@@ -27,8 +27,9 @@ func (v Value) AppendBinary(b []byte) []byte {
 		b = binary.AppendVarint(b, v.num)
 		b = binary.AppendVarint(b, v.num2)
 	case KindList:
-		b = binary.AppendUvarint(b, uint64(len(v.list)))
-		for _, e := range v.list {
+		vl := *v.list
+		b = binary.AppendUvarint(b, uint64(len(vl)))
+		for _, e := range vl {
 			b = e.AppendBinary(b)
 		}
 	}
@@ -38,6 +39,15 @@ func (v Value) AppendBinary(b []byte) []byte {
 // DecodeValue decodes a value produced by AppendBinary, returning the value
 // and the number of bytes consumed.
 func DecodeValue(b []byte) (Value, int, error) {
+	var stack []Value
+	return decodeValue(b, &stack)
+}
+
+// decodeValue decodes one value. A list decodes its elements onto the
+// stack shared by every list level and copies them out at its exact size
+// once complete, so a corrupt input of deeply nested list headers costs
+// memory linear in len(b), not quadratic.
+func decodeValue(b []byte, stack *[]Value) (Value, int, error) {
 	if len(b) == 0 {
 		return Null(), 0, fmt.Errorf("value: empty binary input")
 	}
@@ -51,6 +61,9 @@ func DecodeValue(b []byte) (Value, int, error) {
 		if sz <= 0 {
 			return Null(), 0, fmt.Errorf("value: truncated varint")
 		}
+		if kind == KindBool {
+			return Bool(num != 0), n + sz, nil // any nonzero payload is true
+		}
 		return Value{kind: kind, num: num}, n + sz, nil
 	case KindFloat:
 		if len(b) < n+8 {
@@ -60,7 +73,7 @@ func DecodeValue(b []byte) (Value, int, error) {
 		return Value{kind: KindFloat, num: num}, n + 8, nil
 	case KindString:
 		l, sz := binary.Uvarint(b[n:])
-		if sz <= 0 || len(b) < n+sz+int(l) {
+		if sz <= 0 || l > uint64(len(b)-n-sz) {
 			return Null(), 0, fmt.Errorf("value: truncated string")
 		}
 		n += sz
@@ -81,20 +94,23 @@ func DecodeValue(b []byte) (Value, int, error) {
 		if sz <= 0 {
 			return Null(), 0, fmt.Errorf("value: truncated list length")
 		}
-		if l > uint64(len(b)) {
+		n += sz
+		if l > uint64(len(b)-n) { // every element takes at least one byte
 			return Null(), 0, fmt.Errorf("value: implausible list length %d", l)
 		}
-		n += sz
-		vs := make([]Value, l)
-		for i := range vs {
-			e, consumed, err := DecodeValue(b[n:])
+		base := len(*stack)
+		for i := uint64(0); i < l; i++ {
+			e, consumed, err := decodeValue(b[n:], stack)
 			if err != nil {
 				return Null(), 0, err
 			}
-			vs[i] = e
+			*stack = append(*stack, e)
 			n += consumed
 		}
-		return Value{kind: KindList, list: vs}, n, nil
+		vs := make([]Value, l)
+		copy(vs, (*stack)[base:])
+		*stack = (*stack)[:base]
+		return listOf(vs), n, nil
 	default:
 		return Null(), 0, fmt.Errorf("value: unknown binary kind %d", kind)
 	}
@@ -127,7 +143,7 @@ func DecodeRow(b []byte) (Row, int, error) {
 	row := make(Row, nFields)
 	for i := uint64(0); i < nFields; i++ {
 		l, sz := binary.Uvarint(b[n:])
-		if sz <= 0 || len(b) < n+sz+int(l) {
+		if sz <= 0 || l > uint64(len(b)-n-sz) {
 			return nil, 0, fmt.Errorf("value: truncated column name")
 		}
 		n += sz

@@ -53,8 +53,9 @@ func (v Value) MarshalJSON() ([]byte, error) {
 		jv.T = &t1
 		jv.T2 = &t2
 	case KindList:
-		jv.L = make([]json.RawMessage, len(v.list))
-		for i, e := range v.list {
+		vl := *v.list
+		jv.L = make([]json.RawMessage, len(vl))
+		for i, e := range vl {
 			raw, err := json.Marshal(e)
 			if err != nil {
 				return nil, err
@@ -135,7 +136,7 @@ func (v *Value) UnmarshalJSON(data []byte) error {
 				return err
 			}
 		}
-		*v = Value{kind: KindList, list: vs}
+		*v = listOf(vs)
 	}
 	return nil
 }

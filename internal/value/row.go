@@ -136,13 +136,17 @@ func (r Row) KeyOn(cols []string) uint64 {
 }
 
 // KeyStringOn renders the key columns as a canonical string, usable as a
-// map key where hash collisions must be impossible.
+// map key where hash collisions must be impossible. Each value is its kind
+// byte before its rendering, so the key is as kind-strict as Equal: Int(1)
+// and Str("1") key apart, and so do an absent cell and Str("").
 func (r Row) KeyStringOn(cols []string) string {
 	var b strings.Builder
 	for _, col := range cols {
+		v := r.Get(col)
 		b.WriteString(col)
 		b.WriteByte(0)
-		b.WriteString(r.Get(col).String())
+		b.WriteByte(byte(v.Kind()))
+		b.WriteString(v.String())
 		b.WriteByte(1)
 	}
 	return b.String()

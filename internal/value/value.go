@@ -79,13 +79,22 @@ func KindFromString(s string) (Kind, error) {
 }
 
 // Value is an immutable dynamically typed cell. The zero Value is Null.
+//
+// The layout is 48 bytes: a list keeps a pointer to its slice header
+// rather than the header itself, which would take 24 bytes in every value.
+// Every field is a plain Go type, so reflect.DeepEqual compares values by
+// content.
 type Value struct {
+	_    [0]func() // keeps == on Value a compile error
 	kind Kind
 	num  int64 // bool (0/1), int, float bits, time nanos, span start
 	num2 int64 // span end
 	str  string
-	list []Value
+	list *[]Value // nil unless kind is KindList
 }
+
+// listOf wraps vs as a list value without copying it.
+func listOf(vs []Value) Value { return Value{kind: KindList, list: &vs} }
 
 // Null returns the null value.
 func Null() Value { return Value{} }
@@ -132,7 +141,7 @@ func SpanOf(start, end time.Time) Value { return Span(start.UnixNano(), end.Unix
 func List(vs ...Value) Value {
 	cp := make([]Value, len(vs))
 	copy(cp, vs)
-	return Value{kind: KindList, list: cp}
+	return listOf(cp)
 }
 
 // StrList builds a list of string values, a common shape for node lists.
@@ -141,7 +150,7 @@ func StrList(ss ...string) Value {
 	for i, s := range ss {
 		vs[i] = Str(s)
 	}
-	return Value{kind: KindList, list: vs}
+	return listOf(vs)
 }
 
 // Kind reports the dynamic type of v.
@@ -248,14 +257,14 @@ func (v Value) ListVal() []Value {
 	if v.kind != KindList {
 		return nil
 	}
-	return v.list
+	return *v.list
 }
 
 // Len returns the length of a list or string value, 0 otherwise.
 func (v Value) Len() int {
 	switch v.kind {
 	case KindList:
-		return len(v.list)
+		return len(*v.list)
 	case KindString:
 		return len(v.str)
 	default:
@@ -276,11 +285,12 @@ func (v Value) Equal(o Value) bool {
 	case KindString:
 		return v.str == o.str
 	case KindList:
-		if len(v.list) != len(o.list) {
+		vl, ol := *v.list, *o.list
+		if len(vl) != len(ol) {
 			return false
 		}
-		for i := range v.list {
-			if !v.list[i].Equal(o.list[i]) {
+		for i := range vl {
+			if !vl[i].Equal(ol[i]) {
 				return false
 			}
 		}
@@ -340,16 +350,14 @@ func (v Value) Compare(o Value) int {
 		}
 		return cmpInt64(v.num2, o.num2)
 	case KindList:
-		n := len(v.list)
-		if len(o.list) < n {
-			n = len(o.list)
-		}
+		vl, ol := *v.list, *o.list
+		n := min(len(vl), len(ol))
 		for i := 0; i < n; i++ {
-			if c := v.list[i].Compare(o.list[i]); c != 0 {
+			if c := vl[i].Compare(ol[i]); c != 0 {
 				return c
 			}
 		}
-		return len(v.list) - len(o.list)
+		return len(vl) - len(ol)
 	default:
 		return cmpInt64(v.num, o.num)
 	}
@@ -386,7 +394,7 @@ func (v Value) hashInto(h hasher) {
 	case KindString:
 		h.Write([]byte(v.str))
 	case KindList:
-		for _, e := range v.list {
+		for _, e := range *v.list {
 			e.hashInto(h)
 		}
 	default:
@@ -433,8 +441,9 @@ func (v Value) String() string {
 			time.Unix(0, v.num).UTC().Format(time.RFC3339Nano),
 			time.Unix(0, v.num2).UTC().Format(time.RFC3339Nano))
 	case KindList:
-		parts := make([]string, len(v.list))
-		for i, e := range v.list {
+		vl := *v.list
+		parts := make([]string, len(vl))
+		for i, e := range vl {
 			parts[i] = e.String()
 		}
 		return "[" + strings.Join(parts, ",") + "]"
