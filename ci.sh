@@ -10,11 +10,13 @@
 #                        flake; then the same for the nested benchmark/
 #                        module (its TestSmoke runs every BENCHMARK.json
 #                        workload at tiny scale and checks the output bytes)
-#   * fuzz             — 10 s each of differential fuzzing of two columnar
+#   * fuzz             — 10 s each of differential fuzzing of three columnar
 #                        kernels against their row-form references: the
-#                        interpolation join (FuzzInterpolationJoin) and the
+#                        interpolation join (FuzzInterpolationJoin), the
 #                        group kernel under aggregate and derive_heat
-#                        (FuzzGroupAggregate); 10 s of the value binary
+#                        (FuzzGroupAggregate) and the natural join
+#                        (FuzzNaturalJoin, also against the nested-loop
+#                        reference); 10 s of the value binary
 #                        codec (FuzzValueBinary: decode, re-encode, JSON
 #                        round trip); and 10 s of pipelined puts
 #                        against a live shuffle worker (FuzzPipelinedPuts:
@@ -75,6 +77,9 @@ go test -run='^$' -fuzz=FuzzInterpolationJoin -fuzztime=10s ./internal/derive
 
 echo "==> go test -run='^\$' -fuzz=FuzzGroupAggregate -fuzztime=10s ./internal/derive"
 go test -run='^$' -fuzz=FuzzGroupAggregate -fuzztime=10s ./internal/derive
+
+echo "==> go test -run='^\$' -fuzz=FuzzNaturalJoin -fuzztime=10s ./internal/derive"
+go test -run='^$' -fuzz=FuzzNaturalJoin -fuzztime=10s ./internal/derive
 
 # FuzzValueBinary: arbitrary bytes through the value decoder; whatever
 # decodes must re-encode, re-decode and JSON round-trip unchanged. Its

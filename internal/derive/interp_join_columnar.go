@@ -74,25 +74,9 @@ func instantAt(c *frame.Column, i int) (t int64, ok bool) {
 // probe joins one partition; every row of lf and rf has an instant.
 func (s *interpSpec) probe(lf *frame.Frame, lh []uint64, rf *frame.Frame, rh []uint64) *frame.Frame {
 	// Left rows group by verified exact key; reps[g] is group g's first row.
-	lIdx, rIdx := colIndexes(lf, s.leftExact), colIndexes(rf, s.rightExact)
-	var reps []int32
-	buckets := make(map[uint64][]int32, lf.NumRows())
-	groupOf := func(f *frame.Frame, i int, idx []int, h uint64, convs []func(value.Value) value.Value) int32 {
-		for _, g := range buckets[h] {
-			if frame.ValuesEqualOn(lf, int(reps[g]), lIdx, f, i, idx, convs) {
-				return g
-			}
-		}
-		return -1
-	}
-	lgroup := make([]int32, lf.NumRows())
-	for i := range lgroup {
-		if lgroup[i] = groupOf(lf, i, lIdx, lh[i], nil); lgroup[i] < 0 {
-			lgroup[i] = int32(len(reps))
-			reps = append(reps, int32(i))
-			buckets[lh[i]] = append(buckets[lh[i]], lgroup[i])
-		}
-	}
+	ix := newKeyIndex(lf, lh, s.leftExact)
+	lgroup, reps := ix.gid, ix.first
+	rIdx := colIndexes(rf, s.rightExact)
 
 	// Right rows join a group, then a residual class: the rows whose
 	// residual columns render one joinKey string. A row whose residual
@@ -111,7 +95,7 @@ func (s *interpSpec) probe(lf *frame.Frame, lh []uint64, rf *frame.Frame, rh []u
 	rclass := make([]int32, rf.NumRows())
 	for j := range rclass {
 		rclass[j] = -1
-		g := groupOf(rf, j, rIdx, rh[j], s.convs)
+		g := ix.find(rf, j, rIdx, rh[j], s.convs)
 		if g < 0 {
 			continue
 		}

@@ -157,3 +157,144 @@ func TestNaturalJoinOutputInvariant(t *testing.T) {
 		}
 	}
 }
+
+// natJoinCase is one natural-join instance: both sides' rows and
+// partition counts.
+type natJoinCase struct {
+	lrows, rrows   []value.Row
+	lparts, rparts int
+}
+
+// natJoinSchemas: a node key and a temperature key on each side; the
+// right side's temperatures are Celsius, so its key converts to the left's
+// Kelvin before it matches.
+func natJoinSchemas() (left, right semantics.Schema) {
+	left = semantics.NewSchema(
+		"node", semantics.IDDomain("compute_node"),
+		"temp_k", semantics.DomainEntry("temperature", "kelvin"),
+		"load", semantics.ValueEntry("fraction", "fraction"),
+	)
+	right = semantics.NewSchema(
+		"node_id", semantics.IDDomain("compute_node"),
+		"temp_c", semantics.DomainEntry("temperature", "degrees_celsius"),
+		"fan", semantics.ValueEntry("fan_speed", "rpm"),
+	)
+	return
+}
+
+// natJoinCaseFromBytes builds a small join from fuzz bytes: keys from tiny
+// alphabets (duplicates on both sides, long hash chains), absent key cells
+// and, in the mixed mode, explicit nulls and Int(1) beside Str("1"), which
+// box the key column; the typed mode keeps every key column typed.
+func natJoinCaseFromBytes(data []byte) natJoinCase {
+	src := byteSource(data)
+	c := natJoinCase{lparts: 1 + src.next(5), rparts: 1 + src.next(5)}
+	nodes := []value.Value{value.Str("n0"), value.Str("n1"), value.Str("1"), value.Str("")}
+	kelvins := []value.Value{value.Float(273.15), value.Float(274.15), value.Float(300)}
+	celsius := []value.Value{value.Float(0), value.Float(1), value.Float(26.85)}
+	if src.next(2) == 0 {
+		nodes = append(nodes, value.Int(1), value.Null())
+		kelvins = append(kelvins, value.Int(300), value.Null())
+		celsius = append(celsius, value.Int(0), value.Null(), value.Str("0"))
+	}
+	pick := func(r value.Row, col string, vals []value.Value) {
+		if k := src.next(len(vals) + 1); k < len(vals) {
+			r[col] = vals[k]
+		}
+	}
+	for i, n := 0, src.next(16); i < n; i++ {
+		r := value.Row{}
+		pick(r, "node", nodes)
+		pick(r, "temp_k", kelvins)
+		if src.next(4) > 0 {
+			r["load"] = value.Float(float64(i))
+		}
+		c.lrows = append(c.lrows, r)
+	}
+	for j, n := 0, src.next(16); j < n; j++ {
+		r := value.Row{}
+		pick(r, "node_id", nodes)
+		pick(r, "temp_c", celsius)
+		if src.next(4) > 0 {
+			r["fan"] = value.Float(1000 + float64(j))
+		}
+		c.rrows = append(c.rrows, r)
+	}
+	return c
+}
+
+// checkNatJoinKernel runs c through the columnar kernel and the row path:
+// on one partition the two must agree in exact order; on c's partition
+// counts both must equal the nested-loop reference as multisets.
+func checkNatJoinKernel(t testing.TB, c natJoinCase) {
+	t.Helper()
+	dict := semantics.DefaultDictionary()
+	ls, rs := natJoinSchemas()
+	run := func(columnar bool, lparts, rparts int) []string {
+		from := dataset.FromRows
+		if columnar {
+			from = dataset.FromRowsColumnar
+		}
+		ctx := rdd.NewContext(3)
+		out, err := (&NaturalJoin{}).Apply(from(ctx, "l", cloneRows(c.lrows), ls, lparts),
+			from(ctx, "r", cloneRows(c.rrows), rs, rparts), dict)
+		if err != nil {
+			t.Fatalf("columnar %v: %v", columnar, err)
+		}
+		if out.IsColumnar() != columnar {
+			t.Fatalf("columnar %v inputs gave columnar %v output", columnar, out.IsColumnar())
+		}
+		return encodeRows(t, out.Collect())
+	}
+	same := func(what string, got, want []string) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d rows, want %d\n got %v\nwant %v", what, len(got), len(want), got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s row %d:\n got %s\nwant %s", what, i, got[i], want[i])
+			}
+		}
+	}
+	same("kernel vs row path, one partition (exact order)", run(true, 1, 1), run(false, 1, 1))
+
+	// The reference compares raw values, so it sees the right keys already
+	// in left units; the right key columns drop from the output anyway.
+	pairs, err := resolveJoinPairs(ls, rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	convs := rightConverters(pairs, ls, rs, dict)
+	converted := cloneRows(c.rrows)
+	for _, r := range converted {
+		for i, p := range pairs {
+			if v, ok := r[p.RightCol]; ok && convs[i] != nil {
+				r[p.RightCol] = convs[i](v)
+			}
+		}
+	}
+	want := encodeRows(t, referenceNaturalJoin(c.lrows, converted, pairs))
+	sort.Strings(want)
+	for _, columnar := range []bool{true, false} {
+		got := run(columnar, c.lparts, c.rparts)
+		sort.Strings(got)
+		same(fmt.Sprintf("columnar %v vs reference, %d×%d partitions (sorted)", columnar, c.lparts, c.rparts), got, want)
+	}
+}
+
+// FuzzNaturalJoin is differential: the columnar join kernel must equal the
+// row path in exact order on one partition, and the nested-loop reference
+// as a multiset on several. The seed corpus runs as an ordinary test.
+func FuzzNaturalJoin(f *testing.F) {
+	f.Add([]byte{})
+	rng := rand.New(rand.NewSource(31))
+	for i := 0; i < 48; i++ {
+		seed := make([]byte, 16+rng.Intn(96))
+		rng.Read(seed)
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkNatJoinKernel(t, natJoinCaseFromBytes(data))
+	})
+}

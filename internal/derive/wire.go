@@ -20,9 +20,14 @@ import (
 // which keeps distributed runs bit-for-bit identical to in-process ones.
 
 // keyedFrameWire carries columnar exchange batches: the frame plus its
-// per-row composite key hashes.
+// per-row composite key hashes. A routed batch gathers its selection as it
+// encodes, so the bytes are those of the selected rows alone and decode to
+// a batch with no selection.
 var keyedFrameWire = &rdd.Wire[keyedFrame]{
-	Append: func(buf []byte, kf keyedFrame) []byte { return shuffle.AppendBatch(buf, kf.f, kf.h) },
+	Append: func(buf []byte, kf keyedFrame) []byte {
+		f, h := kf.gathered()
+		return shuffle.AppendBatch(buf, f, h)
+	},
 	Decode: func(b []byte) (keyedFrame, int, error) {
 		f, h, n, err := shuffle.DecodeBatch(b)
 		if err != nil {

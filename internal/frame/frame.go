@@ -435,24 +435,32 @@ func (f *Frame) FilterMask(keep []bool) *Frame {
 	return f.Gather(idx)
 }
 
-// Concat concatenates frames vertically into one batch. The column set is
-// the union; rows from a frame lacking a column are absent there. Columns
+// ConcatGather concatenates selected rows of frames vertically into one
+// batch: frame i contributes its rows sels[i] in that order (all of its
+// rows when sels is nil or sels[i] is nil), each copied once — the batch
+// concatenating each frame's Gather would give, without the intermediate
+// frames. The column set is the union over the frames that contribute
+// rows; rows from a frame lacking a column are absent there. Columns
 // typed identically everywhere stay typed; disagreeing columns fall back
 // to boxed storage.
-func Concat(frames []*Frame) *Frame {
+func ConcatGather(frames []*Frame, sels [][]int32) *Frame {
+	rowsOf := func(i int) int {
+		if sels != nil && sels[i] != nil {
+			return len(sels[i])
+		}
+		return frames[i].n
+	}
 	n := 0
 	type colInfo struct {
 		kind  value.Kind
 		seen  bool
 		boxed bool
-		part  bool // missing from at least one frame
 	}
 	infos := map[string]*colInfo{}
-	for _, f := range frames {
-		n += f.n
-	}
-	for _, f := range frames {
-		if f.n == 0 {
+	for i, f := range frames {
+		m := rowsOf(i)
+		n += m
+		if m == 0 {
 			continue
 		}
 		for j := range f.cols {
@@ -501,30 +509,39 @@ func Concat(frames []*Frame) *Frame {
 		bits := newBits(n)
 		absent := false
 		pos := 0
-		for _, f := range frames {
-			if f.n == 0 {
+		for fi, f := range frames {
+			m := rowsOf(fi)
+			if m == 0 {
 				continue
 			}
 			c := f.Col(name)
 			if c == nil {
 				absent = true
-				out = appendZeros(out, f.n)
-				pos += f.n
+				out = appendZeros(out, m)
+				pos += m
 				continue
 			}
-			for i := 0; i < f.n; i++ {
+			var sel []int32
+			if sels != nil {
+				sel = sels[fi]
+			}
+			for k := 0; k < m; k++ {
+				i := k
+				if sel != nil {
+					i = int(sel[k])
+				}
 				if c.Present(i) {
 					setBit(bits, pos)
 				} else {
 					absent = true
 				}
+				pos++
 				if out.kind == value.KindNull {
 					if c.Present(i) {
 						out.boxd = append(out.boxd, c.Value(i))
 					} else {
 						out.boxd = append(out.boxd, value.Value{})
 					}
-					pos++
 					continue
 				}
 				switch out.kind {
@@ -538,7 +555,6 @@ func Concat(frames []*Frame) *Frame {
 				default:
 					out.ints = append(out.ints, c.ints[i])
 				}
-				pos++
 			}
 		}
 		if absent {

@@ -155,12 +155,33 @@ func TestConcat(t *testing.T) {
 	a := randRows(rng, 7)
 	b := []value.Row{{"c0": value.Str("not-an-int"), "extra": value.Int(1)}}
 	c := randRows(rng, 5)
-	f := Concat([]*Frame{FromRows(a), FromRows(b), Empty(), FromRows(c)})
+	f := ConcatGather([]*Frame{FromRows(a), FromRows(b), Empty(), FromRows(c)}, nil)
 	var want []value.Row
 	want = append(want, a...)
 	want = append(want, b...)
 	want = append(want, c...)
 	rowsEqual(t, want, f.ToRows())
+}
+
+// TestConcatGather: concatenating selections equals concatenating the
+// gathered frames whole — same rows, same column storage kinds — and a
+// frame whose selection is empty contributes no columns.
+func TestConcatGather(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	a, b, c := FromRows(randRows(rng, 9)), FromRows([]value.Row{{"c0": value.Str("s"), "extra": value.Int(1)}}), FromRows(randRows(rng, 6))
+	frames := []*Frame{a, b, c, a}
+	sels := [][]int32{{8, 0, 0, 3}, {}, nil, {2}}
+	got := ConcatGather(frames, sels)
+	want := ConcatGather([]*Frame{a.Gather(sels[0]), c, a.Gather(sels[3])}, nil)
+	rowsEqual(t, want.ToRows(), got.ToRows())
+	if got.NumCols() != want.NumCols() {
+		t.Fatalf("ConcatGather: %d columns, want %d", got.NumCols(), want.NumCols())
+	}
+	for j := 0; j < want.NumCols(); j++ {
+		if g, w := got.ColAt(j), want.ColAt(j); g.Name() != w.Name() || g.Kind() != w.Kind() || g.AllPresent() != w.AllPresent() {
+			t.Fatalf("column %d: got %s kind %v, want %s kind %v", j, g.Name(), g.Kind(), w.Name(), w.Kind())
+		}
+	}
 }
 
 func TestHashOnAgreesWithEqual(t *testing.T) {
@@ -189,6 +210,63 @@ func TestHashOnAgreesWithEqual(t *testing.T) {
 		}
 		if h[x] != want {
 			t.Fatalf("row %d: vector hash %x, boxed fold %x", x, h[x], want)
+		}
+	}
+
+	// Typed cases: ValuesEqualOn compares present cells of identically
+	// typed columns unboxed. On every pair of cells across typed and boxed
+	// columns — NaN payloads, +0 and -0, absent cells, spans, times, an int
+	// column against a float column, a typed column against a boxed one —
+	// it must answer exactly value.Value.Equal, and equal cells must hash
+	// alike.
+	nan, nan2 := math.NaN(), math.Float64frombits(0x7ff8000000000001)
+	negZero := math.Copysign(0, -1)
+	absent := value.Value{} // placeholder: the cell is left unset
+	typed := []struct {
+		kind  value.Kind // the storage the cells must get
+		cells []value.Value
+		unset []bool
+	}{
+		{value.KindFloat, []value.Value{value.Float(nan), value.Float(nan2), value.Float(0), value.Float(negZero), value.Float(1.5), absent}, []bool{5: true}},
+		{value.KindFloat, []value.Value{value.Float(negZero), value.Float(nan), absent, value.Float(1.5), value.Float(0), value.Float(1)}, []bool{2: true}},
+		{value.KindInt, []value.Value{value.Int(0), value.Int(1), absent, value.Int(-1)}, []bool{2: true}},
+		{value.KindBool, []value.Value{value.Bool(true), value.Bool(false), absent}, []bool{2: true}},
+		{value.KindTime, []value.Value{value.TimeNanos(0), value.TimeNanos(1), absent}, []bool{2: true}},
+		{value.KindSpan, []value.Value{value.Span(0, 1), value.Span(0, 2), value.Span(1, 2), absent}, []bool{3: true}},
+		{value.KindString, []value.Value{value.Str("x"), value.Str(""), absent, value.Str("1")}, []bool{2: true}},
+		{value.KindNull, []value.Value{value.Str("x"), value.Int(1), value.Float(0), value.Null(), value.Float(nan),
+			value.Span(0, 1), value.TimeNanos(1), value.Bool(true), value.Float(negZero), absent}, []bool{9: true}},
+	}
+	frames := make([]*Frame, len(typed))
+	for k, c := range typed {
+		b := NewBuilder("k", len(c.cells))
+		for i, v := range c.cells {
+			if i >= len(c.unset) || !c.unset[i] {
+				b.Set(i, v)
+			}
+		}
+		frames[k] = New(b.Finish())
+		if got := frames[k].ColAt(0).Kind(); got != c.kind {
+			t.Fatalf("column %d stored as kind %v, want %v", k, got, c.kind)
+		}
+	}
+	on := []int{0}
+	for ka, a := range frames {
+		ha := a.HashOn([]string{"k"}, nil)
+		for kb, b := range frames {
+			hb := b.HashOn([]string{"k"}, nil)
+			for i := 0; i < a.NumRows(); i++ {
+				for j := 0; j < b.NumRows(); j++ {
+					av, bv := a.ColAt(0).Value(i), b.ColAt(0).Value(j)
+					want := av.Equal(bv)
+					if got := ValuesEqualOn(a, i, on, b, j, on, nil); got != want {
+						t.Fatalf("column %d cell %d (%v) vs column %d cell %d (%v): ValuesEqualOn %v, Equal %v", ka, i, av, kb, j, bv, got, want)
+					}
+					if want && ha[i] != hb[j] {
+						t.Fatalf("column %d cell %d and column %d cell %d are equal but hash apart", ka, i, kb, j)
+					}
+				}
+			}
 		}
 	}
 }

@@ -137,9 +137,22 @@ func (f *Frame) HashOn(cols []string, convs []func(value.Value) value.Value) []u
 // paired key columns (acols[j] against bcols[j], both resolved with
 // ColIndex; -1 reads as Null). convs, when non-nil, converts b's value
 // before comparing. Equality is value.Value.Equal — kind-strict, floats by
-// bit pattern.
+// bit pattern. Two present cells of identically typed columns compare
+// unboxed when no converter applies; every other pair boxes both cells.
 func ValuesEqualOn(a *Frame, ai int, acols []int, b *Frame, bi int, bcols []int, convs []func(value.Value) value.Value) bool {
 	for j := range acols {
+		var conv func(value.Value) value.Value
+		if convs != nil {
+			conv = convs[j]
+		}
+		if conv == nil && acols[j] >= 0 && bcols[j] >= 0 {
+			if eq, ok := typedEqual(&a.cols[acols[j]], ai, &b.cols[bcols[j]], bi); ok {
+				if !eq {
+					return false
+				}
+				continue
+			}
+		}
 		var av, bv value.Value
 		if acols[j] >= 0 {
 			av = a.cols[acols[j]].Value(ai)
@@ -147,12 +160,31 @@ func ValuesEqualOn(a *Frame, ai int, acols []int, b *Frame, bi int, bcols []int,
 		if bcols[j] >= 0 {
 			bv = b.cols[bcols[j]].Value(bi)
 		}
-		if convs != nil && convs[j] != nil {
-			bv = convs[j](bv)
+		if conv != nil {
+			bv = conv(bv)
 		}
 		if !av.Equal(bv) {
 			return false
 		}
 	}
 	return true
+}
+
+// typedEqual compares cell ai of a with cell bi of b as value.Value.Equal
+// would, without boxing; ok is false unless both cells are present in
+// columns of one typed kind.
+func typedEqual(a *Column, ai int, b *Column, bi int) (eq, ok bool) {
+	if a.kind != b.kind || a.kind == value.KindNull || !a.Present(ai) || !b.Present(bi) {
+		return false, false
+	}
+	switch a.kind {
+	case value.KindFloat:
+		return math.Float64bits(a.flts[ai]) == math.Float64bits(b.flts[bi]), true
+	case value.KindString:
+		return a.strs[ai] == b.strs[bi], true
+	case value.KindSpan:
+		return a.ints[ai] == b.ints[bi] && a.ends[ai] == b.ends[bi], true
+	default: // bool, int, time share the ints vector
+		return a.ints[ai] == b.ints[bi], true
+	}
 }
