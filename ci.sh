@@ -36,13 +36,14 @@
 #   * examples         — every examples/* program built and run; any
 #                        nonzero exit fails (each log.Fatals on error, and
 #                        reproducible exits 1 when a replay differs)
-#   * smoke            — sjserved + sjload end to end: correctness burst,
+#   * smoke            — the one scrubjay binary end to end: serve + load
+#                        for the correctness burst,
 #                        served CSV byte-identical to the local CLI's (cold
 #                        and as a result-cache hit), admission control,
 #                        graceful drain, then the
 #                        observability surface (traced query artifact,
 #                        GET /v1/trace/{id}, /metrics, pprof isolation),
-#                        then the distributed smoke: 2 sjworker processes,
+#                        then the distributed smoke: 2 worker processes,
 #                        a driver query whose shuffles cross TCP must match
 #                        the local run byte-for-byte, including with one
 #                        worker SIGKILLed mid-query at an exchange barrier,
@@ -127,29 +128,29 @@ for EX in "$SMOKE"/ex/*; do
     || { echo "ci.sh: example $(basename "$EX") failed" >&2; cat "$SMOKE/ex.log" >&2; exit 1; }
 done
 
-# Server smoke: boot sjserved on a random port over a generated catalog,
+# Server smoke: boot scrubjay serve on a random port over a generated catalog,
 # then prove the three serving guarantees end to end:
 #   1. correctness + plan cache: a plan-only burst shows cold search vs
 #      cached hits; the query served twice — cold, then answered from the
 #      result cache — writes a CSV byte-identical to the local CLI's (both
 #      processes keep their default GOMAXPROCS workers: row order depends
-#      on the worker count); a concurrent sjload burst completes with zero
-#      drops;
+#      on the worker count); a concurrent scrubjay load burst completes
+#      with zero drops;
 #   2. admission control: an oversized burst against a 1-slot/no-queue
-#      server is shed with 429s (sjload -expect-rejections);
+#      server is shed with 429s (scrubjay load -expect-rejections);
 #   3. graceful shutdown: SIGTERM while a burst is in flight — the daemon
-#      must exit 0 with every accepted stream finished (sjload exits 1 on
-#      any dropped in-flight query).
-echo "==> server smoke (sjserved + sjload)"
-go build -o "$SMOKE" ./cmd/sjserved ./cmd/sjload ./cmd/sjgen ./cmd/scrubjay ./cmd/sjworker
-"$SMOKE/sjgen" -out "$SMOKE/cat" -dat 1 -format jsonl \
+#      must exit 0 with every accepted stream finished (scrubjay load
+#      exits 1 on any dropped in-flight query).
+echo "==> server smoke (scrubjay serve + load)"
+go build -o "$SMOKE" ./cmd/scrubjay
+"$SMOKE/scrubjay" gen -out "$SMOKE/cat" -dat 1 -format jsonl \
   -racks 4 -nodes-per-rack 6 -amg-rack 2 -duration 1200 -seed 1 >/dev/null
 
 wait_addr() {
   i=0
   while [ ! -f "$1" ]; do
     i=$((i + 1))
-    [ "$i" -gt 100 ] && { echo "ci.sh: sjserved never wrote $1" >&2; exit 1; }
+    [ "$i" -gt 100 ] && { echo "ci.sh: $1 was never written" >&2; exit 1; }
     sleep 0.1
   done
   cat "$1"
@@ -160,7 +161,7 @@ QUERY_ARGS="-domains job,rack -values application,temperature_difference"
 echo "  -> correctness burst + plan-cache demonstration + served vs local bytes"
 "$SMOKE/scrubjay" query -catalog "$SMOKE/cat" $QUERY_ARGS \
   -out "csv:$SMOKE/fig5-local.csv" >/dev/null
-"$SMOKE/sjserved" -catalog "$SMOKE/cat" -addr 127.0.0.1:0 \
+"$SMOKE/scrubjay" serve -catalog "$SMOKE/cat" -addr 127.0.0.1:0 \
   -addr-file "$SMOKE/addr1" -cache "$SMOKE/cache" \
   -max-concurrent 2 -max-queue 32 2>"$SMOKE/served1.log" &
 SRV=$!
@@ -169,43 +170,43 @@ ADDR=$(wait_addr "$SMOKE/addr1")
 # search, requests 1..5 hit the cache — the driver's "plan search:" line is
 # the cold-vs-warm comparison. Then the served-vs-local byte check, before
 # any execution has filled the result cache, then the mixed concurrent burst.
-"$SMOKE/sjload" -server "http://$ADDR" -clients 1 -requests 6 -plan-every 1 $QUERY_ARGS
+"$SMOKE/scrubjay" load -server "http://$ADDR" -clients 1 -requests 6 -plan-every 1 $QUERY_ARGS
 for RUN in cold cached; do
   "$SMOKE/scrubjay" query -server "http://$ADDR" $QUERY_ARGS \
     -out "csv:$SMOKE/fig5-served-$RUN.csv" >/dev/null
   cmp "$SMOKE/fig5-local.csv" "$SMOKE/fig5-served-$RUN.csv" \
     || { echo "ci.sh: served result ($RUN) differs from local" >&2; exit 1; }
 done
-"$SMOKE/sjload" -server "http://$ADDR" -clients 4 -requests 6 $QUERY_ARGS
+"$SMOKE/scrubjay" load -server "http://$ADDR" -clients 4 -requests 6 $QUERY_ARGS
 kill -TERM "$SRV"
 wait "$SRV"
 
 echo "  -> overload burst must be shed with 429/503"
 rm -f "$SMOKE/addr2"
-"$SMOKE/sjserved" -catalog "$SMOKE/cat" -addr 127.0.0.1:0 \
+"$SMOKE/scrubjay" serve -catalog "$SMOKE/cat" -addr 127.0.0.1:0 \
   -addr-file "$SMOKE/addr2" -max-concurrent 1 -max-queue -1 \
   2>"$SMOKE/served2.log" &
 SRV=$!
 ADDR=$(wait_addr "$SMOKE/addr2")
-"$SMOKE/sjload" -server "http://$ADDR" -clients 16 -requests 3 \
+"$SMOKE/scrubjay" load -server "http://$ADDR" -clients 16 -requests 3 \
   -plan-every 0 -expect-rejections $QUERY_ARGS
 kill -TERM "$SRV"
 wait "$SRV"
 
 echo "  -> graceful shutdown under load: zero dropped in-flight queries"
 rm -f "$SMOKE/addr3"
-"$SMOKE/sjserved" -catalog "$SMOKE/cat" -addr 127.0.0.1:0 \
+"$SMOKE/scrubjay" serve -catalog "$SMOKE/cat" -addr 127.0.0.1:0 \
   -addr-file "$SMOKE/addr3" -max-concurrent 2 -max-queue 64 \
   2>"$SMOKE/served3.log" &
 SRV=$!
 ADDR=$(wait_addr "$SMOKE/addr3")
-"$SMOKE/sjload" -server "http://$ADDR" -clients 6 -requests 60 \
+"$SMOKE/scrubjay" load -server "http://$ADDR" -clients 6 -requests 60 \
   -plan-every 0 $QUERY_ARGS >"$SMOKE/shutdown-load.log" 2>&1 &
 LOAD=$!
 sleep 1
 kill -TERM "$SRV"
-wait "$SRV" || { echo "ci.sh: sjserved did not drain cleanly" >&2; cat "$SMOKE/served3.log" >&2; exit 1; }
-wait "$LOAD" || { echo "ci.sh: sjload saw dropped queries" >&2; cat "$SMOKE/shutdown-load.log" >&2; exit 1; }
+wait "$SRV" || { echo "ci.sh: scrubjay serve did not drain cleanly" >&2; cat "$SMOKE/served3.log" >&2; exit 1; }
+wait "$LOAD" || { echo "ci.sh: scrubjay load saw dropped queries" >&2; cat "$SMOKE/shutdown-load.log" >&2; exit 1; }
 grep -E "^(completed|dropped):" "$SMOKE/shutdown-load.log" | sed 's/^/     /'
 
 # Observability smoke: the full trace story end to end.
@@ -224,13 +225,13 @@ echo "  -> observability: traced local query + artifact check"
 
 echo "  -> observability: served trace, /metrics, pprof"
 rm -f "$SMOKE/addr4" "$SMOKE/debug4"
-"$SMOKE/sjserved" -catalog "$SMOKE/cat" -addr 127.0.0.1:0 \
+"$SMOKE/scrubjay" serve -catalog "$SMOKE/cat" -addr 127.0.0.1:0 \
   -addr-file "$SMOKE/addr4" -debug-addr 127.0.0.1:0 \
   -debug-addr-file "$SMOKE/debug4" 2>"$SMOKE/served4.log" &
 SRV=$!
 ADDR=$(wait_addr "$SMOKE/addr4")
 DEBUG_ADDR=$(wait_addr "$SMOKE/debug4")
-"$SMOKE/sjload" -server "http://$ADDR" -clients 1 -requests 2 -plan-every 0 \
+"$SMOKE/scrubjay" load -server "http://$ADDR" -clients 1 -requests 2 -plan-every 0 \
   $QUERY_ARGS >/dev/null
 TRACE_ID=$(curl -sf "http://$ADDR/v1/trace" | tr ',"' '\n\n' | grep '^t[0-9a-f]*$' | head -1)
 [ -n "$TRACE_ID" ] || { echo "ci.sh: server listed no traces" >&2; exit 1; }
@@ -247,17 +248,17 @@ fi
 kill -TERM "$SRV"
 wait "$SRV"
 
-# Distributed smoke: real sjworker processes. The same query runs three
+# Distributed smoke: real scrubjay worker processes. The same query runs three
 # ways — local (the CSV from the correctness burst), through the 2-worker
 # cluster, and through the cluster with worker 2 SIGKILLed mid-query (the
 # driver's fault hook fires at the first exchange's push/fetch barrier, so
 # map outputs are already on the dead worker and the fetch must discover
 # the death, re-push to the survivor, and retry). All three CSVs must be
 # byte-identical.
-echo "  -> distributed shuffle: 2 sjworkers, bit-for-bit vs local, mid-query worker kill"
-"$SMOKE/sjworker" -addr 127.0.0.1:0 -addr-file "$SMOKE/w1.addr" 2>"$SMOKE/w1.log" &
+echo "  -> distributed shuffle: 2 workers, bit-for-bit vs local, mid-query worker kill"
+"$SMOKE/scrubjay" worker -addr 127.0.0.1:0 -addr-file "$SMOKE/w1.addr" 2>"$SMOKE/w1.log" &
 W1=$!
-"$SMOKE/sjworker" -addr 127.0.0.1:0 -addr-file "$SMOKE/w2.addr" 2>"$SMOKE/w2.log" &
+"$SMOKE/scrubjay" worker -addr 127.0.0.1:0 -addr-file "$SMOKE/w2.addr" 2>"$SMOKE/w2.log" &
 W2=$!
 W1ADDR=$(wait_addr "$SMOKE/w1.addr")
 W2ADDR=$(wait_addr "$SMOKE/w2.addr")

@@ -12,7 +12,7 @@ import (
 )
 
 // TestCmdQueryServerMode drives the CLI's -server client mode against an
-// in-process sjserved handler: query with a plan file, then replay the
+// in-process serving handler: query with a plan file, then replay the
 // stored plan with run -server.
 func TestCmdQueryServerMode(t *testing.T) {
 	dir := t.TempDir()
@@ -26,7 +26,7 @@ func TestCmdQueryServerMode(t *testing.T) {
 
 	planPath := filepath.Join(t.TempDir(), "plan.json")
 	outPath := filepath.Join(t.TempDir(), "out.jsonl")
-	err := cmdQuery([]string{
+	err := cmdQuery(ctx, []string{
 		"-server", ts.URL,
 		"-domains", "job,rack",
 		"-values", "application,temperature_difference",
@@ -45,19 +45,19 @@ func TestCmdQueryServerMode(t *testing.T) {
 	}
 
 	// The stored plan replays through run -server.
-	if err := cmdRun([]string{"-server", ts.URL, "-plan", planPath, "-show", "0"}); err != nil {
+	if err := cmdRun(ctx, []string{"-server", ts.URL, "-plan", planPath, "-show", "0"}); err != nil {
 		t.Fatalf("run -server: %v", err)
 	}
 
 	// A dead server surfaces as an error, not a hang or panic.
-	if err := cmdQuery([]string{"-server", "http://127.0.0.1:1", "-domains", "job", "-values", "application"}); err == nil {
+	if err := cmdQuery(ctx, []string{"-server", "http://127.0.0.1:1", "-domains", "job", "-values", "application"}); err == nil {
 		t.Error("dead server should fail")
 	}
 
 	// Local library mode still works against the same catalog (shared
 	// loader): guards the thin-wrapper refactor.
-	ctx := rdd.NewContext(1)
-	if _, _, err := catalog.Load(ctx, dir); err != nil {
+	rc := rdd.NewContext(1)
+	if _, _, err := catalog.Load(rc, dir); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,34 +1,44 @@
-// Command scrubjay is the analyst-facing CLI: it loads annotated datasets
-// from a catalog directory, answers dimension queries by deriving a
-// processing pipeline (§5), executes or stores plans (§5.4), and inspects
-// the semantic dictionary.
+// Command scrubjay is ScrubJay's one binary. Analysts load annotated
+// datasets from a catalog directory, answer dimension queries by deriving a
+// processing pipeline (§5), execute or store plans (§5.4) and inspect the
+// semantic dictionary; the same binary runs the query-serving daemon, the
+// shuffle workers of a distributed run, the synthetic case-study data
+// generator and the serving load driver.
 //
-// Subcommands:
+// Subcommands (scrubjay help lists their flags):
 //
-//	scrubjay query  -catalog DIR|-server URL -domains a,b -values x,y[:units] [-plan out.json] [-out FMT:PATH] [-window SEC] [-cache DIR] [-explain|-explain-json] [-trace out.trace.json]
-//	scrubjay run    -catalog DIR|-server URL -plan plan.json [-out FMT:PATH] [-cache DIR]
-//	scrubjay trace  FILE|TRACE-ID [-server URL] [-check]
-//	scrubjay show   -in FMT:PATH [-n 20]
-//	scrubjay dict
-//	scrubjay formats
-//	scrubjay derivations
+//	query        solve a dimension query and execute its derivation sequence
+//	run          execute a stored derivation sequence
+//	serve        serve queries over HTTP until SIGINT/SIGTERM, then drain
+//	worker       serve a shard worker's shuffle exchange until SIGINT/SIGTERM
+//	gen          write the synthetic DAT-1/DAT-2 case-study catalogs
+//	load         drive concurrent load against a running serve
+//	trace        render or check a trace artifact
+//	show         print a wrapped dataset
+//	dict         list the semantic dictionary
+//	formats      list the wrapper formats
+//	derivations  list the derivation functions
 //
-// With -server, query and run become thin clients of a running sjserved:
-// the same request/response structs ride HTTP instead of calling the
-// library in-process.
+// With -server, query and run become thin clients of a running serve: the
+// same request/response structs ride HTTP instead of calling the library
+// in-process. Exit status is 0 on success, 1 on failure and 2 on a bad
+// invocation.
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"os/signal"
 	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 
-	"scrubjay/internal/cache"
 	"scrubjay/internal/catalog"
 	"scrubjay/internal/cluster"
 	"scrubjay/internal/dataset"
@@ -43,56 +53,96 @@ import (
 	"scrubjay/internal/wrappers"
 )
 
+// command is one subcommand: its name, its flag synopsis for usage, and
+// its body. A body gets the process context, cancelled on SIGINT/SIGTERM.
+type command struct {
+	name, synopsis string
+	run            func(ctx context.Context, args []string) error
+}
+
+var commands = []command{
+	{"query", "-catalog DIR|-server URL -domains a,b -values x,y[:units] [-plan out.json] [-out FMT:PATH] [-window SEC] [-cache DIR] [-stats FILE] [-shuffle-workers ADDR,...] [-explain|-explain-json] [-trace out.trace.json]", cmdQuery},
+	{"run", "-catalog DIR|-server URL -plan plan.json [-out FMT:PATH] [-cache DIR]", cmdRun},
+	{"serve", "-catalog DIR [-addr HOST:PORT] [-addr-file PATH] [-workers N] [-max-concurrent N] [-max-queue N] [-cache DIR] [-stats FILE] [-window SEC] [-default-timeout-ms N] [-max-timeout-ms N] [-drain-ms N] [-trace-ring N] [-debug-addr HOST:PORT] [-debug-addr-file PATH] [-shuffle-workers ADDR,...]", cmdServe},
+	{"worker", "[-addr HOST:PORT] [-addr-file PATH] [-id NAME]", cmdWorker},
+	{"gen", "-out DIR [-dat 1|2] [-format jsonl|csv] [-racks N] [-nodes-per-rack N] [-amg-rack N] [-duration SEC] [-run SEC] [-gap SEC] [-seed N] [-with-network] [-with-fs]", cmdGen},
+	{"load", "-server URL [-clients N] [-requests N] [-domains a,b] [-values x,y[:units]] [-window SEC] [-limit N] [-timeout-ms N] [-plan-every N] [-expect-rejections]", cmdLoad},
+	{"trace", "FILE|TRACE-ID [-server URL] [-check]", cmdTrace},
+	{"show", "-in FMT:PATH [-n 20]", cmdShow},
+	{"dict", "", cmdDict},
+	{"formats", "", cmdFormats},
+	{"derivations", "", cmdDerivations},
+}
+
+// usageError is a bad invocation: main exits 2 for it and 1 for any other
+// error.
+type usageError string
+
+func (e usageError) Error() string { return string(e) }
+
 func main() {
 	if len(os.Args) < 2 {
-		usage()
+		usage(os.Stderr)
 		os.Exit(2)
 	}
-	var err error
-	switch os.Args[1] {
-	case "query":
-		err = cmdQuery(os.Args[2:])
-	case "run":
-		err = cmdRun(os.Args[2:])
-	case "trace":
-		err = cmdTrace(os.Args[2:])
-	case "show":
-		err = cmdShow(os.Args[2:])
-	case "dict":
-		err = cmdDict()
-	case "formats":
-		fmt.Println(strings.Join(wrappers.Formats(), "\n"))
-	case "derivations":
-		fmt.Println("transformations:")
-		for _, n := range derive.TransformationNames() {
-			fmt.Println("  " + n)
-		}
-		fmt.Println("combinations:")
-		for _, n := range derive.CombinationNames() {
-			fmt.Println("  " + n)
-		}
-	case "-h", "--help", "help":
-		usage()
-	default:
-		fmt.Fprintf(os.Stderr, "scrubjay: unknown command %q\n", os.Args[1])
-		usage()
+	name := os.Args[1]
+	if name == "-h" || name == "--help" || name == "help" {
+		usage(os.Stderr)
+		return
+	}
+	cmd, ok := lookup(name)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "scrubjay: unknown command %q\n", name)
+		usage(os.Stderr)
 		os.Exit(2)
 	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := cmd.run(ctx, os.Args[2:])
+	stop()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "scrubjay:", err)
+		if errors.As(err, new(usageError)) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage:
-  scrubjay query  -catalog DIR|-server URL -domains a,b -values x,y[:units] [-plan out.json] [-out FMT:PATH] [-window SEC] [-cache DIR] [-explain|-explain-json] [-trace out.trace.json]
-  scrubjay run    -catalog DIR|-server URL -plan plan.json [-out FMT:PATH] [-cache DIR]
-  scrubjay trace  FILE|TRACE-ID [-server URL] [-check]
-  scrubjay show   -in FMT:PATH [-n 20]
-  scrubjay dict
-  scrubjay formats
-  scrubjay derivations`)
+func lookup(name string) (command, bool) {
+	for _, c := range commands {
+		if c.name == name {
+			return c, true
+		}
+	}
+	return command{}, false
+}
+
+func usage(w io.Writer) {
+	fmt.Fprintln(w, "usage:")
+	for _, c := range commands {
+		fmt.Fprintf(w, "  scrubjay %-11s %s\n", c.name, c.synopsis)
+	}
+}
+
+// parseQuery builds a query from the -domains and -values flags: comma
+// lists, each value optionally DIM:UNITS.
+func parseQuery(domains, values string) engine.Query {
+	q := engine.Query{}
+	for _, d := range strings.Split(domains, ",") {
+		if d = strings.TrimSpace(d); d != "" {
+			q.Domains = append(q.Domains, d)
+		}
+	}
+	for _, v := range strings.Split(values, ",") {
+		if v = strings.TrimSpace(v); v != "" {
+			qv := engine.QueryValue{Dimension: v}
+			if i := strings.Index(v, ":"); i > 0 {
+				qv = engine.QueryValue{Dimension: v[:i], Units: v[i+1:]}
+			}
+			q.Values = append(q.Values, qv)
+		}
+	}
+	return q
 }
 
 // parseSink parses "FMT:PATH" (or "kv:DIR:TABLE") into a wrappers.Source.
@@ -112,14 +162,7 @@ func parseSink(spec string) (wrappers.Source, error) {
 	return wrappers.Source{Format: format, Path: rest}, nil
 }
 
-func openCache(dir string) (*cache.Cache, error) {
-	if dir == "" {
-		return nil, nil
-	}
-	return cache.Open(dir, 256<<20)
-}
-
-func cmdQuery(args []string) error {
+func cmdQuery(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("query", flag.ExitOnError)
 	catalogDir := fs.String("catalog", "", "catalog directory")
 	domains := fs.String("domains", "", "comma-separated domain dimensions")
@@ -133,28 +176,13 @@ func cmdQuery(args []string) error {
 	explainJSON := fs.Bool("explain-json", false, "print the search trace plus per-step estimated and actual costs as JSON")
 	statsPath := fs.String("stats", "", "statistics store file: loaded (or created) before planning, observations saved back after execution")
 	traceOut := fs.String("trace", "", "record a full execution trace and write the JSON artifact to this path")
-	serverURL := fs.String("server", "", "query a running sjserved instead of the local library")
-	shuffleWorkers := fs.String("shuffle-workers", "", "comma-separated sjworker exchange addresses; when set, shuffles run through the worker cluster")
+	serverURL := fs.String("server", "", "query a running scrubjay serve instead of the local library")
+	shuffleWorkers := fs.String("shuffle-workers", "", "comma-separated scrubjay worker exchange addresses; when set, shuffles run through the worker cluster")
 	fs.Parse(args)
 	if *catalogDir == "" && *serverURL == "" {
 		return fmt.Errorf("query: -catalog (or -server) is required")
 	}
-
-	q := engine.Query{}
-	for _, d := range strings.Split(*domains, ",") {
-		if d = strings.TrimSpace(d); d != "" {
-			q.Domains = append(q.Domains, d)
-		}
-	}
-	for _, v := range strings.Split(*values, ",") {
-		if v = strings.TrimSpace(v); v != "" {
-			qv := engine.QueryValue{Dimension: v}
-			if i := strings.Index(v, ":"); i > 0 {
-				qv = engine.QueryValue{Dimension: v[:i], Units: v[i+1:]}
-			}
-			q.Values = append(q.Values, qv)
-		}
-	}
+	q := parseQuery(*domains, *values)
 
 	if *serverURL != "" {
 		if *explain || *explainJSON {
@@ -172,30 +200,32 @@ func cmdQuery(args []string) error {
 		return serverQuery(*serverURL, q, *window, *planOut, *out, *show)
 	}
 
-	ctx := rdd.NewContext(0)
-	if *shuffleWorkers != "" {
-		sched, err := cluster.Connect(context.Background(), "scrubjay", *shuffleWorkers, faultOptions())
-		if err != nil {
-			return err
-		}
-		defer sched.Registry().Close()
-		ctx = ctx.WithPlacement(sched)
-		fmt.Fprintf(os.Stderr, "shuffle cluster: %d workers\n", len(sched.Registry().Workers()))
+	env, err := server.OpenEnv(ctx, server.EnvOptions{
+		ShuffleWorkers: *shuffleWorkers,
+		Cluster:        faultOptions(),
+		CacheDir:       *cacheDir,
+		StatsPath:      *statsPath,
+	})
+	if err != nil {
+		return err
+	}
+	defer env.Close()
+	rc := rdd.NewContext(0)
+	if p := env.Placement(); p != nil {
+		rc = rc.WithPlacement(p)
+		fmt.Fprintf(os.Stderr, "shuffle cluster: %d workers\n", len(env.Sched.Registry().Workers()))
 	}
 	dict := semantics.DefaultDictionary()
-	cat, schemas, err := catalog.Load(ctx, *catalogDir)
+	cat, schemas, err := catalog.Load(rc, *catalogDir)
 	if err != nil {
 		return err
 	}
 
-	// -stats: load (or start) the statistics store and profile the catalog
-	// into it, so the engine costs candidates against real cardinalities.
-	// Observations from this run are merged and saved back afterwards.
-	var st *stats.Store
-	if *statsPath != "" {
-		if st, err = stats.LoadFile(*statsPath); err != nil {
-			return err
-		}
+	// -stats: profile the catalog into the statistics store, so the engine
+	// costs candidates against real cardinalities. Observations from this
+	// run are merged and saved back afterwards.
+	st := env.Stats
+	if st != nil {
 		catalog.Ingest(st, cat, schemas)
 	}
 
@@ -213,7 +243,7 @@ func cmdQuery(args []string) error {
 	opts.Stats = st
 	e := engine.New(dict, schemas, opts)
 	search := qspan.Child(obs.KindSearch, "plan-search")
-	plan, trace, err := e.SolveTraced(context.Background(), q)
+	plan, trace, err := e.SolveTraced(ctx, q)
 	trace.AttachTo(search)
 	search.End()
 	if *explain && trace != nil {
@@ -243,13 +273,9 @@ func cmdQuery(args []string) error {
 		fmt.Printf("plan written to %s\n", *planOut)
 	}
 
-	c, err := openCache(*cacheDir)
-	if err != nil {
-		return err
-	}
 	exec := qspan.Child(obs.KindExec, "execute")
-	ctx.SetSpan(exec)
-	result, err := pipeline.Execute(context.Background(), ctx, plan, cat, dict, pipeline.ExecOptions{Cache: c})
+	rc.SetSpan(exec)
+	result, err := pipeline.Execute(ctx, rc, plan, cat, dict, pipeline.ExecOptions{Cache: env.Cache})
 	if err != nil {
 		return err
 	}
@@ -262,7 +288,7 @@ func cmdQuery(args []string) error {
 	}
 	if st != nil && art != nil {
 		n := stats.Recorder{Store: st}.Record(plan, art.Root, nil)
-		if err := st.Save(*statsPath); err != nil {
+		if err := env.SaveStats(); err != nil {
 			return err
 		}
 		fmt.Printf("stats: %d observations recorded, epoch %d, saved to %s\n", n, st.Epoch(), *statsPath)
@@ -376,7 +402,7 @@ func faultOptions() cluster.Options {
 	return opts
 }
 
-// serverQuery answers a query through a running sjserved: one /v1/plan
+// serverQuery answers a query through a running serve: one /v1/plan
 // call for the derivation sequence (so -plan still works), then a
 // /v1/execute of that exact plan, streamed back as rows.
 func serverQuery(serverURL string, q engine.Query, window float64, planOut, out string, show int) error {
@@ -410,19 +436,18 @@ func serverExecute(cl *server.Client, plan []byte, out string, show int) error {
 	if header.TraceID != "" {
 		fmt.Printf("trace: %s (scrubjay trace %s -server %s)\n", header.TraceID, header.TraceID, cl.BaseURL)
 	}
-	ctx := rdd.NewContext(0)
-	result := dataset.FromRows(ctx, "result", rows, header.Schema, 0)
+	result := dataset.FromRows(rdd.NewContext(0), "result", rows, header.Schema, 0)
 	return emit(result, out, show)
 }
 
-func cmdRun(args []string) error {
+func cmdRun(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	catalogDir := fs.String("catalog", "", "catalog directory")
 	planPath := fs.String("plan", "", "derivation sequence JSON")
 	out := fs.String("out", "", "unwrap the result to FMT:PATH")
 	cacheDir := fs.String("cache", "", "enable the derivation-result cache in this directory")
 	show := fs.Int("show", 10, "print up to this many result rows")
-	serverURL := fs.String("server", "", "execute on a running sjserved instead of the local library")
+	serverURL := fs.String("server", "", "execute on a running scrubjay serve instead of the local library")
 	fs.Parse(args)
 	if (*catalogDir == "" && *serverURL == "") || *planPath == "" {
 		return fmt.Errorf("run: -plan and -catalog (or -server) are required")
@@ -438,17 +463,17 @@ func cmdRun(args []string) error {
 	if *serverURL != "" {
 		return serverExecute(&server.Client{BaseURL: *serverURL}, data, *out, *show)
 	}
-	ctx := rdd.NewContext(0)
-	dict := semantics.DefaultDictionary()
-	cat, _, err := catalog.Load(ctx, *catalogDir)
+	env, err := server.OpenEnv(ctx, server.EnvOptions{CacheDir: *cacheDir})
 	if err != nil {
 		return err
 	}
-	c, err := openCache(*cacheDir)
+	defer env.Close()
+	rc := rdd.NewContext(0)
+	cat, _, err := catalog.Load(rc, *catalogDir)
 	if err != nil {
 		return err
 	}
-	result, err := pipeline.Execute(context.Background(), ctx, plan, cat, dict, pipeline.ExecOptions{Cache: c})
+	result, err := pipeline.Execute(ctx, rc, plan, cat, semantics.DefaultDictionary(), pipeline.ExecOptions{Cache: env.Cache})
 	if err != nil {
 		return err
 	}
@@ -474,10 +499,10 @@ func emit(result *dataset.Dataset, out string, show int) error {
 }
 
 // cmdTrace renders (or validates) a trace artifact: a local file from
-// `scrubjay query -trace`, or a trace id fetched from a running sjserved.
-func cmdTrace(args []string) error {
+// `scrubjay query -trace`, or a trace id fetched from a running serve.
+func cmdTrace(_ context.Context, args []string) error {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
-	serverURL := fs.String("server", "", "fetch the argument as a trace id from this sjserved")
+	serverURL := fs.String("server", "", "fetch the argument as a trace id from this scrubjay serve")
 	check := fs.Bool("check", false, "validate the artifact schema instead of rendering")
 	fs.Parse(args)
 	if fs.NArg() == 0 {
@@ -514,7 +539,7 @@ func cmdTrace(args []string) error {
 	return nil
 }
 
-func cmdShow(args []string) error {
+func cmdShow(_ context.Context, args []string) error {
 	fs := flag.NewFlagSet("show", flag.ExitOnError)
 	in := fs.String("in", "", "input FMT:PATH")
 	n := fs.Int("n", 20, "rows to display")
@@ -526,8 +551,7 @@ func cmdShow(args []string) error {
 	if err != nil {
 		return err
 	}
-	ctx := rdd.NewContext(0)
-	ds, err := wrappers.Read(ctx, src)
+	ds, err := wrappers.Read(rdd.NewContext(0), src)
 	if err != nil {
 		return err
 	}
@@ -536,7 +560,7 @@ func cmdShow(args []string) error {
 	return nil
 }
 
-func cmdDict() error {
+func cmdDict(context.Context, []string) error {
 	dict := semantics.DefaultDictionary()
 	fmt.Println("dimensions:")
 	for _, n := range dict.DimensionNames() {
@@ -558,6 +582,23 @@ func cmdDict() error {
 	for _, n := range dict.Units.Names() {
 		u, _ := dict.Units.Lookup(n)
 		fmt.Printf("  %-24s dimension=%s scale=%g offset=%g\n", n, u.Dimension, u.Scale, u.Offset)
+	}
+	return nil
+}
+
+func cmdFormats(context.Context, []string) error {
+	fmt.Println(strings.Join(wrappers.Formats(), "\n"))
+	return nil
+}
+
+func cmdDerivations(context.Context, []string) error {
+	fmt.Println("transformations:")
+	for _, n := range derive.TransformationNames() {
+		fmt.Println("  " + n)
+	}
+	fmt.Println("combinations:")
+	for _, n := range derive.CombinationNames() {
+		fmt.Println("  " + n)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -14,13 +15,13 @@ import (
 // writeTestCatalog generates a tiny DAT-1 catalog into dir.
 func writeTestCatalog(t *testing.T, dir string) {
 	t.Helper()
-	ctx := rdd.NewContext(2)
+	rc := rdd.NewContext(2)
 	cfg := bench.DefaultCaseStudyConfig()
 	cfg.Racks = 4
 	cfg.NodesPerRack = 6
 	cfg.AMGRack = 2
 	cfg.DAT1DurationSec = 1800
-	cat, _, _ := bench.DAT1Catalog(ctx, cfg)
+	cat, _, _ := bench.DAT1Catalog(rc, cfg)
 	for name, ds := range cat {
 		if err := wrappers.Write(ds, wrappers.Source{Format: "jsonl", Path: filepath.Join(dir, name+".jsonl")}); err != nil {
 			t.Fatal(err)
@@ -45,8 +46,8 @@ func TestLoadCatalog(t *testing.T) {
 	writeTestCatalog(t, dir)
 	// Add a file the loader must skip.
 	os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("hi"), 0o644)
-	ctx := rdd.NewContext(1)
-	cat, schemas, err := catalog.Load(ctx, dir)
+	rc := rdd.NewContext(1)
+	cat, schemas, err := catalog.Load(rc, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +60,11 @@ func TestLoadCatalog(t *testing.T) {
 		}
 	}
 	// Empty catalog fails.
-	if _, _, err := catalog.Load(ctx, t.TempDir()); err == nil {
+	if _, _, err := catalog.Load(rc, t.TempDir()); err == nil {
 		t.Error("empty catalog should fail")
 	}
 	// Missing directory fails.
-	if _, _, err := catalog.Load(ctx, filepath.Join(dir, "nope")); err == nil {
+	if _, _, err := catalog.Load(rc, filepath.Join(dir, "nope")); err == nil {
 		t.Error("missing dir should fail")
 	}
 }
@@ -76,7 +77,7 @@ func TestCmdQueryRunShowEndToEnd(t *testing.T) {
 	outPath := filepath.Join(dir, "out", "result.csv")
 
 	// query: solve, execute, store plan and result.
-	err := cmdQuery([]string{
+	err := cmdQuery(ctx, []string{
 		"-catalog", dir,
 		"-domains", "job,rack",
 		"-values", "application,temperature_difference",
@@ -96,7 +97,7 @@ func TestCmdQueryRunShowEndToEnd(t *testing.T) {
 
 	// run: replay the stored plan, with a cache.
 	cacheDir := filepath.Join(dir, "out", "cache")
-	if err := cmdRun([]string{
+	if err := cmdRun(ctx, []string{
 		"-catalog", dir,
 		"-plan", planPath,
 		"-cache", cacheDir,
@@ -105,7 +106,7 @@ func TestCmdQueryRunShowEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Second replay hits the cache.
-	if err := cmdRun([]string{
+	if err := cmdRun(ctx, []string{
 		"-catalog", dir,
 		"-plan", planPath,
 		"-cache", cacheDir,
@@ -115,7 +116,7 @@ func TestCmdQueryRunShowEndToEnd(t *testing.T) {
 	}
 
 	// show: inspect the unwrapped result.
-	if err := cmdShow([]string{"-in", "csv:" + outPath, "-n", "3"}); err != nil {
+	if err := cmdShow(ctx, []string{"-in", "csv:" + outPath, "-n", "3"}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -123,7 +124,7 @@ func TestCmdQueryRunShowEndToEnd(t *testing.T) {
 func TestCmdQueryValueUnits(t *testing.T) {
 	dir := t.TempDir()
 	writeTestCatalog(t, dir)
-	if err := cmdQuery([]string{
+	if err := cmdQuery(ctx, []string{
 		"-catalog", dir,
 		"-domains", "rack",
 		"-values", "temperature:degrees_fahrenheit",
@@ -134,34 +135,34 @@ func TestCmdQueryValueUnits(t *testing.T) {
 }
 
 func TestCmdErrors(t *testing.T) {
-	if err := cmdQuery([]string{"-domains", "x"}); err == nil {
+	if err := cmdQuery(ctx, []string{"-domains", "x"}); err == nil {
 		t.Error("query without catalog should fail")
 	}
-	if err := cmdRun([]string{"-catalog", "/tmp"}); err == nil {
+	if err := cmdRun(ctx, []string{"-catalog", "/tmp"}); err == nil {
 		t.Error("run without plan should fail")
 	}
-	if err := cmdShow([]string{}); err == nil {
+	if err := cmdShow(ctx, []string{}); err == nil {
 		t.Error("show without input should fail")
 	}
 	dir := t.TempDir()
 	writeTestCatalog(t, dir)
-	if err := cmdQuery([]string{"-catalog", dir, "-domains", "job", "-values", "power"}); err == nil {
+	if err := cmdQuery(ctx, []string{"-catalog", dir, "-domains", "job", "-values", "power"}); err == nil {
 		t.Error("unsatisfiable query should fail")
 	}
 	// Corrupt plan file.
 	bad := filepath.Join(dir, "bad.json")
 	os.WriteFile(bad, []byte("{"), 0o644)
-	if err := cmdRun([]string{"-catalog", dir, "-plan", bad}); err == nil {
+	if err := cmdRun(ctx, []string{"-catalog", dir, "-plan", bad}); err == nil {
 		t.Error("corrupt plan should fail")
 	}
 	// Missing plan file.
-	if err := cmdRun([]string{"-catalog", dir, "-plan", filepath.Join(dir, "none.json")}); err == nil {
+	if err := cmdRun(ctx, []string{"-catalog", dir, "-plan", filepath.Join(dir, "none.json")}); err == nil {
 		t.Error("missing plan should fail")
 	}
 }
 
 func TestCmdDictAndFormats(t *testing.T) {
-	if err := cmdDict(); err != nil {
+	if err := cmdDict(ctx, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -180,19 +181,19 @@ func TestParseSinkKV(t *testing.T) {
 
 func TestLoadCatalogKV(t *testing.T) {
 	dir := t.TempDir()
-	ctx := rdd.NewContext(2)
+	rc := rdd.NewContext(2)
 	cfg := bench.DefaultCaseStudyConfig()
 	cfg.Racks = 3
 	cfg.NodesPerRack = 4
 	cfg.AMGRack = 1
 	cfg.DAT1DurationSec = 1200
-	cat, _, _ := bench.DAT1Catalog(ctx, cfg)
+	cat, _, _ := bench.DAT1Catalog(rc, cfg)
 	for name, ds := range cat {
 		if err := wrappers.Write(ds, wrappers.Source{Format: "kv", Path: dir, Table: name}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	loaded, schemas, err := catalog.Load(ctx, dir)
+	loaded, schemas, err := catalog.Load(rc, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,7 @@ func TestLoadCatalogKV(t *testing.T) {
 		}
 	}
 	// A query over the kv catalog works end to end.
-	if err := cmdQuery([]string{
+	if err := cmdQuery(ctx, []string{
 		"-catalog", dir,
 		"-domains", "rack",
 		"-values", "temperature",
@@ -214,3 +215,6 @@ func TestLoadCatalogKV(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// ctx is the context the subcommand bodies run under in tests.
+var ctx = context.Background()

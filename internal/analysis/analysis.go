@@ -1,7 +1,7 @@
 // Package analysis implements the "distributed modeling/analysis" stage of
 // the paper's system overview (Figure 2): once the derivation engine has
 // produced a dataset relating the queried dimensions, analysts compute
-// statistics over it — summaries, correlations, least-squares fits — as
+// statistics over it — correlations, least-squares fits, grouped means — as
 // data-parallel aggregations on the same substrate, without collecting rows
 // to one place first.
 package analysis
@@ -15,31 +15,11 @@ import (
 	"scrubjay/internal/value"
 )
 
-// Summary holds the distribution statistics of one column.
-type Summary struct {
-	Count int64
-	Mean  float64
-	Std   float64
-	Min   float64
-	Max   float64
-}
-
-// String renders the summary compactly.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g std=%.4g min=%.4g max=%.4g",
-		s.Count, s.Mean, s.Std, s.Min, s.Max)
-}
-
 // moments is the mergeable accumulator behind every statistic here:
-// count, sums of x, y, x², y², and xy, plus running min/max of x.
+// count and sums of x, y, x², y², and xy.
 type moments struct {
 	n                     int64
 	sx, sy, sxx, syy, sxy float64
-	min, max              float64
-}
-
-func zeroMoments() moments {
-	return moments{min: math.Inf(1), max: math.Inf(-1)}
 }
 
 func (m moments) addXY(x, y float64) moments {
@@ -49,12 +29,6 @@ func (m moments) addXY(x, y float64) moments {
 	m.sxx += x * x
 	m.syy += y * y
 	m.sxy += x * y
-	if x < m.min {
-		m.min = x
-	}
-	if x > m.max {
-		m.max = x
-	}
 	return m
 }
 
@@ -65,19 +39,13 @@ func (a moments) merge(b moments) moments {
 	a.sxx += b.sxx
 	a.syy += b.syy
 	a.sxy += b.sxy
-	if b.min < a.min {
-		a.min = b.min
-	}
-	if b.max > a.max {
-		a.max = b.max
-	}
 	return a
 }
 
-// columnMoments aggregates the joint moments of two columns (y may equal x
-// for single-column statistics). Rows missing either value are skipped.
+// columnMoments aggregates the joint moments of two columns. Rows missing
+// either value are skipped.
 func columnMoments(ds *dataset.Dataset, colX, colY string) moments {
-	return rdd.Aggregate(ds.Rows(), zeroMoments,
+	return rdd.Aggregate(ds.Rows(), func() moments { return moments{} },
 		func(m moments, r value.Row) moments {
 			x, okX := r.Get(colX).AsFloat()
 			y, okY := r.Get(colY).AsFloat()
@@ -88,29 +56,6 @@ func columnMoments(ds *dataset.Dataset, colX, colY string) moments {
 		},
 		func(a, b moments) moments { return a.merge(b) },
 	)
-}
-
-// Describe computes the summary statistics of a numeric column.
-func Describe(ds *dataset.Dataset, col string) (Summary, error) {
-	if _, ok := ds.Schema()[col]; !ok {
-		return Summary{}, fmt.Errorf("analysis: dataset %q has no column %q", ds.Name(), col)
-	}
-	m := columnMoments(ds, col, col)
-	if m.n == 0 {
-		return Summary{}, fmt.Errorf("analysis: column %q has no numeric values", col)
-	}
-	mean := m.sx / float64(m.n)
-	variance := m.sxx/float64(m.n) - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
-	return Summary{
-		Count: m.n,
-		Mean:  mean,
-		Std:   math.Sqrt(variance),
-		Min:   m.min,
-		Max:   m.max,
-	}, nil
 }
 
 // Pearson computes the Pearson correlation coefficient between two numeric

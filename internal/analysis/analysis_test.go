@@ -34,33 +34,6 @@ func xyDataset(t *testing.T, xs, ys []float64, keys []string) *dataset.Dataset {
 	return dataset.FromRows(ctx, "xy", rows, xySchema(), 3)
 }
 
-func TestDescribe(t *testing.T) {
-	ds := xyDataset(t, []float64{1, 2, 3, 4}, []float64{0, 0, 0, 0}, nil)
-	s, err := Describe(ds, "x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Count != 4 || math.Abs(s.Mean-2.5) > 1e-12 || s.Min != 1 || s.Max != 4 {
-		t.Errorf("Describe = %+v", s)
-	}
-	wantStd := math.Sqrt(1.25)
-	if math.Abs(s.Std-wantStd) > 1e-12 {
-		t.Errorf("std = %v, want %v", s.Std, wantStd)
-	}
-	if s.String() == "" {
-		t.Error("String empty")
-	}
-	if _, err := Describe(ds, "nope"); err == nil {
-		t.Error("unknown column should fail")
-	}
-	// Null/missing values skipped; empty column fails.
-	ctx := rdd.NewContext(1)
-	empty := dataset.FromRows(ctx, "e", []value.Row{value.NewRow("k", value.Str("a"))}, xySchema(), 1)
-	if _, err := Describe(empty, "x"); err == nil {
-		t.Error("no numeric values should fail")
-	}
-}
-
 func TestPearsonPerfectCorrelation(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	ys := []float64{3, 5, 7, 9, 11} // y = 2x+1
@@ -173,8 +146,8 @@ func TestQuickMomentsPartitionInvariance(t *testing.T) {
 			return dataset.FromRows(ctx, "xy", rows, xySchema(), p)
 		}
 		p1 := int(parts%7) + 1
-		a, errA := Describe(build(1), "x")
-		b, errB := Describe(build(p1), "x")
+		a, errA := LinearFit(build(1), "x", "y")
+		b, errB := LinearFit(build(p1), "x", "y")
 		if (errA == nil) != (errB == nil) {
 			return false
 		}
@@ -184,8 +157,7 @@ func TestQuickMomentsPartitionInvariance(t *testing.T) {
 		close := func(u, v float64) bool {
 			return math.Abs(u-v) <= 1e-9*(1+math.Abs(u)+math.Abs(v))
 		}
-		return a.Count == b.Count && close(a.Mean, b.Mean) && close(a.Std, b.Std) &&
-			a.Min == b.Min && a.Max == b.Max
+		return a.N == b.N && close(a.Slope, b.Slope) && close(a.Intercept, b.Intercept) && close(a.R2, b.R2)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

@@ -6,10 +6,10 @@
 //
 // The cache is safe for concurrent readers and writers (the serving layer
 // shares one cache across all in-flight queries). The locking discipline:
-// c.mu guards only the in-memory index — all file IO (data files, cold-tier
-// compression, index persistence) happens outside the lock, and every file
-// write lands via create-temp-then-rename so concurrent operations on the
-// same key never expose a torn file.
+// c.mu guards only the in-memory index — all file IO (data files, index
+// persistence) happens outside the lock, and every file write lands via
+// create-temp-then-rename so concurrent operations on the same key never
+// expose a torn file.
 package cache
 
 import (
@@ -36,8 +36,6 @@ type Cache struct {
 
 	mu    sync.Mutex
 	index map[string]*entry
-	// coldDir, when set, is the compressed long-term tier (EnableColdTier).
-	coldDir string
 	// now is the clock, overridable in tests.
 	now func() time.Time
 }
@@ -95,10 +93,10 @@ func (c *Cache) dataPath(key string) string {
 	return filepath.Join(c.dir, key+".bin")
 }
 
-// tmpPath returns a unique temp path in dir for staging a write that will
-// be renamed into place.
-func (c *Cache) tmpPath(dir, key string) string {
-	return filepath.Join(dir, fmt.Sprintf("%s.%d.tmp", key, c.tmpSeq.Add(1)))
+// tmpPath returns a unique temp path in the cache directory for staging a
+// write that will be renamed into place.
+func (c *Cache) tmpPath(key string) string {
+	return filepath.Join(c.dir, fmt.Sprintf("%s.%d.tmp", key, c.tmpSeq.Add(1)))
 }
 
 // Get loads the cached dataset for key, marking it recently used. Recency
@@ -112,11 +110,7 @@ func (c *Cache) Get(ctx *rdd.Context, key string) (*dataset.Dataset, bool) {
 	}
 	c.mu.Unlock()
 	if !ok {
-		// A miss in the hot tier may hit the compressed cold tier; a
-		// successful promotion restores the entry and we retry.
-		if !c.promote(key) {
-			return nil, false
-		}
+		return nil, false
 	}
 	ds, err := wrappers.Read(ctx, wrappers.Source{Format: "bin", Path: c.dataPath(key), Name: "cache:" + key})
 	if err != nil {
@@ -134,7 +128,7 @@ func (c *Cache) Get(ctx *rdd.Context, key string) (*dataset.Dataset, bool) {
 // file, never a partial write.
 func (c *Cache) Put(key string, ds *dataset.Dataset) error {
 	path := c.dataPath(key)
-	tmp := c.tmpPath(c.dir, key)
+	tmp := c.tmpPath(key)
 	if err := wrappers.Write(ds, wrappers.Source{Format: "bin", Path: tmp}); err != nil {
 		return err
 	}
@@ -177,8 +171,7 @@ func (c *Cache) Contains(key string) bool {
 
 // evictVictimsLocked removes least-recently-used entries from the index
 // until within budget and returns their keys. Callers drop the data files
-// (and demote to the cold tier) after releasing c.mu — no IO under the
-// lock.
+// after releasing c.mu — no IO under the lock.
 func (c *Cache) evictVictimsLocked() []string {
 	if c.maxBytes <= 0 {
 		return nil
@@ -197,11 +190,10 @@ func (c *Cache) evictVictimsLocked() []string {
 	return victims
 }
 
-// dropFiles demotes evicted entries to the cold tier (when enabled) and
-// removes their hot data files. Must be called without c.mu held.
+// dropFiles removes evicted entries' data files. Must be called without
+// c.mu held.
 func (c *Cache) dropFiles(keys []string) {
 	for _, k := range keys {
-		c.demote(k)
 		os.Remove(c.dataPath(k))
 	}
 }
@@ -222,7 +214,7 @@ func (c *Cache) saveIndex() error {
 	if err != nil {
 		return err
 	}
-	tmp := c.tmpPath(c.dir, "index")
+	tmp := c.tmpPath("index")
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return err
 	}

@@ -87,6 +87,24 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
+// TestColdTierDisabledMisses checks that eviction discards an entry's data,
+// not just its index entry: the cache keeps no second tier to fall back on.
+func TestColdTierDisabledMisses(t *testing.T) {
+	ctx := rdd.NewContext(1)
+	c, _ := Open(t.TempDir(), 1)
+	base := time.Unix(1000, 0)
+	tick := 0
+	c.SetClock(func() time.Time {
+		tick++
+		return base.Add(time.Duration(tick) * time.Second)
+	})
+	c.Put("old", smallDataset(ctx, 40))
+	c.Put("new", smallDataset(ctx, 10))
+	if _, ok := c.Get(ctx, "old"); ok {
+		t.Error("evicted entries are gone")
+	}
+}
+
 func TestLRUTouchOnGet(t *testing.T) {
 	ctx := rdd.NewContext(1)
 	// Budget that fits about two small entries; entry sizes are a few
@@ -147,69 +165,4 @@ func TestDamagedEntryDropped(t *testing.T) {
 
 func writeFile(path, content string) error {
 	return os.WriteFile(path, []byte(content), 0o644)
-}
-
-func TestColdTierDemoteAndPromote(t *testing.T) {
-	ctx := rdd.NewContext(1)
-	c, _ := Open(t.TempDir(), 1) // evict everything but the newest entry
-	if err := c.EnableColdTier(t.TempDir()); err != nil {
-		t.Fatal(err)
-	}
-	base := time.Unix(1000, 0)
-	tick := 0
-	c.SetClock(func() time.Time {
-		tick++
-		return base.Add(time.Duration(tick) * time.Second)
-	})
-	c.Put("old", smallDataset(ctx, 40))
-	c.Put("new", smallDataset(ctx, 10))
-	// "old" was evicted from the hot tier into the cold tier.
-	if c.Contains("old") {
-		t.Fatal("old should be evicted from hot tier")
-	}
-	if c.ColdLen() != 1 {
-		t.Fatalf("cold entries = %d, want 1", c.ColdLen())
-	}
-	// A Get promotes it back, decompressed and readable.
-	got, ok := c.Get(ctx, "old")
-	if !ok {
-		t.Fatal("cold-tier Get should hit")
-	}
-	if got.Count() != 40 {
-		t.Errorf("promoted count = %d", got.Count())
-	}
-	// Promotion put "old" back in the hot tier; the 1-byte budget then
-	// demoted "new" into the cold tier in its place.
-	if !c.Contains("old") || c.Contains("new") {
-		t.Error("promotion should swap the hot entry")
-	}
-	if c.ColdLen() != 1 {
-		t.Errorf("displaced entry should be in the cold tier, have %d", c.ColdLen())
-	}
-	if got2, ok := c.Get(ctx, "new"); !ok || got2.Count() != 10 {
-		t.Error("displaced entry should be recoverable from the cold tier")
-	}
-	// Truly missing keys still miss.
-	if _, ok := c.Get(ctx, "never"); ok {
-		t.Error("missing key should miss both tiers")
-	}
-}
-
-func TestColdTierDisabledMisses(t *testing.T) {
-	ctx := rdd.NewContext(1)
-	c, _ := Open(t.TempDir(), 1)
-	base := time.Unix(1000, 0)
-	tick := 0
-	c.SetClock(func() time.Time {
-		tick++
-		return base.Add(time.Duration(tick) * time.Second)
-	})
-	c.Put("old", smallDataset(ctx, 40))
-	c.Put("new", smallDataset(ctx, 10))
-	if _, ok := c.Get(ctx, "old"); ok {
-		t.Error("without a cold tier, evicted entries are gone")
-	}
-	if c.ColdLen() != 0 {
-		t.Error("ColdLen without cold tier should be 0")
-	}
 }

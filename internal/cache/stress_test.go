@@ -13,10 +13,9 @@ import (
 
 // TestConcurrentStress hammers one cache from many goroutines mixing Put,
 // Get, Contains, and Delete over a small key space, with a budget tight
-// enough to force constant LRU eviction and a cold tier so demotions and
-// promotions race too. Run under -race (ci.sh does), this is the proof
-// obligation for the serving layer sharing one cache across all in-flight
-// queries. Content is verified on every hit: key ki always stores 10+i
+// enough to force constant LRU eviction. Run under -race (ci.sh does),
+// this is the proof obligation for the serving layer sharing one cache
+// across all in-flight queries. Content is verified on every hit: key ki always stores 10+i
 // rows, so a torn or mixed-up file surfaces as a wrong count.
 func TestConcurrentStress(t *testing.T) {
 	const (
@@ -30,9 +29,6 @@ func TestConcurrentStress(t *testing.T) {
 	// emptying the cache.
 	c, err := Open(dir, 8<<10)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.EnableColdTier(filepath.Join(dir, "cold")); err != nil {
 		t.Fatal(err)
 	}
 	wantRows := func(i int) int { return 10 + i }
@@ -80,18 +76,12 @@ func TestConcurrentStress(t *testing.T) {
 		t.Fatalf("Flush: %v", err)
 	}
 	// Quiescent state: every staged temp file was renamed or removed.
-	for _, d := range []string{dir, filepath.Join(dir, "cold")} {
-		matches, _ := filepath.Glob(filepath.Join(d, "*.tmp"))
-		if len(matches) != 0 {
-			t.Errorf("leftover temp files in %s: %v", d, matches)
-		}
+	if matches, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(matches) != 0 {
+		t.Errorf("leftover temp files: %v", matches)
 	}
 	// The flushed index reopens, and every surviving entry still verifies.
 	c2, err := Open(dir, 8<<10)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c2.EnableColdTier(filepath.Join(dir, "cold")); err != nil {
 		t.Fatal(err)
 	}
 	hits := 0

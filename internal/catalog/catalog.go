@@ -1,6 +1,6 @@
 // Package catalog loads directories of annotated datasets — the shared
-// entry point for the CLI (cmd/scrubjay) and the serving daemon
-// (cmd/sjserved). A catalog directory holds data files in any wrapped
+// entry point for local queries (scrubjay query/run) and the serving
+// daemon (scrubjay serve). A catalog directory holds data files in any wrapped
 // format (§5.2 of the paper): *.jsonl, *.csv, *.bin with schema sidecars,
 // plus kv-store tables when .log segments are present.
 package catalog

@@ -1,11 +1,12 @@
 // Package cluster is the driver-side scheduler for ScrubJay's distributed
-// execution: it tracks live sjworker shard processes (registration +
+// execution: it tracks live shard worker processes (registration +
 // heartbeat), owns a fixed connection pool per worker, and implements
 // rdd.Placement by planning each shuffle's destination partitions onto
 // workers with per-task retry, straggler re-execution, and deadline/cancel
 // propagation. It is the live counterpart of internal/rdd's simsched, which
 // stays the deterministic in-process test double — the paper's 10-node
-// Spark cluster (§6) maps onto a Registry of sjworkers here.
+// Spark cluster (§6) maps onto a Registry of workers here; RunWorker is
+// a worker process's own lifecycle.
 package cluster
 
 import (

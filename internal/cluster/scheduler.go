@@ -87,8 +87,8 @@ func NewScheduler(reg *Registry, opts Options) *Scheduler {
 // into m: cluster_workers_live plus cluster_worker_* aggregates of the
 // heartbeat snapshots (stored bytes, shuffles, goroutines, heap, fetch
 // count summed over live workers; fetch p99 as the fleet max). Idempotent —
-// the first non-nil registry wins; sjserved calls this after server
-// construction so the scheduler shares the server's /metrics registry.
+// the first non-nil registry wins; the serving daemon calls this after
+// server construction so the scheduler shares the server's /metrics registry.
 func (s *Scheduler) AttachMetrics(m *obs.Registry) {
 	if m == nil || s.metricsSet.Swap(true) {
 		return

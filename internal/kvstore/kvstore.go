@@ -1,9 +1,8 @@
 // Package kvstore is a small embedded key-value store: the stand-in for the
 // NoSQL database (Cassandra) behind the paper's deployment. Each table is an
 // append-only log of put/delete records with an in-memory index rebuilt on
-// open; Compact rewrites the log without superseded records. It provides
-// exactly what ScrubJay's wrappers need — durable tables of byte values with
-// ordered scans — without external dependencies.
+// open. It provides exactly what ScrubJay's wrappers need — durable tables
+// of byte values with ordered scans — without external dependencies.
 package kvstore
 
 import (
@@ -279,59 +278,6 @@ func (t *Table) Flush() error {
 		return nil
 	}
 	return t.w.Flush()
-}
-
-// Compact rewrites the log with only live records, shrinking space used by
-// superseded puts and deletes.
-func (t *Table) Compact() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.file == nil {
-		return errors.New("kvstore: table closed")
-	}
-	if err := t.w.Flush(); err != nil {
-		return err
-	}
-	tmp := t.path + ".compact"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriter(f)
-	keys := make([]string, 0, len(t.index))
-	for k := range t.index {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if err := writeRecord(w, opPut, k, t.index[k]); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return err
-		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	old := t.file
-	if err := os.Rename(tmp, t.path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	old.Close()
-	nf, err := os.OpenFile(t.path, os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	t.file = nf
-	t.w = bufio.NewWriter(nf)
-	return nil
 }
 
 // Close flushes and closes the table file.

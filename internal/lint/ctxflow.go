@@ -9,8 +9,9 @@ import (
 // ctxflowPackages are the layers whose blocking paths must thread the
 // caller's cancellable context (PR-2 invariant: cancellation propagates
 // engine → pipeline → rdd → server with no gaps a stuck query can hide in;
-// the distributed layers — shuffle, cluster, sjworker — extend the chain
-// across the exchange RPCs).
+// the distributed layers — shuffle, cluster — extend the chain across the
+// exchange RPCs; the serving daemon's and the shard worker's lifecycles
+// live in server and cluster).
 var ctxflowPackages = map[string]bool{
 	"engine":   true,
 	"pipeline": true,
@@ -18,7 +19,6 @@ var ctxflowPackages = map[string]bool{
 	"server":   true,
 	"shuffle":  true,
 	"cluster":  true,
-	"sjworker": true,
 }
 
 // CtxFlowAnalyzer flags context-propagation breaks in the execution layers:

@@ -10,9 +10,8 @@ import (
 // errflowPackages are the serving and cluster layers, where a dropped error
 // turns a failed remote exchange into silently wrong query results.
 var errflowPackages = map[string]bool{
-	"server":   true,
-	"cluster":  true,
-	"sjworker": true,
+	"server":  true,
+	"cluster": true,
 }
 
 // ErrFlowAnalyzer tracks error values along CFG paths in serving/cluster

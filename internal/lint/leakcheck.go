@@ -7,15 +7,14 @@ import (
 )
 
 // leakcheckPackages are the layers that own OS-level resources: TCP shuffle
-// links, the cluster conn pools, the serving daemon, the cold cache's spill
-// files, and the worker process. A conn or file leaked there accumulates
-// across queries instead of dying with a short-lived command.
+// links, the cluster conn pools and the shard worker's lifecycle, the
+// serving daemon, and the result cache's files. A conn or file leaked there
+// accumulates across queries instead of dying with a short-lived command.
 var leakcheckPackages = map[string]bool{
-	"shuffle":  true,
-	"cluster":  true,
-	"server":   true,
-	"cache":    true,
-	"sjworker": true,
+	"shuffle": true,
+	"cluster": true,
+	"server":  true,
+	"cache":   true,
 }
 
 // releaseMethods are the method names that relinquish a tracked resource.
@@ -37,8 +36,8 @@ func LeakCheckAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "leakcheck",
 		Doc: "resources acquired in the shuffle/cluster/server/cache layers — " +
-			"net.Conn, os.File, time.Ticker/Timer, obs spans, and Close-able Conn " +
-			"types — must be released on every path to function exit: close on " +
+			"net.Conn, os.File, time.Ticker/Timer, obs spans, shuffle.Server " +
+			"listeners and Close-able Conn types — must be released on every path to function exit: close on " +
 			"the error path, defer the release, or hand ownership to a helper " +
 			"that provably releases or retains its argument.",
 		AppliesTo: func(pkg *Package) bool {
@@ -51,7 +50,7 @@ func LeakCheckAnalyzer() *Analyzer {
 // resourceClass classifies a type as a tracked resource and names its
 // release method. Pointers are unwrapped; the Conn rule is structural (any
 // named Conn with a Close method) so the module's own shuffle.Conn and
-// net.Conn are both covered.
+// net.Conn are both covered; shuffle.Server is a shard worker's listener.
 func resourceClass(t types.Type) (class, release string, ok bool) {
 	t = types.Unalias(t)
 	if p, isPtr := t.(*types.Pointer); isPtr {
@@ -75,6 +74,8 @@ func resourceClass(t types.Type) (class, release string, ok bool) {
 		return "time.Timer", "Stop", true
 	case pkg == "obs" && obj.Name() == "Span":
 		return "obs.Span", "End", true
+	case pkg == "shuffle" && obj.Name() == "Server":
+		return "shuffle.Server", "Close", true
 	case obj.Name() == "Conn" && hasMethodNamed(named, "Close"):
 		return pkg + ".Conn", "Close", true
 	}

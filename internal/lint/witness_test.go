@@ -42,6 +42,14 @@ var realTreeWitnesses = []witness{
 		new:      "\tc, err := w.get(ctx)\n\tpayload, err := c.FetchTraced(",
 	},
 	{
+		// A worker that cannot publish its address leaves its listener
+		// bound.
+		analyzer: "leakcheck",
+		file:     "internal/cluster/connect.go",
+		old:      "\t\t\tsrv.Close()\n\t\t\treturn err\n",
+		new:      "\t\t\treturn err\n",
+	},
+	{
 		// Frame.With replaces the column in the shared receiver.
 		analyzer: "frameimmut",
 		file:     "internal/frame/frame.go",
@@ -93,8 +101,8 @@ func TestRealTreeWitnesses(t *testing.T) {
 	// A row is added with a new analyzer or a newly caught bug class, and
 	// rewritten when a refactor moves its code; dropping one (even a second
 	// row for an analyzer) must be a deliberate edit of this count.
-	if n := len(realTreeWitnesses); n != 8 {
-		t.Fatalf("%d witness rows, want 8", n)
+	if n := len(realTreeWitnesses); n != 9 {
+		t.Fatalf("%d witness rows, want 9", n)
 	}
 	root, err := FindModuleRoot(".")
 	if err != nil {

@@ -90,23 +90,6 @@ func (s Schema) DomainDimensions() []string {
 	return dims
 }
 
-// ValueDimensions returns the sorted set of dimensions covered by value
-// columns.
-func (s Schema) ValueDimensions() []string {
-	set := map[string]bool{}
-	for _, e := range s {
-		if e.Relation == Value {
-			set[e.Dimension] = true
-		}
-	}
-	dims := make([]string, 0, len(set))
-	for d := range set {
-		dims = append(dims, d)
-	}
-	sort.Strings(dims)
-	return dims
-}
-
 // ColumnsOnDimension returns the sorted columns with the given relation type
 // and dimension.
 func (s Schema) ColumnsOnDimension(rel RelationType, dim string) []string {

@@ -139,9 +139,6 @@ func TestSchemaAccessors(t *testing.T) {
 	if got := s.DomainDimensions(); len(got) != 2 || got[0] != "compute_node" || got[1] != "time" {
 		t.Errorf("DomainDimensions = %v", got)
 	}
-	if got := s.ValueDimensions(); len(got) != 2 || got[0] != "power" || got[1] != "temperature" {
-		t.Errorf("ValueDimensions = %v", got)
-	}
 	if got := s.ColumnsOnDimension(Value, "power"); len(got) != 1 || got[0] != "node_power" {
 		t.Errorf("ColumnsOnDimension = %v", got)
 	}

@@ -1,5 +1,5 @@
-// Package server implements sjserved, ScrubJay's concurrent query-serving
-// daemon. It wraps the derivation engine (§5 of the paper) behind a small
+// Package server implements scrubjay serve, ScrubJay's concurrent
+// query-serving daemon (Daemon.Run is its lifecycle). It wraps the derivation engine (§5 of the paper) behind a small
 // HTTP API so that many analysts share one loaded catalog, one plan cache,
 // and one derivation-result cache:
 //

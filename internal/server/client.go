@@ -13,9 +13,10 @@ import (
 	"scrubjay/internal/value"
 )
 
-// Client speaks the sjserved HTTP API using the same request/response
-// structs the server serves. The CLI's client mode (scrubjay query
-// -server) and the load driver (sjload) are both built on it.
+// Client speaks the serving daemon's HTTP API using the same
+// request/response structs the server serves. The CLI's client mode
+// (scrubjay query -server) and the load driver (scrubjay load) are both
+// built on it.
 type Client struct {
 	// BaseURL is the server root, e.g. "http://127.0.0.1:8372".
 	BaseURL string
@@ -188,7 +189,7 @@ func (c *Client) Catalog() (CatalogResponse, error) {
 }
 
 // readRowStream consumes an NDJSON row stream. A stream that breaks after
-// the 200 began returns *StreamBrokenError — the signal sjload uses to
+// the 200 began returns *StreamBrokenError — the signal scrubjay load uses to
 // count dropped in-flight queries.
 func readRowStream(resp *http.Response) (StreamHeader, []value.Row, StreamTrailer, error) {
 	defer resp.Body.Close()

@@ -98,7 +98,7 @@ func TestClientErrorsClassify(t *testing.T) {
 }
 
 // TestClientDetectsBrokenStream cuts the connection mid-stream and checks
-// the client reports StreamBrokenError (sjload's "dropped" signal).
+// the client reports StreamBrokenError (scrubjay load's "dropped" signal).
 func TestClientDetectsBrokenStream(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")

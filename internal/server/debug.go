@@ -7,7 +7,7 @@ import (
 
 // DebugHandler returns the profiling surface: the standard net/http/pprof
 // endpoints under /debug/pprof/. It is deliberately a separate handler from
-// Handler() so the owning process mounts it on its own listener (sjserved
+// Handler() so Daemon.Run mounts it on its own listener (scrubjay serve
 // -debug-addr) — profiling never shares a port with the query API, and an
 // unset debug address exposes nothing.
 func DebugHandler() http.Handler {

@@ -21,6 +21,9 @@ import (
 	"scrubjay/internal/wrappers"
 )
 
+// planCacheSize is the plan-cache LRU capacity.
+const planCacheSize = 256
+
 // statusClientClosed is the non-standard (nginx-convention) status for a
 // request whose client went away before the answer was ready.
 const statusClientClosed = 499
@@ -38,8 +41,6 @@ type Config struct {
 	// (default 30s); MaxTimeout clamps client-supplied timeouts (default 5m).
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// PlanCacheSize is the plan-cache LRU capacity (default 256).
-	PlanCacheSize int
 	// WindowSeconds is the default interpolation-join window (default 120).
 	WindowSeconds float64
 	// Cache, when non-nil, is the shared derivation-result cache.
@@ -78,9 +79,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 5 * time.Minute
 	}
-	if c.PlanCacheSize <= 0 {
-		c.PlanCacheSize = 256
-	}
 	if c.WindowSeconds <= 0 {
 		c.WindowSeconds = 120
 	}
@@ -95,9 +93,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is the sjserved core, independent of the listening socket: it
-// exposes an http.Handler, and the owning process wires it to an
-// http.Server plus signal handling (see cmd/sjserved).
+// Server is the serving core, independent of the listening socket: it
+// exposes an http.Handler, and Daemon.Run wires it to an http.Server and
+// the drain sequence.
 type Server struct {
 	cfg      Config
 	store    *Store
@@ -115,7 +113,7 @@ func New(store *Store, cfg Config) *Server {
 	s := &Server{
 		cfg:    cfg,
 		store:  store,
-		plans:  newPlanCache(cfg.PlanCacheSize),
+		plans:  newPlanCache(planCacheSize),
 		adm:    newAdmitter(cfg.MaxConcurrent, cfg.MaxQueue),
 		met:    newMetrics(),
 		traces: obs.NewTraceRing(cfg.TraceRing),

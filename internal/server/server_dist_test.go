@@ -40,7 +40,7 @@ func distCluster(t *testing.T, opts cluster.Options) (*cluster.Scheduler, []*shu
 
 // TestFig5BitForBitDistributed extends the TestFig5BitForBit family to a
 // live 2-worker cluster: the served query's shuffles cross real TCP through
-// sjworker-equivalent shuffle servers, and every row must still be
+// worker-equivalent shuffle servers, and every row must still be
 // byte-identical JSON, in the same order, as the in-process library run.
 func TestFig5BitForBitDistributed(t *testing.T) {
 	met := obs.NewRegistry()

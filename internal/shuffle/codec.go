@@ -1,6 +1,7 @@
 // Package shuffle is ScrubJay's distributed-exchange data plane: a compact
 // binary wire codec for frame.Frame column batches and a TCP exchange
-// service that moves them between the driver and sjworker shard processes.
+// service that moves them between the driver and the shard worker
+// processes (scrubjay worker).
 // The paper ran its derivation queries on a 10-node Spark cluster whose
 // shuffles serialize column batches across the network (§6); this package
 // is that exchange fabric for the reproduction — internal/cluster plans

@@ -53,19 +53,6 @@ func Sub(v, o Value) (Value, error) {
 	return Float(a - b), nil
 }
 
-// Mul returns v * o as a float (int*int stays int).
-func Mul(v, o Value) (Value, error) {
-	if v.kind == KindInt && o.kind == KindInt {
-		return Int(v.num * o.num), nil
-	}
-	a, aok := v.AsFloat()
-	b, bok := o.AsFloat()
-	if !aok || !bok {
-		return Null(), fmt.Errorf("%w: %s * %s", ErrNotNumeric, v.kind, o.kind)
-	}
-	return Float(a * b), nil
-}
-
 // Div returns v / o as a float.
 func Div(v, o Value) (Value, error) {
 	a, aok := v.AsFloat()

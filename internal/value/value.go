@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -494,9 +493,4 @@ func Parse(text string) Value {
 		return List(vs...)
 	}
 	return Str(text)
-}
-
-// SortValues sorts a slice of values in place using Compare.
-func SortValues(vs []Value) {
-	sort.Slice(vs, func(i, j int) bool { return vs[i].Compare(vs[j]) < 0 })
 }

@@ -81,16 +81,6 @@ var (
 		NetBytesPerSecond: 1e4}
 )
 
-// ProfileByName resolves a profile.
-func ProfileByName(name string) (Profile, bool) {
-	for _, p := range []Profile{AMG, MgC, Prime95, LULESH, idleProfile} {
-		if p.Name == name {
-			return p, true
-		}
-	}
-	return Profile{}, false
-}
-
 // Job is one scheduled execution.
 type Job struct {
 	ID       string

@@ -14,18 +14,6 @@ func smallFacility() *facility.Facility {
 	return facility.New(facility.Config{Racks: 4, NodesPerRack: 8, Seed: 3})
 }
 
-func TestProfileByName(t *testing.T) {
-	for _, name := range []string{"AMG", "mg.C", "prime95", "LULESH", "idle"} {
-		p, ok := ProfileByName(name)
-		if !ok || p.Name != name {
-			t.Errorf("ProfileByName(%q) = %v %v", name, p, ok)
-		}
-	}
-	if _, ok := ProfileByName("hpl"); ok {
-		t.Error("unknown profile should miss")
-	}
-}
-
 func TestScheduleIndexAndSpan(t *testing.T) {
 	f := smallFacility()
 	jobs := []Job{
@@ -300,47 +288,5 @@ func TestMemoryContrastBetweenApps(t *testing.T) {
 	p95Rate := rate(s.Jobs[3].StartSec+10, s.Jobs[3].EndSec)
 	if mgRate < 3*p95Rate {
 		t.Errorf("mg.C memory rate should dominate prime95: %v vs %v", mgRate, p95Rate)
-	}
-}
-
-func TestSchedulerState(t *testing.T) {
-	ctx := rdd.NewContext(1)
-	f := smallFacility()
-	jobs := []Job{
-		{ID: "a", App: MgC, Nodes: f.RackNodes(0)[:4], StartSec: 0, EndSec: 300},
-		{ID: "b", App: Prime95, Nodes: f.RackNodes(1)[:8], StartSec: 150, EndSec: 450},
-	}
-	s := NewSchedule(f, jobs)
-	ds := s.SchedulerState(ctx, "cab", 0, 600, 30, 1)
-	if err := ds.Validate(semantics.DefaultDictionary()); err != nil {
-		t.Fatalf("scheduler state invalid: %v", err)
-	}
-	rows := ds.SortedBy("time")
-	if len(rows) != 20 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	at := func(sec int64) value.Row {
-		for _, r := range rows {
-			if r.Get("time").TimeNanosVal() == sec*1e9 {
-				return r
-			}
-		}
-		t.Fatalf("no sample at %d", sec)
-		return nil
-	}
-	// t=0: only job a (4 nodes). t=180: both (12 nodes). t=480: none.
-	if at(0).Get("running_jobs").IntVal() != 1 || at(0).Get("busy_nodes").IntVal() != 4 {
-		t.Errorf("t=0 state = %v", at(0))
-	}
-	if at(180).Get("running_jobs").IntVal() != 2 || at(180).Get("busy_nodes").IntVal() != 12 {
-		t.Errorf("t=180 state = %v", at(180))
-	}
-	if at(480).Get("running_jobs").IntVal() != 0 || at(480).Get("utilization").FloatVal() != 0 {
-		t.Errorf("t=480 state = %v", at(480))
-	}
-	util := at(180).Get("utilization").FloatVal()
-	want := 12.0 / float64(len(f.Nodes()))
-	if util < want-1e-9 || util > want+1e-9 {
-		t.Errorf("utilization = %v, want %v", util, want)
 	}
 }
