@@ -4,12 +4,17 @@
 # Tier 1 (ROADMAP.md) is build + tests. This gate extends it with the
 # checks that protect the paper's §5.3/§5.4 guarantees:
 #   * go vet           — stock static analysis
-#   * go test -race    — the dynamic half of the purity/lock story: every
-#                        test runs under the race detector, module-wide,
-#                        uncached (-count=1) so a stale ok cannot hide a
-#                        flake; then the same for the nested benchmark/
-#                        module (its TestSmoke runs every BENCHMARK.json
-#                        workload at tiny scale and checks the output bytes)
+#   * go test -race    — every test runs under the race detector,
+#                        module-wide, uncached (-count=1) so a stale ok
+#                        cannot hide a flake. This is the purity check: a
+#                        compute closure that writes captured state races
+#                        across partitions. In this build
+#                        TestRealTreeWitnesses also runs the test rows of
+#                        the mutation table (each mutation overlaid on the
+#                        tree, its named test must fail). Then the same for
+#                        the nested benchmark/ module (its TestSmoke runs
+#                        every BENCHMARK.json workload at tiny scale and
+#                        checks the output bytes)
 #   * fuzz             — 10 s each of differential fuzzing of three columnar
 #                        kernels against their row-form references: the
 #                        interpolation join (FuzzInterpolationJoin), the
@@ -26,13 +31,12 @@
 #   * gofmt            — formatting gate (testdata fixtures excluded: the
 #                        loader-edge fixture deliberately contains a
 #                        vendored file that is not valid Go)
-#   * sjvet            — ScrubJay-specific invariants (purity, determinism,
+#   * analyzers        — the internal/lint suite (determinism,
 #                        lockdiscipline, frameimmut, ctxflow, and the
 #                        flow-sensitive pair errflow/leakcheck; see DESIGN.md
-#                        "Enforced invariants"), one pass over library code
-#                        AND tests with no baseline (any finding fails),
-#                        plus a SARIF artifact (sjvet.sarif) for
-#                        code-scanning upload
+#                        "Enforced invariants") as TestSelfClean, one pass
+#                        over library code AND tests with no baseline (any
+#                        finding fails), within a 30 s budget
 #   * examples         — every examples/* program built and run; any
 #                        nonzero exit fails (each log.Fatals on error, and
 #                        reproducible exits 1 when a replay differs)
@@ -95,25 +99,18 @@ go test -run='^$' -fuzz=FuzzValueBinary -fuzztime=10s -fuzzminimizetime=1s ./int
 echo "==> go test -run='^\$' -fuzz=FuzzPipelinedPuts -fuzztime=10s -fuzzminimizetime=1s ./internal/shuffle"
 go test -run='^$' -fuzz=FuzzPipelinedPuts -fuzztime=10s -fuzzminimizetime=1s ./internal/shuffle
 
-# sjvet runs once over library code and tests (a -tests run covers both):
-# any finding fails, and sjvet.sarif is emitted for the code-scanning
-# artifact upload. -timing prints the per-analyzer wall-clock breakdown, so
-# a cost regression in the interprocedural build stage is attributable
-# before it blows the budget. Wall-clock budget: the pass must stay fast
-# enough to sit in every CI run, so anything over 30s fails the gate.
-echo "==> sjvet -tests -timing -sarif sjvet.sarif ./..."
-SJVET_T0=$(date +%s)
-go run ./cmd/sjvet -tests -timing -sarif sjvet.sarif ./...
-SJVET_T1=$(date +%s)
-SJVET_ELAPSED=$((SJVET_T1 - SJVET_T0))
-echo "    sjvet wall-clock: ${SJVET_ELAPSED}s (budget 30s)"
-if [ "$SJVET_ELAPSED" -gt 30 ]; then
-  echo "ci.sh: sjvet exceeded its 30s wall-clock budget (${SJVET_ELAPSED}s)" >&2
+# The analyzer suite runs once over library code and tests, as
+# TestSelfClean: any finding fails. Wall-clock budget: the pass must stay
+# fast enough to sit in every CI run, so anything over 30s fails the gate.
+echo "==> go test -count=1 -run '^TestSelfClean\$' ./internal/lint"
+LINT_T0=$(date +%s)
+go test -count=1 -run '^TestSelfClean$' ./internal/lint
+LINT_T1=$(date +%s)
+LINT_ELAPSED=$((LINT_T1 - LINT_T0))
+echo "    analyzer wall-clock: ${LINT_ELAPSED}s (budget 30s)"
+if [ "$LINT_ELAPSED" -gt 30 ]; then
+  echo "ci.sh: the analyzer suite exceeded its 30s wall-clock budget (${LINT_ELAPSED}s)" >&2
   exit 1
-fi
-if [ -n "${CI_ARTIFACT_DIR:-}" ]; then
-  cp sjvet.sarif "$CI_ARTIFACT_DIR/sjvet.sarif"
-  echo "    uploaded sjvet.sarif to $CI_ARTIFACT_DIR"
 fi
 
 SMOKE=$(mktemp -d)

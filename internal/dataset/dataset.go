@@ -176,21 +176,6 @@ func (d *Dataset) Select(cols ...string) (*Dataset, error) {
 	return New(name, out.WithName(name), ns), nil
 }
 
-// Where filters rows by a predicate; the schema is unchanged. On a
-// columnar dataset the predicate runs over boxed rows (frame.MaskRows) and
-// the kept rows are gathered into new batches.
-func (d *Dataset) Where(pred func(value.Row) bool) *Dataset {
-	name := d.name + "|where"
-	if d.frames != nil {
-		out := rdd.Map(d.frames, func(f *frame.Frame) *frame.Frame {
-			return f.FilterMask(frame.MaskRows(f, pred))
-		})
-		return NewFrames(name, out.WithName(name), d.schema)
-	}
-	out := rdd.Filter(d.rows, pred).WithName(name)
-	return New(name, out, d.schema)
-}
-
 // SortedBy returns rows totally ordered by the given columns (materializes).
 func (d *Dataset) SortedBy(cols ...string) []value.Row {
 	rows := d.Collect()

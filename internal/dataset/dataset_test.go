@@ -66,18 +66,6 @@ func TestSelect(t *testing.T) {
 	}
 }
 
-func TestWhere(t *testing.T) {
-	ctx := rdd.NewContext(2)
-	d := FromRows(ctx, "temps", tempRows(), tempSchema(), 2)
-	hot := d.Where(func(r value.Row) bool {
-		f, _ := r.Get("node_temp").AsFloat()
-		return f >= 65
-	})
-	if hot.Count() != 2 {
-		t.Errorf("filtered count = %d", hot.Count())
-	}
-}
-
 func TestSortedBy(t *testing.T) {
 	ctx := rdd.NewContext(2)
 	d := FromRows(ctx, "temps", tempRows(), tempSchema(), 3)

@@ -305,13 +305,6 @@ func TestMaskKernels(t *testing.T) {
 			t.Fatalf("MaskValues[%d]=%v", i, gotV[i])
 		}
 	}
-	gotR := MaskRows(f, func(r value.Row) bool { return r.Has("x") })
-	wantR := []bool{true, true, false, false} // Has is false for explicit nulls too
-	for i := range wantR {
-		if gotR[i] != wantR[i] {
-			t.Fatalf("MaskRows[%d]=%v", i, gotR[i])
-		}
-	}
 }
 
 func TestTimeColumnHelpers(t *testing.T) {

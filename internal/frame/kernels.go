@@ -2,26 +2,13 @@ package frame
 
 import "scrubjay/internal/value"
 
-// Closure-taking kernels. These run inside rdd compute bodies, so the
-// closures handed to them inherit the rdd compute contract: pure with
-// respect to lineage, no writes to captured state. cmd/sjvet's purity
-// analyzer checks function literals passed to these entry points exactly
-// as it checks rdd.Map/Filter arguments.
-
-// MaskRows evaluates pred over each row (boxed via RowAt) and returns the
-// keep mask. It is the generic row-predicate kernel behind Dataset.Where
-// on columnar datasets; vectorized operators avoid it on typed columns.
-func MaskRows(f *Frame, pred func(value.Row) bool) []bool {
-	keep := make([]bool, f.n)
-	for i := 0; i < f.n; i++ {
-		keep[i] = pred(f.RowAt(i))
-	}
-	return keep
-}
-
 // MaskValues evaluates pred over one column's cells (absent cells box to
 // Null, mirroring value.Row.Get) and returns the keep mask. A frame
 // lacking the column yields an all-Null scan, matching the row path.
+//
+// MaskValues runs inside rdd compute bodies, so pred inherits the rdd
+// compute contract: pure with respect to lineage, no writes to captured
+// state.
 func MaskValues(f *Frame, col string, pred func(value.Value) bool) []bool {
 	keep := make([]bool, f.n)
 	c := f.Col(col)

@@ -27,13 +27,11 @@ var ctxflowPackages = map[string]bool{
 // context to feed a context-threading callee, and — interprocedurally — a
 // function whose context parameter is never consulted even though its
 // summary says it blocks (so cancellation can never reach the block).
+// Blocking and looping paths in the ctxflowPackages layers must thread the
+// caller's cancellable context.
 func CtxFlowAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "ctxflow",
-		Doc: "blocking and looping paths in engine, pipeline, rdd and server " +
-			"must thread a cancellable context: no dropped context parameters on " +
-			"blocking functions (found via function summaries), no " +
-			"context.Background/TODO substituted for the caller's context.",
 		AppliesTo: func(pkg *Package) bool {
 			return ctxflowPackages[pathBase(pkg.Path)] || ctxflowPackages[pkg.Name]
 		},

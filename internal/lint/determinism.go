@@ -33,10 +33,6 @@ var randConstructors = map[string]bool{
 func DeterminismAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "determinism",
-		Doc: "derivation/engine code must not call time.Now, draw from the " +
-			"global math/rand source, or iterate a map into ordered output " +
-			"without sorting; stored derivation sequences must replay " +
-			"bit-for-bit (§5.4).",
 		AppliesTo: func(pkg *Package) bool {
 			return deterministicPackages[pathBase(pkg.Path)] || deterministicPackages[pkg.Name]
 		},

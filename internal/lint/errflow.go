@@ -23,10 +23,6 @@ var errflowPackages = map[string]bool{
 func ErrFlowAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "errflow",
-		Doc: "error values in the server and cluster layers must be consumed " +
-			"on every path: no overwriting an unread error, no returning with " +
-			"an assigned-but-unchecked error, and no flattening a matched " +
-			"*rdd.ExecFailure into a generic error that loses its stage/cause.",
 		AppliesTo: func(pkg *Package) bool {
 			return errflowPackages[pathBase(pkg.Path)] || errflowPackages[pkg.Name]
 		},

@@ -23,11 +23,7 @@ const frameContract = "a *frame.Frame is immutable once published: batches are s
 func FrameImmutAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "frameimmut",
-		Doc: "no writes to frame.Frame/Column payload vectors, presence bitmaps, " +
-			"or hash vectors after the frame is frozen/published (Builder.Freeze, " +
-			"constructor return, parameter, capture); mutation helpers are found " +
-			"through function summaries; " + frameContract + ".",
-		Run: runFrameImmut,
+		Run:  runFrameImmut,
 	}
 }
 
@@ -429,7 +425,7 @@ func (st *frameFnState) checkWrites() {
 		ast.Inspect(n, func(n ast.Node) bool {
 			switch node := n.(type) {
 			case *ast.CallExpr:
-				if pkg, name, ok := parallelCallee(info, node); ok && pkg == "rdd" &&
+				if name, pkg, ok := pkgCallee(info, node); ok && pkg == "rdd" &&
 					(name == "ExchangePartitions" || name == "ZipPartitions") {
 					for _, arg := range node.Args {
 						if lit, ok := arg.(*ast.FuncLit); ok {

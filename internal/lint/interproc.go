@@ -10,11 +10,11 @@ import (
 // graph over the loaded module plus one dataflow summary per declared
 // function, computed bottom-up over strongly connected components. Analyzers
 // query summaries through Pass.IP, so a violation hidden behind a helper
-// function ("the closure calls bump(), and bump writes a global") is as
-// visible as a direct one. Summaries are deliberately coarse — sets of
-// monotone facts, no path or context sensitivity — because every fact feeds
-// a CI gate that must be fast, deterministic, and explainable in one
-// finding message.
+// function ("the lock holder calls notify(), and notify sends on a
+// channel") is as visible as a direct one. Summaries are deliberately
+// coarse — sets of monotone facts, no path or context sensitivity —
+// because every fact feeds a CI gate that must be fast, deterministic, and
+// explainable in one finding message.
 
 // ParamFacts are dataflow facts about one parameter (or receiver).
 type ParamFacts uint8
@@ -61,13 +61,6 @@ type Summary struct {
 	recv   *types.Var
 	params []*types.Var
 	facts  map[*types.Var]ParamFacts
-
-	// WritesGlobal: the function (or a transitive callee, or a closure it
-	// constructs) assigns package-level state.
-	WritesGlobal bool
-	// GlobalDetail names the offending write, e.g. `assigns package-level
-	// variable "hits"` or `calls bump: assigns package-level variable "n"`.
-	GlobalDetail string
 
 	// Blocks: the function body — excluding nested function literals, which
 	// run on whichever goroutine invokes them — performs a channel send or
@@ -331,11 +324,6 @@ func foldCalls(ip *Interproc, fi *FuncInfo) bool {
 		}
 		cs := &callee.Summary
 		name := rec.callee.Name()
-		if cs.WritesGlobal && !s.WritesGlobal {
-			s.WritesGlobal = true
-			s.GlobalDetail = "calls " + name + ": " + cs.GlobalDetail
-			changed = true
-		}
 		if cs.Blocks && !rec.inLit && !s.Blocks {
 			s.Blocks = true
 			s.BlockDetail = "calls " + name + ": " + cs.BlockDetail
@@ -496,10 +484,6 @@ func collectIntra(fi *FuncInfo) {
 			return
 		}
 		if isGlobal(v) {
-			if !define && !s.WritesGlobal {
-				s.WritesGlobal = true
-				s.GlobalDetail = "assigns package-level variable \"" + v.Name() + "\""
-			}
 			return
 		}
 		if isParam(v) && !define {
@@ -520,8 +504,8 @@ func collectIntra(fi *FuncInfo) {
 		ast.Inspect(n, func(n ast.Node) bool {
 			switch node := n.(type) {
 			case *ast.FuncLit:
-				// The literal's body contributes WritesGlobal and param
-				// captures, but not Blocks: closures run on whichever
+				// The literal's body contributes parameter captures and
+				// facts, but not Blocks: closures run on whichever
 				// goroutine eventually invokes them.
 				ast.Inspect(node.Body, func(cn ast.Node) bool {
 					if id, ok := cn.(*ast.Ident); ok {
@@ -621,13 +605,12 @@ func callIntra(fi *FuncInfo, call *ast.CallExpr, inLit bool,
 	isParam func(*types.Var) bool, argRoot func(ast.Expr) *types.Var, rootVar func(ast.Expr) *types.Var) {
 	info := fi.Pkg.Info
 	s := &fi.Summary
-	if pkg, name, ok := parallelCallee(info, call); ok && pkg == "rdd" && rddActions[name] {
-		if !inLit && !s.Blocks {
+	if name, pkg, ok := pkgCallee(info, call); ok && rddActions[name] && !inLit && !s.Blocks {
+		switch pkg {
+		case "rdd":
 			s.Blocks = true
 			s.BlockDetail = "rdd action " + name
-		}
-	} else if name, pkg, ok := pkgCallee(info, call); ok && pkg == "pipeline" && rddActions[name] {
-		if !inLit && !s.Blocks {
+		case "pipeline":
 			s.Blocks = true
 			s.BlockDetail = "pipeline." + name
 		}
@@ -688,6 +671,26 @@ func modulePathOf(pkg *Package) string {
 
 func samePathPrefix(p, prefix string) bool {
 	return p == prefix || (len(p) > len(prefix) && p[:len(prefix)] == prefix && p[len(prefix)] == '/')
+}
+
+// rootIdent walks selector/index/star/paren chains to the base identifier.
+func rootIdent(e ast.Expr) *ast.Ident {
+	for {
+		switch x := e.(type) {
+		case *ast.Ident:
+			return x
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		default:
+			return nil
+		}
+	}
 }
 
 func selectHasDefault(sel *ast.SelectStmt) bool {

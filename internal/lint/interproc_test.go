@@ -37,28 +37,13 @@ func TestInterprocSummaries(t *testing.T) {
 	ip := BuildInterproc(m)
 
 	// frozen.zero mutates its slice parameter (frameimmut's interprocedural
-	// hook) but is otherwise silent.
+	// hook) but does not block.
 	zero := lookupFunc(t, m, ip, "frozen", "zero")
 	if zero.Summary.ArgFacts(0)&ParamMutated == 0 {
 		t.Error("zero: parameter 0 should carry ParamMutated")
 	}
-	if zero.Summary.WritesGlobal || zero.Summary.Blocks {
-		t.Error("zero: should neither write globals nor block")
-	}
-
-	// purity helpers: the global write and the pointer mutation are summary
-	// facts; the pure helper carries none.
-	bump := lookupFunc(t, m, ip, "purity", "bumpGlobal")
-	if !bump.Summary.WritesGlobal || !strings.Contains(bump.Summary.GlobalDetail, "hits") {
-		t.Errorf("bumpGlobal: want WritesGlobal naming hits, got %q", bump.Summary.GlobalDetail)
-	}
-	addTo := lookupFunc(t, m, ip, "purity", "addTo")
-	if addTo.Summary.ArgFacts(0)&ParamMutated == 0 {
-		t.Error("addTo: parameter 0 should carry ParamMutated")
-	}
-	pureSq := lookupFunc(t, m, ip, "purity", "pureSq")
-	if pureSq.Summary.WritesGlobal || pureSq.Summary.ArgFacts(0) != 0 {
-		t.Error("pureSq: should carry no facts")
+	if zero.Summary.Blocks {
+		t.Error("zero: should not block")
 	}
 
 	// engine: blocking facts chain through callees, and context facts

@@ -24,8 +24,9 @@ var leakcheckPackages = map[string]bool{
 var releaseMethods = map[string]bool{"Close": true, "Stop": true, "End": true, "EndAt": true}
 
 // LeakCheckAnalyzer proves must-release on every control-flow path: a
-// connection, file, ticker, timer, or observability span acquired by a
-// function must be released (Close/Stop/End), deferred, or handed off —
+// connection, file, ticker, timer, observability span or worker listener
+// acquired by a function in the shuffle/cluster/server/cache layers must
+// be released (Close/Stop/End), deferred, or handed off —
 // returned, stored, sent, or passed to a callee whose summary says it
 // retains or releases its argument — on every path to function exit.
 // The check is flow-sensitive over the CFG (cfg.go) and interprocedurally
@@ -35,11 +36,6 @@ var releaseMethods = map[string]bool{"Close": true, "Stop": true, "End": true, "
 func LeakCheckAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "leakcheck",
-		Doc: "resources acquired in the shuffle/cluster/server/cache layers — " +
-			"net.Conn, os.File, time.Ticker/Timer, obs spans, shuffle.Server " +
-			"listeners and Close-able Conn types — must be released on every path to function exit: close on " +
-			"the error path, defer the release, or hand ownership to a helper " +
-			"that provably releases or retains its argument.",
 		AppliesTo: func(pkg *Package) bool {
 			return leakcheckPackages[pathBase(pkg.Path)] || leakcheckPackages[pkg.Name]
 		},
@@ -439,7 +435,7 @@ func mentionsVar(info *types.Info, n ast.Node, v *types.Var) bool {
 }
 
 // leakTrace reconstructs one concrete leaking path — acquisition to exit
-// through live blocks — as trace steps for SARIF codeFlows and goldens.
+// through live blocks — as trace steps for the rendered finding.
 func leakTrace(pass *Pass, cfg *CFG, acq acquisition, out map[*Block]uint8) []TraceStep {
 	steps := []TraceStep{{
 		Pos:  pass.Fset.Position(acq.assign.Pos()),

@@ -4,8 +4,8 @@
 // guarantees — data-parallel execution of derivation sequences and
 // bit-for-bit reproducible query results (paper §5.3–§5.4) — rest on
 // invariants the Go compiler does not check. Each Analyzer encodes one such
-// invariant; cmd/sjvet runs them all over the module and fails the build on
-// any finding.
+// invariant; TestSelfClean runs them all over the module, tests included,
+// and fails on any finding.
 //
 // Findings are suppressible with a directive comment on the offending line
 // or the line above it:
@@ -13,8 +13,10 @@
 //	//sjvet:ignore <analyzer>[,<analyzer>...] -- reason the code is safe
 //
 // A bare "//sjvet:ignore" (no analyzer names) suppresses every analyzer on
-// that line. The reason text after "--" is optional but encouraged: it
-// should state the invariant that makes the flagged code correct.
+// that line. A directive naming an analyzer the suite does not have
+// suppresses nothing and is reported as a finding itself. The reason text
+// after "--" is optional but encouraged: it should state the invariant
+// that makes the flagged code correct.
 package lint
 
 import (
@@ -23,7 +25,6 @@ import (
 	"go/token"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Finding is one analyzer report.
@@ -32,8 +33,8 @@ type Finding struct {
 	Analyzer string
 	Message  string
 	// Steps, when present, trace the control-flow path that produces the
-	// finding (acquisition site, branch taken, exit), rendered into SARIF
-	// codeFlows and indented under the finding in golden output.
+	// finding (acquisition site, branch taken, exit), indented under the
+	// finding in golden and TestSelfClean output.
 	Steps []TraceStep
 }
 
@@ -52,8 +53,6 @@ func (f Finding) String() string {
 type Analyzer struct {
 	// Name identifies the analyzer in findings and suppression comments.
 	Name string
-	// Doc is a one-paragraph description of the invariant enforced.
-	Doc string
 	// AppliesTo restricts the analyzer to certain packages; nil means all.
 	AppliesTo func(pkg *Package) bool
 	// Run inspects one package and reports findings through the pass.
@@ -100,7 +99,6 @@ func (p *Pass) ReportPath(pos token.Pos, steps []TraceStep, format string, args 
 // Analyzers returns the full ScrubJay analyzer suite, sorted by name.
 func Analyzers() []*Analyzer {
 	all := []*Analyzer{
-		PurityAnalyzer(),
 		DeterminismAnalyzer(),
 		LockDisciplineAnalyzer(),
 		FrameImmutAnalyzer(),
@@ -110,15 +108,6 @@ func Analyzers() []*Analyzer {
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].Name < all[j].Name })
 	return all
-}
-
-// AnalyzerNames lists the names of the given analyzers.
-func AnalyzerNames(as []*Analyzer) []string {
-	names := make([]string, len(as))
-	for i, a := range as {
-		names[i] = a.Name
-	}
-	return names
 }
 
 // Run executes every analyzer over every package of the module, applies
@@ -134,41 +123,23 @@ func Run(m *Module, analyzers []*Analyzer) []Finding {
 // Findings are sorted by (file, line, column, analyzer, message): two runs
 // over the same sources emit byte-identical output.
 func RunPackages(m *Module, analyzers []*Analyzer, pkgs []*Package) []Finding {
-	findings, _ := RunPackagesTimed(m, analyzers, pkgs)
-	return findings
-}
-
-// AnalyzerTiming is the wall-clock cost of one analyzer summed over every
-// analyzed package (plus the shared "build/…" stages), for the CI budget
-// report: an analyzer whose cost regresses shows up here before it blows
-// the overall sjvet budget.
-type AnalyzerTiming struct {
-	Name    string
-	Elapsed time.Duration
-}
-
-// RunPackagesTimed is RunPackages plus per-analyzer timings. The timing
-// rows are in a fixed order (shared build stages first, then the analyzers
-// in the given order); only the durations vary run to run.
-func RunPackagesTimed(m *Module, analyzers []*Analyzer, pkgs []*Package) ([]Finding, []AnalyzerTiming) {
-	start := time.Now()
 	ip := BuildInterproc(m)
-	ipElapsed := time.Since(start)
 	flow := NewFlow()
-
-	perAnalyzer := make(map[string]time.Duration, len(analyzers))
+	known := map[string]bool{}
+	for _, a := range Analyzers() {
+		known[a.Name] = true
+	}
 	var findings []Finding
 	for _, pkg := range pkgs {
-		sup := collectSuppressions(m.Fset, pkg)
+		sup, unknown := collectSuppressions(m.Fset, pkg, known)
+		findings = append(findings, unknown...)
 		for _, a := range analyzers {
 			if a.AppliesTo != nil && !a.AppliesTo(pkg) {
 				continue
 			}
 			var raw []Finding
 			pass := &Pass{Analyzer: a, Pkg: pkg, Fset: m.Fset, IP: ip, Flow: flow, findings: &raw}
-			start = time.Now()
 			a.Run(pass)
-			perAnalyzer[a.Name] += time.Since(start)
 			for _, f := range raw {
 				if !sup.suppressed(f) {
 					findings = append(findings, f)
@@ -177,47 +148,11 @@ func RunPackagesTimed(m *Module, analyzers []*Analyzer, pkgs []*Package) ([]Find
 		}
 	}
 	SortFindings(findings)
-
-	timings := []AnalyzerTiming{{Name: "build/interproc", Elapsed: ipElapsed}}
-	for _, a := range analyzers {
-		timings = append(timings, AnalyzerTiming{Name: a.Name, Elapsed: perAnalyzer[a.Name]})
-	}
-	return findings, timings
+	return findings
 }
 
-// SelectAnalyzers filters the suite down to the named analyzers
-// (comma-separated), preserving order; an unknown name is an error listing
-// what exists.
-func SelectAnalyzers(all []*Analyzer, names string) ([]*Analyzer, error) {
-	byName := make(map[string]*Analyzer, len(all))
-	for _, a := range all {
-		byName[a.Name] = a
-	}
-	var out []*Analyzer
-	seen := map[string]bool{}
-	for _, name := range strings.Split(names, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		a, ok := byName[name]
-		if !ok {
-			return nil, fmt.Errorf("unknown analyzer %q (have: %s)", name, strings.Join(AnalyzerNames(all), ", "))
-		}
-		if !seen[name] {
-			seen[name] = true
-			out = append(out, a)
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no analyzers selected")
-	}
-	return out, nil
-}
-
-// SortFindings orders findings by (file, line, column, analyzer, message) —
-// the canonical order every emitter (text, JSON, SARIF) relies on
-// for stable CI diffs.
+// SortFindings orders findings by (file, line, column, analyzer, message),
+// so rendered findings are stable run to run.
 func SortFindings(findings []Finding) {
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]
@@ -259,14 +194,26 @@ type suppressions struct {
 }
 
 // collectSuppressions scans the package's comments for ignore directives.
-func collectSuppressions(fset *token.FileSet, pkg *Package) *suppressions {
+// A name outside known (the suite's analyzer names) suppresses nothing — a
+// typo or a deleted analyzer — so each one comes back as a finding.
+func collectSuppressions(fset *token.FileSet, pkg *Package, known map[string]bool) (*suppressions, []Finding) {
 	s := &suppressions{byLine: map[string]map[int][]directive{}}
+	var unknown []Finding
 	for _, file := range pkg.Files {
 		for _, cg := range file.Comments {
 			for _, c := range cg.List {
 				names, ok := parseIgnore(c.Text)
 				if !ok {
 					continue
+				}
+				for _, name := range names {
+					if name != "*" && !known[name] {
+						unknown = append(unknown, Finding{
+							Pos:      fset.Position(c.Pos()),
+							Analyzer: ignoreDirective,
+							Message:  fmt.Sprintf("unknown analyzer %q: this directive suppresses nothing", name),
+						})
+					}
 				}
 				d := directive{names: names, scopeLo: -1, scopeHi: -1}
 				if body := innermostFuncBody(file, c.Pos()); body != nil {
@@ -283,7 +230,7 @@ func collectSuppressions(fset *token.FileSet, pkg *Package) *suppressions {
 			}
 		}
 	}
-	return s
+	return s, unknown
 }
 
 // innermostFuncBody returns the body of the innermost function declaration

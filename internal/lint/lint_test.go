@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"encoding/json"
 	"go/token"
 	"reflect"
 	"testing"
@@ -16,11 +15,11 @@ func TestParseIgnore(t *testing.T) {
 		{"// regular comment", nil, false},
 		{"//sjvet:ignore", []string{"*"}, true},
 		{"//sjvet:ignore -- reason only", []string{"*"}, true},
-		{"//sjvet:ignore purity", []string{"purity"}, true},
-		{"//sjvet:ignore purity,determinism", []string{"purity", "determinism"}, true},
-		{"//sjvet:ignore purity, determinism -- both are fine here", []string{"purity", "determinism"}, true},
+		{"//sjvet:ignore ctxflow", []string{"ctxflow"}, true},
+		{"//sjvet:ignore ctxflow,determinism", []string{"ctxflow", "determinism"}, true},
+		{"//sjvet:ignore ctxflow, determinism -- both are fine here", []string{"ctxflow", "determinism"}, true},
 		{"//sjvet:ignore lockdiscipline -- the channel is buffered to len(workers)", []string{"lockdiscipline"}, true},
-		{"// sjvet:ignore purity", nil, false}, // directives must not have a space after //
+		{"// sjvet:ignore ctxflow", nil, false}, // directives must not have a space after //
 	}
 	for _, c := range cases {
 		names, ok := parseIgnore(c.text)
@@ -35,18 +34,18 @@ func TestSuppressedLineMatching(t *testing.T) {
 		return directive{names: names, scopeLo: -1, scopeHi: -1}
 	}
 	s := &suppressions{byLine: map[string]map[int][]directive{
-		"a.go": {10: {fileScope("purity")}, 20: {fileScope("*")}},
+		"a.go": {10: {fileScope("ctxflow")}, 20: {fileScope("*")}},
 	}}
 	mk := func(file string, line int, analyzer string) Finding {
 		return Finding{Pos: token.Position{Filename: file, Line: line}, Analyzer: analyzer}
 	}
-	if !s.suppressed(mk("a.go", 10, "purity")) {
+	if !s.suppressed(mk("a.go", 10, "ctxflow")) {
 		t.Error("same-line directive should suppress")
 	}
-	if !s.suppressed(mk("a.go", 11, "purity")) {
+	if !s.suppressed(mk("a.go", 11, "ctxflow")) {
 		t.Error("line-above directive should suppress")
 	}
-	if s.suppressed(mk("a.go", 12, "purity")) {
+	if s.suppressed(mk("a.go", 12, "ctxflow")) {
 		t.Error("directive two lines above must not suppress")
 	}
 	if s.suppressed(mk("a.go", 10, "determinism")) {
@@ -55,7 +54,7 @@ func TestSuppressedLineMatching(t *testing.T) {
 	if !s.suppressed(mk("a.go", 21, "leakcheck")) {
 		t.Error("bare directive should suppress every analyzer")
 	}
-	if s.suppressed(mk("b.go", 10, "purity")) {
+	if s.suppressed(mk("b.go", 10, "ctxflow")) {
 		t.Error("directives are per-file")
 	}
 }
@@ -66,12 +65,12 @@ func TestSuppressedLineMatching(t *testing.T) {
 // directive inside a closure must not silence the enclosing body even when
 // the finding is on an adjacent line.
 func TestSuppressedScopeMatching(t *testing.T) {
-	scoped := directive{names: []string{"purity"}, scopeLo: 100, scopeHi: 200}
+	scoped := directive{names: []string{"ctxflow"}, scopeLo: 100, scopeHi: 200}
 	s := &suppressions{byLine: map[string]map[int][]directive{
 		"a.go": {10: {scoped}},
 	}}
 	mk := func(line, offset int) Finding {
-		return Finding{Pos: token.Position{Filename: "a.go", Line: line, Offset: offset}, Analyzer: "purity"}
+		return Finding{Pos: token.Position{Filename: "a.go", Line: line, Offset: offset}, Analyzer: "ctxflow"}
 	}
 	if !s.suppressed(mk(10, 150)) {
 		t.Error("finding inside the directive's function scope should be suppressed")
@@ -84,59 +83,17 @@ func TestSuppressedScopeMatching(t *testing.T) {
 	}
 }
 
-// TestJSONRoundTrip asserts the -json schema is stable and lossless: every
-// finding field survives encode/decode, and the wire keys are exactly
-// {file, line, column, analyzer, message}.
-func TestJSONRoundTrip(t *testing.T) {
-	in := []Finding{
-		{Pos: token.Position{Filename: "internal/rdd/rdd.go", Line: 12, Column: 3}, Analyzer: "purity", Message: `closure assigns to captured variable "sum"`},
-		{Pos: token.Position{Filename: "internal/engine/engine.go", Line: 40, Column: 9}, Analyzer: "determinism", Message: "calls time.Now"},
-	}
-	data, err := EncodeJSON(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := DecodeJSON(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(out, ToJSON(in)) {
-		t.Errorf("round trip diverged: %v vs %v", out, ToJSON(in))
-	}
-
-	var raw []map[string]any
-	if err := json.Unmarshal(data, &raw); err != nil {
-		t.Fatal(err)
-	}
-	wantKeys := map[string]bool{"file": true, "line": true, "column": true, "analyzer": true, "message": true}
-	for _, obj := range raw {
-		if len(obj) != len(wantKeys) {
-			t.Fatalf("wire object has keys %v, want exactly %v", obj, wantKeys)
-		}
-		for k := range obj {
-			if !wantKeys[k] {
-				t.Fatalf("unexpected wire key %q", k)
-			}
-		}
-	}
-
-	// An empty finding set must encode as [] (a JSON array), not null.
-	empty, err := EncodeJSON(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(empty) != "[]" {
-		t.Errorf("empty findings encode as %s, want []", empty)
-	}
-}
-
-// TestAnalyzersComplete pins the suite composition: the seven analyzers
+// TestAnalyzersComplete pins the suite composition: the six analyzers
 // that each catch a mutation of the real tree (TestRealTreeWitnesses),
 // including the flow-sensitive pair (errflow, leakcheck) built on the CFG
 // layer.
 func TestAnalyzersComplete(t *testing.T) {
-	want := []string{"ctxflow", "determinism", "errflow", "frameimmut", "leakcheck", "lockdiscipline", "purity"}
-	if got := AnalyzerNames(Analyzers()); !reflect.DeepEqual(got, want) {
+	want := []string{"ctxflow", "determinism", "errflow", "frameimmut", "leakcheck", "lockdiscipline"}
+	var got []string
+	for _, a := range Analyzers() {
+		got = append(got, a.Name)
+	}
+	if !reflect.DeepEqual(got, want) {
 		t.Errorf("Analyzers() = %v, want %v", got, want)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Package is one parsed, type-checked package of the loaded module.
@@ -58,13 +59,6 @@ func (m *Module) Lookup(importPath string) *Package {
 	return nil
 }
 
-// LoadOptions tunes module loading.
-type LoadOptions struct {
-	// IncludeTests parses _test.go files belonging to the package under
-	// test (external  _test packages are always skipped).
-	IncludeTests bool
-}
-
 var moduleRe = regexp.MustCompile(`(?m)^module\s+(\S+)`)
 
 // FindModuleRoot walks up from dir to the nearest directory with a go.mod.
@@ -85,11 +79,30 @@ func FindModuleRoot(dir string) (string, error) {
 	}
 }
 
+// stdlib is the process's one standard-library importer. Type-checking the
+// standard library from GOROOT source is most of a module load, so every
+// load shares the packages the first one checked. The "source" importer
+// is not safe for concurrent use and its packages carry positions in fset,
+// so a load holds mu from start to end and every Module shares fset.
+var stdlib struct {
+	mu   sync.Mutex
+	fset *token.FileSet
+	imp  types.Importer
+}
+
 // LoadModule parses and type-checks every package of the module rooted at
-// root. Standard-library imports are type-checked from GOROOT source via the
-// stdlib "source" importer; imports outside the module and the standard
-// library are an error (the ScrubJay module is dependency-free).
-func LoadModule(root string, opts LoadOptions) (*Module, error) {
+// root, _test.go files of each package included (external _test packages
+// are skipped). Standard-library imports are type-checked from GOROOT
+// source, once per process (see stdlib); imports outside the module and
+// the standard library are an error (the ScrubJay module is
+// dependency-free).
+func LoadModule(root string) (*Module, error) {
+	stdlib.mu.Lock()
+	defer stdlib.mu.Unlock()
+	if stdlib.imp == nil {
+		stdlib.fset = token.NewFileSet()
+		stdlib.imp = importer.ForCompiler(stdlib.fset, "source", nil)
+	}
 	root, err := filepath.Abs(root)
 	if err != nil {
 		return nil, err
@@ -102,7 +115,7 @@ func LoadModule(root string, opts LoadOptions) (*Module, error) {
 	if match == nil {
 		return nil, fmt.Errorf("lint: %s/go.mod has no module directive", root)
 	}
-	m := &Module{Root: root, Path: string(match[1]), Fset: token.NewFileSet()}
+	m := &Module{Root: root, Path: string(match[1]), Fset: stdlib.fset}
 
 	dirs, err := packageDirs(root)
 	if err != nil {
@@ -110,7 +123,7 @@ func LoadModule(root string, opts LoadOptions) (*Module, error) {
 	}
 	var pkgs []*Package
 	for _, dir := range dirs {
-		pkg, err := parseDir(m, dir, opts)
+		pkg, err := parseDir(m, dir)
 		if err != nil {
 			return nil, err
 		}
@@ -168,7 +181,7 @@ func packageDirs(root string) ([]string, error) {
 
 // parseDir parses one directory into a Package (nil when the directory holds
 // no files in scope).
-func parseDir(m *Module, dir string, opts LoadOptions) (*Package, error) {
+func parseDir(m *Module, dir string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -185,9 +198,6 @@ func parseDir(m *Module, dir string, opts LoadOptions) (*Package, error) {
 			continue
 		}
 		isTest := strings.HasSuffix(name, "_test.go")
-		if isTest && !opts.IncludeTests {
-			continue
-		}
 		// Honour build constraints (//go:build lines and _GOOS/_GOARCH
 		// filename suffixes) for the current platform, as the go tool
 		// would — otherwise per-platform file pairs type-check together
@@ -301,11 +311,11 @@ func topoSort(modPath string, pkgs []*Package) ([]*Package, error) {
 }
 
 // moduleImporter resolves module-internal imports to already-checked
-// packages and everything else through the GOROOT source importer.
+// packages and everything else through the shared GOROOT source importer
+// (the caller holds stdlib.mu).
 type moduleImporter struct {
 	modPath string
 	checked map[string]*types.Package
-	std     types.Importer
 }
 
 func (mi *moduleImporter) Import(p string) (*types.Package, error) {
@@ -315,7 +325,7 @@ func (mi *moduleImporter) Import(p string) (*types.Package, error) {
 	if p == mi.modPath || strings.HasPrefix(p, mi.modPath+"/") {
 		return nil, fmt.Errorf("lint: internal package %s not yet checked (import cycle?)", p)
 	}
-	return mi.std.Import(p)
+	return stdlib.imp.Import(p)
 }
 
 // typeCheck runs go/types over the packages in dependency order.
@@ -323,7 +333,6 @@ func typeCheck(m *Module, pkgs []*Package) error {
 	mi := &moduleImporter{
 		modPath: m.Path,
 		checked: map[string]*types.Package{},
-		std:     importer.ForCompiler(m.Fset, "source", nil),
 	}
 	for _, pkg := range pkgs {
 		info := &types.Info{

@@ -11,29 +11,26 @@ import (
 // vendored subdirectory containing non-Go garbage, and a per-platform
 // file pair in the ordinary package whose twin declarations collide
 // unless build constraints are honoured. The loader must skip all of
-// them — with and without -tests — and come back with just the ordinary
-// package and the one platform file that matches.
+// them and come back with just the ordinary package and the one platform
+// file that matches.
 func TestLoadEdgeLayouts(t *testing.T) {
 	root, err := filepath.Abs(filepath.Join("testdata", "edge"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range []LoadOptions{{}, {IncludeTests: true}} {
-		m, err := LoadModule(root, opts)
-		if err != nil {
-			t.Fatalf("LoadModule(edge, %+v): %v", opts, err)
-		}
-		var paths []string
-		for _, p := range m.Pkgs {
-			paths = append(paths, p.Path)
-		}
-		if len(paths) != 1 || paths[0] != "sjvetedge/ok" {
-			t.Errorf("LoadModule(edge, %+v) loaded %v, want exactly [sjvetedge/ok]", opts, paths)
-			continue
-		}
-		if n := len(m.Pkgs[0].Files); n != 2 {
-			t.Errorf("LoadModule(edge, %+v) parsed %d files in ok, want 2 (ok.go + one platform file)", opts, n)
-		}
+	m, err := LoadModule(root)
+	if err != nil {
+		t.Fatalf("LoadModule(edge): %v", err)
+	}
+	var paths []string
+	for _, p := range m.Pkgs {
+		paths = append(paths, p.Path)
+	}
+	if len(paths) != 1 || paths[0] != "sjvetedge/ok" {
+		t.Fatalf("LoadModule(edge) loaded %v, want exactly [sjvetedge/ok]", paths)
+	}
+	if n := len(m.Pkgs[0].Files); n != 2 {
+		t.Errorf("LoadModule(edge) parsed %d files in ok, want 2 (ok.go + one platform file)", n)
 	}
 }
 
@@ -44,7 +41,7 @@ func TestLoadBrokenModule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = LoadModule(root, LoadOptions{})
+	_, err = LoadModule(root)
 	if err == nil {
 		t.Fatal("LoadModule(broken) succeeded; want a type-check diagnostic")
 	}

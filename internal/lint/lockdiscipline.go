@@ -18,16 +18,15 @@ var rddActions = map[string]bool{
 	"JoinHash": true, "Execute": true,
 }
 
-// LockDisciplineAnalyzer flags mutexes held across a channel operation or a
-// call into rdd execution. Both are deadlock sources in cache, kvstore and
-// rdd: the worker pool and the lock form a cycle the runtime cannot break.
+// LockDisciplineAnalyzer flags a sync.Mutex/RWMutex held across a channel
+// send or receive, a select, or a call into rdd execution (Collect, Count,
+// shuffles, pipeline.Execute), directly or through a helper whose summary
+// blocks. Each is a deadlock source in cache, kvstore and rdd: the worker
+// pool and the lock form a cycle the runtime cannot break.
 func LockDisciplineAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "lockdiscipline",
-		Doc: "no sync.Mutex/RWMutex may be held across a channel send/receive, " +
-			"a select, or a call into rdd execution (Collect, Count, shuffles, " +
-			"pipeline.Execute); the worker pool plus a held lock is a deadlock cycle.",
-		Run: runLockDiscipline,
+		Run:  runLockDiscipline,
 	}
 }
 
@@ -164,9 +163,10 @@ func reportLockedHazards(pass *Pass, stmt ast.Stmt, held map[string]bool) {
 				pass.Reportf(node.OpPos, "channel receive while holding %s: if the channel blocks, every other acquirer of the lock deadlocks", locks)
 			}
 		case *ast.CallExpr:
-			if pkg, name, ok := parallelCallee(info, node); ok && pkg == "rdd" && rddActions[name] {
+			name, pkg, ok := pkgCallee(info, node)
+			if ok && pkg == "rdd" && rddActions[name] {
 				pass.Reportf(node.Pos(), "calls rdd.%s while holding %s: rdd actions block on the shared worker pool; a task needing the same lock deadlocks", name, locks)
-			} else if name, pkg, ok := pkgCallee(info, node); ok && pkg == "pipeline" && rddActions[name] {
+			} else if ok && pkg == "pipeline" && rddActions[name] {
 				pass.Reportf(node.Pos(), "calls pipeline.%s while holding %s: plan execution blocks on the shared worker pool; a task needing the same lock deadlocks", name, locks)
 			} else if fi := pass.IP.StaticCallee(info, node); fi != nil && fi.Summary.Blocks {
 				// Interprocedural: the blocking operation hides inside a
@@ -179,7 +179,8 @@ func reportLockedHazards(pass *Pass, stmt ast.Stmt, held map[string]bool) {
 	})
 }
 
-// pkgCallee resolves a call to (function name, defining package name).
+// pkgCallee resolves a call to (function name, defining package name),
+// through an explicit generic instantiation (rdd.Map[A, B](...)) too.
 func pkgCallee(info *types.Info, call *ast.CallExpr) (name, pkg string, ok bool) {
 	var id *ast.Ident
 	switch fn := ast.Unparen(call.Fun).(type) {
@@ -187,6 +188,10 @@ func pkgCallee(info *types.Info, call *ast.CallExpr) (name, pkg string, ok bool)
 		id = fn
 	case *ast.SelectorExpr:
 		id = fn.Sel
+	case *ast.IndexExpr:
+		return pkgCallee(info, &ast.CallExpr{Fun: fn.X})
+	case *ast.IndexListExpr:
+		return pkgCallee(info, &ast.CallExpr{Fun: fn.X})
 	default:
 		return "", "", false
 	}

@@ -4,27 +4,14 @@ package engine
 
 import (
 	"context"
-
 	"sync"
 	"time"
-
-	"sjvetmulti/rdd"
 )
-
-var hits int
 
 // Server guards a channel with a mutex.
 type Server struct {
 	mu sync.Mutex
 	ch chan int
-}
-
-// CountHits writes package state from a compute closure (purity).
-func CountHits(r *rdd.RDD) *rdd.RDD {
-	return rdd.Map(r, func(v int) int {
-		hits++
-		return v
-	})
 }
 
 // Stamp reads the wall clock in engine code (determinism).

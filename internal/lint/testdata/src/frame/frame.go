@@ -1,7 +1,6 @@
 // Package frame is a miniature stand-in for the real columnar batch: just
-// enough API surface (closure-taking mask kernels, payload accessors, a
-// builder) for the analyzers to recognize frame kernel closures and
-// published frame storage.
+// enough API surface (payload accessors, a builder) for the analyzers to
+// recognize published frame storage.
 package frame
 
 // Frame is a batch of rows, reduced to one int column.
@@ -12,25 +11,6 @@ type Frame struct {
 // New wraps a slice as a single-column frame.
 func New(cells []int) *Frame {
 	return &Frame{cells: cells}
-}
-
-// MaskRows evaluates pred over each row and returns the keep mask.
-func MaskRows(f *Frame, pred func(int) bool) []bool {
-	keep := make([]bool, len(f.cells))
-	for i, c := range f.cells {
-		keep[i] = pred(c)
-	}
-	return keep
-}
-
-// MaskValues evaluates pred over one column's cells.
-func MaskValues(f *Frame, col string, pred func(int) bool) []bool {
-	_ = col
-	keep := make([]bool, len(f.cells))
-	for i, c := range f.cells {
-		keep[i] = pred(c)
-	}
-	return keep
 }
 
 // Column is one named payload vector of a frozen frame, sharing its storage.

@@ -1,8 +1,7 @@
 // Package stats exercises the determinism analyzer over statistics-store
 // shaped code (the package name puts it in the reproducible-derivation-core
 // scope: stored statistics steer plan choice, so their encoding and epoch
-// logic must replay bit-for-bit) plus the purity analyzer for compute
-// closures that accumulate observations into shared state.
+// logic must replay bit-for-bit).
 package stats
 
 import (
@@ -62,18 +61,6 @@ func TotalRows(facts map[string]TableFact) int64 {
 		total += f.Rows
 	}
 	return total
-}
-
-// ProfilePartitions accumulates per-partition row counts into captured
-// state from inside a compute closure — racy across partitions.
-func ProfilePartitions(rows []int) int {
-	r := rdd.Parallelize(rows)
-	observed := 0
-	_ = rdd.Map(r, func(v int) int {
-		observed += v // assigns to captured variable
-		return v
-	})
-	return observed
 }
 
 // ProfileCollected is clean: the action returns the rows and the counting

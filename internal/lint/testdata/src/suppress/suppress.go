@@ -1,44 +1,40 @@
 // Package suppress exercises the //sjvet:ignore directive: same-line and
-// line-above placement, bare (all-analyzer) form, and the case where the
-// named analyzer does not match the finding (which must still be reported).
+// line-above placement, the bare (all-analyzer) form, a directive naming
+// the wrong analyzer (the finding must still be reported), a directive
+// naming no analyzer the suite has (reported itself), and function scoping.
 package suppress
 
-import "sjvettest/rdd"
+import "sync"
+
+// Box guards a channel with a mutex; every send or receive under mu is a
+// lockdiscipline finding.
+type Box struct {
+	mu sync.Mutex
+	ch chan int
+}
 
 // Suppressed findings: none of these may be reported.
-func Suppressed() int {
-	r := rdd.Parallelize([]int{1})
-	n := 0
-	_ = rdd.Map(r, func(v int) int {
-		n += v //sjvet:ignore purity -- single-partition fixture, provably no concurrent callers
-		return v
-	})
-	_ = rdd.Map(r, func(v int) int {
-		//sjvet:ignore -- bare form suppresses every analyzer on the next line
-		n += v
-		return v
-	})
-	return n
+func (b *Box) Suppressed(v int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.ch <- v //sjvet:ignore lockdiscipline -- the channel is buffered past every sender
+	//sjvet:ignore -- bare form suppresses every analyzer on the next line
+	b.ch <- v
 }
 
-// WrongAnalyzer names determinism, so the purity finding still fires.
-func WrongAnalyzer() int {
-	r := rdd.Parallelize([]int{1})
-	n := 0
-	_ = rdd.Map(r, func(v int) int {
-		n += v //sjvet:ignore determinism -- names the wrong analyzer on purpose
-		return v
-	})
-	return n
+// WrongAnalyzer names determinism, so the lockdiscipline finding still fires.
+func (b *Box) WrongAnalyzer(v int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.ch <- v //sjvet:ignore determinism -- names the wrong analyzer on purpose
 }
 
-var probes int
-
-// bump counts a probe in package-level state: calling it from a compute
-// closure is a purity finding at the call.
-func bump(v int) int {
-	probes++
-	return v
+// Misspelled suppresses the send through its first name; the misspelled
+// second name matches no analyzer, so the directive reports it.
+func (b *Box) Misspelled(v int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.ch <- v //sjvet:ignore lockdiscipline,determinsm -- the second name is a typo
 }
 
 // consume feeds a probe value through fn and offsets the result.
@@ -47,22 +43,22 @@ func consume(fn func(int) int, q int) int {
 }
 
 // LeakedDirective: the directive sits inside the inner closure, so it must
-// NOT suppress the purity finding on the call's closing line, which belongs
-// to the enclosing rdd.Map body (one line below the directive).
-func LeakedDirective(r *rdd.RDD) *rdd.RDD {
-	return rdd.Map(r, func(v int) int {
-		return consume(func(x int) int {
-			return x //sjvet:ignore purity -- scoped to this closure only
-		}, bump(v))
-	})
+// NOT suppress the channel receive on the call's closing line, which
+// belongs to the enclosing method body (one line below the directive).
+func (b *Box) LeakedDirective() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return consume(func(x int) int {
+		return x //sjvet:ignore lockdiscipline -- scoped to this closure only
+	}, <-b.ch)
 }
 
 // ProperlyPlaced: the same shape with the directive in the enclosing
 // scope, which does suppress the finding on its own line.
-func ProperlyPlaced(r *rdd.RDD) *rdd.RDD {
-	return rdd.Map(r, func(v int) int {
-		return consume(func(x int) int {
-			return x
-		}, bump(v)) //sjvet:ignore purity -- reviewed: the probe counter is advisory
-	})
+func (b *Box) ProperlyPlaced() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return consume(func(x int) int {
+		return x
+	}, <-b.ch) //sjvet:ignore lockdiscipline -- reviewed: the channel is never empty here
 }

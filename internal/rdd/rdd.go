@@ -16,10 +16,10 @@ type RDD[T any] struct {
 	numParts int
 	// compute produces one partition. It must be safe to call concurrently
 	// for distinct partitions and pure with respect to its input lineage:
-	// no writes to captured variables or package-level state. This contract
-	// is enforced statically — cmd/sjvet's purity analyzer flags compute
-	// bodies (and closures passed to Map/Filter/FlatMap and friends) that
-	// write state outliving one invocation.
+	// no writes to captured variables or package-level state. The race
+	// detector enforces this contract: go test -race runs the tests that
+	// drive compute bodies (and closures passed to Map/Filter/FlatMap and
+	// friends) on two or more partitions at once.
 	compute func(part int) []T
 
 	// wire, when set (WithWire), makes the next shuffle boundary over this

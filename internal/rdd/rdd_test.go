@@ -141,7 +141,7 @@ func TestCacheComputesOnce(t *testing.T) {
 		name:     "counted",
 		numParts: 1,
 		compute: func(part int) []int {
-			calls++ //sjvet:ignore purity -- numParts is 1, so exactly one partition (and one goroutine) runs this closure
+			calls++ // numParts is 1: one partition, one goroutine
 			return []int{1, 2, 3}
 		},
 	}
@@ -215,7 +215,7 @@ func TestCoGroupAndJoin(t *testing.T) {
 func TestCoGroupDifferentContextsPanics(t *testing.T) {
 	computed := false
 	a := &RDD[int]{ctx: NewContext(1), name: "a", numParts: 1, compute: func(int) []int {
-		computed = true //sjvet:ignore purity -- the test asserts this closure never runs
+		computed = true // the test asserts this closure never runs
 		return nil
 	}}
 	b := Parallelize(NewContext(1), []int{2}, 1)

@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"encoding/json"
+	"fmt"
 	"testing"
 
 	"scrubjay/internal/semantics"
@@ -108,26 +110,39 @@ func TestIngestRows(t *testing.T) {
 }
 
 func TestEncodeDeterministicRoundTrip(t *testing.T) {
+	// 40 tables and 40 derivations, inserted in reverse name order: an
+	// encoding that lists either in map order matches the sorted
+	// expectation below with odds of about 1 in 40!.
+	const n = 40
 	build := func() *Store {
 		s := NewStore()
-		s.SetTable("zeta", TableStats{Rows: 5, Columns: map[string]ColumnStats{
-			"b": {NDV: 2}, "a": {NDV: 1, Min: 0, Max: 9, HasRange: true},
-		}})
-		s.SetTable("alpha", TableStats{Rows: 7})
-		s.Observe("natural_join|a+b|c", DerivationStats{Observations: 2, RowsIn: 10, RowsOut: 4, Micros: 100})
-		s.Observe("derive_heat|t", DerivationStats{Observations: 1, RowsIn: 3, RowsOut: 3, ShuffleBytes: 64})
+		for i := n - 1; i >= 0; i-- {
+			s.SetTable(fmt.Sprintf("t%02d", i), TableStats{Rows: int64(i), Columns: map[string]ColumnStats{
+				"b": {NDV: 2}, "a": {NDV: 1, Min: 0, Max: float64(i), HasRange: true},
+			}})
+			s.Observe(fmt.Sprintf("d%02d", i), DerivationStats{Observations: 1, RowsIn: int64(i), RowsOut: 1, Micros: 100})
+		}
 		return s
 	}
 	a, err := build().Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := build().Encode()
+	want := snapshot{Epoch: build().Epoch()}
+	for i := 0; i < n; i++ {
+		want.Tables = append(want.Tables, tableEntry{Name: fmt.Sprintf("t%02d", i), Rows: int64(i), Columns: []columnEntry{
+			{Name: "a", ColumnStats: ColumnStats{NDV: 1, Min: 0, Max: float64(i), HasRange: true}},
+			{Name: "b", ColumnStats: ColumnStats{NDV: 2}},
+		}})
+		want.Derivs = append(want.Derivs, derivedEntry{Key: fmt.Sprintf("d%02d", i),
+			DerivationStats: DerivationStats{Observations: 1, RowsIn: int64(i), RowsOut: 1, Micros: 100}})
+	}
+	wantBytes, err := json.MarshalIndent(want, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(a) != string(b) {
-		t.Errorf("Encode not deterministic:\n%s\nvs\n%s", a, b)
+	if string(a) != string(wantBytes) {
+		t.Errorf("Encode is not the name-sorted snapshot:\n%s\nwant\n%s", a, wantBytes)
 	}
 	// Round trip preserves everything, including the epoch.
 	s2 := NewStore()
