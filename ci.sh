@@ -23,7 +23,10 @@
 #                        (FuzzNaturalJoin, also against the nested-loop
 #                        reference); 10 s of the value binary
 #                        codec (FuzzValueBinary: decode, re-encode, JSON
-#                        round trip); and 10 s of pipelined puts
+#                        round trip); 10 s of the frame wire decoder
+#                        (FuzzDecodeFrame: arbitrary bytes decode to an
+#                        error or a frame with distinct column names that
+#                        re-encodes to the same shape); and 10 s of pipelined puts
 #                        against a live shuffle worker (FuzzPipelinedPuts:
 #                        one burst of arbitrary puts, every fetch equal to
 #                        the last-write-wins (src, seq) merge); their seed
@@ -32,8 +35,8 @@
 #                        loader-edge fixture deliberately contains a
 #                        vendored file that is not valid Go)
 #   * analyzers        — the internal/lint suite (determinism,
-#                        lockdiscipline, frameimmut, ctxflow, and the
-#                        flow-sensitive pair errflow/leakcheck; see DESIGN.md
+#                        lockdiscipline, ctxflow, and the flow-sensitive
+#                        pair errflow/leakcheck; see DESIGN.md
 #                        "Enforced invariants") as TestSelfClean, one pass
 #                        over library code AND tests with no baseline (any
 #                        finding fails), within a 30 s budget
@@ -92,6 +95,12 @@ go test -run='^$' -fuzz=FuzzNaturalJoin -fuzztime=10s ./internal/derive
 # like the shuffle fuzzer's below.
 echo "==> go test -run='^\$' -fuzz=FuzzValueBinary -fuzztime=10s -fuzzminimizetime=1s ./internal/value"
 go test -run='^$' -fuzz=FuzzValueBinary -fuzztime=10s -fuzzminimizetime=1s ./internal/value
+
+# FuzzDecodeFrame: arbitrary bytes through the frame wire decoder, the
+# entry point for every payload a worker sends. Minimization is capped at
+# 1 s for the same reason as FuzzValueBinary's.
+echo "==> go test -run='^\$' -fuzz=FuzzDecodeFrame -fuzztime=10s -fuzzminimizetime=1s ./internal/shuffle"
+go test -run='^$' -fuzz=FuzzDecodeFrame -fuzztime=10s -fuzzminimizetime=1s ./internal/shuffle
 
 # Each FuzzPipelinedPuts input costs a few loopback round trips, so the
 # default 60 s minimization of every new interesting input would eat the

@@ -1,22 +1,28 @@
 package bench
 
 import (
+	"bytes"
 	"context"
 	"strings"
 	"testing"
 
 	"scrubjay/internal/dataset"
 	"scrubjay/internal/engine"
+	"scrubjay/internal/frame"
 	"scrubjay/internal/pipeline"
 	"scrubjay/internal/rdd"
 	"scrubjay/internal/semantics"
+	"scrubjay/internal/shuffle"
 )
 
 // TestShippedPlansStayColumnar runs the Figure 5 and Figure 7 plans over
 // catalogs born columnar (as the server holds them) and fails on any stage
 // that converts between rows and frames before the final collect, or on a
 // row-form result: every shipped derivation must run as a frame kernel. It also pins the name of
-// derive_heat's exchange, which the trace-fed statistics key on.
+// derive_heat's exchange, which the trace-fed statistics key on. And it
+// fails if any catalog frame encodes to different bytes after the plan
+// has run and been collected: the server shares its catalog frames across
+// concurrent requests, so no kernel may write into one.
 func TestShippedPlansStayColumnar(t *testing.T) {
 	cfg := smallCaseStudy()
 	dict := semantics.DefaultDictionary()
@@ -39,8 +45,13 @@ func TestShippedPlansStayColumnar(t *testing.T) {
 			ctx := rdd.NewContext(cfg.Workers)
 			rowCat, schemas := fig.catalog(ctx, cfg)
 			cat := pipeline.Catalog{}
+			catFrames := map[string][]*frame.Frame{}
+			encoded := map[string][]byte{}
 			for name, ds := range rowCat {
-				cat[name] = dataset.FromFrames(ctx, name, ds.Frames().Collect(), ds.Schema())
+				frames := ds.Frames().Collect()
+				catFrames[name] = frames
+				encoded[name] = encodeFrames(frames)
+				cat[name] = dataset.FromFrames(ctx, name, frames, ds.Schema())
 			}
 			plan, err := engine.New(dict, schemas, engine.DefaultOptions()).Solve(context.Background(), fig.query)
 			if err != nil {
@@ -56,6 +67,11 @@ func TestShippedPlansStayColumnar(t *testing.T) {
 			}
 			if rows := out.Collect(); len(rows) == 0 {
 				t.Fatal("plan produced no rows")
+			}
+			for name, frames := range catFrames {
+				if !bytes.Equal(encodeFrames(frames), encoded[name]) {
+					t.Errorf("catalog table %s changed while the plan ran", name)
+				}
 			}
 			stages := ctx.SnapshotMetrics().Stages
 			found := false
@@ -80,4 +96,13 @@ func TestShippedPlansStayColumnar(t *testing.T) {
 			}
 		})
 	}
+}
+
+// encodeFrames concatenates the wire encodings of frames.
+func encodeFrames(frames []*frame.Frame) []byte {
+	var buf []byte
+	for _, f := range frames {
+		buf = shuffle.AppendFrame(buf, f)
+	}
+	return buf
 }

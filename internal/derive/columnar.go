@@ -276,11 +276,9 @@ func floatCells(c *frame.Column) func(i int) (float64, bool) {
 	case c == nil:
 		return func(int) (float64, bool) { return 0, false }
 	case c.Kind() == value.KindFloat:
-		flts := c.Floats()
-		return func(i int) (float64, bool) { return flts[i], c.Present(i) }
+		return func(i int) (float64, bool) { return c.FloatAt(i), c.Present(i) }
 	case c.Kind() == value.KindInt:
-		ints := c.Ints()
-		return func(i int) (float64, bool) { return float64(ints[i]), c.Present(i) }
+		return func(i int) (float64, bool) { return float64(c.IntAt(i)), c.Present(i) }
 	default:
 		return func(i int) (float64, bool) { return c.Value(i).AsFloat() }
 	}

@@ -38,14 +38,13 @@ func explodeContinuousFrame(f *frame.Frame, col, out string, periodNanos int64) 
 	var ts []int64
 	if c != nil {
 		typed := c.Kind() == value.KindSpan
-		starts, ends := c.Ints(), c.SpanEnds()
 		for i := 0; i < f.NumRows(); i++ {
 			var start, end int64
 			if typed {
 				if !c.Present(i) {
 					continue
 				}
-				start, end = starts[i], ends[i]
+				start, end = c.IntAt(i), c.SpanEndAt(i)
 			} else {
 				v := c.Value(i)
 				if v.Kind() != value.KindSpan {

@@ -51,7 +51,7 @@ func heatColumnar(in *dataset.Dataset, schema semantics.Schema, name string, gro
 			case ac == nil || !ac.Present(int(i)):
 				return ""
 			case ac.Kind() == value.KindString:
-				return ac.Strs()[i]
+				return ac.StrAt(int(i))
 			default:
 				return ac.Value(int(i)).StrVal()
 			}

@@ -65,7 +65,7 @@ func instantAt(c *frame.Column, i int) (t int64, ok bool) {
 		return 0, false
 	}
 	if c.Kind() == value.KindTime {
-		return c.Ints()[i], true
+		return c.IntAt(i), true
 	}
 	v := c.Value(i)
 	return v.TimeNanosVal(), v.Kind() == value.KindTime
@@ -229,12 +229,11 @@ func (s *interpSpec) probe(lf *frame.Frame, lh []uint64, rf *frame.Frame, rh []u
 // elsewhere (and throughout when asel is nil) it copies row bsel[k].
 func lerpColumn(col *frame.Column, name string, bsel, asel []int32, frac []float64) frame.Column {
 	if col != nil && col.Kind() == value.KindFloat && col.AllPresent() {
-		fs := col.Floats()
 		out := make([]float64, len(bsel))
 		for k, b := range bsel {
-			out[k] = fs[b]
+			out[k] = col.FloatAt(int(b))
 			if asel != nil && asel[k] >= 0 {
-				out[k] = value.Lerp(value.Float(fs[b]), value.Float(fs[asel[k]]), frac[k]).FloatVal()
+				out[k] = value.Lerp(value.Float(out[k]), value.Float(col.FloatAt(int(asel[k]))), frac[k]).FloatVal()
 			}
 		}
 		return frame.FloatColumn(name, out)

@@ -66,8 +66,7 @@ func durationCells(col string) func(f *frame.Frame) func(i int) (float64, bool) 
 		case c == nil:
 			return func(int) (float64, bool) { return 0, false }
 		case c.Kind() == value.KindSpan:
-			starts, ends := c.Ints(), c.SpanEnds()
-			return func(i int) (float64, bool) { return float64(ends[i]-starts[i]) / 1e9, c.Present(i) }
+			return func(i int) (float64, bool) { return float64(c.SpanEndAt(i)-c.IntAt(i)) / 1e9, c.Present(i) }
 		default:
 			return func(i int) (float64, bool) {
 				v := c.Value(i)

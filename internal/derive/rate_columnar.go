@@ -21,13 +21,9 @@ func rateColumnar(in *dataset.Dataset, schema semantics.Schema, name, timeCol st
 	return groupColumnar(in, schema, name, groupCols, func(f *frame.Frame, groups rowGroups) *frame.Frame {
 		tc := f.Col(timeCol)
 		typedTime := tc != nil && tc.Kind() == value.KindTime
-		var tInts []int64
-		if typedTime {
-			tInts = tc.Ints()
-		}
 		timeNanos := func(i int32) int64 {
 			if typedTime && tc.Present(int(i)) {
-				return tInts[i]
+				return tc.IntAt(int(i))
 			}
 			if tc == nil {
 				return 0
@@ -36,7 +32,7 @@ func rateColumnar(in *dataset.Dataset, schema semantics.Schema, name, timeCol st
 		}
 		timeLess := func(a, b int32) bool {
 			if typedTime && tc.Present(int(a)) && tc.Present(int(b)) {
-				return tInts[a] < tInts[b]
+				return tc.IntAt(int(a)) < tc.IntAt(int(b))
 			}
 			var va, vb value.Value
 			if tc != nil {

@@ -56,9 +56,8 @@ func typedFilterMask(c *frame.Column, op string, operand value.Value) ([]bool, b
 			return nil, false
 		}
 		needle := operand.String()
-		strs := c.Strs()
 		for i := 0; i < n; i++ {
-			keep[i] = c.Present(i) && strings.Contains(strs[i], needle)
+			keep[i] = c.Present(i) && strings.Contains(c.StrAt(i), needle)
 		}
 		return keep, true
 	}
@@ -73,35 +72,30 @@ func typedFilterMask(c *frame.Column, op string, operand value.Value) ([]bool, b
 		opNumeric && okind != value.KindTime:
 		switch ck {
 		case value.KindFloat:
-			flts := c.Floats()
 			for i := 0; i < n; i++ {
-				keep[i] = c.Present(i) && match(cmpFloat(flts[i], opF))
+				keep[i] = c.Present(i) && match(cmpFloat(c.FloatAt(i), opF))
 			}
 		default: // bool (0/1) and int share the ints vector
-			ints := c.Ints()
 			for i := 0; i < n; i++ {
-				keep[i] = c.Present(i) && match(cmpFloat(float64(ints[i]), opF))
+				keep[i] = c.Present(i) && match(cmpFloat(float64(c.IntAt(i)), opF))
 			}
 		}
 	case ck == value.KindString && okind == value.KindString:
 		needle := operand.StrVal()
-		strs := c.Strs()
 		for i := 0; i < n; i++ {
-			keep[i] = c.Present(i) && match(strings.Compare(strs[i], needle))
+			keep[i] = c.Present(i) && match(strings.Compare(c.StrAt(i), needle))
 		}
 	case ck == value.KindTime && okind == value.KindTime:
 		opT := operand.TimeNanosVal()
-		ints := c.Ints()
 		for i := 0; i < n; i++ {
-			keep[i] = c.Present(i) && match(cmpInt64(ints[i], opT))
+			keep[i] = c.Present(i) && match(cmpInt64(c.IntAt(i), opT))
 		}
 	case ck == value.KindSpan && okind == value.KindSpan:
 		opS, opE := operand.SpanBounds()
-		ints, ends := c.Ints(), c.SpanEnds()
 		for i := 0; i < n; i++ {
-			cmp := cmpInt64(ints[i], opS)
+			cmp := cmpInt64(c.IntAt(i), opS)
 			if cmp == 0 {
-				cmp = cmpInt64(ends[i], opE)
+				cmp = cmpInt64(c.SpanEndAt(i), opE)
 			}
 			keep[i] = c.Present(i) && match(cmp)
 		}

@@ -1,6 +1,8 @@
 package derive
 
 import (
+	"fmt"
+
 	"scrubjay/internal/rdd"
 	"scrubjay/internal/shuffle"
 )
@@ -22,7 +24,8 @@ import (
 // keyedFrameWire carries columnar exchange batches: the frame plus its
 // per-row composite key hashes. A routed batch gathers its selection as it
 // encodes, so the bytes are those of the selected rows alone and decode to
-// a batch with no selection.
+// a batch with no selection. Every batch carries one hash per row, so a
+// payload whose hash vector does not match its row count is corrupt.
 var keyedFrameWire = &rdd.Wire[keyedFrame]{
 	Append: func(buf []byte, kf keyedFrame) []byte {
 		f, h := kf.gathered()
@@ -33,8 +36,8 @@ var keyedFrameWire = &rdd.Wire[keyedFrame]{
 		if err != nil {
 			return keyedFrame{}, 0, err
 		}
-		if h == nil {
-			h = make([]uint64, 0, f.NumRows())
+		if len(h) != f.NumRows() {
+			return keyedFrame{}, 0, fmt.Errorf("derive: exchange batch has %d key hashes for %d rows", len(h), f.NumRows())
 		}
 		return keyedFrame{f: f, h: h}, n, nil
 	},

@@ -142,13 +142,16 @@ func TimeColumn(name string, nanos []int64) Column {
 	return Column{name: name, kind: value.KindTime, ints: vals, n: len(vals)}
 }
 
-// FloatColumn builds a fully present float-kinded column.
+// FloatColumn builds a fully present float-kinded column. It is an
+// ownership-transfer constructor: vals becomes the column's storage, not a
+// copy, so the caller must not write it afterwards.
 func FloatColumn(name string, vals []float64) Column {
 	return Column{name: name, kind: value.KindFloat, flts: vals, n: len(vals)}
 }
 
 // FloatColumnWhere builds a float-kinded column whose cell i holds vals[i]
-// when ok[i] and is absent otherwise.
+// when ok[i] and is absent otherwise. Like FloatColumn it takes ownership
+// of vals.
 func FloatColumnWhere(name string, vals []float64, ok []bool) Column {
 	c := FloatColumn(name, vals)
 	for _, o := range ok {

@@ -9,10 +9,12 @@
 //
 // Frames are IMMUTABLE after construction: kernels never mutate a frame in
 // place, they build new frames (sharing column storage where the operation
-// is a pure column subset, as Select/Drop do). This is what makes it safe
-// for rdd partitions to carry *Frame batches under the rdd compute
-// contract and for the server to share one set of catalog frames across
-// concurrent requests.
+// is a pure column subset, as Select/Drop do). No exported method returns a
+// column's storage — cells are read through scalar accessors — so code
+// outside this package cannot write into a frame's vectors. This is what
+// makes it safe for rdd partitions to carry *Frame batches under the rdd
+// compute contract and for the server to share one set of catalog frames
+// across concurrent requests.
 package frame
 
 import (
@@ -57,21 +59,21 @@ func (c *Column) Present(i int) bool {
 // AllPresent reports whether every cell is present.
 func (c *Column) AllPresent() bool { return c.pres == nil }
 
-// Ints exposes the typed payload vector of an int-, bool-, or time-kinded
-// column (span starts for span columns). Callers must treat it as
-// read-only; frames are immutable.
-func (c *Column) Ints() []int64 { return c.ints }
+// IntAt returns the payload of cell i of an int-, bool- (0 or 1) or
+// time-kinded (Unix nanoseconds) column, or the start of a span column's
+// cell i. Like every accessor it copies a scalar out: no exported method
+// hands out a column's storage, so code outside this package cannot write
+// into a published frame.
+func (c *Column) IntAt(i int) int64 { return c.ints[i] }
 
-// Floats exposes the typed payload vector of a float-kinded column.
-// Read-only.
-func (c *Column) Floats() []float64 { return c.flts }
+// FloatAt returns the payload of cell i of a float-kinded column.
+func (c *Column) FloatAt(i int) float64 { return c.flts[i] }
 
-// Strs exposes the typed payload vector of a string-kinded column.
-// Read-only.
-func (c *Column) Strs() []string { return c.strs }
+// StrAt returns the payload of cell i of a string-kinded column.
+func (c *Column) StrAt(i int) string { return c.strs[i] }
 
-// SpanEnds exposes the span-end vector of a span-kinded column. Read-only.
-func (c *Column) SpanEnds() []int64 { return c.ends }
+// SpanEndAt returns the end of cell i of a span-kinded column.
+func (c *Column) SpanEndAt(i int) int64 { return c.ends[i] }
 
 // Value boxes cell i back into a value.Value. Absent cells box to Null,
 // exactly like value.Row.Get on a row missing the column.

@@ -1,8 +1,11 @@
 package frame
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"scrubjay/internal/value"
@@ -364,5 +367,114 @@ func TestFloatColumnWhere(t *testing.T) {
 	c := FloatColumnWhere("x", vals, []bool{true, false, true})
 	if !c.Present(0) || c.Present(1) || !c.Present(2) || !c.Value(2).Equal(value.Float(3)) {
 		t.Errorf("presence or payload wrong: %v %v %v", c.Value(0), c.Value(1), c.Value(2))
+	}
+}
+
+// frameBytes encodes everything a frame holds — row count, column index,
+// and each column's name, kind, presence words and payload vectors — so
+// equal bytes mean equal contents.
+func frameBytes(f *Frame) []byte {
+	b := fmt.Appendf(nil, "%d %v|", f.n, f.index)
+	for j := range f.cols {
+		c := &f.cols[j]
+		b = fmt.Appendf(b, "%q %d %d %v %v %v %q %v|", c.name, c.kind, c.n, c.pres, c.ints, c.flts, c.strs, c.ends)
+		for _, v := range c.boxd {
+			b = v.AppendBinary(b)
+		}
+	}
+	return b
+}
+
+// scribble writes through v: every element of a slice (recursively) and
+// every entry of a map is zeroed.
+func scribble(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			scribble(v.Index(i))
+			v.Index(i).SetZero()
+		}
+	case reflect.Map:
+		for _, k := range v.MapKeys() {
+			v.SetMapIndex(k, reflect.Zero(v.Type().Elem()))
+		}
+	}
+}
+
+// TestFramesImmutable holds frame immutability, the guarantee that lets
+// partitions, catalog snapshots and in-flight streams share one frame
+// without copies or locks. Every method that builds a frame or column must
+// leave its receiver and inputs byte-for-byte unchanged. And no exported
+// method may hand out a column's storage: a method returning a slice or
+// map must be on the allowlist below, whose results are fresh, and writing
+// through each of those results must leave the frame unchanged.
+func TestFramesImmutable(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	f := FromRows(randRows(rng, 70))
+	other := FromRows(randRows(rng, 70)).Drop("c0").Rename("c3", "d3")
+	short := FromRows(randRows(rng, 9))
+	ints := make([]value.Value, f.NumRows())
+	for i := range ints {
+		ints[i] = value.Int(int64(i))
+	}
+	repl := New(ColumnOf("c1", ints))
+	added := New(FloatColumn("added", make([]float64, f.NumRows())))
+	keep := make([]bool, f.NumRows())
+	for i := range keep {
+		keep[i] = i%3 != 0
+	}
+	for _, c := range []struct {
+		name string
+		call func()
+	}{
+		{"Select", func() { f.Select([]string{"c2", "c0"}) }},
+		{"Drop", func() { f.Drop("c1") }},
+		{"With/add", func() { f.With(*added.ColAt(0)) }},
+		{"With/replace", func() { f.With(*repl.ColAt(0)) }},
+		{"Rename", func() { f.Rename("c0", "r") }},
+		{"Rename/onto", func() { f.Rename("c0", "c1") }},
+		{"Gather", func() { f.Gather([]int32{3, 0, 3, 69}) }},
+		{"FilterMask", func() { f.FilterMask(keep) }},
+		{"Merge", func() { Merge(f, other) }},
+		{"ConcatGather", func() { ConcatGather([]*Frame{f, short, f}, [][]int32{{1, 2}, nil, {0}}) }},
+	} {
+		inputs := []*Frame{f, other, short, repl, added}
+		before := make([][]byte, len(inputs))
+		for i, in := range inputs {
+			before[i] = frameBytes(in)
+		}
+		c.call()
+		for i, in := range inputs {
+			if !bytes.Equal(before[i], frameBytes(in)) {
+				t.Errorf("%s changed input frame %d", c.name, i)
+			}
+		}
+	}
+
+	allow := map[string]func(f *Frame) any{
+		"Frame.AppendRowJSON": func(f *Frame) any { return f.AppendRowJSON(nil, 0, f.EncodedKeys()) },
+		"Frame.Columns":       func(f *Frame) any { return f.Columns() },
+		"Frame.EncodedKeys":   func(f *Frame) any { return f.EncodedKeys() },
+		"Frame.HashOn":        func(f *Frame) any { return f.HashOn(f.Columns(), nil) },
+		"Frame.RowAt":         func(f *Frame) any { return f.RowAt(0) },
+		"Frame.ToRows":        func(f *Frame) any { return f.ToRows() },
+	}
+	for _, typ := range []reflect.Type{reflect.TypeOf(&Frame{}), reflect.TypeOf(&Column{})} {
+		for i := 0; i < typ.NumMethod(); i++ {
+			m := typ.Method(i)
+			name := typ.Elem().Name() + "." + m.Name
+			for o := 0; o < m.Type.NumOut(); o++ {
+				if k := m.Type.Out(o).Kind(); (k == reflect.Slice || k == reflect.Map) && allow[name] == nil {
+					t.Errorf("%s returns a %v: a method must not hand out column storage", name, m.Type.Out(o))
+				}
+			}
+		}
+	}
+	for name, call := range allow {
+		before := frameBytes(f)
+		scribble(reflect.ValueOf(call(f)))
+		if !bytes.Equal(before, frameBytes(f)) {
+			t.Errorf("writing through the result of %s changed the frame", name)
+		}
 	}
 }

@@ -6,25 +6,24 @@ import (
 	"scrubjay/internal/value"
 )
 
-// Raw column access for the shuffle wire codec (internal/shuffle). A
-// Column's storage is private so kernels cannot violate frame immutability;
-// the codec needs to read the vectors verbatim and to rebuild a column from
-// decoded vectors without a per-cell boxing round trip. These accessors
-// return the live slices — callers must treat them as read-only, exactly
-// like Ints/Floats/Strs.
+// Raw column construction for the shuffle wire codec (internal/shuffle),
+// which rebuilds columns from decoded vectors without a per-cell boxing
+// round trip. The codec reads columns through the scalar accessors
+// (IntAt, FloatAt, StrAt, SpanEndAt, Value and PresenceWord); nothing here
+// hands storage out.
 
-// BoxedValues exposes the boxed payload of a mixed/list/null-bearing column
-// (kind == value.KindNull). Nil for typed columns. Read-only.
-func (c *Column) BoxedValues() []value.Value { return c.boxd }
-
-// PresenceBits exposes the presence bitmap words (LSB-first within each
-// word, 64 cells per word). Nil when every cell is present. Read-only.
-func (c *Column) PresenceBits() []uint64 { return c.pres }
+// PresenceWord returns word w of the column's presence bitmap: cells
+// 64w..64w+63, least significant bit first. Only a column with an absent
+// cell (not AllPresent) has a bitmap.
+func (c *Column) PresenceWord(w int) uint64 { return c.pres[w] }
 
 // RawFrame builds a frame from decoded columns with an explicit row count.
 // Unlike New it can express a frame that has rows but no columns (FromRows
 // over rows whose maps are empty produces one), which the wire codec must
-// round-trip exactly. The cols slice is retained.
+// round-trip exactly. It is an ownership-transfer constructor: the cols
+// slice is retained, not copied, so the caller must not touch it again.
+// Column names must be distinct; a decoded payload naming one twice is
+// corrupt.
 func RawFrame(n int, cols []Column) (*Frame, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("frame: raw frame: negative row count %d", n)
@@ -34,14 +33,21 @@ func RawFrame(n int, cols []Column) (*Frame, error) {
 			return nil, fmt.Errorf("frame: raw frame: column %q has %d rows, want %d", cols[i].name, cols[i].n, n)
 		}
 	}
-	return newFrame(cols, n), nil
+	f := newFrame(cols, n)
+	for i := 1; i < len(f.cols); i++ {
+		if f.cols[i].name == f.cols[i-1].name {
+			return nil, fmt.Errorf("frame: raw frame: duplicate column %q", f.cols[i].name)
+		}
+	}
+	return f, nil
 }
 
 // RawColumn rebuilds a column from raw storage vectors, the inverse of the
-// accessors above. It validates that exactly the vectors the kind requires
+// scalar accessors. It validates that exactly the vectors the kind requires
 // are present with the right lengths, so a corrupt or truncated wire
 // payload surfaces as an error rather than an out-of-range panic later.
-// The slices are retained, not copied: the caller hands over ownership.
+// It is an ownership-transfer constructor: the slices are retained, not
+// copied, and the caller must not write them afterwards.
 func RawColumn(name string, kind value.Kind, n int, ints []int64, flts []float64, strs []string, ends []int64, boxd []value.Value, pres []uint64) (Column, error) {
 	if n < 0 {
 		return Column{}, fmt.Errorf("frame: raw column %q: negative length %d", name, n)

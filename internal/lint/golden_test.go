@@ -87,8 +87,8 @@ func TestGoldenSrc(t *testing.T) {
 
 // TestGoldenMulti runs the suite over the multi-package fixture module: the
 // engine package carries exactly one finding for each analyzer that applies
-// to it, frame carries the frameimmut finding, the pipeline package is
-// clean, and module-wide every analyzer fires at least once.
+// to it, the pipeline package is clean, and module-wide every analyzer
+// fires at least once.
 func TestGoldenMulti(t *testing.T) {
 	m := loadFixture(t, "multi")
 	findings := Run(m, Analyzers())
@@ -115,9 +115,6 @@ func TestGoldenMulti(t *testing.T) {
 		if n := perPkg["engine"][name]; n != 1 {
 			t.Errorf("dirty package engine: analyzer %q reported %d findings, want exactly 1", name, n)
 		}
-	}
-	if n := perPkg["frame"]["frameimmut"]; n == 0 {
-		t.Error("frame package should carry at least one frameimmut finding")
 	}
 	for _, a := range Analyzers() {
 		if total[a.Name] == 0 {
@@ -150,15 +147,15 @@ func checkDeterministic(t *testing.T, fixture string) {
 }
 
 // TestHotAnalyzerDeterminism loads and analyzes the src fixture twice with
-// only the analyzers that consume interprocedural parameter facts or the CFG
-// layer and byte-compares the rendered findings, so the summary, escape and
+// only the analyzers that consume interprocedural parameter facts and the
+// CFG layer and byte-compares the rendered findings, so the summary, escape and
 // flow layers stay map-iteration-free when run in isolation, not just under
 // the full suite.
 func TestHotAnalyzerDeterminism(t *testing.T) {
 	var selected []*Analyzer
 	for _, a := range Analyzers() {
 		switch a.Name {
-		case "frameimmut", "leakcheck", "errflow":
+		case "leakcheck", "errflow":
 			selected = append(selected, a)
 		}
 	}
@@ -168,7 +165,7 @@ func TestHotAnalyzerDeterminism(t *testing.T) {
 	}
 	r1, r2 := render(), render()
 	if r1 != r2 {
-		t.Errorf("frameimmut/leakcheck/errflow output differs between runs:\n--- run 1 ---\n%s--- run 2 ---\n%s", r1, r2)
+		t.Errorf("leakcheck/errflow output differs between runs:\n--- run 1 ---\n%s--- run 2 ---\n%s", r1, r2)
 	}
 	if r1 == "" {
 		t.Error("summary-driven analyzers rendered no findings; the src fixture should be dirty")

@@ -20,15 +20,11 @@ import (
 type ParamFacts uint8
 
 const (
-	// ParamMutated: data reachable through the parameter is written —
-	// through a pointer, a slice/map element, or a reference field —
-	// directly or by a transitive callee.
-	ParamMutated ParamFacts = 1 << iota
 	// ParamEscapes: the parameter is returned, stored into a global, a
 	// field, an element, a channel, or a composite literal, or passed to a
 	// callee that lets it escape. An escaping parameter may be retained
 	// beyond the call ("published").
-	ParamEscapes
+	ParamEscapes ParamFacts = 1 << iota
 	// ParamToGoroutine: the parameter flows into a go statement — it is
 	// referenced by code that outlives the call frame on another goroutine.
 	ParamToGoroutine
@@ -44,11 +40,6 @@ const (
 	// resource to a helper that retains it counts as transferring
 	// ownership, not as leaking it.
 	ParamRetained
-	// ParamCaptured: the parameter is referenced from a function literal.
-	// Weaker than ParamToGoroutine — many captures are read-only and die
-	// with the call (a sort.Slice comparator) — but a capturing literal
-	// that itself escapes pins the parameter with it.
-	ParamCaptured
 	// ParamReleased: the function calls the parameter's release method —
 	// Close, Stop, or End — directly, in a deferred/nested literal, or via
 	// a transitive callee. leakcheck uses this so that handing a resource
@@ -343,12 +334,7 @@ func foldCalls(ip *Interproc, fi *FuncInfo) bool {
 			if _, ok := s.paramFact(root); !ok {
 				continue
 			}
-			f := cs.ArgFacts(i)
-			if f&ParamMutated != 0 && !sharedRootType(root.Type()) {
-				// A value copy passed by value cannot be mutated in place.
-				f &^= ParamMutated
-			}
-			if f != 0 && s.addFact(root, f) {
+			if f := cs.ArgFacts(i); f != 0 && s.addFact(root, f) {
 				changed = true
 			}
 		}
@@ -368,29 +354,6 @@ func sharedRootType(t types.Type) bool {
 		return true
 	}
 	return false
-}
-
-// sharedWritePath reports whether the LHS chain from root to the written
-// cell passes through shared storage: the root itself is a reference type,
-// or the chain crosses an index or pointer dereference (a write through a
-// reference field of a value struct still lands in shared backing memory).
-func sharedWritePath(lhs ast.Expr, rootType types.Type) bool {
-	if sharedRootType(rootType) {
-		return true
-	}
-	e := lhs
-	for {
-		switch x := e.(type) {
-		case *ast.IndexExpr, *ast.StarExpr:
-			return true
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		default:
-			return false
-		}
-	}
 }
 
 // isContextType reports whether t is context.Context.
@@ -478,24 +441,6 @@ func collectIntra(fi *FuncInfo) {
 			s.addFact(v, facts)
 		}
 	}
-	recordWrite := func(lhs ast.Expr, define bool) {
-		v := rootVar(lhs)
-		if v == nil {
-			return
-		}
-		if isGlobal(v) {
-			return
-		}
-		if isParam(v) && !define {
-			if _, plain := ast.Unparen(lhs).(*ast.Ident); plain {
-				return // rebinding the parameter name is local
-			}
-			if sharedWritePath(ast.Unparen(lhs), v.Type()) {
-				s.addFact(v, ParamMutated)
-			}
-		}
-	}
-
 	var walk func(n ast.Node, inLit bool)
 	walk = func(n ast.Node, inLit bool) {
 		if n == nil {
@@ -504,20 +449,9 @@ func collectIntra(fi *FuncInfo) {
 		ast.Inspect(n, func(n ast.Node) bool {
 			switch node := n.(type) {
 			case *ast.FuncLit:
-				// The literal's body contributes parameter captures and
-				// facts, but not Blocks: closures run on whichever
+				// The literal's body contributes facts (a captured context
+				// counts as used), but not Blocks: closures run on whichever
 				// goroutine eventually invokes them.
-				ast.Inspect(node.Body, func(cn ast.Node) bool {
-					if id, ok := cn.(*ast.Ident); ok {
-						if v, _ := info.ObjectOf(id).(*types.Var); isParam(v) {
-							s.addFact(v, ParamCaptured)
-							if v == s.CtxParam {
-								s.UsesCtx = true
-							}
-						}
-					}
-					return true
-				})
 				walk(node.Body, true)
 				return false
 			case *ast.Ident:
@@ -527,9 +461,6 @@ func collectIntra(fi *FuncInfo) {
 					}
 				}
 			case *ast.AssignStmt:
-				for _, lhs := range node.Lhs {
-					recordWrite(lhs, node.Tok == token.DEFINE)
-				}
 				// Storing a parameter anywhere but a plain local variable
 				// publishes it; the landing site grades the escape.
 				var pub ParamFacts
@@ -545,8 +476,6 @@ func collectIntra(fi *FuncInfo) {
 						markEscape(rhs, pub)
 					}
 				}
-			case *ast.IncDecStmt:
-				recordWrite(node.X, false)
 			case *ast.SendStmt:
 				if !inLit && !s.Blocks {
 					s.Blocks = true

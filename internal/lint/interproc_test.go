@@ -36,14 +36,18 @@ func TestInterprocSummaries(t *testing.T) {
 	m := loadFixture(t, "src")
 	ip := BuildInterproc(m)
 
-	// frozen.zero mutates its slice parameter (frameimmut's interprocedural
-	// hook) but does not block.
-	zero := lookupFunc(t, m, ip, "frozen", "zero")
-	if zero.Summary.ArgFacts(0)&ParamMutated == 0 {
-		t.Error("zero: parameter 0 should carry ParamMutated")
+	// cache.closeQuiet releases its parameter (leakcheck's interprocedural
+	// hook) but does not block; handshake uses its conn without releasing
+	// it.
+	closeQuiet := lookupFunc(t, m, ip, "cache", "closeQuiet")
+	if closeQuiet.Summary.ArgFacts(0)&ParamReleased == 0 {
+		t.Error("closeQuiet: parameter 0 should carry ParamReleased")
 	}
-	if zero.Summary.Blocks {
-		t.Error("zero: should not block")
+	if closeQuiet.Summary.Blocks {
+		t.Error("closeQuiet: should not block")
+	}
+	if lookupFunc(t, m, ip, "cache", "handshake").Summary.ArgFacts(0)&ParamReleased != 0 {
+		t.Error("handshake: parameter 0 should not carry ParamReleased")
 	}
 
 	// engine: blocking facts chain through callees, and context facts
@@ -73,17 +77,6 @@ func TestInterprocSummaries(t *testing.T) {
 	if depth.Summary.Blocks {
 		t.Error("depth: len(chan) does not block")
 	}
-
-	// frame.Freeze lets its receiver's storage escape into the returned
-	// frame; builder Append mutates the receiver.
-	freeze := lookupFunc(t, m, ip, "frame", "Freeze")
-	if freeze.Summary.RecvFacts()&ParamEscapes == 0 {
-		t.Error("Freeze: receiver storage should escape into the result")
-	}
-	appendFn := lookupFunc(t, m, ip, "frame", "Append")
-	if appendFn.Summary.RecvFacts()&ParamMutated == 0 {
-		t.Error("Append: receiver should carry ParamMutated")
-	}
 }
 
 // TestInterprocStaticCallee checks call-graph node lookup through the
@@ -94,14 +87,14 @@ func TestInterprocStaticCallee(t *testing.T) {
 	if ip.FuncOf(nil) != nil {
 		t.Error("FuncOf(nil) should be nil")
 	}
-	fi := lookupFunc(t, m, ip, "frozen", "DirtyHelper")
+	fi := lookupFunc(t, m, ip, "cache", "CleanHelperClose")
 	found := false
 	for _, rec := range fi.calls {
-		if rec.callee.Name() == "zero" {
+		if rec.callee.Name() == "closeQuiet" {
 			found = true
 		}
 	}
 	if !found {
-		t.Error("DirtyHelper should record a call edge to zero")
+		t.Error("CleanHelperClose should record a call edge to closeQuiet")
 	}
 }

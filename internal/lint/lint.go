@@ -101,7 +101,6 @@ func Analyzers() []*Analyzer {
 	all := []*Analyzer{
 		DeterminismAnalyzer(),
 		LockDisciplineAnalyzer(),
-		FrameImmutAnalyzer(),
 		CtxFlowAnalyzer(),
 		LeakCheckAnalyzer(),
 		ErrFlowAnalyzer(),

@@ -83,12 +83,12 @@ func TestSuppressedScopeMatching(t *testing.T) {
 	}
 }
 
-// TestAnalyzersComplete pins the suite composition: the six analyzers
+// TestAnalyzersComplete pins the suite composition: the five analyzers
 // that each catch a mutation of the real tree (TestRealTreeWitnesses),
 // including the flow-sensitive pair (errflow, leakcheck) built on the CFG
 // layer.
 func TestAnalyzersComplete(t *testing.T) {
-	want := []string{"ctxflow", "determinism", "errflow", "frameimmut", "leakcheck", "lockdiscipline"}
+	want := []string{"ctxflow", "determinism", "errflow", "leakcheck", "lockdiscipline"}
 	var got []string
 	for _, a := range Analyzers() {
 		got = append(got, a.Name)

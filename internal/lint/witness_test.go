@@ -79,13 +79,6 @@ var mutations = []mutation{
 		new:      "\t\te.Cache, err = cache.Open(o.CacheDir, CacheBytes)\n",
 	},
 	{
-		// Frame.With replaces the column in the shared receiver.
-		analyzer: "frameimmut",
-		file:     "internal/frame/frame.go",
-		old:      "\t\t\tcols = append(cols, col)\n\t\t\treplaced = true\n",
-		new:      "\t\t\tf.cols[i] = col\n\t\t\tcols = append(cols, col)\n\t\t\treplaced = true\n",
-	},
-	{
 		// A worker that cannot publish its address leaves its listener
 		// bound.
 		analyzer: "leakcheck",
@@ -148,11 +141,12 @@ var mutations = []mutation{
 		new:  "\tif _, dup := chunks[key]; !dup {\n\t\tchunks[key] = chunk\n\t\ts.bytes += int64(len(chunk))\n\t}\n",
 	},
 	{
-		// lerpColumn writes back through a payload bound to a local.
-		test: "TestColumnarMatchesRowPath", pkg: "internal/derive",
-		file: "internal/derive/interp_join_columnar.go",
-		old:  "\t\t\tout[k] = fs[b]\n",
-		new:  "\t\t\tfs[b] = out[k]\n",
+		// explode_discrete releases the list column it consumed by
+		// overwriting it in the shared catalog frame.
+		test: "TestShippedPlansStayColumnar", pkg: "internal/bench",
+		file: "internal/derive/explode_columnar.go",
+		old:  "\treturn f.Drop(col).Gather(src).With(frame.ColumnOf(out, vals))\n",
+		new:  "\tg := f.Drop(col).Gather(src).With(frame.ColumnOf(out, vals))\n\tif c != nil {\n\t\t*c = frame.ColumnOf(col, make([]value.Value, f.NumRows()))\n\t}\n\treturn g\n",
 	},
 	{
 		// The interpolation join drops a right row exactly one window away.
@@ -224,6 +218,13 @@ var mutations = []mutation{
 		file: "internal/derive/columnar.go",
 		old:  "if ix.h[r] == ph && frame.ValuesEqualOn(ix.f, r, ix.cols, pf, j, pcols, convs) {",
 		new:  "if ix.h[r] == ph {",
+	},
+	{
+		// Frame.With replaces the column in the shared receiver.
+		test: "TestFramesImmutable", pkg: "internal/frame",
+		file: "internal/frame/frame.go",
+		old:  "\t\t\tcols = append(cols, col)\n\t\t\treplaced = true\n",
+		new:  "\t\t\tf.cols[i] = col\n\t\t\tcols = append(cols, col)\n\t\t\treplaced = true\n",
 	},
 	{
 		// Rename relabels the receiver's column as well as the result's.

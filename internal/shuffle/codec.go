@@ -60,37 +60,37 @@ func AppendFrame(buf []byte, f *frame.Frame) []byte {
 		buf = binary.AppendUvarint(buf, uint64(len(c.Name())))
 		buf = append(buf, c.Name()...)
 		buf = append(buf, byte(c.Kind()))
-		if pres := c.PresenceBits(); pres != nil {
-			buf = append(buf, 1)
-			for _, w := range pres {
-				buf = binary.LittleEndian.AppendUint64(buf, w)
-			}
-		} else {
+		if c.AllPresent() {
 			buf = append(buf, 0)
+		} else {
+			buf = append(buf, 1)
+			for w := 0; w < (n+63)/64; w++ {
+				buf = binary.LittleEndian.AppendUint64(buf, c.PresenceWord(w))
+			}
 		}
 		switch c.Kind() {
 		case value.KindBool, value.KindInt, value.KindTime:
-			for _, v := range c.Ints() {
-				buf = binary.AppendVarint(buf, v)
+			for i := 0; i < n; i++ {
+				buf = binary.AppendVarint(buf, c.IntAt(i))
 			}
 		case value.KindFloat:
-			for _, v := range c.Floats() {
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+			for i := 0; i < n; i++ {
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.FloatAt(i)))
 			}
 		case value.KindString:
-			for _, s := range c.Strs() {
+			for i := 0; i < n; i++ {
+				s := c.StrAt(i)
 				buf = binary.AppendUvarint(buf, uint64(len(s)))
 				buf = append(buf, s...)
 			}
 		case value.KindSpan:
-			ints, ends := c.Ints(), c.SpanEnds()
 			for i := 0; i < n; i++ {
-				buf = binary.AppendVarint(buf, ints[i])
-				buf = binary.AppendVarint(buf, ends[i])
+				buf = binary.AppendVarint(buf, c.IntAt(i))
+				buf = binary.AppendVarint(buf, c.SpanEndAt(i))
 			}
-		default: // boxed
-			for _, v := range c.BoxedValues() {
-				buf = v.AppendBinary(buf)
+		default: // boxed: an absent cell boxes to Null, the stored zero value
+			for i := 0; i < n; i++ {
+				buf = c.Value(i).AppendBinary(buf)
 			}
 		}
 	}

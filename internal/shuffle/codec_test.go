@@ -1,6 +1,7 @@
 package shuffle
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -173,6 +174,23 @@ func TestDecodeCorrupt(t *testing.T) {
 	}
 	if _, _, _, err := DecodeBatch(AppendFrame(nil, frame.FromRows(nil))); err == nil {
 		t.Error("DecodeBatch accepted a bare frame")
+	}
+}
+
+// duplicateColumnPayload is a 1-row frame that names column "a" twice, as
+// int 7 and int 9. No encoder produces it; a decoder that accepted it would
+// emit a duplicate JSON key and resolve Col("a") to either column.
+var duplicateColumnPayload = []byte{frameMarker, 1, 2,
+	1, 'a', byte(value.KindInt), 0, 14,
+	1, 'a', byte(value.KindInt), 0, 18}
+
+func TestDecodeRejectsDuplicateColumns(t *testing.T) {
+	if _, _, err := DecodeFrame(duplicateColumnPayload); err == nil || !strings.Contains(err.Error(), `duplicate column "a"`) {
+		t.Errorf("DecodeFrame of a frame naming a column twice: err = %v", err)
+	}
+	one := append([]byte{frameMarker, 1, 1}, duplicateColumnPayload[3:8]...)
+	if _, _, err := DecodeFrame(one); err != nil {
+		t.Errorf("the payload's first column alone should decode: %v", err)
 	}
 }
 

@@ -42,6 +42,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		f.Add(s)
 	}
 	f.Add([]byte{frameMarker, 0x05, 0x05})
+	f.Add(duplicateColumnPayload)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		fr, n, err := DecodeFrame(b)
 		if err != nil {
@@ -49,6 +50,14 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		if n <= 0 || n > len(b) {
 			t.Fatalf("consumed %d of %d bytes", n, len(b))
+		}
+		names := map[string]bool{}
+		for ci := 0; ci < fr.NumCols(); ci++ {
+			name := fr.ColAt(ci).Name()
+			if names[name] {
+				t.Fatalf("decoded frame names column %q twice", name)
+			}
+			names[name] = true
 		}
 		// A successful decode must re-encode and decode to the same shape:
 		// the codec's own output is always canonical.

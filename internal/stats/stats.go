@@ -240,7 +240,8 @@ func drifted(a, b, frac float64) bool {
 // IngestRows computes and installs table statistics for a dataset's rows:
 // row count, per-column distinct counts, and numeric ranges. Domain and
 // value columns both count — domain NDVs size join outputs, value ranges
-// feed future zone-map work.
+// feed future zone-map work. Distinct values are counted kind-strictly, as
+// join keys compare: Int(1), Float(1) and Str("1") are three values.
 func (s *Store) IngestRows(name string, rows []value.Row, schema semantics.Schema) {
 	if s == nil {
 		return
@@ -256,13 +257,15 @@ func (s *Store) IngestRows(name string, rows []value.Row, schema semantics.Schem
 		distinct[c] = map[string]bool{}
 		ranges[c] = &numRange{}
 	}
+	var key []byte
 	for _, r := range rows {
 		for _, c := range cols {
 			if !r.Has(c) {
 				continue
 			}
 			v := r.Get(c)
-			distinct[c][v.String()] = true
+			key = v.AppendBinary(key[:0])
+			distinct[c][string(key)] = true
 			if f, ok := v.AsFloat(); ok {
 				nr := ranges[c]
 				if !nr.seen || f < nr.min {

@@ -107,6 +107,17 @@ func TestIngestRows(t *testing.T) {
 	if tc.NDV != 3 || !tc.HasRange || tc.Min != 20 || tc.Max != 30 {
 		t.Errorf("temp stats = %+v", tc)
 	}
+
+	// Join keys compare kind-strictly, so values that print alike are
+	// still distinct.
+	s.IngestRows("kinds", []value.Row{
+		value.NewRow("node", value.Int(1)),
+		value.NewRow("node", value.Str("1")),
+		value.NewRow("node", value.Float(1)),
+	}, schema)
+	if ts, _ := s.Table("kinds"); ts.Columns["node"].NDV != 3 {
+		t.Errorf("NDV of Int(1), Str(\"1\"), Float(1) = %d, want 3", ts.Columns["node"].NDV)
+	}
 }
 
 func TestEncodeDeterministicRoundTrip(t *testing.T) {
