@@ -25,8 +25,13 @@
 #                        codec (FuzzValueBinary: decode, re-encode, JSON
 #                        round trip); 10 s of the frame wire decoder
 #                        (FuzzDecodeFrame: arbitrary bytes decode to an
-#                        error or a frame with distinct column names that
-#                        re-encodes to the same shape); and 10 s of pipelined puts
+#                        error or a frame with distinct column names whose
+#                        re-encoding decodes to the same cells and
+#                        re-encodes to the same bytes); 10 s of dictionary
+#                        string columns against plain ones (FuzzDictColumns:
+#                        equal cells, hashes, key equality, NDJSON and wire
+#                        bytes through Gather, ConcatGather and Merge); and
+#                        10 s of pipelined puts
 #                        against a live shuffle worker (FuzzPipelinedPuts:
 #                        one burst of arbitrary puts, every fetch equal to
 #                        the last-write-wins (src, seq) merge); their seed
@@ -101,6 +106,12 @@ go test -run='^$' -fuzz=FuzzValueBinary -fuzztime=10s -fuzzminimizetime=1s ./int
 # 1 s for the same reason as FuzzValueBinary's.
 echo "==> go test -run='^\$' -fuzz=FuzzDecodeFrame -fuzztime=10s -fuzzminimizetime=1s ./internal/shuffle"
 go test -run='^$' -fuzz=FuzzDecodeFrame -fuzztime=10s -fuzzminimizetime=1s ./internal/shuffle
+
+# FuzzDictColumns: one random string column built dictionary-encoded and
+# plain must stay indistinguishable through every frame kernel and the
+# codec. Minimization is capped at 1 s like the other decoder stages'.
+echo "==> go test -run='^\$' -fuzz=FuzzDictColumns -fuzztime=10s -fuzzminimizetime=1s ./internal/frame"
+go test -run='^$' -fuzz=FuzzDictColumns -fuzztime=10s -fuzzminimizetime=1s ./internal/frame
 
 # Each FuzzPipelinedPuts input costs a few loopback round trips, so the
 # default 60 s minimization of every new interesting input would eat the

@@ -104,14 +104,14 @@ func (e *ExplodeDiscrete) Apply(in *dataset.Dataset, dict *semantics.Dictionary)
 		return dataset.NewFrames(name, frames.WithName(name), schema), nil
 	}
 	rows := rdd.FlatMap(in.Rows(), func(r value.Row) []value.Row {
-		list := r.Get(col).ListVal()
-		if len(list) == 0 {
+		list := r.Get(col)
+		if list.ListLen() == 0 {
 			return nil
 		}
-		res := make([]value.Row, len(list))
-		for i, elem := range list {
+		res := make([]value.Row, list.ListLen())
+		for i := range res {
 			nr := r.Without(col)
-			nr[out] = elem
+			nr[out] = list.ListAt(i)
 			res[i] = nr
 		}
 		return res

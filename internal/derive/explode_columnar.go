@@ -19,10 +19,10 @@ func explodeDiscreteFrame(f *frame.Frame, col, out string) *frame.Frame {
 	var vals []value.Value
 	if c != nil {
 		for i := 0; i < f.NumRows(); i++ {
-			list := c.Value(i).ListVal()
-			for _, elem := range list {
+			list := c.Value(i)
+			for k := 0; k < list.ListLen(); k++ {
 				src = append(src, int32(i))
-				vals = append(vals, elem)
+				vals = append(vals, list.ListAt(k))
 			}
 		}
 	}

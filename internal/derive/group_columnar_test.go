@@ -204,16 +204,24 @@ func TestGroupKernelEdgeCases(t *testing.T) {
 	}
 }
 
+// groupSeeds is FuzzGroupAggregate's seed corpus.
+func groupSeeds() [][]byte {
+	seeds := [][]byte{{}}
+	rng := rand.New(rand.NewSource(28))
+	for i := 0; i < 96; i++ {
+		seed := make([]byte, 16+rng.Intn(160))
+		rng.Read(seed)
+		seeds = append(seeds, seed)
+	}
+	return seeds
+}
+
 // FuzzGroupAggregate is differential: the group kernel under aggregate and
 // derive_heat must equal the row-form reference on every generated input,
 // in exact order on one partition. The seed corpus runs as an ordinary
 // test.
 func FuzzGroupAggregate(f *testing.F) {
-	f.Add([]byte{})
-	rng := rand.New(rand.NewSource(28))
-	for i := 0; i < 96; i++ {
-		seed := make([]byte, 16+rng.Intn(160))
-		rng.Read(seed)
+	for _, seed := range groupSeeds() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -281,15 +281,23 @@ func interpCaseFromBytes(data []byte) (interpCase, int) {
 	return c, parts
 }
 
-// FuzzInterpolationJoin is differential: the columnar kernel must equal
-// the row-form reference on every generated catalog, in exact order on one
-// partition. The seed corpus runs as an ordinary test.
-func FuzzInterpolationJoin(f *testing.F) {
-	f.Add([]byte{})
+// interpSeeds is FuzzInterpolationJoin's seed corpus.
+func interpSeeds() [][]byte {
+	seeds := [][]byte{{}}
 	rng := rand.New(rand.NewSource(25))
 	for i := 0; i < 48; i++ {
 		seed := make([]byte, 32+rng.Intn(160))
 		rng.Read(seed)
+		seeds = append(seeds, seed)
+	}
+	return seeds
+}
+
+// FuzzInterpolationJoin is differential: the columnar kernel must equal
+// the row-form reference on every generated catalog, in exact order on one
+// partition. The seed corpus runs as an ordinary test.
+func FuzzInterpolationJoin(f *testing.F) {
+	for _, seed := range interpSeeds() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -283,15 +283,23 @@ func checkNatJoinKernel(t testing.TB, c natJoinCase) {
 	}
 }
 
-// FuzzNaturalJoin is differential: the columnar join kernel must equal the
-// row path in exact order on one partition, and the nested-loop reference
-// as a multiset on several. The seed corpus runs as an ordinary test.
-func FuzzNaturalJoin(f *testing.F) {
-	f.Add([]byte{})
+// natJoinSeeds is FuzzNaturalJoin's seed corpus.
+func natJoinSeeds() [][]byte {
+	seeds := [][]byte{{}}
 	rng := rand.New(rand.NewSource(31))
 	for i := 0; i < 48; i++ {
 		seed := make([]byte, 16+rng.Intn(96))
 		rng.Read(seed)
+		seeds = append(seeds, seed)
+	}
+	return seeds
+}
+
+// FuzzNaturalJoin is differential: the columnar join kernel must equal the
+// row path in exact order on one partition, and the nested-loop reference
+// as a multiset on several. The seed corpus runs as an ordinary test.
+func FuzzNaturalJoin(f *testing.F) {
+	for _, seed := range natJoinSeeds() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

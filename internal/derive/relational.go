@@ -86,8 +86,8 @@ func (f *FilterRows) predicate(dict *semantics.Dictionary, e semantics.Entry) (f
 		needle := operand.String()
 		return func(v value.Value) bool {
 			if v.Kind() == value.KindList {
-				for _, e := range v.ListVal() {
-					if e.Compare(operand) == 0 {
+				for i := 0; i < v.ListLen(); i++ {
+					if v.ListAt(i).Compare(operand) == 0 {
 						return true
 					}
 				}

@@ -61,18 +61,28 @@ func BenchmarkAppendRowJSON(b *testing.B) {
 }
 
 // TestAppendRowJSONAllocFree: encoding a row into a buffer with room makes
-// no allocation, NaN/±Inf cells included.
+// no allocation, NaN/±Inf cells and dictionary-encoded strings included.
 func TestAppendRowJSONAllocFree(t *testing.T) {
-	f := benchStreamFrame(256)
-	keys := f.EncodedKeys()
-	var dst []byte
-	allocs := testing.AllocsPerRun(20, func() {
-		for r := 0; r < f.NumRows(); r++ {
-			dst = f.AppendRowJSON(dst[:0], r, keys)
+	plain := benchStreamFrame(256)
+	nodes := make([]value.Row, plain.NumRows())
+	for i := range nodes {
+		nodes[i] = value.Row{"node": value.Str("node-" + strconv.Itoa(i%8))}
+	}
+	coded := plain.With(*FromRows(nodes).Col("node"))
+	if !coded.Col("node").DictEncoded() {
+		t.Fatal("node column is not dictionary-encoded")
+	}
+	for _, f := range []*Frame{plain, coded} {
+		keys := f.EncodedKeys()
+		var dst []byte
+		allocs := testing.AllocsPerRun(20, func() {
+			for r := 0; r < f.NumRows(); r++ {
+				dst = f.AppendRowJSON(dst[:0], r, keys)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("AppendRowJSON: %.0f allocations per %d rows, want 0", allocs, f.NumRows())
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("AppendRowJSON: %.0f allocations per %d rows, want 0", allocs, f.NumRows())
 	}
 }
 

@@ -9,6 +9,8 @@ import (
 // The columnar join/group key is a 64-bit FNV-style hash over the key
 // columns' (kind, payload) pairs, computed column-at-a-time into one hash
 // vector — replacing the row path's per-row KeyStringOn string building.
+// A dictionary-encoded string hashes exactly as the same plain string
+// does, so rows route alike whichever way their columns store strings.
 // Hash equality is a candidate filter only; kernels verify candidates with
 // ValuesEqualOn (value.Value.Equal semantics) before acting, so hash
 // collisions cost time, never correctness.
@@ -51,10 +53,10 @@ func HashValue(h uint64, v value.Value) uint64 {
 		s, e := v.SpanBounds()
 		h = mix(mix(h, uint64(s)), uint64(e))
 	case value.KindList:
-		l := v.ListVal()
-		h = mix(h, uint64(len(l)))
-		for _, e := range l {
-			h = HashValue(h, e)
+		n := v.ListLen()
+		h = mix(h, uint64(n))
+		for i := 0; i < n; i++ {
+			h = HashValue(h, v.ListAt(i))
 		}
 	}
 	return h
@@ -105,9 +107,19 @@ func (f *Frame) HashOn(cols []string, convs []func(value.Value) value.Value) []u
 				}
 			}
 		case value.KindString:
+			if eh := c.entryHashes(j == 0, len(h)); eh != nil {
+				for i := range h {
+					if c.Present(i) {
+						h[i] = eh[c.codes[i]]
+					} else {
+						h[i] = mix(h[i], nullTag)
+					}
+				}
+				continue
+			}
 			for i := range h {
 				if c.Present(i) {
-					h[i] = mixString(mix(h[i], kindTag), c.strs[i])
+					h[i] = mixString(mix(h[i], kindTag), c.StrAt(i))
 				} else {
 					h[i] = mix(h[i], nullTag)
 				}
@@ -131,6 +143,22 @@ func (f *Frame) HashOn(cols []string, convs []func(value.Value) value.Value) []u
 		}
 	}
 	return h
+}
+
+// entryHashes hashes a dictionary-encoded column's entries once, as the
+// first key column of HashOn hashes a plain string, so HashOn can gather
+// the row hashes by code. It returns nil for a plain column, for a later
+// key column (whose input hashes differ row by row), and for a dictionary
+// larger than the frame, where hashing rows is cheaper.
+func (c *Column) entryHashes(first bool, rows int) []uint64 {
+	if c.dict == nil || !first || len(c.dict.vals) > rows {
+		return nil
+	}
+	eh := make([]uint64, len(c.dict.vals))
+	for k, s := range c.dict.vals {
+		eh[k] = mixString(mix(hashSeed, uint64(value.KindString)), s)
+	}
+	return eh
 }
 
 // ValuesEqualOn reports whether row ai of a equals row bi of b across the
@@ -172,7 +200,8 @@ func ValuesEqualOn(a *Frame, ai int, acols []int, b *Frame, bi int, bcols []int,
 
 // typedEqual compares cell ai of a with cell bi of b as value.Value.Equal
 // would, without boxing; ok is false unless both cells are present in
-// columns of one typed kind.
+// columns of one typed kind. Strings coded in one dictionary compare by
+// code; any other pair of string cells compares the strings.
 func typedEqual(a *Column, ai int, b *Column, bi int) (eq, ok bool) {
 	if a.kind != b.kind || a.kind == value.KindNull || !a.Present(ai) || !b.Present(bi) {
 		return false, false
@@ -181,7 +210,10 @@ func typedEqual(a *Column, ai int, b *Column, bi int) (eq, ok bool) {
 	case value.KindFloat:
 		return math.Float64bits(a.flts[ai]) == math.Float64bits(b.flts[bi]), true
 	case value.KindString:
-		return a.strs[ai] == b.strs[bi], true
+		if a.dict != nil && a.dict == b.dict {
+			return a.codes[ai] == b.codes[bi], true
+		}
+		return a.StrAt(ai) == b.StrAt(bi), true
 	case value.KindSpan:
 		return a.ints[ai] == b.ints[bi] && a.ends[ai] == b.ends[bi], true
 	default: // bool, int, time share the ints vector

@@ -71,7 +71,7 @@ func appendValueJSON(dst []byte, c *Column, i int) []byte {
 		return appendFloatValueJSON(dst, c.flts[i])
 	case value.KindString:
 		dst = append(dst, `{"k":"string","s":`...)
-		dst = appendJSONString(dst, c.strs[i])
+		dst = appendJSONString(dst, c.StrAt(i))
 		return append(dst, '}')
 	case value.KindTime:
 		dst = append(dst, `{"k":"time","t":"`...)
@@ -121,11 +121,11 @@ func appendBoxedJSON(dst []byte, v value.Value) []byte {
 		return append(dst, '"', '}')
 	default: // list
 		dst = append(dst, `{"k":"list","l":[`...)
-		for i, e := range v.ListVal() {
+		for i := 0; i < v.ListLen(); i++ {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = appendBoxedJSON(dst, e)
+			dst = appendBoxedJSON(dst, v.ListAt(i))
 		}
 		return append(dst, ']', '}')
 	}

@@ -198,8 +198,8 @@ func jsonCarries(v Value, depth int) bool {
 		if depth == 0 {
 			return false
 		}
-		for _, e := range v.ListVal() {
-			if !jsonCarries(e, depth-1) {
+		for i := 0; i < v.ListLen(); i++ {
+			if !jsonCarries(v.ListAt(i), depth-1) {
 				return false
 			}
 		}

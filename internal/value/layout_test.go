@@ -37,8 +37,8 @@ func TestValueLayout(t *testing.T) {
 		if got := v.StrVal(); got != "" {
 			t.Errorf("%s %v: StrVal = %q, want \"\"", v.Kind(), v, got)
 		}
-		if got := v.ListVal(); got != nil {
-			t.Errorf("%s %v: ListVal = %v, want nil", v.Kind(), v, got)
+		if got := v.ListLen(); got != 0 {
+			t.Errorf("%s %v: ListLen = %d, want 0", v.Kind(), v, got)
 		}
 		if got := v.Len(); got != 0 {
 			t.Errorf("%s %v: Len = %d, want 0", v.Kind(), v, got)
@@ -47,11 +47,11 @@ func TestValueLayout(t *testing.T) {
 	if got := List(Int(1)).StrVal(); got != "" {
 		t.Errorf("list: StrVal = %q, want \"\"", got)
 	}
-	if got := Str("ab").ListVal(); got != nil {
-		t.Errorf("string: ListVal = %v, want nil", got)
+	if got := Str("ab").ListLen(); got != 0 {
+		t.Errorf("string: ListLen = %d, want 0", got)
 	}
-	if l := List(Int(1), Str("x")).ListVal(); len(l) != 2 || !l[1].Equal(Str("x")) {
-		t.Errorf("ListVal = %v, want [1,x]", l)
+	if l := List(Int(1), Str("x")); l.ListLen() != 2 || !l.ListAt(1).Equal(Str("x")) {
+		t.Errorf("ListLen/ListAt of %v, want [1,x]", l)
 	}
 	if got := Str(s[5:]).StrVal(); got != "17" {
 		t.Errorf("substring StrVal = %q, want \"17\"", got)
@@ -62,5 +62,40 @@ func TestValueLayout(t *testing.T) {
 	}
 	if reflect.DeepEqual(Row{"s": Str(a)}, Row{"s": Str("nnm")}) || reflect.DeepEqual(StrList(a), StrList("nnm")) {
 		t.Error("DeepEqual: different strings compare equal")
+	}
+}
+
+// TestValueHandsOutNoStorage holds values immutable: no exported method
+// returns a slice or map, so no caller can write into a list that many
+// rows share. The only exceptions are the byte encoders, whose []byte is
+// fresh or the caller's own buffer; writing through those must leave the
+// value unchanged.
+func TestValueHandsOutNoStorage(t *testing.T) {
+	encoders := map[string]bool{"AppendBinary": true, "MarshalJSON": true}
+	bytesType := reflect.TypeOf([]byte(nil))
+	typ := reflect.TypeOf(&Value{})
+	for i := 0; i < typ.NumMethod(); i++ {
+		m := typ.Method(i)
+		for o := 0; o < m.Type.NumOut(); o++ {
+			out := m.Type.Out(o)
+			if k := out.Kind(); (k == reflect.Slice || k == reflect.Map) && !(encoders[m.Name] && out == bytesType) {
+				t.Errorf("Value.%s returns a %v: a method must not hand out a value's storage", m.Name, out)
+			}
+		}
+	}
+	v := List(Str("a"), List(Int(1)), Float(2.5))
+	want := List(Str("a"), List(Int(1)), Float(2.5))
+	enc := v.AppendBinary(nil)
+	js, err := v.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range [][]byte{enc, js} {
+		for i := range b {
+			b[i] = 0
+		}
+	}
+	if !v.Equal(want) {
+		t.Errorf("writing through an encoding changed the value: %v", v)
 	}
 }

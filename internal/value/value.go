@@ -250,14 +250,18 @@ func (v Value) SpanDurationNanos() int64 {
 	return v.num2 - v.num
 }
 
-// ListVal returns the list payload; nil if v is not a list.
-// The returned slice must not be modified.
-func (v Value) ListVal() []Value {
+// ListLen returns the number of elements of a list; 0 if v is not a list.
+func (v Value) ListLen() int {
 	if v.kind != KindList {
-		return nil
+		return 0
 	}
-	return *v.list
+	return len(*v.list)
 }
+
+// ListAt returns element i of a list. Like every accessor it copies a
+// value out: no method hands out a list's backing slice, so a list shared
+// by many rows cannot be written through.
+func (v Value) ListAt(i int) Value { return (*v.list)[i] }
 
 // Len returns the length of a list or string value, 0 otherwise.
 func (v Value) Len() int {

@@ -52,11 +52,11 @@ func TestConstructorsAndAccessors(t *testing.T) {
 		t.Errorf("span duration = %d, want 50", s.SpanDurationNanos())
 	}
 	l := List(Int(1), Str("a"))
-	if l.Len() != 2 || !l.ListVal()[1].Equal(Str("a")) {
+	if l.Len() != 2 || l.ListLen() != 2 || !l.ListAt(1).Equal(Str("a")) {
 		t.Error("List round trip failed")
 	}
 	sl := StrList("a", "b")
-	if sl.Len() != 2 || sl.ListVal()[0].StrVal() != "a" {
+	if sl.Len() != 2 || sl.ListAt(0).StrVal() != "a" {
 		t.Error("StrList failed")
 	}
 }
@@ -69,8 +69,8 @@ func TestWrongKindAccessorsReturnZero(t *testing.T) {
 	if st, en := v.SpanBounds(); st != 0 || en != 0 {
 		t.Error("SpanBounds on non-span should be zero")
 	}
-	if v.ListVal() != nil {
-		t.Error("ListVal on non-list should be nil")
+	if v.ListLen() != 0 {
+		t.Error("ListLen on non-list should be 0")
 	}
 	if Int(3).StrVal() != "" {
 		t.Error("StrVal on non-string should be empty")

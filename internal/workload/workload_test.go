@@ -82,12 +82,12 @@ func TestJobQueueLog(t *testing.T) {
 	if amg == nil {
 		t.Fatal("no AMG job in DAT1")
 	}
-	nodes := amg.Get("nodelist").ListVal()
-	if len(nodes) == 0 || len(nodes) > 60 {
-		t.Errorf("AMG nodes = %d", len(nodes))
+	nodes := amg.Get("nodelist")
+	if nodes.ListLen() == 0 || nodes.ListLen() > 60 {
+		t.Errorf("AMG nodes = %d", nodes.ListLen())
 	}
-	for _, n := range nodes {
-		if n.StrVal()[:5] != "cab02" {
+	for i := 0; i < nodes.ListLen(); i++ {
+		if n := nodes.ListAt(i); n.StrVal()[:5] != "cab02" {
 			t.Errorf("AMG node %s not on rack 2", n.StrVal())
 		}
 	}
