@@ -47,7 +47,9 @@
 #                        finding fails), within a 30 s budget
 #   * examples         — every examples/* program built and run; any
 #                        nonzero exit fails (each log.Fatals on error, and
-#                        reproducible exits 1 when a replay differs)
+#                        reproducible exits 1 when a replay differs), and
+#                        so does stdout other than the program's
+#                        examples/<name>/expected.txt (temp path masked)
 #   * smoke            — the one scrubjay binary end to end: serve + load
 #                        for the correctness burst,
 #                        served CSV byte-identical to the local CLI's (cold
@@ -140,9 +142,14 @@ trap 'rm -rf "$SMOKE"' EXIT
 echo "==> examples"
 go build -o "$SMOKE/ex/" ./examples/...
 for EX in "$SMOKE"/ex/*; do
-  echo "  -> $(basename "$EX")"
-  "$EX" >"$SMOKE/ex.log" 2>&1 \
-    || { echo "ci.sh: example $(basename "$EX") failed" >&2; cat "$SMOKE/ex.log" >&2; exit 1; }
+  NAME=$(basename "$EX")
+  echo "  -> $NAME"
+  "$EX" >"$SMOKE/ex.out" 2>"$SMOKE/ex.log" \
+    || { echo "ci.sh: example $NAME failed" >&2; cat "$SMOKE/ex.out" "$SMOKE/ex.log" >&2; exit 1; }
+  # The printed output is part of the contract: it must equal the
+  # checked-in expected.txt, with reproducible's temp directory masked.
+  sed 's#[^ ]*/scrubjay-repro[0-9]*#<tmp>#g' "$SMOKE/ex.out" | diff -u "examples/$NAME/expected.txt" - \
+    || { echo "ci.sh: example $NAME printed other output than examples/$NAME/expected.txt" >&2; exit 1; }
 done
 
 # Server smoke: boot scrubjay serve on a random port over a generated catalog,

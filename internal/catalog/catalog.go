@@ -100,6 +100,6 @@ func Ingest(st *stats.Store, cat pipeline.Catalog, schemas map[string]semantics.
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		st.IngestRows(n, cat[n].Collect(), schemas[n])
+		st.IngestFrames(n, cat[n].Frames().Collect(), schemas[n])
 	}
 }

@@ -10,7 +10,6 @@ type Builder struct {
 	name string
 	vals []value.Value
 	set  []bool
-	nset int
 }
 
 // NewBuilder returns a builder for an n-cell column.
@@ -25,7 +24,6 @@ func NewBuilder(name string, n int) *Builder {
 // column) pays the two scratch allocations once instead of per column.
 func (b *Builder) Reset(name string, n int) *Builder {
 	b.name = name
-	b.nset = 0
 	if cap(b.vals) < n {
 		b.vals = make([]value.Value, n)
 		b.set = make([]bool, n)
@@ -42,86 +40,22 @@ func (b *Builder) Reset(name string, n int) *Builder {
 
 // Set makes cell i present with value v (explicit nulls allowed).
 func (b *Builder) Set(i int, v value.Value) {
-	if !b.set[i] {
-		b.set[i] = true
-		b.nset++
-	}
+	b.set[i] = true
 	b.vals[i] = v
 }
 
-// Finish freezes the accumulated cells into a Column.
+// Finish freezes the accumulated cells into a Column. String columns are
+// dictionary-encoded under the same gate as FromRows.
 func (b *Builder) Finish() Column {
-	n := len(b.vals)
-	c := Column{name: b.name, n: n}
-	uniform := value.KindNull
-	boxed := false
+	var ks kindScan
 	for i, v := range b.vals {
-		if !b.set[i] {
-			continue
-		}
-		k := v.Kind()
-		switch {
-		case k == value.KindNull || k == value.KindList:
-			boxed = true
-		case uniform == value.KindNull:
-			uniform = k
-		case uniform != k:
-			boxed = true
+		if b.set[i] {
+			ks.add(v.Kind())
 		}
 	}
-	if boxed || uniform == value.KindNull {
-		c.kind = value.KindNull
-		c.boxd = make([]value.Value, n)
-		for i, v := range b.vals {
-			if b.set[i] {
-				c.boxd[i] = v
-			}
-		}
-	} else {
-		c.kind = uniform
-		switch uniform {
-		case value.KindFloat:
-			c.flts = make([]float64, n)
-		case value.KindString:
-			c.strs = make([]string, n)
-		case value.KindSpan:
-			c.ints = make([]int64, n)
-			c.ends = make([]int64, n)
-		default:
-			c.ints = make([]int64, n)
-		}
-		for i, v := range b.vals {
-			if !b.set[i] {
-				continue
-			}
-			switch uniform {
-			case value.KindBool:
-				if v.BoolVal() {
-					c.ints[i] = 1
-				}
-			case value.KindInt:
-				c.ints[i] = v.IntVal()
-			case value.KindFloat:
-				c.flts[i] = v.FloatVal()
-			case value.KindString:
-				c.strs[i] = v.StrVal()
-			case value.KindTime:
-				c.ints[i] = v.TimeNanosVal()
-			case value.KindSpan:
-				c.ints[i], c.ends[i] = v.SpanBounds()
-			}
-		}
-	}
-	if b.nset < n {
-		bits := newBits(n)
-		for i, s := range b.set {
-			if s {
-				setBit(bits, i)
-			}
-		}
-		c.pres = bits
-	}
-	return c
+	return freeze(b.name, len(b.vals), ks.storage(), nil, func(i int) (value.Value, bool) {
+		return b.vals[i], b.set[i]
+	})
 }
 
 // ColumnOf builds a fully present column from boxed values (typed storage

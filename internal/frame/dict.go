@@ -25,7 +25,8 @@ import (
 // residual keys) reads the strings.
 //
 // Dictionaries are born in two places, both under maxDictNDVPerRow: the
-// pivot (FromRows codes each frame alone; a Pivot codes every partition of
+// freezer every column built from cells passes through (FromRows and
+// Builder.Finish code each column alone; a Pivot codes every partition of
 // one row set against one dictionary per column, built over all the rows
 // before the split), and the shuffle decoder, once per chunk column.
 

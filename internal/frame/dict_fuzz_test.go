@@ -11,8 +11,9 @@ import (
 )
 
 // FuzzDictColumns holds dictionary-encoded string columns to the plain
-// ones they stand for. Each input builds a random string column twice —
-// once dictionary-encoded, once plain — beside a row-number column, and a
+// ones they stand for. Each input builds a random string column three
+// times — dictionary-encoded, plain, and through a Builder, which codes it
+// when the dictionary gate lets it — beside a row-number column, and a
 // second column over a dictionary that codes the same strings in another
 // order. Every kernel result built from the encoded inputs must match the
 // one built from the plain inputs in its cells, HashOn vectors,
@@ -32,17 +33,18 @@ func FuzzDictColumns(f *testing.F) {
 		entries := pool
 		other := append(slices.Clone(pool), "z")
 		slices.Reverse(other)
-		ad, ap := src.frame(n, pool, entries)
-		bd, bp := src.frame(1+src.next()%20, pool, other)
+		ad, ap, ab := src.frame(n, pool, entries)
+		bd, bp, _ := src.frame(1+src.next()%20, pool, other)
 		idx := src.indexes(n, n)
 		rev := make([]int32, n)
 		for i := range rev {
 			rev[i] = int32(n - 1 - i)
 		}
-		for _, c := range []struct {
+		type pair struct {
 			what string
 			d, p *frame.Frame
-		}{
+		}
+		cases := []pair{
 			{"input", ad, ap},
 			{"Gather", ad.Gather(idx), ap.Gather(idx)},
 			{"ConcatGather/one-dict", frame.ConcatGather([]*frame.Frame{ad, ad}, [][]int32{idx, nil}),
@@ -53,7 +55,15 @@ func FuzzDictColumns(f *testing.F) {
 				frame.ConcatGather([]*frame.Frame{bp, ap, ap}, [][]int32{nil, idx, nil})},
 			{"Merge/one-dict", frame.Merge(ad, ad.Gather(rev)), frame.Merge(ap, ap.Gather(rev))},
 			{"Merge/mixed", frame.Merge(ad, ap.Gather(rev)), frame.Merge(ap, ap.Gather(rev))},
-		} {
+		}
+		// A Builder holding no present cell cannot know they are strings.
+		if ab.Col("k").Kind() == value.KindString {
+			cases = append(cases, pair{"Builder", ab, ap},
+				pair{"ConcatGather/Builder", frame.ConcatGather([]*frame.Frame{ab, bd, ad}, [][]int32{idx, nil, nil}),
+					frame.ConcatGather([]*frame.Frame{ap, bp, ap}, [][]int32{idx, nil, nil})},
+				pair{"Merge/Builder", frame.Merge(ab, ad.Gather(rev)), frame.Merge(ap, ap.Gather(rev))})
+		}
+		for _, c := range cases {
 			sameFrames(t, c.what, c.d, c.p)
 		}
 		// Across two dictionaries, equality is still string equality.
@@ -157,9 +167,9 @@ func (s *bytesource) pool() []string {
 }
 
 // frame draws n string cells from pool, about one in five absent, and
-// returns them as column k beside a row-number column v: once coded over
-// entries (a superset of pool) and once plain.
-func (s *bytesource) frame(n int, pool, entries []string) (coded, plain *frame.Frame) {
+// returns them as column k beside a row-number column v: coded over
+// entries (a superset of pool), plain, and set cell by cell in a Builder.
+func (s *bytesource) frame(n int, pool, entries []string) (coded, plain, built *frame.Frame) {
 	cells, present := make([]string, n), make([]bool, n)
 	rows := make([]value.Value, n)
 	for i := range cells {
@@ -169,8 +179,15 @@ func (s *bytesource) frame(n int, pool, entries []string) (coded, plain *frame.F
 		rows[i] = value.Int(int64(i))
 	}
 	v := frame.ColumnOf("v", rows)
+	b := frame.NewBuilder("k", n)
+	for i, str := range cells {
+		if present[i] {
+			b.Set(i, value.Str(str))
+		}
+	}
 	return frame.New(frame.StrColumnOf("k", cells, present, entries), v),
-		frame.New(frame.StrColumnOf("k", cells, present, nil), v)
+		frame.New(frame.StrColumnOf("k", cells, present, nil), v),
+		frame.New(b.Finish(), v)
 }
 
 // indexes draws m row indexes below n.

@@ -213,118 +213,139 @@ func FromRows(rows []value.Row) *Frame { return fromRows(rows, nil) }
 // fromRows is FromRows, with string columns coded against p's
 // dictionaries when p is not nil (Pivot.FromRows).
 func fromRows(rows []value.Row, p *Pivot) *Frame {
-	n := len(rows)
-	// Pass 1: discover the column set and each column's storage kind.
-	type colInfo struct {
-		kind  value.Kind
-		seen  bool
-		boxed bool
-	}
-	infos := map[string]*colInfo{}
+	// One sweep discovers the column set and each column's storage kind.
+	scans := map[string]*kindScan{}
 	for _, r := range rows {
 		for name, v := range r {
-			ci := infos[name]
-			if ci == nil {
-				ci = &colInfo{}
-				infos[name] = ci
+			ks := scans[name]
+			if ks == nil {
+				ks = &kindScan{}
+				scans[name] = ks
 			}
-			k := v.Kind()
-			switch {
-			case k == value.KindNull || k == value.KindList:
-				ci.boxed = true
-			case !ci.seen:
-				ci.kind, ci.seen = k, true
-			case ci.kind != k:
-				ci.boxed = true
-			}
+			ks.add(v.Kind())
 		}
 	}
-	names := make([]string, 0, len(infos))
-	for name := range infos {
+	names := make([]string, 0, len(scans))
+	for name := range scans {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-
-	// Pass 2: fill the vectors.
 	cols := make([]Column, len(names))
 	for j, name := range names {
-		ci := infos[name]
-		c := Column{name: name, n: n}
-		var sc *strCoder
-		if ci.boxed || !ci.seen {
-			c.kind = value.KindNull
-			c.boxd = make([]value.Value, n)
-		} else {
-			c.kind = ci.kind
-			switch ci.kind {
-			case value.KindFloat:
-				c.flts = make([]float64, n)
-			case value.KindString:
-				if p != nil {
-					sc = p.coders[name]
-				} else {
-					sc = newStrCoder(n, func(i int) (string, bool) {
-						v, ok := rows[i][name]
-						return v.StrVal(), ok
-					})
-				}
-				if sc != nil {
-					c.dict, c.codes = sc.d, make([]uint32, n)
-				} else {
-					c.strs = make([]string, n)
-				}
-			case value.KindSpan:
-				c.ints = make([]int64, n)
-				c.ends = make([]int64, n)
-			default: // bool, int, time
-				c.ints = make([]int64, n)
-			}
-		}
-		absent := false
-		for i, r := range rows {
-			v, ok := r[name]
-			if !ok {
-				if !absent {
-					absent = true
-					c.pres = newBits(n)
-					for k := 0; k < i; k++ {
-						setBit(c.pres, k)
-					}
-				}
-				continue
-			}
-			if absent {
-				setBit(c.pres, i)
-			}
-			switch {
-			case c.kind == value.KindNull:
-				c.boxd[i] = v
-			case c.kind == value.KindBool:
-				if v.BoolVal() {
-					c.ints[i] = 1
-				}
-			case c.kind == value.KindInt:
-				c.ints[i] = v.IntVal()
-			case c.kind == value.KindFloat:
-				c.flts[i] = v.FloatVal()
-			case c.kind == value.KindString:
-				if c.dict != nil {
-					if code, ok := sc.code(v.StrVal()); ok {
-						c.codes[i] = code
-						break
-					}
-					c.strs, c.dict, c.codes = sc.plain(&c, i), nil, nil
-				}
-				c.strs[i] = v.StrVal()
-			case c.kind == value.KindTime:
-				c.ints[i] = v.TimeNanosVal()
-			case c.kind == value.KindSpan:
-				c.ints[i], c.ends[i] = v.SpanBounds()
-			}
-		}
-		cols[j] = c
+		cols[j] = freeze(name, len(rows), scans[name].storage(), p, func(i int) (value.Value, bool) {
+			v, ok := rows[i][name]
+			return v, ok
+		})
 	}
-	return newFrame(cols, n)
+	return newFrame(cols, len(rows))
+}
+
+// kindScan discovers a column's storage kind from the kinds of its present
+// cells, one add per cell.
+type kindScan struct {
+	kind  value.Kind
+	seen  bool
+	boxed bool
+}
+
+func (ks *kindScan) add(k value.Kind) {
+	switch {
+	case k == value.KindNull || k == value.KindList:
+		ks.boxed = true
+	case !ks.seen:
+		ks.kind, ks.seen = k, true
+	case ks.kind != k:
+		ks.boxed = true
+	}
+}
+
+// storage is the kind the scanned cells are stored as: the one scalar kind
+// they share, or value.KindNull (boxed) when they hold mixed kinds, lists
+// or explicit nulls, or when no cell is present.
+func (ks *kindScan) storage() value.Kind {
+	if ks.boxed || !ks.seen {
+		return value.KindNull
+	}
+	return ks.kind
+}
+
+// freeze is the one place cells become a typed Column: cell returns cell
+// i's value and presence, and kind is the storage kindScan chose for the
+// present cells. A string column is coded against p's dictionary for it
+// when p is not nil, else against a fresh one under the dictLimit gate;
+// it falls back to plain strings at the first string its coder cannot
+// take. The presence bitmap stays nil when every cell is present.
+func freeze(name string, n int, kind value.Kind, p *Pivot, cell func(i int) (value.Value, bool)) Column {
+	c := Column{name: name, kind: kind, n: n}
+	var sc *strCoder
+	switch kind {
+	case value.KindNull:
+		c.boxd = make([]value.Value, n)
+	case value.KindFloat:
+		c.flts = make([]float64, n)
+	case value.KindString:
+		if p != nil {
+			sc = p.coders[name]
+		} else {
+			sc = newStrCoder(n, func(i int) (string, bool) {
+				v, ok := cell(i)
+				return v.StrVal(), ok
+			})
+		}
+		if sc != nil {
+			c.dict, c.codes = sc.d, make([]uint32, n)
+		} else {
+			c.strs = make([]string, n)
+		}
+	case value.KindSpan:
+		c.ints = make([]int64, n)
+		c.ends = make([]int64, n)
+	default: // bool, int, time
+		c.ints = make([]int64, n)
+	}
+	absent := false
+	for i := 0; i < n; i++ {
+		v, ok := cell(i)
+		if !ok {
+			if !absent {
+				absent = true
+				c.pres = newBits(n)
+				for k := 0; k < i; k++ {
+					setBit(c.pres, k)
+				}
+			}
+			continue
+		}
+		if absent {
+			setBit(c.pres, i)
+		}
+		switch kind {
+		case value.KindNull:
+			c.boxd[i] = v
+		case value.KindBool:
+			if v.BoolVal() {
+				c.ints[i] = 1
+			}
+		case value.KindInt:
+			c.ints[i] = v.IntVal()
+		case value.KindFloat:
+			c.flts[i] = v.FloatVal()
+		case value.KindString:
+			if c.dict != nil {
+				if code, ok := sc.code(v.StrVal()); ok {
+					c.codes[i] = code
+					break
+				}
+				c.strs, c.dict, c.codes = sc.plain(&c, i), nil, nil
+			}
+			c.strs[i] = v.StrVal()
+		case value.KindTime:
+			c.ints[i] = v.TimeNanosVal()
+		case value.KindSpan:
+			c.ints[i], c.ends[i] = v.SpanBounds()
+		}
+	}
+	return c
 }
 
 // Select returns a frame holding only the named columns (those the frame

@@ -94,11 +94,12 @@ var mutations = []mutation{
 		new:      "",
 	},
 	{
-		// Store.Register pivots rows to frames while holding the store lock.
+		// Store.install materializes (and so pivots) a dataset's frames
+		// while holding the store lock.
 		analyzer: "lockdiscipline",
 		file:     "internal/server/store.go",
-		old:      "\tframes := dataset.FromRowsColumnar(rc, name, rows, schema, parts).Frames().Collect()\n\ts.mu.Lock()\n",
-		new:      "\ts.mu.Lock()\n\tframes := dataset.FromRowsColumnar(rc, name, rows, schema, parts).Frames().Collect()\n",
+		old:      "\tframes := ds.Frames().Collect()\n\ts.mu.Lock()\n",
+		new:      "\ts.mu.Lock()\n\tframes := ds.Frames().Collect()\n",
 	},
 	{
 		// StopHeartbeat waits for the heartbeat goroutine under the lock

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"scrubjay/internal/engine"
@@ -61,6 +62,13 @@ func TestClientRoundTrip(t *testing.T) {
 	}
 	if len(cat.Datasets) != 3 {
 		t.Errorf("catalog = %+v", cat)
+	}
+	// The response is the entry the store installed: a registration that
+	// names no partition count gets one partition, not the request's 0.
+	for _, d := range cat.Datasets {
+		if d.Name == "extra" && !reflect.DeepEqual(d, info) {
+			t.Errorf("register answered %+v, catalog holds %+v", info, d)
+		}
 	}
 }
 

@@ -545,47 +545,43 @@ func (s *Server) serveRegister(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	rows, schema, parts := req.Rows, req.Schema, req.Partitions
 	name := req.Name
-	if req.Source != nil {
-		rc := rdd.NewContext(s.cfg.Workers)
+	var info DatasetInfo
+	var err error
+	switch {
+	case req.Source != nil:
 		src := *req.Source
 		if name == "" {
 			name = src.Name
 		}
-		ds, err := wrappers.Read(rc, src)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "loading source: %v", err)
+		if req.Partitions > 0 {
+			src.Partitions = req.Partitions
+		}
+		ds, rerr := wrappers.Read(rdd.NewContext(s.cfg.Workers), src)
+		if rerr != nil {
+			writeError(w, http.StatusBadRequest, "loading source: %v", rerr)
 			return
 		}
-		rows, schema = ds.Collect(), ds.Schema()
-		if parts <= 0 {
-			parts = ds.Rows().NumPartitions()
-		}
-	} else if len(schema) == 0 {
+		info, err = s.store.install(name, ds, req.Replace)
+	case len(req.Schema) == 0:
 		writeError(w, http.StatusBadRequest, "inline registration needs a schema")
 		return
-	} else {
+	default:
 		// Validate the inline dataset against the dictionary before it can
 		// poison searches.
-		rc := rdd.NewContext(s.cfg.Workers)
-		probe := dataset.FromRows(rc, name, rows, schema, parts)
-		if err := probe.Validate(s.cfg.Dict); err != nil {
-			writeError(w, http.StatusBadRequest, "invalid dataset: %v", err)
+		probe := dataset.FromRows(rdd.NewContext(s.cfg.Workers), name, req.Rows, req.Schema, req.Partitions)
+		if verr := probe.Validate(s.cfg.Dict); verr != nil {
+			writeError(w, http.StatusBadRequest, "invalid dataset: %v", verr)
 			return
 		}
+		info, err = s.store.Register(name, req.Rows, req.Schema, req.Partitions, req.Replace)
 	}
-	if err := s.store.Register(name, rows, schema, parts, req.Replace); err != nil {
+	if err != nil {
 		writeError(w, http.StatusConflict, "%v", err)
 		return
 	}
 	s.met.reloads.Add(1)
-	writeJSON(w, http.StatusOK, DatasetInfo{
-		Name:       name,
-		Rows:       int64(len(rows)),
-		Partitions: parts,
-		Schema:     schema,
-	})
+	writeJSON(w, http.StatusOK, info)
 }
 
 func (s *Server) serveHealth(w http.ResponseWriter, r *http.Request) {

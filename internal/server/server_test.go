@@ -40,14 +40,14 @@ func testStore(t *testing.T) *Store {
 		"rack", semantics.IDDomain("rack"),
 	)
 	st := NewStore()
-	err := st.Register("jobs", []value.Row{
+	_, err := st.Register("jobs", []value.Row{
 		value.NewRow("job_id", value.Str("j1"), "nodelist", value.StrList("n1", "n2"), "job_name", value.Str("AMG")),
 		value.NewRow("job_id", value.Str("j2"), "nodelist", value.StrList("n3"), "job_name", value.Str("mg.C")),
 	}, jobsSchema, 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = st.Register("layout", []value.Row{
+	_, err = st.Register("layout", []value.Row{
 		value.NewRow("node", value.Str("n1"), "rack", value.Str("r17")),
 		value.NewRow("node", value.Str("n2"), "rack", value.Str("r17")),
 		value.NewRow("node", value.Str("n3"), "rack", value.Str("r18")),

@@ -15,11 +15,11 @@ import (
 	"scrubjay/internal/value"
 )
 
-// Store holds the served catalog as materialized rows plus schemas. Rows
-// are stored rather than datasets because an RDD is pinned to the
+// Store holds the served catalog as materialized frames plus schemas.
+// Frames are stored rather than datasets because an RDD is pinned to the
 // rdd.Context that built it: every request gets its own Context bound to
 // the request's Go context (for cancellation), and Snapshot rebuilds cheap
-// lazy datasets on it. Stored row slices and schemas are immutable once
+// lazy datasets on it. Stored frames and schemas are immutable once
 // registered — registration swaps whole entries, never mutates — so
 // snapshots share them safely across requests.
 type Store struct {
@@ -33,14 +33,12 @@ type Store struct {
 	stats *stats.Store
 }
 
+// storedDataset is one registered dataset: its frames, one per partition,
+// built once at registration and shared by every snapshot.
 type storedDataset struct {
-	rows   []value.Row
 	schema semantics.Schema
-	parts  int
-	// frames is the columnar form of rows, built once at registration and
-	// shared by every snapshot — frames are immutable, so serving them
-	// concurrently is safe and each query skips the row→column pivot.
 	frames []*frame.Frame
+	rows   int64
 }
 
 // NewStore returns an empty catalog store.
@@ -49,50 +47,56 @@ func NewStore() *Store {
 }
 
 // LoadDir loads every dataset in a catalog directory (see
-// internal/catalog), materializing rows with a throwaway rdd context.
+// internal/catalog) and installs the frames its wrappers built.
 func (s *Store) LoadDir(dir string, workers int) error {
-	rc := rdd.NewContext(workers)
-	cat, schemas, err := catalog.Load(rc, dir)
+	cat, _, err := catalog.Load(rdd.NewContext(workers), dir)
 	if err != nil {
 		return err
 	}
 	for name, ds := range cat {
-		rows := ds.Collect()
-		if err := s.Register(name, rows, schemas[name], ds.Rows().NumPartitions(), true); err != nil {
+		if _, err := s.install(name, ds, true); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Register installs (or, with replace, overwrites) a named dataset. The
-// caller must not mutate rows or schema afterwards.
-func (s *Store) Register(name string, rows []value.Row, schema semantics.Schema, parts int, replace bool) error {
+// Register pivots rows into parts partitions (at least one) and installs
+// them under name, as install does. The caller must not mutate rows or
+// schema afterwards.
+func (s *Store) Register(name string, rows []value.Row, schema semantics.Schema, parts int, replace bool) (DatasetInfo, error) {
+	return s.install(name, dataset.FromRowsColumnar(rdd.NewContext(1), name, rows, schema, max(parts, 1)), replace)
+}
+
+// install materializes ds's frames and installs (or, with replace,
+// overwrites) them under name, returning the entry installed.
+func (s *Store) install(name string, ds *dataset.Dataset, replace bool) (DatasetInfo, error) {
+	schema := ds.Schema()
 	if name == "" {
-		return fmt.Errorf("store: dataset name is required")
+		return DatasetInfo{}, fmt.Errorf("store: dataset name is required")
 	}
 	if len(schema) == 0 {
-		return fmt.Errorf("store: dataset %q needs a schema", name)
+		return DatasetInfo{}, fmt.Errorf("store: dataset %q needs a schema", name)
 	}
-	if parts <= 0 {
-		parts = 1
-	}
-	// Build the columnar form outside the lock, partitioned as registered.
-	rc := rdd.NewContext(1)
-	frames := dataset.FromRowsColumnar(rc, name, rows, schema, parts).Frames().Collect()
+	// Materialize outside the lock: this is where a lazy dataset pivots.
+	frames := ds.Frames().Collect()
 	s.mu.Lock()
 	if _, ok := s.datasets[name]; ok && !replace {
 		s.mu.Unlock()
-		return fmt.Errorf("store: dataset %q already registered (set replace)", name)
+		return DatasetInfo{}, fmt.Errorf("store: dataset %q already registered (set replace)", name)
 	}
-	s.datasets[name] = &storedDataset{rows: rows, schema: schema, parts: parts, frames: frames}
+	d := &storedDataset{schema: schema, frames: frames}
+	for _, f := range frames {
+		d.rows += int64(f.NumRows())
+	}
+	s.datasets[name] = d
 	s.version++
 	st := s.stats
 	s.mu.Unlock()
-	// Profile outside the lock: ingest scans every row, and the stats store
-	// has its own synchronization.
-	st.IngestRows(name, rows, schema)
-	return nil
+	// Profile outside the lock: ingest scans every cell, and the stats
+	// store has its own synchronization.
+	st.IngestFrames(name, frames, schema)
+	return d.info(name), nil
 }
 
 // AttachStats connects a statistics store: every already-registered dataset
@@ -116,7 +120,7 @@ func (s *Store) AttachStats(st *stats.Store) {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		st.IngestRows(name, entries[name].rows, entries[name].schema)
+		st.IngestFrames(name, entries[name].frames, entries[name].schema)
 	}
 }
 
@@ -176,14 +180,13 @@ func (s *Store) Info() []DatasetInfo {
 	s.mu.Lock()
 	out := make([]DatasetInfo, 0, len(s.datasets))
 	for name, d := range s.datasets {
-		out = append(out, DatasetInfo{
-			Name:       name,
-			Rows:       int64(len(d.rows)),
-			Partitions: d.parts,
-			Schema:     d.schema,
-		})
+		out = append(out, d.info(name))
 	}
 	s.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
+}
+
+func (d *storedDataset) info(name string) DatasetInfo {
+	return DatasetInfo{Name: name, Rows: d.rows, Partitions: len(d.frames), Schema: d.schema}
 }

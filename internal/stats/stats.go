@@ -2,7 +2,7 @@
 // cost-based derivation planning. It holds two kinds of facts:
 //
 //   - Table statistics (row counts, per-column distinct counts and numeric
-//     ranges), computed at ingest time from the registered rows.
+//     ranges), computed at ingest time from the registered frames.
 //   - Derivation statistics (observed row selectivity, per-row CPU time,
 //     and shuffle volume), learned from executed queries' internal/obs span
 //     trees via the Recorder.
@@ -27,8 +27,8 @@ import (
 	"strings"
 	"sync"
 
+	"scrubjay/internal/frame"
 	"scrubjay/internal/semantics"
-	"scrubjay/internal/value"
 )
 
 // ColumnStats summarizes one column of an ingested dataset.
@@ -237,53 +237,51 @@ func drifted(a, b, frac float64) bool {
 	return d/base > frac
 }
 
-// IngestRows computes and installs table statistics for a dataset's rows:
-// row count, per-column distinct counts, and numeric ranges. Domain and
-// value columns both count — domain NDVs size join outputs, value ranges
-// feed future zone-map work. Distinct values are counted kind-strictly, as
-// join keys compare: Int(1), Float(1) and Str("1") are three values.
-func (s *Store) IngestRows(name string, rows []value.Row, schema semantics.Schema) {
+// IngestFrames computes and installs table statistics for a dataset's
+// frames: row count, per-column distinct counts, and numeric ranges.
+// Domain and value columns both count — domain NDVs size join outputs,
+// value ranges feed future zone-map work. Distinct values are counted
+// kind-strictly, as join keys compare: Int(1), Float(1) and Str("1") are
+// three values. Columns outside the schema are not profiled.
+func (s *Store) IngestFrames(name string, frames []*frame.Frame, schema semantics.Schema) {
 	if s == nil {
 		return
 	}
 	cols := schema.Columns()
-	distinct := make(map[string]map[string]bool, len(cols))
-	type numRange struct {
-		min, max float64
-		seen     bool
-	}
-	ranges := make(map[string]*numRange, len(cols))
-	for _, c := range cols {
-		distinct[c] = map[string]bool{}
-		ranges[c] = &numRange{}
+	t := TableStats{Columns: make(map[string]ColumnStats, len(cols))}
+	for _, f := range frames {
+		t.Rows += int64(f.NumRows())
 	}
 	var key []byte
-	for _, r := range rows {
-		for _, c := range cols {
-			if !r.Has(c) {
+	for _, c := range cols {
+		distinct := map[string]bool{}
+		var cs ColumnStats
+		for _, f := range frames {
+			col := f.Col(c)
+			if col == nil {
 				continue
 			}
-			v := r.Get(c)
-			key = v.AppendBinary(key[:0])
-			distinct[c][string(key)] = true
-			if f, ok := v.AsFloat(); ok {
-				nr := ranges[c]
-				if !nr.seen || f < nr.min {
-					nr.min = f
+			for i := 0; i < f.NumRows(); i++ {
+				if !col.Present(i) {
+					continue
 				}
-				if !nr.seen || f > nr.max {
-					nr.max = f
+				v := col.Value(i)
+				// Look up before inserting: only a new key is copied.
+				if key = v.AppendBinary(key[:0]); !distinct[string(key)] {
+					distinct[string(key)] = true
 				}
-				nr.seen = true
+				if x, ok := v.AsFloat(); ok {
+					if !cs.HasRange || x < cs.Min {
+						cs.Min = x
+					}
+					if !cs.HasRange || x > cs.Max {
+						cs.Max = x
+					}
+					cs.HasRange = true
+				}
 			}
 		}
-	}
-	t := TableStats{Rows: int64(len(rows)), Columns: make(map[string]ColumnStats, len(cols))}
-	for _, c := range cols {
-		cs := ColumnStats{NDV: int64(len(distinct[c]))}
-		if nr := ranges[c]; nr.seen {
-			cs.Min, cs.Max, cs.HasRange = nr.min, nr.max, true
-		}
+		cs.NDV = int64(len(distinct))
 		t.Columns[c] = cs
 	}
 	s.SetTable(name, t)

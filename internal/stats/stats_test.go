@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"scrubjay/internal/frame"
 	"scrubjay/internal/semantics"
 	"scrubjay/internal/value"
 )
@@ -32,7 +33,7 @@ func TestStoreNilSafe(t *testing.T) {
 	}
 	s.SetTable("x", TableStats{Rows: 1})
 	s.Observe("x", DerivationStats{Observations: 1})
-	s.IngestRows("x", nil, semantics.Schema{})
+	s.IngestFrames("x", nil, semantics.Schema{})
 }
 
 func TestSetTableEpoch(t *testing.T) {
@@ -84,18 +85,23 @@ func TestObserveEpochHysteresis(t *testing.T) {
 	}
 }
 
-func TestIngestRows(t *testing.T) {
+func TestIngestFrames(t *testing.T) {
 	schema := semantics.NewSchema(
 		"node", semantics.IDDomain("compute_node"),
 		"temp", semantics.ValueEntry("temperature", "degrees_celsius"),
 	)
-	rows := []value.Row{
-		value.NewRow("node", value.Str("n1"), "temp", value.Float(20)),
-		value.NewRow("node", value.Str("n1"), "temp", value.Float(30)),
-		value.NewRow("node", value.Str("n2"), "temp", value.Float(25)),
+	// Two frames: distinct counts and ranges span them.
+	frames := []*frame.Frame{
+		frame.FromRows([]value.Row{
+			value.NewRow("node", value.Str("n1"), "temp", value.Float(20)),
+			value.NewRow("node", value.Str("n2"), "temp", value.Float(25)),
+		}),
+		frame.FromRows([]value.Row{
+			value.NewRow("node", value.Str("n1"), "temp", value.Float(30)),
+		}),
 	}
 	s := NewStore()
-	s.IngestRows("layout", rows, schema)
+	s.IngestFrames("layout", frames, schema)
 	ts, ok := s.Table("layout")
 	if !ok || ts.Rows != 3 {
 		t.Fatalf("table stats = %+v ok=%v", ts, ok)
@@ -110,13 +116,35 @@ func TestIngestRows(t *testing.T) {
 
 	// Join keys compare kind-strictly, so values that print alike are
 	// still distinct.
-	s.IngestRows("kinds", []value.Row{
+	s.IngestFrames("kinds", []*frame.Frame{frame.FromRows([]value.Row{
 		value.NewRow("node", value.Int(1)),
 		value.NewRow("node", value.Str("1")),
 		value.NewRow("node", value.Float(1)),
-	}, schema)
+	})}, schema)
 	if ts, _ := s.Table("kinds"); ts.Columns["node"].NDV != 3 {
 		t.Errorf("NDV of Int(1), Str(\"1\"), Float(1) = %d, want 3", ts.Columns["node"].NDV)
+	}
+
+	// A dictionary-coded column counts its strings, not its codes; an
+	// explicit null is one more value but no part of the range; an absent
+	// cell is neither.
+	var rows []value.Row
+	for i := 0; i < 8; i++ {
+		rows = append(rows, value.NewRow("node", value.Str([]string{"n1", "n2"}[i%2]), "temp", value.Float(float64(i))))
+	}
+	rows[3]["temp"] = value.Null()
+	delete(rows[5], "temp")
+	f := frame.FromRows(rows)
+	if !f.Col("node").DictEncoded() {
+		t.Fatal("node column is not dictionary-encoded")
+	}
+	s.IngestFrames("coded", []*frame.Frame{f}, schema)
+	ts, _ = s.Table("coded")
+	if ts.Rows != 8 || ts.Columns["node"].NDV != 2 {
+		t.Errorf("coded stats = %+v", ts)
+	}
+	if tc := ts.Columns["temp"]; tc.NDV != 7 || !tc.HasRange || tc.Min != 0 || tc.Max != 7 {
+		t.Errorf("temp with a null and an absent cell: stats = %+v, want NDV 7 over [0, 7]", tc)
 	}
 }
 

@@ -27,47 +27,43 @@ func init() {
 // writeBin stores a dataset in the binary format (schema embedded; no
 // sidecar needed).
 func writeBin(ds *dataset.Dataset, dst Source) error {
-	f, err := os.Create(dst.Path)
-	if err != nil {
-		return fmt.Errorf("wrappers: bin: %w", err)
-	}
-	defer f.Close()
-	w := bufio.NewWriterSize(f, 1<<20)
-	if _, err := w.Write(binMagic); err != nil {
-		return err
-	}
-	schemaJSON, err := json.Marshal(ds.Schema())
-	if err != nil {
-		return err
-	}
-	var hdr []byte
-	hdr = binary.AppendUvarint(hdr, uint64(len(schemaJSON)))
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	if _, err := w.Write(schemaJSON); err != nil {
-		return err
-	}
-	rows := ds.Collect()
-	var cnt []byte
-	cnt = binary.AppendUvarint(cnt, uint64(len(rows)))
-	if _, err := w.Write(cnt); err != nil {
-		return err
-	}
-	buf := make([]byte, 0, 4096)
-	for _, r := range rows {
-		buf = buf[:0]
-		buf = r.AppendBinary(buf)
-		var pre []byte
-		pre = binary.AppendUvarint(pre, uint64(len(buf)))
-		if _, err := w.Write(pre); err != nil {
+	return writeFile("bin", dst.Path, func(w *bufio.Writer) error {
+		if _, err := w.Write(binMagic); err != nil {
 			return err
 		}
-		if _, err := w.Write(buf); err != nil {
+		schemaJSON, err := json.Marshal(ds.Schema())
+		if err != nil {
 			return err
 		}
-	}
-	return w.Flush()
+		var hdr []byte
+		hdr = binary.AppendUvarint(hdr, uint64(len(schemaJSON)))
+		if _, err := w.Write(hdr); err != nil {
+			return err
+		}
+		if _, err := w.Write(schemaJSON); err != nil {
+			return err
+		}
+		rows := ds.Collect()
+		var cnt []byte
+		cnt = binary.AppendUvarint(cnt, uint64(len(rows)))
+		if _, err := w.Write(cnt); err != nil {
+			return err
+		}
+		buf := make([]byte, 0, 4096)
+		for _, r := range rows {
+			buf = buf[:0]
+			buf = r.AppendBinary(buf)
+			var pre []byte
+			pre = binary.AppendUvarint(pre, uint64(len(buf)))
+			if _, err := w.Write(pre); err != nil {
+				return err
+			}
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // readBin loads a binary dataset file.
@@ -118,5 +114,5 @@ func readBin(ctx *rdd.Context, src Source) (*dataset.Dataset, error) {
 		}
 		rows = append(rows, row)
 	}
-	return dataset.FromRows(ctx, datasetName(src), rows, schema, src.Partitions), nil
+	return dataset.FromRowsColumnar(ctx, datasetName(src), rows, schema, src.Partitions), nil
 }

@@ -1,6 +1,7 @@
 package wrappers
 
 import (
+	"bufio"
 	"encoding/csv"
 	"fmt"
 	"os"
@@ -67,7 +68,7 @@ func readCSV(ctx *rdd.Context, src Source) (*dataset.Dataset, error) {
 		return nil, fmt.Errorf("wrappers: csv %s: %w", src.Path, err)
 	}
 	if len(records) == 0 {
-		return dataset.FromRows(ctx, datasetName(src), nil, schema, src.Partitions), nil
+		return dataset.FromRowsColumnar(ctx, datasetName(src), nil, schema, src.Partitions), nil
 	}
 	header := records[0]
 	for _, col := range header {
@@ -93,7 +94,7 @@ func readCSV(ctx *rdd.Context, src Source) (*dataset.Dataset, error) {
 		}
 		rows = append(rows, row)
 	}
-	return dataset.FromRows(ctx, datasetName(src), rows, schema, src.Partitions), nil
+	return dataset.FromRowsColumnar(ctx, datasetName(src), rows, schema, src.Partitions), nil
 }
 
 // writeCSV stores a dataset as a CSV file with a header row plus a schema
@@ -102,25 +103,22 @@ func writeCSV(ds *dataset.Dataset, dst Source) error {
 	if err := SaveSchema(dst.Path, ds.Schema()); err != nil {
 		return err
 	}
-	f, err := os.Create(dst.Path)
-	if err != nil {
-		return fmt.Errorf("wrappers: csv: %w", err)
-	}
-	defer f.Close()
-	w := csv.NewWriter(f)
-	cols := ds.Schema().Columns()
-	if err := w.Write(cols); err != nil {
-		return err
-	}
-	for _, row := range ds.Collect() {
-		rec := make([]string, len(cols))
-		for i, c := range cols {
-			rec[i] = row.Get(c).String()
-		}
-		if err := w.Write(rec); err != nil {
+	return writeFile("csv", dst.Path, func(bw *bufio.Writer) error {
+		w := csv.NewWriter(bw)
+		cols := ds.Schema().Columns()
+		if err := w.Write(cols); err != nil {
 			return err
 		}
-	}
-	w.Flush()
-	return w.Error()
+		for _, row := range ds.Collect() {
+			rec := make([]string, len(cols))
+			for i, c := range cols {
+				rec[i] = row.Get(c).String()
+			}
+			if err := w.Write(rec); err != nil {
+				return err
+			}
+		}
+		w.Flush()
+		return w.Error()
+	})
 }

@@ -43,7 +43,7 @@ func readJSONL(ctx *rdd.Context, src Source) (*dataset.Dataset, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("wrappers: jsonl %s: %w", src.Path, err)
 	}
-	return dataset.FromRows(ctx, datasetName(src), rows, schema, src.Partitions), nil
+	return dataset.FromRowsColumnar(ctx, datasetName(src), rows, schema, src.Partitions), nil
 }
 
 // writeJSONL stores a dataset as one tagged-JSON row per line plus a schema
@@ -52,23 +52,19 @@ func writeJSONL(ds *dataset.Dataset, dst Source) error {
 	if err := SaveSchema(dst.Path, ds.Schema()); err != nil {
 		return err
 	}
-	f, err := os.Create(dst.Path)
-	if err != nil {
-		return fmt.Errorf("wrappers: jsonl: %w", err)
-	}
-	defer f.Close()
-	w := bufio.NewWriter(f)
-	for _, row := range ds.Collect() {
-		data, err := json.Marshal(row)
-		if err != nil {
-			return err
+	return writeFile("jsonl", dst.Path, func(w *bufio.Writer) error {
+		for _, row := range ds.Collect() {
+			data, err := json.Marshal(row)
+			if err != nil {
+				return err
+			}
+			if _, err := w.Write(data); err != nil {
+				return err
+			}
+			if err := w.WriteByte('\n'); err != nil {
+				return err
+			}
 		}
-		if _, err := w.Write(data); err != nil {
-			return err
-		}
-		if err := w.WriteByte('\n'); err != nil {
-			return err
-		}
-	}
-	return w.Flush()
+		return nil
+	})
 }

@@ -56,18 +56,18 @@ func readKV(ctx *rdd.Context, src Source) (*dataset.Dataset, error) {
 	if scanErr != nil {
 		return nil, scanErr
 	}
-	return dataset.FromRows(ctx, datasetName(src), rows, schema, src.Partitions), nil
+	return dataset.FromRowsColumnar(ctx, datasetName(src), rows, schema, src.Partitions), nil
 }
 
 // writeKV stores a dataset as a key-value table with zero-padded row keys
 // (so scans return rows in insertion order) and the schema under a reserved
 // key.
-func writeKV(ds *dataset.Dataset, dst Source) error {
+func writeKV(ds *dataset.Dataset, dst Source) (err error) {
 	store, err := kvstore.Open(dst.Path)
 	if err != nil {
 		return err
 	}
-	defer store.Close()
+	defer closeKeep(store, &err)
 	tbl, err := store.Table(dst.Table)
 	if err != nil {
 		return err

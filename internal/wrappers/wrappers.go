@@ -3,13 +3,18 @@
 // format into a semantically annotated Dataset and write Datasets back out.
 // Built-in formats are CSV (with a JSON schema sidecar), JSON-lines
 // (lossless tagged values), and tables in the embedded key-value store.
+// Their wrappers return frame datasets, pivoted once as they are read
+// (dataset.FromRowsColumnar), so every partition of a low-cardinality
+// string column codes against one dictionary.
 // Custom formats register with RegisterFormat and participate in
 // reproducible pipelines by name.
 package wrappers
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"sync"
@@ -132,6 +137,30 @@ func LoadSchema(dataPath string) (semantics.Schema, error) {
 		return nil, fmt.Errorf("wrappers: schema sidecar %s: %w", SchemaSidecarPath(dataPath), err)
 	}
 	return s, nil
+}
+
+// writeFile creates path and writes it through a buffer with write. It
+// returns the first error of write, the final flush and the close, so a
+// short file is never reported as written.
+func writeFile(format, path string, write func(w *bufio.Writer) error) (err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("wrappers: %s: %w", format, err)
+	}
+	defer closeKeep(f, &err)
+	w := bufio.NewWriterSize(f, 1<<20)
+	if err := write(w); err != nil {
+		return err
+	}
+	return w.Flush()
+}
+
+// closeKeep closes c, keeping its error in *err unless *err already holds
+// one. Deferred by writers, whose close is the last step of the write.
+func closeKeep(c io.Closer, err *error) {
+	if cerr := c.Close(); *err == nil {
+		*err = cerr
+	}
 }
 
 func datasetName(src Source) string {

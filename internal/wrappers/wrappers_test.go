@@ -1,6 +1,7 @@
 package wrappers
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -294,5 +295,27 @@ func TestBinBadInputs(t *testing.T) {
 	os.WriteFile(p2, []byte("SJBIN1\n"), 0o644)
 	if _, err := Read(ctx, Source{Format: "bin", Path: p2}); err == nil {
 		t.Error("truncated header should fail")
+	}
+}
+
+type closeErr struct{ err error }
+
+func (c closeErr) Close() error { return c.err }
+
+// TestCloseKeep pins how writers report a failed close: the close error
+// surfaces when the write succeeded, and never hides an earlier error.
+func TestCloseKeep(t *testing.T) {
+	first, closing := errors.New("write failed"), errors.New("close failed")
+	for _, c := range []struct{ err, close, want error }{
+		{nil, nil, nil},
+		{nil, closing, closing},
+		{first, closing, first},
+		{first, nil, first},
+	} {
+		err := c.err
+		closeKeep(closeErr{c.close}, &err)
+		if err != c.want {
+			t.Errorf("write error %v, close error %v: got %v, want %v", c.err, c.close, err, c.want)
+		}
 	}
 }
