@@ -15,13 +15,15 @@
 #                        the nested benchmark/ module (its TestSmoke runs
 #                        every BENCHMARK.json workload at tiny scale and
 #                        checks the output bytes)
-#   * fuzz             — 10 s each of differential fuzzing of three columnar
+#   * fuzz             — 10 s each of differential fuzzing of the columnar
 #                        kernels against their row-form references: the
 #                        interpolation join (FuzzInterpolationJoin), the
 #                        group kernel under aggregate and derive_heat
-#                        (FuzzGroupAggregate) and the natural join
+#                        (FuzzGroupAggregate), the natural join
 #                        (FuzzNaturalJoin, also against the nested-loop
-#                        reference); 10 s of the value binary
+#                        reference) and derive_rate with both explodes
+#                        (FuzzRateExplode: NDJSON equal byte for byte);
+#                        10 s of the value binary
 #                        codec (FuzzValueBinary: decode, re-encode, JSON
 #                        round trip); 10 s of the frame wire decoder
 #                        (FuzzDecodeFrame: arbitrary bytes decode to an
@@ -95,6 +97,9 @@ go test -run='^$' -fuzz=FuzzGroupAggregate -fuzztime=10s ./internal/derive
 
 echo "==> go test -run='^\$' -fuzz=FuzzNaturalJoin -fuzztime=10s ./internal/derive"
 go test -run='^$' -fuzz=FuzzNaturalJoin -fuzztime=10s ./internal/derive
+
+echo "==> go test -run='^\$' -fuzz=FuzzRateExplode -fuzztime=10s ./internal/derive"
+go test -run='^$' -fuzz=FuzzRateExplode -fuzztime=10s ./internal/derive
 
 # FuzzValueBinary: arbitrary bytes through the value decoder; whatever
 # decodes must re-encode, re-decode and JSON round-trip unchanged. Its

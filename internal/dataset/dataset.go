@@ -63,14 +63,15 @@ func FromFrames(ctx *rdd.Context, name string, frames []*frame.Frame, schema sem
 // converts each partition into one columnar batch. Each low-cardinality
 // string column is dictionary-encoded against one dictionary built over
 // all the rows before they are split (frame.NewPivot), so every batch of
-// the dataset shares it.
+// the dataset shares it. The pivoted frames are cached: the first action
+// over them pivots, and every later Frames() reads the same frames.
 func FromRowsColumnar(ctx *rdd.Context, name string, rows []value.Row, schema semantics.Schema, numParts int) *Dataset {
 	pivot := frame.NewPivot(rows)
 	src := rdd.Parallelize(ctx, rows, numParts)
 	frames := rdd.MapPartitions(src, func(_ int, in []value.Row) []*frame.Frame {
 		return []*frame.Frame{pivot.FromRows(in)}
 	})
-	return NewFrames(name, frames.WithName(name), schema)
+	return NewFrames(name, frames.WithName(name).Cache(), schema)
 }
 
 // Name returns the dataset's name.

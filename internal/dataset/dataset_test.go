@@ -148,3 +148,19 @@ func TestCache(t *testing.T) {
 		t.Error("cached dataset count")
 	}
 }
+
+// TestFromRowsColumnarPivotsOnce: a columnar dataset built from rows keeps
+// the frames its first action pivots, so a second Frames() reads the same
+// frames instead of pivoting every partition again.
+func TestFromRowsColumnarPivotsOnce(t *testing.T) {
+	d := FromRowsColumnar(rdd.NewContext(2), "temps", tempRows(), tempSchema(), 2)
+	first, second := d.Frames().Collect(), d.Frames().Collect()
+	if len(first) != 2 || len(second) != len(first) {
+		t.Fatalf("collected %d then %d frames, want 2 both times", len(first), len(second))
+	}
+	for i := range first {
+		if first[i] != second[i] {
+			t.Errorf("partition %d pivoted twice: two Frames().Collect() calls returned different frames", i)
+		}
+	}
+}

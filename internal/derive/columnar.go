@@ -52,18 +52,29 @@ func hashExchange(frames *rdd.RDD[*frame.Frame], cols []string, convs []func(val
 			// A count pass sizes every destination's index vector exactly.
 			counts := make([]int, numOut)
 			for _, h := range kf.h {
-				counts[h%uint64(numOut)]++
+				counts[destOf(h, numOut)]++
 			}
 			for d, c := range counts {
 				idx[d] = make([]int32, 0, c)
 			}
 			for i, h := range kf.h {
-				d := int(h % uint64(numOut))
+				d := destOf(h, numOut)
 				idx[d] = append(idx[d], int32(i))
 			}
 		}
 	}
 	return routeExchange(frames, cols, convs, numOut, stage, route)
+}
+
+// destOf is the partition among numOut that a routing hash goes to,
+// h mod numOut. A power-of-two count takes a mask instead of the division,
+// which is a measurable share of routing: every route computes it twice,
+// once to count and once to fill.
+func destOf(h uint64, numOut int) int {
+	if numOut&(numOut-1) == 0 {
+		return int(h & uint64(numOut-1))
+	}
+	return int(h % uint64(numOut))
 }
 
 // routeExchange keys every batch like hashExchange, then moves its rows:
@@ -100,7 +111,7 @@ func (kf keyedFrame) gathered() (*frame.Frame, []uint64) {
 	if kf.sel == nil {
 		return kf.f, kf.h
 	}
-	return kf.f.Gather(kf.sel), gatherHashes(nil, kf.h, kf.sel)
+	return kf.f.Gather(kf.sel), gatherHashes(make([]uint64, 0, len(kf.sel)), kf.h, kf.sel)
 }
 
 // gatherHashes appends h's entries at sel (all of h when sel is nil).

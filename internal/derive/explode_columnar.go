@@ -5,18 +5,24 @@ import (
 	"scrubjay/internal/value"
 )
 
-// Vectorized explode kernels. Both explodes share a shape: scan the source
-// column once collecting (source row, output value) pairs, gather the other
-// columns by source index, and attach the output values as one new column —
-// a handful of columnar copies instead of a map clone per output row.
+// Vectorized explode kernels. Both explodes share a shape: count the output
+// rows, fill exact-size vectors of (source row, output value) pairs in one
+// scan of the source column, gather the other columns by source index, and
+// attach the output values as one new column — a handful of columnar
+// copies instead of a map clone per output row.
 
 // explodeDiscreteFrame explodes one batch's list column into one row per
 // element. Rows whose list is null or empty are dropped, as on the row
 // path.
 func explodeDiscreteFrame(f *frame.Frame, col, out string) *frame.Frame {
 	c := f.Col(col)
-	var src []int32
-	var vals []value.Value
+	n := 0
+	if c != nil {
+		for i := 0; i < f.NumRows(); i++ {
+			n += c.Value(i).ListLen()
+		}
+	}
+	src, vals := make([]int32, 0, n), make([]value.Value, 0, n)
 	if c != nil {
 		for i := 0; i < f.NumRows(); i++ {
 			list := c.Value(i)
@@ -34,36 +40,52 @@ func explodeDiscreteFrame(f *frame.Frame, col, out string) *frame.Frame {
 // than one period still yields its start instant.
 func explodeContinuousFrame(f *frame.Frame, col, out string, periodNanos int64) *frame.Frame {
 	c := f.Col(col)
-	var src []int32
-	var ts []int64
+	n := 0
 	if c != nil {
-		typed := c.Kind() == value.KindSpan
 		for i := 0; i < f.NumRows(); i++ {
-			var start, end int64
-			if typed {
-				if !c.Present(i) {
-					continue
-				}
-				start, end = c.IntAt(i), c.SpanEndAt(i)
-			} else {
-				v := c.Value(i)
-				if v.Kind() != value.KindSpan {
-					continue
-				}
-				start, end = v.SpanBounds()
+			if start, end, ok := spanAt(c, i); ok {
+				_, m := gridInstants(start, end, periodNanos)
+				n += m
 			}
-			first := (start + periodNanos - 1) / periodNanos * periodNanos
-			emitted := false
-			for t := first; t < end; t += periodNanos {
-				src = append(src, int32(i))
-				ts = append(ts, t)
-				emitted = true
+		}
+	}
+	src, ts := make([]int32, n), make([]int64, n)
+	if c != nil {
+		k := 0
+		for i := 0; i < f.NumRows(); i++ {
+			start, end, ok := spanAt(c, i)
+			if !ok {
+				continue
 			}
-			if !emitted {
-				src = append(src, int32(i))
-				ts = append(ts, start)
+			first, m := gridInstants(start, end, periodNanos)
+			for j := 0; j < m; j++ {
+				src[k], ts[k] = int32(i), first+int64(j)*periodNanos
+				k++
 			}
 		}
 	}
 	return f.Drop(col).Gather(src).With(frame.TimeColumn(out, ts))
+}
+
+// spanAt reads cell i of a timespan column; ok is false when the cell is
+// absent or its value not a span.
+func spanAt(c *frame.Column, i int) (start, end int64, ok bool) {
+	if c.Kind() == value.KindSpan {
+		return c.IntAt(i), c.SpanEndAt(i), c.Present(i)
+	}
+	v := c.Value(i)
+	start, end = v.SpanBounds()
+	return start, end, v.Kind() == value.KindSpan
+}
+
+// gridInstants returns the instants explode_continuous emits for the span
+// [start, end) as first, first+period, … (m of them). They are the grid
+// instants the row path's loop visits — from start rounded as it rounds
+// it, while before end — or, when it visits none, the start instant alone.
+func gridInstants(start, end, period int64) (first int64, m int) {
+	first = (start + period - 1) / period * period
+	if first >= end {
+		return start, 1
+	}
+	return first, int((end-first-1)/period) + 1
 }

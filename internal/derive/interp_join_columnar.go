@@ -37,18 +37,38 @@ func interpJoinColumnar(left, right *rdd.RDD[*frame.Frame], s *interpSpec, schem
 }
 
 // binRoute sends every row with an instant t in tCol to each bin of the
-// given width that [t−reach, t+reach] touches.
+// given width that [t−reach, t+reach] touches. reach is 0 or width/2, so
+// that is t's bin alone or, the interval being one bin wide, the bin of
+// t−reach and the next one. As in hashExchange, a count pass sizes every
+// destination's index vector exactly before the fill.
 func binRoute(tCol string, reach, width int64, numOut int) func(kf keyedFrame, idx [][]int32) {
 	return func(kf keyedFrame, idx [][]int32) {
 		tc := kf.f.Col(tCol)
-		for i, h := range kf.h {
-			t, ok := instantAt(tc, i)
-			if !ok {
-				continue
+		counts := make([]int, numOut)
+		for _, fill := range [2]bool{false, true} {
+			for i, h := range kf.h {
+				t, ok := instantAt(tc, i)
+				if !ok {
+					continue
+				}
+				lo := floorDiv(t-reach, width)
+				hi := lo
+				if reach > 0 {
+					hi++
+				}
+				for bin := lo; bin <= hi; bin++ {
+					d := destOf(binKeyMix(h, bin), numOut)
+					if fill {
+						idx[d] = append(idx[d], int32(i))
+					} else {
+						counts[d]++
+					}
+				}
 			}
-			for bin := floorDiv(t-reach, width); bin <= floorDiv(t+reach, width); bin++ {
-				d := int(binKeyMix(h, bin) % uint64(numOut))
-				idx[d] = append(idx[d], int32(i))
+			if !fill {
+				for d, c := range counts {
+					idx[d] = make([]int32, 0, c)
+				}
 			}
 		}
 	}
@@ -164,10 +184,22 @@ func (s *interpSpec) probe(lf *frame.Frame, lh []uint64, rf *frame.Frame, rh []u
 
 	// Per left row and class: the brackets b ≤ lt ≤ a and the nearest row
 	// (b unless a is strictly closer). Lerp columns interpolate between
-	// bsel and asel; where asel is -1 they copy bsel's row.
-	ltc, n := lf.Col(s.ltCol), lf.NumRows()
-	lsel, nsel, bsel, asel := make([]int32, 0, n), make([]int32, 0, n), make([]int32, 0, n), make([]int32, 0, n)
-	frac := make([]float64, 0, n)
+	// bsel and asel; where asel is -1 they copy bsel's row. A left row
+	// meets each class of its group at most once, so the group's class
+	// count bounds its output rows and sizes the vectors (an exact count
+	// would run the bracket search twice, which costs more time than the
+	// spare capacity costs bytes). The bound is capped at a few times the
+	// input rows, past which the vectors grow by append: a group of many
+	// classes that rarely bracket its rows would otherwise reserve far more
+	// than it fills.
+	ltc := lf.Col(s.ltCol)
+	bound := 0
+	for _, g := range lgroup {
+		bound += int(gFirst[g+1] - gFirst[g])
+	}
+	bound = min(bound, 4*(lf.NumRows()+rf.NumRows()))
+	lsel, nsel, bsel, asel := make([]int32, 0, bound), make([]int32, 0, bound), make([]int32, 0, bound), make([]int32, 0, bound)
+	frac := make([]float64, 0, bound)
 	for i, g := range lgroup {
 		lt, _ := instantAt(ltc, i)
 		for _, c := range byGroup[gFirst[g]:gFirst[g+1]] {
@@ -226,17 +258,11 @@ func (s *interpSpec) probe(lf *frame.Frame, lh []uint64, rf *frame.Frame, rh []u
 // lerpColumn builds a fully present column from col (nil reads as all
 // null): where asel[k] ≥ 0, cell k interpolates rows bsel[k] and asel[k] at
 // frac[k] with value.Lerp, a null bracket yielding the other's value;
-// elsewhere (and throughout when asel is nil) it copies row bsel[k].
+// elsewhere (and throughout when asel is nil) it copies row bsel[k]. The
+// column is the one a frame.Builder given these cells would finish.
 func lerpColumn(col *frame.Column, name string, bsel, asel []int32, frac []float64) frame.Column {
-	if col != nil && col.Kind() == value.KindFloat && col.AllPresent() {
-		out := make([]float64, len(bsel))
-		for k, b := range bsel {
-			out[k] = col.FloatAt(int(b))
-			if asel != nil && asel[k] >= 0 {
-				out[k] = value.Lerp(value.Float(out[k]), value.Float(col.FloatAt(int(asel[k]))), frac[k]).FloatVal()
-			}
-		}
-		return frame.FloatColumn(name, out)
+	if col != nil && col.Kind() == value.KindFloat {
+		return lerpFloats(col, name, bsel, asel, frac)
 	}
 	at := func(i int32) value.Value {
 		if col == nil {
@@ -258,4 +284,48 @@ func lerpColumn(col *frame.Column, name string, bsel, asel []int32, frac []float
 		bld.Set(k, v)
 	}
 	return bld.Finish()
+}
+
+// lerpFloats is lerpColumn over a float-kinded column, computed unboxed.
+// An absent bracket yields the other's value, and a cell whose brackets
+// are both absent is an explicit null. Without nulls the result is
+// float-kinded; with some it is boxed once, as Builder.Finish stores
+// floats mixed with nulls — and so is an empty result from a column with
+// absent cells, which the Builder also finishes boxed.
+func lerpFloats(col *frame.Column, name string, bsel, asel []int32, frac []float64) frame.Column {
+	out := make([]float64, len(bsel))
+	var null []bool // allocated at the first null
+	for k, b := range bsel {
+		v, ok := col.FloatAt(int(b)), col.Present(int(b))
+		if asel != nil && asel[k] >= 0 {
+			a := int(asel[k])
+			switch av, aok := col.FloatAt(a), col.Present(a); {
+			case !ok:
+				v, ok = av, aok
+			case aok:
+				v = value.Lerp(value.Float(v), value.Float(av), frac[k]).FloatVal()
+			}
+		}
+		out[k] = v
+		if !ok {
+			if null == nil {
+				null = make([]bool, len(bsel))
+			}
+			null[k] = true
+		}
+	}
+	if null == nil && (len(out) > 0 || col.AllPresent()) {
+		return frame.FloatColumn(name, out)
+	}
+	boxd := make([]value.Value, len(out))
+	for k, v := range out {
+		if null == nil || !null[k] {
+			boxd[k] = value.Float(v)
+		}
+	}
+	c, err := frame.RawColumn(name, value.KindNull, len(boxd), nil, nil, nil, nil, boxd, nil)
+	if err != nil {
+		panic(err) // unreachable: boxd holds one cell per output row
+	}
+	return c
 }

@@ -239,7 +239,10 @@ func (b *byteSource) next(n int) int {
 // interpCaseFromBytes builds a small catalog from fuzz bytes: few nodes,
 // instants on a half-second grid around the epoch (duplicates, bin edges
 // and |dt| == W are common), missing and non-time instants, Int/Float/null
-// lerp cells, and residual keys that differ in kind but render alike.
+// lerp cells, and residual keys that differ in kind but render alike. In
+// one case of three the lerp cells are floats or absent only, so the lerp
+// column is float-typed with gaps, and a left row whose brackets both lack
+// the cell gets an explicit null.
 func interpCaseFromBytes(data []byte) (interpCase, int) {
 	src := byteSource(data)
 	ls, rs := interpTestSchemas()
@@ -265,6 +268,9 @@ func interpCaseFromBytes(data []byte) (interpCase, int) {
 	}
 	locs := []value.Value{value.Null(), value.Str("top"), value.Int(1), value.Str("1"), value.Float(1)}
 	temps := []value.Value{value.Null(), value.Int(300), value.Float(300.5), value.Float(-2), value.Int(7)}
+	if src.next(3) == 0 {
+		temps = []value.Value{value.Null(), value.Float(300.5), value.Float(-2), value.Float(7.25)}
+	}
 	for i, n := 0, src.next(16); i < n; i++ {
 		r := rrow(nodes[src.next(3)], instant(), temps[src.next(len(temps))], fmt.Sprintf("s%d", i))
 		if r["node_id"].StrVal() == "" {
@@ -291,6 +297,44 @@ func interpSeeds() [][]byte {
 		seeds = append(seeds, seed)
 	}
 	return seeds
+}
+
+// TestInterpSeedsReachFloatGaps: some seed input of FuzzInterpolationJoin
+// gives the kernel a float-typed lerp column with absent cells, and its
+// output an explicit null where both brackets lack the cell — the float
+// path of lerpColumn that boxes its result.
+func TestInterpSeedsReachFloatGaps(t *testing.T) {
+	dict := semantics.DefaultDictionary()
+	reached := 0
+	for _, seed := range interpSeeds() {
+		c, parts := interpCaseFromBytes(seed)
+		ctx := rdd.NewContext(1)
+		right := dataset.FromRowsColumnar(ctx, "r", cloneRows(c.rrows), c.rs, parts)
+		gaps := false
+		for _, f := range right.Frames().Collect() {
+			if col := f.Col("temp"); col != nil && col.Kind() == value.KindFloat && !col.AllPresent() {
+				gaps = true
+			}
+		}
+		if !gaps {
+			continue
+		}
+		left := dataset.FromRowsColumnar(ctx, "l", cloneRows(c.lrows), c.ls, parts)
+		out, err := (&InterpolationJoin{WindowSeconds: c.window}).Apply(left, right, dict)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range out.Collect() {
+			if v, ok := r["temp"]; ok && v.IsNull() {
+				reached++
+				break
+			}
+		}
+	}
+	t.Logf("%d of %d seeds join a float lerp column with gaps into an explicit null", reached, len(interpSeeds()))
+	if reached == 0 {
+		t.Error("no seed input joins a float lerp column with gaps into an explicit null")
+	}
 }
 
 // FuzzInterpolationJoin is differential: the columnar kernel must equal

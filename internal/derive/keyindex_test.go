@@ -163,3 +163,18 @@ func TestNaturalJoinAllocsFlat(t *testing.T) {
 		t.Errorf("NaturalJoin: %.0f allocations over 1k keys, %.0f over 16k; want at most 32 more", a1k, a16k)
 	}
 }
+
+// TestDestOfIsMod: routing by mask sends every hash where h mod numOut
+// does, so partition placement — and with it the row order of every
+// multi-partition result — is the same whichever way it is computed.
+func TestDestOfIsMod(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for numOut := 1; numOut <= 17; numOut++ {
+		for k := 0; k < 1000; k++ {
+			h := rng.Uint64()
+			if got, want := destOf(h, numOut), int(h%uint64(numOut)); got != want {
+				t.Fatalf("destOf(%#x, %d) = %d, want %d", h, numOut, got, want)
+			}
+		}
+	}
+}

@@ -13,8 +13,8 @@ import (
 // hash-exchanged on the non-time domain columns so each counter identity
 // lands in one partition, rows group in first-seen order (verified, as in
 // the join), each group sorts by time, and consecutive samples difference
-// into rate columns built cell-by-cell — one gather for the carried
-// columns instead of a row clone per output sample.
+// into typed rate columns — one gather for the carried columns instead of
+// a row clone per output sample.
 func rateColumnar(in *dataset.Dataset, schema semantics.Schema, name, timeCol string,
 	counters, groupCols []string) *dataset.Dataset {
 
@@ -41,9 +41,10 @@ func rateColumnar(in *dataset.Dataset, schema semantics.Schema, name, timeCol st
 			return va.Compare(vb) < 0
 		}
 
-		// Sort each group by time and pick the valid consecutive pairs.
-		var sel, prevSel []int32
-		var dts []float64
+		// Sort each group by time and pick the valid consecutive pairs: at
+		// most each group's size less one, which sizes the pair vectors.
+		pairs := len(groups.rows) - groups.len()
+		sel, prevSel, dts := make([]int32, 0, pairs), make([]int32, 0, pairs), make([]float64, 0, pairs)
 		for g := 0; g < groups.len(); g++ {
 			idx := groups.at(g) // kernel-owned scratch: sorted in place
 			sort.SliceStable(idx, func(a, b int) bool { return timeLess(idx[a], idx[b]) })
@@ -58,27 +59,27 @@ func rateColumnar(in *dataset.Dataset, schema semantics.Schema, name, timeCol st
 			}
 		}
 
+		// Each rate is a float column with absent cells where it has no
+		// valid value; a rate with no valid cell at all is stored boxed, as
+		// every column without a present cell is.
 		out := f.Drop(counters...).Gather(sel)
-		var bld *frame.Builder // one scratch, Reset-reused across counter columns
+		ok := make([]bool, len(sel)) // scratch: FloatColumnWhere does not keep it
 		for _, c := range counters {
 			getF := floatCells(f.Col(c))
-			if bld == nil {
-				bld = frame.NewBuilder(RateColumn(c), len(sel))
-			} else {
-				// Reset only reallocates past the high-water mark.
-				bld.Reset(RateColumn(c), len(sel))
-			}
-			b := bld
+			rates, valid := make([]float64, len(sel)), false
 			for k := range sel {
 				pv, pok := getF(int(prevSel[k]))
 				cv, cok := getF(int(sel[k]))
-				if !pok || !cok || cv < pv {
-					// Missing sample or counter reset: no valid rate.
-					continue
+				// Missing sample or counter reset: no valid rate.
+				if ok[k] = pok && cok && !(cv < pv); ok[k] {
+					rates[k], valid = (cv-pv)/dts[k], true
 				}
-				b.Set(k, value.Float((cv-pv)/dts[k]))
 			}
-			out = out.With(b.Finish())
+			if !valid {
+				out = out.With(frame.AbsentColumn(RateColumn(c), len(sel)))
+				continue
+			}
+			out = out.With(frame.FloatColumnWhere(RateColumn(c), rates, ok))
 		}
 		return out
 	})

@@ -59,21 +59,32 @@ func (b *Builder) Finish() Column {
 }
 
 // ColumnOf builds a fully present column from boxed values (typed storage
-// when the values share one scalar kind).
+// when the values share one scalar kind). The values are frozen in place,
+// not copied into a builder first; vals is not retained.
 func ColumnOf(name string, vals []value.Value) Column {
-	b := NewBuilder(name, len(vals))
-	for i, v := range vals {
-		b.Set(i, v)
+	var ks kindScan
+	for _, v := range vals {
+		ks.add(v.Kind())
 	}
-	return b.Finish()
+	return freeze(name, len(vals), ks.storage(), nil, func(i int) (value.Value, bool) {
+		return vals[i], true
+	})
 }
 
 // TimeColumn builds a fully present time-kinded column from Unix
-// nanosecond instants.
+// nanosecond instants. Like FloatColumn it takes ownership of nanos.
 func TimeColumn(name string, nanos []int64) Column {
-	vals := make([]int64, len(nanos))
-	copy(vals, nanos)
-	return Column{name: name, kind: value.KindTime, ints: vals, n: len(vals)}
+	return Column{name: name, kind: value.KindTime, ints: nanos, n: len(nanos)}
+}
+
+// AbsentColumn builds an n-cell column with no present cell, stored boxed:
+// the column a Builder no cell was set in finishes as.
+func AbsentColumn(name string, n int) Column {
+	c := Column{name: name, kind: value.KindNull, boxd: make([]value.Value, n), n: n}
+	if n > 0 {
+		c.pres = newBits(n)
+	}
+	return c
 }
 
 // FloatColumn builds a fully present float-kinded column. It is an

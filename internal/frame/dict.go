@@ -1,9 +1,12 @@
 package frame
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 
 	"scrubjay/internal/value"
@@ -331,12 +334,8 @@ func RawDictColumn(name string, n int, entries []string, codes []uint32, pres []
 	if len(entries) == 0 {
 		return Column{}, fmt.Errorf("frame: raw column %q: empty dictionary", name)
 	}
-	distinct := make(map[string]struct{}, len(entries))
-	for k, e := range entries {
-		if _, dup := distinct[e]; dup {
-			return Column{}, fmt.Errorf("frame: raw column %q: dictionary entry %d repeats %q", name, k, e)
-		}
-		distinct[e] = struct{}{}
+	if k, dup := repeatedEntry(entries); dup {
+		return Column{}, fmt.Errorf("frame: raw column %q: dictionary entry %d repeats %q", name, k, entries[k])
 	}
 	for i, code := range codes {
 		if int(code) >= len(entries) {
@@ -344,6 +343,32 @@ func RawDictColumn(name string, n int, entries []string, codes []uint32, pres []
 		}
 	}
 	return Column{name: name, kind: value.KindString, codes: codes, dict: &dict{vals: entries}, pres: pres, n: n}, nil
+}
+
+// repeatedEntry reports whether some entry repeats an earlier one, and the
+// first position holding such a copy. It sorts an index of the entries and
+// compares neighbours; the index of a dictionary of HPC keys — a few dozen
+// entries — fits a stack buffer, so the check allocates nothing there.
+func repeatedEntry(entries []string) (int, bool) {
+	var buf [64]int32
+	idx := buf[:0]
+	if len(entries) > len(buf) {
+		idx = make([]int32, 0, len(entries))
+	}
+	for k := range entries {
+		idx = append(idx, int32(k))
+	}
+	// Equal entries sort together, earlier position first.
+	slices.SortFunc(idx, func(a, b int32) int {
+		return cmp.Or(strings.Compare(entries[a], entries[b]), cmp.Compare(a, b))
+	})
+	first := -1 // the earliest later copy, as a scan in position order meets it
+	for k := 1; k < len(idx); k++ {
+		if entries[idx[k]] == entries[idx[k-1]] && (first < 0 || int(idx[k]) < first) {
+			first = int(idx[k])
+		}
+	}
+	return first, first >= 0
 }
 
 // dictUnion merges the dictionaries of a ConcatGather's inputs into one.

@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"scrubjay/internal/value"
@@ -612,5 +614,42 @@ func TestPivotSharesDicts(t *testing.T) {
 	rowsEqual(t, stray, f.ToRows())
 	if f.Col("k").DictEncoded() {
 		t.Fatal("a string missing from the shared dictionary should leave the column plain")
+	}
+}
+
+// TestRawDictColumnRejectsRepeats: the decoder's dictionary check reports
+// the first position repeating an earlier entry, whether the dictionary's
+// index fits the check's stack buffer or not, and a small dictionary's
+// check allocates nothing beyond the column's own dictionary header.
+func TestRawDictColumnRejectsRepeats(t *testing.T) {
+	for _, size := range []int{2, 8, 64, 65, 300} {
+		entries := make([]string, size)
+		for k := range entries {
+			entries[k] = fmt.Sprintf("e%03d", (k*7)%size) // distinct, not in sorted order
+		}
+		codes := []uint32{0, uint32(size - 1)}
+		if _, err := RawDictColumn("k", 2, entries, codes, nil); err != nil {
+			t.Fatalf("%d distinct entries: %v", size, err)
+		}
+		// Repeat an entry at the end, then an earlier one further in: the
+		// error names the earlier repeat, as a scan in position order would.
+		dup := slices.Clone(entries)
+		dup[size-1] = dup[0]
+		if size > 2 {
+			dup[size/2] = dup[1]
+		}
+		at := size - 1
+		if size > 2 {
+			at = size / 2
+		}
+		_, err := RawDictColumn("k", 2, dup, codes, nil)
+		if want := fmt.Sprintf("entry %d repeats %q", at, dup[at]); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%d entries with repeats: err = %v, want %q", size, err, want)
+		}
+	}
+	entries := []string{"r1", "r2", "r3", "r4"}
+	codes := []uint32{0, 1, 2, 3, 3, 2}
+	if n := testing.AllocsPerRun(100, func() { _, _ = RawDictColumn("k", len(codes), entries, codes, nil) }); n > 1 {
+		t.Errorf("RawDictColumn over %d entries: %.0f allocations, want at most 1", len(entries), n)
 	}
 }
