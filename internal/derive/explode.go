@@ -228,10 +228,8 @@ func (e *ExplodeContinuous) Apply(in *dataset.Dataset, dict *semantics.Dictionar
 			return nil
 		}
 		start, end := v.SpanBounds()
-		// First grid-aligned instant at or after start.
-		first := (start + periodNanos - 1) / periodNanos * periodNanos
 		var res []value.Row
-		for t := first; t < end; t += periodNanos {
+		for t := gridCeil(start, periodNanos); t < end; t += periodNanos {
 			nr := r.Without(col)
 			nr[out] = value.TimeNanos(t)
 			res = append(res, nr)

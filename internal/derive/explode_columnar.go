@@ -80,12 +80,23 @@ func spanAt(c *frame.Column, i int) (start, end int64, ok bool) {
 
 // gridInstants returns the instants explode_continuous emits for the span
 // [start, end) as first, first+period, … (m of them). They are the grid
-// instants the row path's loop visits — from start rounded as it rounds
-// it, while before end — or, when it visits none, the start instant alone.
+// instants the row path's loop visits — from gridCeil(start), while before
+// end — or, when it visits none, the start instant alone.
 func gridInstants(start, end, period int64) (first int64, m int) {
-	first = (start + period - 1) / period * period
+	first = gridCeil(start, period)
 	if first >= end {
 		return start, 1
 	}
 	return first, int((end-first-1)/period) + 1
+}
+
+// gridCeil is the smallest multiple of period (positive) at or after t. It
+// rounds through floorDiv, so a negative t off the grid rounds up too, and
+// never forms t+period, which could overflow.
+func gridCeil(t, period int64) int64 {
+	q := floorDiv(t, period)
+	if q*period < t {
+		q++
+	}
+	return q * period
 }

@@ -2,6 +2,7 @@ package derive
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 	"strings"
 
@@ -111,7 +112,10 @@ func (s *interpSpec) probe(lf *frame.Frame, lh []uint64, rf *frame.Frame, rh []u
 	byKey := map[class]int32{}
 	byValue := map[uint64][]seen{}
 	resIdx := colIndexes(rf, s.rightResidual)
-	resHash := rf.HashOn(s.rightResidual, nil)
+	var resHash []uint64 // nil without residual columns: every row hashes 0
+	if len(s.rightResidual) > 0 {
+		resHash = rf.HashOn(s.rightResidual, nil)
+	}
 	rclass := make([]int32, rf.NumRows())
 	for j := range rclass {
 		rclass[j] = -1
@@ -119,7 +123,11 @@ func (s *interpSpec) probe(lf *frame.Frame, lh []uint64, rf *frame.Frame, rh []u
 		if g < 0 {
 			continue
 		}
-		vh := binKeyMix(resHash[j], int64(g))
+		var vh uint64
+		if resHash != nil {
+			vh = resHash[j]
+		}
+		vh = binKeyMix(vh, int64(g))
 		for _, v := range byValue[vh] {
 			if classes[v.class].group == g && frame.ValuesEqualOn(rf, int(v.rep), resIdx, rf, j, resIdx, nil) {
 				rclass[j] = v.class
@@ -145,6 +153,9 @@ func (s *interpSpec) probe(lf *frame.Frame, lh []uint64, rf *frame.Frame, rh []u
 	// Class c's rows, sorted by time (arrival order on ties), are
 	// sorted[runs[c]:runs[c+1]] with instants st; byGroup lists the classes
 	// in (group, key) order, group g's being byGroup[gFirst[g]:gFirst[g+1]].
+	// The scatter fills each run in ascending row order, which sortByTime
+	// keeps on ties; rclass is dead after it and serves as the sort's
+	// scratch.
 	rtc := rf.Col(s.rtCol)
 	rts := make([]int64, rf.NumRows())
 	runs := make([]int32, len(classes)+1)
@@ -163,12 +174,11 @@ func (s *interpSpec) probe(lf *frame.Frame, lh []uint64, rf *frame.Frame, rh []u
 			next[c]++
 		}
 	}
-	byTime := func(a, b int32) int { return cmp.Or(cmp.Compare(rts[a], rts[b]), cmp.Compare(a, b)) }
 	st := make([]int64, len(sorted))
 	byGroup := make([]int32, len(classes))
 	gFirst := make([]int32, len(reps)+1)
 	for c := range classes {
-		slices.SortFunc(sorted[runs[c]:runs[c+1]], byTime)
+		sortByTime(sorted[runs[c]:runs[c+1]], rts, rclass)
 		for k := runs[c]; k < runs[c+1]; k++ {
 			st[k] = rts[sorted[k]]
 		}
@@ -253,6 +263,59 @@ func (s *interpSpec) probe(lf *frame.Frame, lh []uint64, rf *frame.Frame, rh []u
 		out = frame.Merge(out, frame.New(rebuilt...))
 	}
 	return out
+}
+
+// sortByTime sorts run, row indexes in ascending order, stably by their
+// instants rts[j], so rows on one instant keep their order. One pass finds
+// a run already in time order, which returns as it is, and the run's
+// earliest instant lo. Any other run is radix-sorted, least significant
+// byte first, on the offset t−lo (unsigned, so a span of all 64 bits
+// wraps correctly): one counting pass fills a histogram per byte of the
+// span, and each byte that is not the same in every row takes one stable
+// scatter between run and tmp (at least as long as run). Nothing is
+// allocated and no comparator runs.
+func sortByTime(run []int32, rts []int64, tmp []int32) {
+	if len(run) < 2 {
+		return
+	}
+	lo, hi, presorted := rts[run[0]], rts[run[0]], true
+	prev := lo
+	for _, j := range run[1:] {
+		t := rts[j]
+		presorted = presorted && t >= prev
+		lo, hi, prev = min(lo, t), max(hi, t), t
+	}
+	if presorted {
+		return
+	}
+	nb := (bits.Len64(uint64(hi-lo)) + 7) / 8
+	var counts [8][256]int32
+	for _, j := range run {
+		d := uint64(rts[j] - lo)
+		for b := 0; b < nb; b++ {
+			counts[b][byte(d>>(8*b))]++
+		}
+	}
+	src, dst := run, tmp[:len(run)]
+	for b := 0; b < nb; b++ {
+		c, shift := &counts[b], 8*b
+		if c[byte(uint64(rts[src[0]]-lo)>>shift)] == int32(len(src)) {
+			continue // every row has this byte
+		}
+		var at int32
+		for k, n := range c {
+			c[k], at = at, at+n
+		}
+		for _, j := range src {
+			k := byte(uint64(rts[j]-lo) >> shift)
+			dst[c[k]] = j
+			c[k]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &run[0] {
+		copy(run, src)
+	}
 }
 
 // lerpColumn builds a fully present column from col (nil reads as all

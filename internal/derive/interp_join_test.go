@@ -1,9 +1,12 @@
 package derive
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -335,6 +338,153 @@ func TestInterpSeedsReachFloatGaps(t *testing.T) {
 	if reached == 0 {
 		t.Error("no seed input joins a float lerp column with gaps into an explicit null")
 	}
+}
+
+// TestInterpSeedsReachTimeSort: FuzzInterpolationJoin's seed corpus hands
+// the probe both kinds of residual class sortByTime tells apart — one of
+// at least two rows out of time order (the radix sort) and one of at least
+// two rows already in it (the presorted return). The classes are counted
+// from the seeds' rows, not from the kernel: on one partition the probe's
+// classes are the right rows with an instant whose exact key some left row
+// with an instant shares, grouped by that key and by their residual key,
+// in arrival order (each row twice, once per bin its window touches).
+func TestInterpSeedsReachTimeSort(t *testing.T) {
+	unsorted, presorted := 0, 0
+	for _, seed := range interpSeeds() {
+		c, parts := interpCaseFromBytes(seed)
+		if parts != 1 {
+			continue
+		}
+		groups := map[string]bool{}
+		for _, r := range c.lrows {
+			if r.Get("t").Kind() == value.KindTime {
+				groups[joinKey(r, []string{"node"}, nil)] = true
+			}
+		}
+		classes := map[string][]int64{}
+		for _, r := range c.rrows {
+			g := joinKey(r, []string{"node_id"}, nil)
+			if ts := r.Get("ts"); ts.Kind() == value.KindTime && groups[g] {
+				k := g + "|" + joinKey(r, []string{"loc"}, nil)
+				classes[k] = append(classes[k], ts.TimeNanosVal())
+			}
+		}
+		for _, ts := range classes {
+			if len(ts) >= 2 {
+				if slices.IsSorted(ts) {
+					presorted++
+				} else {
+					unsorted++
+				}
+			}
+		}
+	}
+	t.Logf("seed classes of two or more rows: %d out of time order, %d in it", unsorted, presorted)
+	if unsorted == 0 || presorted == 0 {
+		t.Errorf("seed classes of two or more rows: %d out of time order, %d in it; want some of each", unsorted, presorted)
+	}
+}
+
+// TestSortByTime: sortByTime orders a run as a stable sort by instant does
+// — so ties keep row order — on runs empty to a few hundred rows long,
+// sorted, reversed, tied, negative, spanning all 64 bits (the offset from
+// the earliest instant wraps), or with constant low bytes (a skipped
+// pass); with both an odd number of scatter passes (the result ends in
+// tmp) and an even one (it ends in run). It allocates nothing.
+func TestSortByTime(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	extremes := []int64{math.MinInt64, math.MaxInt64, -1, 0, 1, math.MinInt64 + 1}
+	instants := map[string]func(k, n int) int64{
+		"random":             func(int, int) int64 { return rng.Int63n(1<<40) - 1<<39 },
+		"sorted":             func(k, _ int) int64 { return int64(k/2) * 3e9 },
+		"reversed":           func(k, n int) int64 { return int64(n-k) * 1e9 },
+		"ties":               func(int, int) int64 { return (rng.Int63n(3) - 1) * 1e9 },
+		"negative":           func(int, int) int64 { return -rng.Int63n(1e12) },
+		"one byte":           func(int, int) int64 { return rng.Int63n(256) },
+		"two bytes":          func(int, int) int64 { return 1<<62 + rng.Int63n(1<<16) },
+		"whole seconds":      func(int, int) int64 { return (rng.Int63n(5000) - 2500) * 1e9 },
+		"constant low bytes": func(int, int) int64 { return rng.Int63n(1<<20)<<24 | 0xabcdef },
+		"extremes":           func(k, _ int) int64 { return extremes[k%len(extremes)] },
+	}
+	names := make([]string, 0, len(instants))
+	for name := range instants {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	parity := [2]int{} // unsorted runs by scatter-pass count parity
+	for _, name := range names {
+		for _, n := range []int{0, 1, 2, 3, 5, 17, 64, 300} {
+			for trial := 0; trial < 8; trial++ {
+				// run is an ascending subset of the rows, as the probe's
+				// scatter fills it; rows off the run hold other instants.
+				rts := make([]int64, 2*n+1)
+				var run []int32
+				for j := range rts {
+					rts[j] = rng.Int63()
+					if len(run) < n && (len(rts)-j <= n-len(run) || rng.Intn(2) == 0) {
+						rts[j] = instants[name](len(run), n)
+						run = append(run, int32(j))
+					}
+				}
+				want := slices.Clone(run)
+				slices.SortStableFunc(want, func(a, b int32) int { return cmp.Compare(rts[a], rts[b]) })
+				if !slices.Equal(want, run) {
+					parity[scatterPasses(run, rts)%2]++
+				}
+				tmp := make([]int32, n+rng.Intn(3))
+				for k := range tmp {
+					tmp[k] = -7
+				}
+				got := slices.Clone(run)
+				sortByTime(got, rts, tmp)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s, %d rows: sortByTime gives %v, a stable sort %v", name, n, got, want)
+				}
+			}
+		}
+	}
+	t.Logf("unsorted runs: %d with an even number of scatter passes, %d with an odd one", parity[0], parity[1])
+	if parity[0] == 0 || parity[1] == 0 {
+		t.Errorf("unsorted runs: %d with an even number of scatter passes, %d with an odd one; want both", parity[0], parity[1])
+	}
+
+	rts := make([]int64, 4096)
+	for j := range rts {
+		rts[j] = rng.Int63()
+	}
+	run, work, tmp := make([]int32, len(rts)), make([]int32, len(rts)), make([]int32, len(rts))
+	for j := range run {
+		run[j] = int32(j)
+	}
+	for _, order := range []string{"unsorted", "presorted"} {
+		if a := testing.AllocsPerRun(5, func() {
+			copy(work, run)
+			sortByTime(work, rts, tmp)
+		}); a != 0 {
+			t.Errorf("sortByTime of a %s run of %d rows: %.0f allocations, want 0", order, len(run), a)
+		}
+		slices.Sort(rts)
+	}
+}
+
+// scatterPasses is how many bytes of t−lo (lo the run's earliest instant)
+// differ between the rows of run: the radix passes sortByTime makes.
+func scatterPasses(run []int32, rts []int64) int {
+	lo := rts[run[0]]
+	for _, j := range run {
+		lo = min(lo, rts[j])
+	}
+	var diff uint64
+	for _, j := range run {
+		diff |= uint64(rts[j]-lo) ^ uint64(rts[run[0]]-lo)
+	}
+	n := 0
+	for ; diff != 0; diff >>= 8 {
+		if diff&0xff != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // FuzzInterpolationJoin is differential: the columnar kernel must equal

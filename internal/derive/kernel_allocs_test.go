@@ -2,6 +2,7 @@ package derive
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"scrubjay/internal/dataset"
@@ -45,7 +46,8 @@ func kernelAllocsFlat(t *testing.T, name string, slack float64, setup func(n int
 // rows fall into 3 residual classes (locations) per node, so each left row
 // brackets in every class of its group and the output holds 3 rows per
 // left row — past the left row count, where the probe's vectors used to
-// grow.
+// grow. The right rows arrive shuffled, so the probe radix-sorts its
+// classes by time.
 func TestInterpJoinAllocsFlat(t *testing.T) {
 	dict := semantics.DefaultDictionary()
 	ls, rs := interpTestSchemas()
@@ -61,6 +63,7 @@ func TestInterpJoinAllocsFlat(t *testing.T) {
 			r["loc"] = value.Str(locs[(i/8)%3])
 			rrows[i] = r
 		}
+		rand.New(rand.NewSource(int64(n))).Shuffle(n, func(i, j int) { rrows[i], rrows[j] = rrows[j], rrows[i] })
 		ctx := rdd.NewContext(2)
 		left := dataset.FromRowsColumnar(ctx, "l", lrows, ls, 2)
 		right := dataset.FromRowsColumnar(ctx, "r", rrows, rs, 2)

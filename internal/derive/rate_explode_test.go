@@ -51,9 +51,10 @@ func checkNDJSON(t testing.TB, c groupCase, parts int) {
 }
 
 // TestExplodeContinuousCountMatchesEmit: the count pass (gridInstants)
-// gives exactly the instants the row path's emit loop visits, and the
-// kernel the row path's rows, on negative instants, spans shorter than one
-// period, empty spans and non-span cells.
+// gives exactly the grid instants in each span — from the smallest multiple
+// of the period at or after its start, found here by stepping — or its
+// start alone, and the kernel the row path's rows, on negative instants,
+// spans shorter than one period, empty spans and non-span cells.
 func TestExplodeContinuousCountMatchesEmit(t *testing.T) {
 	const period = int64(2e9)
 	spans := []struct {
@@ -73,8 +74,15 @@ func TestExplodeContinuousCountMatchesEmit(t *testing.T) {
 	}
 	var typed, mixed []value.Row
 	for _, s := range spans {
-		var want []int64 // the row path's emit loop (ExplodeContinuous.Apply)
-		for ts := (s.start + period - 1) / period * period; ts < s.end; ts += period {
+		first := int64(0) // the smallest multiple of period ≥ start
+		for first < s.start {
+			first += period
+		}
+		for first-period >= s.start {
+			first -= period
+		}
+		var want []int64
+		for ts := first; ts < s.end; ts += period {
 			want = append(want, ts)
 		}
 		if len(want) == 0 {
@@ -95,6 +103,11 @@ func TestExplodeContinuousCountMatchesEmit(t *testing.T) {
 		}
 		r := value.NewRow("job_id", value.Str(s.name), "timespan", value.Span(s.start, s.end))
 		typed, mixed = append(typed, r), append(mixed, r.Clone())
+	}
+	// Rounding toward zero would start [−4.999999999 s, −0.999999999 s) at
+	// −2 s.
+	if first, m := gridInstants(-5e9+1, -1e9+1, period); first != -4e9 || m != 2 {
+		t.Errorf("[-4.999999999 s, -0.999999999 s) at 2 s: %d instants from %d, want -4 s and -2 s", m, first)
 	}
 	// Non-span cells drop their row: they turn the column boxed.
 	for _, v := range []value.Value{value.Str("soon"), value.TimeNanos(5e9), value.Null(), value.Int(3)} {
