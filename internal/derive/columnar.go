@@ -1,8 +1,6 @@
 package derive
 
 import (
-	"slices"
-
 	"scrubjay/internal/frame"
 	"scrubjay/internal/rdd"
 	"scrubjay/internal/value"
@@ -180,21 +178,24 @@ func (g rowGroups) at(k int) []int32 { return g.rows[g.start[k]:g.start[k+1]] }
 
 // byGroup lists the rows of a group-id vector by group (a counting sort):
 // gid[i] is row i's group in [0, groups), or negative for a row in none.
+// The fill runs backwards with start as its cursor — start[g] counts down
+// from group g's end to its start — so no second cursor vector is needed
+// and each group's rows still come out in batch order.
 func byGroup(gid []int32, groups int) rowGroups {
 	start := make([]int32, groups+1)
 	for _, g := range gid {
 		if g >= 0 {
-			start[g+1]++
+			start[g]++
 		}
 	}
-	for g := 0; g < groups; g++ {
-		start[g+1] += start[g]
+	for g := 1; g <= groups; g++ {
+		start[g] += start[g-1]
 	}
-	rows, next := make([]int32, start[groups]), slices.Clone(start[:groups])
-	for i, g := range gid {
-		if g >= 0 {
-			rows[next[g]] = int32(i)
-			next[g]++
+	rows := make([]int32, start[groups])
+	for i := len(gid) - 1; i >= 0; i-- {
+		if g := gid[i]; g >= 0 {
+			start[g]--
+			rows[start[g]] = int32(i)
 		}
 	}
 	return rowGroups{rows: rows, start: start}

@@ -102,7 +102,10 @@ func (s *interpSpec) probe(lf *frame.Frame, lh []uint64, rf *frame.Frame, rh []u
 	// Right rows join a group, then a residual class: the rows whose
 	// residual columns render one joinKey string. A row whose residual
 	// values equal an earlier row's takes that row's class, so a key renders
-	// once per distinct value, not per row.
+	// once per distinct value, not per row. Without residual columns every
+	// row of a group is in one class, which gclass (group -> class id, -1
+	// before its first row) finds without hashing; ids follow first use
+	// either way.
 	type class struct {
 		group int32
 		key   string
@@ -112,9 +115,15 @@ func (s *interpSpec) probe(lf *frame.Frame, lh []uint64, rf *frame.Frame, rh []u
 	byKey := map[class]int32{}
 	byValue := map[uint64][]seen{}
 	resIdx := colIndexes(rf, s.rightResidual)
-	var resHash []uint64 // nil without residual columns: every row hashes 0
+	var resHash []uint64
+	var gclass []int32
 	if len(s.rightResidual) > 0 {
 		resHash = rf.HashOn(s.rightResidual, nil)
+	} else {
+		gclass = make([]int32, len(reps))
+		for g := range gclass {
+			gclass[g] = -1
+		}
 	}
 	rclass := make([]int32, rf.NumRows())
 	for j := range rclass {
@@ -123,11 +132,15 @@ func (s *interpSpec) probe(lf *frame.Frame, lh []uint64, rf *frame.Frame, rh []u
 		if g < 0 {
 			continue
 		}
-		var vh uint64
-		if resHash != nil {
-			vh = resHash[j]
+		if gclass != nil {
+			if gclass[g] < 0 {
+				gclass[g] = int32(len(classes))
+				classes = append(classes, class{group: g})
+			}
+			rclass[j] = gclass[g]
+			continue
 		}
-		vh = binKeyMix(vh, int64(g))
+		vh := binKeyMix(resHash[j], int64(g))
 		for _, v := range byValue[vh] {
 			if classes[v.class].group == g && frame.ValuesEqualOn(rf, int(v.rep), resIdx, rf, j, resIdx, nil) {
 				rclass[j] = v.class
@@ -135,10 +148,7 @@ func (s *interpSpec) probe(lf *frame.Frame, lh []uint64, rf *frame.Frame, rh []u
 			}
 		}
 		if rclass[j] < 0 {
-			c := class{group: g}
-			if len(resIdx) > 0 {
-				c.key = frameKey(rf, j, resIdx) // once per distinct residual value
-			}
+			c := class{group: g, key: frameKey(rf, j, resIdx)} // once per distinct residual value
 			id, ok := byKey[c]
 			if !ok {
 				id = int32(len(classes))
@@ -222,7 +232,12 @@ func (s *interpSpec) probe(lf *frame.Frame, lh []uint64, rf *frame.Frame, rh []u
 			if q < len(ts) && ts[q] == lt {
 				b = q
 			} else if q > 0 && lt-ts[q-1] <= s.w {
-				b, _ = slices.BinarySearch(ts, ts[q-1])
+				// The before-bracket is the first row on instant ts[q-1]:
+				// q-1 itself unless the row before it ties.
+				b = q - 1
+				if b > 0 && ts[b-1] == ts[b] {
+					b, _ = slices.BinarySearch(ts[:b], ts[b])
+				}
 			}
 			if b < 0 && a < 0 {
 				continue
@@ -386,7 +401,7 @@ func lerpFloats(col *frame.Column, name string, bsel, asel []int32, frac []float
 			boxd[k] = value.Float(v)
 		}
 	}
-	c, err := frame.RawColumn(name, value.KindNull, len(boxd), nil, nil, nil, nil, boxd, nil)
+	c, err := frame.RawColumn(name, value.KindNull, len(boxd), nil, nil, nil, boxd, nil)
 	if err != nil {
 		panic(err) // unreachable: boxd holds one cell per output row
 	}

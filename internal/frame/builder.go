@@ -50,10 +50,10 @@ func (b *Builder) Finish() Column {
 	var ks kindScan
 	for i, v := range b.vals {
 		if b.set[i] {
-			ks.add(v.Kind())
+			ks.add(v)
 		}
 	}
-	return freeze(b.name, len(b.vals), ks.storage(), nil, func(i int) (value.Value, bool) {
+	return freeze(b.name, len(b.vals), &ks, nil, func(i int) (value.Value, bool) {
 		return b.vals[i], b.set[i]
 	})
 }
@@ -64,9 +64,9 @@ func (b *Builder) Finish() Column {
 func ColumnOf(name string, vals []value.Value) Column {
 	var ks kindScan
 	for _, v := range vals {
-		ks.add(v.Kind())
+		ks.add(v)
 	}
-	return freeze(name, len(vals), ks.storage(), nil, func(i int) (value.Value, bool) {
+	return freeze(name, len(vals), &ks, nil, func(i int) (value.Value, bool) {
 		return vals[i], true
 	})
 }

@@ -103,11 +103,15 @@ type dict struct{ vals []string }
 func (c *Column) DictEncoded() bool { return c.dict != nil }
 
 // strCoder builds one column's dictionary as the column's strings are met,
-// until they turn out to hold more distinct strings than limit.
+// until they turn out to hold more distinct strings than limit. An owning
+// coder copies each entry it adds: its dictionary outlives the cells it is
+// built from, which may be substrings of another column's arena, and an
+// entry must not pin that arena.
 type strCoder struct {
 	d     *dict
 	index map[string]uint32
 	limit int
+	own   bool
 }
 
 // dictLimit returns the most distinct strings an n-cell column (cell
@@ -123,13 +127,13 @@ func dictLimit(n int, cell func(i int) (string, bool)) int {
 }
 
 // newStrCoder returns a coder for an n-cell column, or nil when dictLimit
-// rules the column out.
-func newStrCoder(n int, cell func(i int) (string, bool)) *strCoder {
+// rules the column out; own says whether it copies its entries.
+func newStrCoder(n int, cell func(i int) (string, bool), own bool) *strCoder {
 	limit := dictLimit(n, cell)
 	if limit == 0 {
 		return nil
 	}
-	return &strCoder{d: &dict{}, index: map[string]uint32{}, limit: limit}
+	return &strCoder{d: &dict{}, index: map[string]uint32{}, limit: limit, own: own}
 }
 
 // code returns s's code, adding s to the dictionary if it is new. It
@@ -141,6 +145,9 @@ func (sc *strCoder) code(s string) (uint32, bool) {
 		if len(sc.d.vals) == sc.limit {
 			return 0, false
 		}
+		if sc.own {
+			s = strings.Clone(s)
+		}
 		code = uint32(len(sc.d.vals))
 		sc.index[s] = code
 		sc.d.vals = append(sc.d.vals, s)
@@ -148,16 +155,20 @@ func (sc *strCoder) code(s string) (uint32, bool) {
 	return code, true
 }
 
-// plain returns the cells of c, coded by sc, before cell upto as plain
-// strings, in a vector of all c.n cells.
-func (sc *strCoder) plain(c *Column, upto int) []string {
-	strs := make([]string, c.n)
+// plain grows sb, a new builder, to size bytes, writes the cells of c
+// that sc coded before cell upto into it and returns their offsets, with
+// room for all c.n.
+func (sc *strCoder) plain(c *Column, upto int, sb *strings.Builder, size int) []uint32 {
+	growArena(sb, c.name, size)
+	off := make([]uint32, 1, c.n+1)
 	for i := 0; i < upto; i++ {
+		s := ""
 		if c.Present(i) {
-			strs[i] = sc.d.vals[c.codes[i]]
+			s = sc.d.vals[c.codes[i]]
 		}
+		off = appendStr(sb, off, s)
 	}
-	return strs
+	return off
 }
 
 // Pivot pivots the partitions of one row set into frames as FromRows
@@ -189,7 +200,7 @@ func NewPivot(rows []value.Row) *Pivot {
 		sc := newStrCoder(n, func(i int) (string, bool) {
 			v, ok := rows[i][name]
 			return v.StrVal(), ok
-		})
+		}, true)
 		if sc == nil {
 			continue
 		}
@@ -276,14 +287,16 @@ func (c *Column) DictCodes() (entries []string, codes []uint32, ok bool) {
 		return nil, nil, false
 	}
 	if c.dict == nil {
-		sc := newStrCoder(c.n, c.strCell)
+		// The entries live no longer than the column: they may stay
+		// substrings of its arena.
+		sc := newStrCoder(c.n, c.strCell, false)
 		if sc == nil {
 			return nil, nil, false
 		}
 		codes = make([]uint32, c.n)
-		for i, s := range c.strs {
+		for i := range codes {
 			if c.Present(i) {
-				if codes[i], ok = sc.code(s); !ok {
+				if codes[i], ok = sc.code(c.StrAt(i)); !ok {
 					return nil, nil, false
 				}
 			}

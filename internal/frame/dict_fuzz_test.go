@@ -26,6 +26,10 @@ func FuzzDictColumns(f *testing.F) {
 	f.Add([]byte{30, 5, 2, '<', '>', 1, 0xff, 0, 3, 'x', 'y', 'z', 1, '"', 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	f.Add([]byte{0, 0})
 	f.Add([]byte{3, 1, 0, 0, 0, 0, 0})
+	// Empty strings, absent cells and invalid UTF-8 in a pool of three,
+	// every case's ConcatGather mixing plain and coded batches over them.
+	f.Add([]byte{9, 2, 0, 2, 0xff, 0xfe, 1, 0xc3, 0, 5, 10, 6, 11, 15, 20, 1, 2, 3, 7, 4, 0, 5, 10, 3, 1, 4, 1, 5, 9, 2, 6})
+	f.Add([]byte{17, 5, 0, 1, 0x80, 2, 0xed, 0xa0, 3, 0xf4, 0x90, 0x80, 0, 0, 4, 9, 14, 19, 24, 29, 0, 5, 25, 1, 2, 3, 4, 6, 7, 8, 9, 11, 12})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		src := &bytesource{b: b}
 		n := 1 + src.next()%40

@@ -1,6 +1,10 @@
 package frame
 
-import "scrubjay/internal/value"
+import (
+	"strings"
+
+	"scrubjay/internal/value"
+)
 
 // StrColumnOf builds a string column whose cell i holds cells[i] when
 // present[i] and is absent otherwise: dictionary-encoded over entries when
@@ -23,12 +27,15 @@ func StrColumnOf(name string, cells []string, present []bool, entries []string) 
 		}
 	}
 	if entries == nil {
-		c.strs = make([]string, n)
+		var sb strings.Builder
+		c.soff = make([]uint32, 1, n+1)
 		for i, s := range cells {
 			if present[i] {
-				c.strs[i] = s
+				sb.WriteString(s)
 			}
+			c.soff = append(c.soff, uint32(sb.Len()))
 		}
+		c.sdat = sb.String()
 		return c
 	}
 	index := map[string]uint32{}

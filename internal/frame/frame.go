@@ -18,7 +18,10 @@
 package frame
 
 import (
+	"fmt"
+	"math"
 	"sort"
+	"strings"
 
 	"scrubjay/internal/value"
 )
@@ -27,15 +30,25 @@ import (
 // kind are stored densely in a typed slice; columns holding mixed kinds,
 // lists, or explicit nulls fall back to boxed value.Value storage (kind ==
 // value.KindNull marks the boxed representation). A string column stores
-// either one string per cell or, dictionary-encoded (dict.go), one code per
-// cell into a shared dictionary. A nil presence bitmap means every cell is
-// present.
+// either one arena of its cells' bytes or, dictionary-encoded (dict.go),
+// one code per cell into a shared dictionary. A nil presence bitmap means
+// every cell is present.
+//
+// A plain string column is Arrow's variable-size binary layout: sdat holds
+// every cell's bytes back to back and soff its n+1 offsets, so cell i is
+// sdat[soff[i]:soff[i+1]] and an absent cell is empty. Comparing two keys
+// reads contiguous bytes, not two scattered heap strings, and the column
+// is two objects the garbage collector never scans into, not n string
+// headers it must. Every arena is sized exactly before it is filled
+// (growArena), and a string that can outlive the column (a dictionary
+// entry) is copied out of it, never left pinning it.
 type Column struct {
 	name  string
 	kind  value.Kind // uniform kind of the cells; KindNull => boxed storage
 	ints  []int64    // int / bool (0,1) / time payloads; span starts
 	flts  []float64
-	strs  []string // plain string payloads
+	sdat  string   // plain string payloads, back to back
+	soff  []uint32 // plain string offsets: n+1 of them, the first 0
 	codes []uint32 // dictionary-encoded string payloads: cell i is dict.vals[codes[i]]
 	dict  *dict    // non-nil exactly when the strings are dictionary-encoded
 	ends  []int64  // span ends
@@ -78,7 +91,28 @@ func (c *Column) StrAt(i int) string {
 	if c.dict != nil {
 		return c.dict.vals[c.codes[i]]
 	}
-	return c.strs[i]
+	return c.sdat[c.soff[i]:c.soff[i+1]]
+}
+
+// growArena grows sb, a new builder, to hold size bytes, the whole
+// payload of the plain string column name. Offsets are uint32, 4 bytes a
+// cell where a string header costs 16, so a column of more than 4 GiB
+// panics here rather than wrap an offset. Callers keep the builder in a
+// local variable: on the stack, filling it writes no pointer to the heap,
+// so a fill that overlaps the collector's mark phase pays no write
+// barrier per cell.
+func growArena(sb *strings.Builder, name string, size int) {
+	if size > math.MaxUint32 {
+		panic(fmt.Sprintf("frame: plain string column %q holds %d bytes, more than uint32 offsets reach", name, size))
+	}
+	sb.Grow(size)
+}
+
+// appendStr writes s, the next cell of a plain string column, into its
+// arena and appends the cell's end offset.
+func appendStr(sb *strings.Builder, off []uint32, s string) []uint32 {
+	sb.WriteString(s)
+	return append(off, uint32(sb.Len()))
 }
 
 // SpanEndAt returns the end of cell i of a span-kinded column.
@@ -222,7 +256,7 @@ func fromRows(rows []value.Row, p *Pivot) *Frame {
 				ks = &kindScan{}
 				scans[name] = ks
 			}
-			ks.add(v.Kind())
+			ks.add(v)
 		}
 	}
 	names := make([]string, 0, len(scans))
@@ -232,7 +266,7 @@ func fromRows(rows []value.Row, p *Pivot) *Frame {
 	sort.Strings(names)
 	cols := make([]Column, len(names))
 	for j, name := range names {
-		cols[j] = freeze(name, len(rows), scans[name].storage(), p, func(i int) (value.Value, bool) {
+		cols[j] = freeze(name, len(rows), scans[name], p, func(i int) (value.Value, bool) {
 			v, ok := rows[i][name]
 			return v, ok
 		})
@@ -241,14 +275,18 @@ func fromRows(rows []value.Row, p *Pivot) *Frame {
 }
 
 // kindScan discovers a column's storage kind from the kinds of its present
-// cells, one add per cell.
+// cells, one add per cell, and counts their string bytes: the exact size
+// of the arena the column needs if it is stored as plain strings.
 type kindScan struct {
-	kind  value.Kind
-	seen  bool
-	boxed bool
+	kind     value.Kind
+	seen     bool
+	boxed    bool
+	strBytes int
 }
 
-func (ks *kindScan) add(k value.Kind) {
+func (ks *kindScan) add(v value.Value) {
+	k := v.Kind()
+	ks.strBytes += len(v.StrVal())
 	switch {
 	case k == value.KindNull || k == value.KindList:
 		ks.boxed = true
@@ -270,14 +308,18 @@ func (ks *kindScan) storage() value.Kind {
 }
 
 // freeze is the one place cells become a typed Column: cell returns cell
-// i's value and presence, and kind is the storage kindScan chose for the
-// present cells. A string column is coded against p's dictionary for it
-// when p is not nil, else against a fresh one under the dictLimit gate;
-// it falls back to plain strings at the first string its coder cannot
-// take. The presence bitmap stays nil when every cell is present.
-func freeze(name string, n int, kind value.Kind, p *Pivot, cell func(i int) (value.Value, bool)) Column {
+// i's value and presence, and ks has scanned the present cells (their
+// storage kind and string bytes). A string column is coded against p's
+// dictionary for it when p is not nil, else against a fresh one under the
+// dictLimit gate; it falls back to plain strings at the first string its
+// coder cannot take. Plain strings go straight into an arena of exactly
+// ks.strBytes. The presence bitmap stays nil when every cell is present.
+func freeze(name string, n int, ks *kindScan, p *Pivot, cell func(i int) (value.Value, bool)) Column {
+	kind := ks.storage()
 	c := Column{name: name, kind: kind, n: n}
 	var sc *strCoder
+	var sb strings.Builder // the arena of a plain string column
+	plain := false
 	switch kind {
 	case value.KindNull:
 		c.boxd = make([]value.Value, n)
@@ -290,12 +332,14 @@ func freeze(name string, n int, kind value.Kind, p *Pivot, cell func(i int) (val
 			sc = newStrCoder(n, func(i int) (string, bool) {
 				v, ok := cell(i)
 				return v.StrVal(), ok
-			})
+			}, true)
 		}
 		if sc != nil {
 			c.dict, c.codes = sc.d, make([]uint32, n)
 		} else {
-			c.strs = make([]string, n)
+			plain = true
+			growArena(&sb, name, ks.strBytes)
+			c.soff = make([]uint32, 1, n+1)
 		}
 	case value.KindSpan:
 		c.ints = make([]int64, n)
@@ -314,6 +358,9 @@ func freeze(name string, n int, kind value.Kind, p *Pivot, cell func(i int) (val
 					setBit(c.pres, k)
 				}
 			}
+			if plain {
+				c.soff = append(c.soff, c.soff[i])
+			}
 			continue
 		}
 		if absent {
@@ -331,19 +378,23 @@ func freeze(name string, n int, kind value.Kind, p *Pivot, cell func(i int) (val
 		case value.KindFloat:
 			c.flts[i] = v.FloatVal()
 		case value.KindString:
-			if c.dict != nil {
+			if sc != nil {
 				if code, ok := sc.code(v.StrVal()); ok {
 					c.codes[i] = code
 					break
 				}
-				c.strs, c.dict, c.codes = sc.plain(&c, i), nil, nil
+				c.soff = sc.plain(&c, i, &sb, ks.strBytes)
+				sc, c.dict, c.codes, plain = nil, nil, nil, true
 			}
-			c.strs[i] = v.StrVal()
+			c.soff = appendStr(&sb, c.soff, v.StrVal())
 		case value.KindTime:
 			c.ints[i] = v.TimeNanosVal()
 		case value.KindSpan:
 			c.ints[i], c.ends[i] = v.SpanBounds()
 		}
+	}
+	if plain {
+		c.sdat = sb.String()
 	}
 	return c
 }
@@ -446,10 +497,17 @@ func (c *Column) gather(idx []int32) Column {
 			out.codes[i] = c.codes[s]
 		}
 	case c.kind == value.KindString:
-		out.strs = make([]string, len(idx))
-		for i, s := range idx {
-			out.strs[i] = c.strs[s]
+		size := 0
+		for _, s := range idx {
+			size += int(c.soff[s+1] - c.soff[s])
 		}
+		var sb strings.Builder
+		growArena(&sb, c.name, size)
+		out.soff = make([]uint32, 1, len(idx)+1)
+		for _, s := range idx {
+			out.soff = appendStr(&sb, out.soff, c.sdat[c.soff[s]:c.soff[s+1]])
+		}
+		out.sdat = sb.String()
 	case c.kind == value.KindSpan:
 		out.ints = make([]int64, len(idx))
 		out.ends = make([]int64, len(idx))
@@ -564,11 +622,20 @@ func ConcatGather(frames []*Frame, sels [][]int32) *Frame {
 	}
 	sort.Strings(names)
 
+	selOf := func(i int) []int32 {
+		if sels != nil {
+			return sels[i]
+		}
+		return nil
+	}
+
 	cols := make([]Column, len(names))
 	for j, name := range names {
 		ci := infos[name]
 		out := Column{name: name, kind: ci.kind, n: n}
 		var u *dictUnion
+		var sb strings.Builder // the arena of a plain string column
+		plain := false
 		if ci.boxed || !ci.seen {
 			out.kind = value.KindNull
 			out.boxd = make([]value.Value, 0, n)
@@ -583,7 +650,15 @@ func ConcatGather(frames []*Frame, sels [][]int32) *Frame {
 					u = newDictUnion()
 				}
 			case ci.kind == value.KindString:
-				out.strs = make([]string, 0, n)
+				size := 0
+				for fi, f := range frames {
+					if c := f.Col(name); c != nil {
+						size += c.strBytes(selOf(fi), rowsOf(fi))
+					}
+				}
+				plain = true
+				growArena(&sb, name, size)
+				out.soff = make([]uint32, 1, n+1)
 			case ci.kind == value.KindSpan:
 				out.ints = make([]int64, 0, n)
 				out.ends = make([]int64, 0, n)
@@ -606,10 +681,7 @@ func ConcatGather(frames []*Frame, sels [][]int32) *Frame {
 				pos += m
 				continue
 			}
-			var sel []int32
-			if sels != nil {
-				sel = sels[fi]
-			}
+			sel := selOf(fi)
 			if u != nil {
 				u.use(c.dict)
 			}
@@ -642,7 +714,11 @@ func ConcatGather(frames []*Frame, sels [][]int32) *Frame {
 				case out.dict != nil:
 					out.codes = append(out.codes, c.codes[i])
 				case out.kind == value.KindString:
-					out.strs = append(out.strs, c.StrAt(i))
+					s := ""
+					if c.Present(i) {
+						s = c.StrAt(i)
+					}
+					out.soff = appendStr(&sb, out.soff, s)
 				case out.kind == value.KindSpan:
 					out.ints = append(out.ints, c.ints[i])
 					out.ends = append(out.ends, c.ends[i])
@@ -654,12 +730,31 @@ func ConcatGather(frames []*Frame, sels [][]int32) *Frame {
 		if u != nil {
 			out.dict = u.finish()
 		}
+		if plain {
+			out.sdat = sb.String()
+		}
 		if absent {
 			out.pres = bits
 		}
 		cols[j] = out
 	}
 	return newFrame(cols, n)
+}
+
+// strBytes is the total length of the present strings among cells sel of
+// a string column, or among its first m cells when sel is nil.
+func (c *Column) strBytes(sel []int32, m int) int {
+	size := 0
+	for k := 0; k < m; k++ {
+		i := k
+		if sel != nil {
+			i = int(sel[k])
+		}
+		if c.Present(i) {
+			size += len(c.StrAt(i))
+		}
+	}
+	return size
 }
 
 // appendZeros extends a column's storage by m absent cells.
@@ -676,7 +771,9 @@ func appendZeros(out Column, m int) Column {
 	case out.codes != nil:
 		out.codes = append(out.codes, make([]uint32, m)...)
 	case out.kind == value.KindString:
-		out.strs = append(out.strs, make([]string, m)...)
+		for last := out.soff[len(out.soff)-1]; m > 0; m-- {
+			out.soff = append(out.soff, last)
+		}
 	case out.kind == value.KindSpan:
 		out.ints = append(out.ints, make([]int64, m)...)
 		out.ends = append(out.ends, make([]int64, m)...)

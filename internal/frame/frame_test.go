@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"scrubjay/internal/value"
 )
@@ -397,7 +398,8 @@ func TestRenameSharesStorage(t *testing.T) {
 			t.Fatalf("Rename(%s): presence or kind not shared", from)
 		}
 		if len(src.ints) > 0 && &src.ints[0] != &dst.ints[0] || len(src.flts) > 0 && &src.flts[0] != &dst.flts[0] ||
-			len(src.strs) > 0 && &src.strs[0] != &dst.strs[0] || len(src.boxd) > 0 && &src.boxd[0] != &dst.boxd[0] {
+			len(src.soff) > 0 && (&src.soff[0] != &dst.soff[0] || unsafe.StringData(src.sdat) != unsafe.StringData(dst.sdat)) ||
+			len(src.boxd) > 0 && &src.boxd[0] != &dst.boxd[0] {
 			t.Fatalf("Rename(%s): payload copied", from)
 		}
 		for i, r := range rows {
@@ -437,7 +439,7 @@ func frameBytes(f *Frame) []byte {
 	b := fmt.Appendf(nil, "%d %v|", f.n, f.index)
 	for j := range f.cols {
 		c := &f.cols[j]
-		b = fmt.Appendf(b, "%q %d %d %v %v %v %q %v %v|", c.name, c.kind, c.n, c.pres, c.ints, c.flts, c.strs, c.ends, c.codes)
+		b = fmt.Appendf(b, "%q %d %d %v %v %v %q %v %v %v|", c.name, c.kind, c.n, c.pres, c.ints, c.flts, c.sdat, c.soff, c.ends, c.codes)
 		if c.dict != nil {
 			b = fmt.Appendf(b, "%q|", c.dict.vals)
 		}

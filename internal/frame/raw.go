@@ -10,8 +10,9 @@ import (
 // which rebuilds columns from decoded vectors without a per-cell boxing
 // round trip. The codec reads columns through the scalar accessors
 // (IntAt, FloatAt, StrAt, SpanEndAt, Value and PresenceWord) and string
-// columns through DictCodes; nothing here hands storage out. Dictionary
-// columns are rebuilt by RawDictColumn (dict.go).
+// columns through DictCodes; nothing here hands storage out. Plain string
+// columns are rebuilt by RawStringColumn, dictionary columns by
+// RawDictColumn (dict.go).
 
 // PresenceWord returns word w of the column's presence bitmap: cells
 // 64w..64w+63, least significant bit first. Only a column with an absent
@@ -49,7 +50,7 @@ func RawFrame(n int, cols []Column) (*Frame, error) {
 // payload surfaces as an error rather than an out-of-range panic later.
 // It is an ownership-transfer constructor: the slices are retained, not
 // copied, and the caller must not write them afterwards.
-func RawColumn(name string, kind value.Kind, n int, ints []int64, flts []float64, strs []string, ends []int64, boxd []value.Value, pres []uint64) (Column, error) {
+func RawColumn(name string, kind value.Kind, n int, ints []int64, flts []float64, ends []int64, boxd []value.Value, pres []uint64) (Column, error) {
 	if n < 0 {
 		return Column{}, fmt.Errorf("frame: raw column %q: negative length %d", name, n)
 	}
@@ -65,12 +66,12 @@ func RawColumn(name string, kind value.Kind, n int, ints []int64, flts []float64
 	c := Column{name: name, kind: kind, n: n, pres: pres}
 	switch kind {
 	case value.KindNull:
-		if err := want(len(boxd) == n && ints == nil && flts == nil && strs == nil && ends == nil, "boxed"); err != nil {
+		if err := want(len(boxd) == n && ints == nil && flts == nil && ends == nil, "boxed"); err != nil {
 			return Column{}, err
 		}
 		c.boxd = boxd
 	case value.KindBool, value.KindInt, value.KindTime:
-		if err := want(len(ints) == n && flts == nil && strs == nil && ends == nil && boxd == nil, "int"); err != nil {
+		if err := want(len(ints) == n && flts == nil && ends == nil && boxd == nil, "int"); err != nil {
 			return Column{}, err
 		}
 		// A bool is stored as 0 or 1 and kernels compare the storage, so
@@ -85,17 +86,14 @@ func RawColumn(name string, kind value.Kind, n int, ints []int64, flts []float64
 		}
 		c.ints = ints
 	case value.KindFloat:
-		if err := want(len(flts) == n && ints == nil && strs == nil && ends == nil && boxd == nil, "float"); err != nil {
+		if err := want(len(flts) == n && ints == nil && ends == nil && boxd == nil, "float"); err != nil {
 			return Column{}, err
 		}
 		c.flts = flts
 	case value.KindString:
-		if err := want(len(strs) == n && ints == nil && flts == nil && ends == nil && boxd == nil, "string"); err != nil {
-			return Column{}, err
-		}
-		c.strs = strs
+		return Column{}, fmt.Errorf("frame: raw column %q: a string column is built by RawStringColumn or RawDictColumn", name)
 	case value.KindSpan:
-		if err := want(len(ints) == n && len(ends) == n && flts == nil && strs == nil && boxd == nil, "span"); err != nil {
+		if err := want(len(ints) == n && len(ends) == n && flts == nil && boxd == nil, "span"); err != nil {
 			return Column{}, err
 		}
 		// value.Span orders its bounds and kernels compare the storage, so
@@ -110,4 +108,31 @@ func RawColumn(name string, kind value.Kind, n int, ints []int64, flts []float64
 		return Column{}, fmt.Errorf("frame: raw column %q: unknown kind %d", name, kind)
 	}
 	return c, nil
+}
+
+// RawStringColumn rebuilds a plain string column from its arena: data
+// holds every cell's bytes back to back and off its n+1 offsets, so cell i
+// is data[off[i]:off[i+1]]. The offsets must start at 0, never decrease
+// and end at len(data), so a corrupt payload surfaces as an error here
+// rather than as a slice panic on first read. It is an ownership-transfer
+// constructor: off is retained, not copied.
+func RawStringColumn(name string, n int, data string, off []uint32, pres []uint64) (Column, error) {
+	if n < 0 || len(off) != n+1 {
+		return Column{}, fmt.Errorf("frame: raw column %q: %d string offsets for %d rows", name, len(off), n)
+	}
+	if pres != nil && len(pres) != (n+63)/64 {
+		return Column{}, fmt.Errorf("frame: raw column %q: presence bitmap has %d words, want %d", name, len(pres), (n+63)/64)
+	}
+	if off[0] != 0 {
+		return Column{}, fmt.Errorf("frame: raw column %q: first string offset %d, want 0", name, off[0])
+	}
+	for i := 1; i <= n; i++ {
+		if off[i] < off[i-1] {
+			return Column{}, fmt.Errorf("frame: raw column %q: string offset %d decreases from %d to %d", name, i, off[i-1], off[i])
+		}
+	}
+	if int(off[n]) != len(data) {
+		return Column{}, fmt.Errorf("frame: raw column %q: string offsets end at %d, want %d", name, off[n], len(data))
+	}
+	return Column{name: name, kind: value.KindString, sdat: data, soff: off, pres: pres, n: n}, nil
 }

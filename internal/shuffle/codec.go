@@ -18,6 +18,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strings"
 
 	"scrubjay/internal/frame"
 	"scrubjay/internal/value"
@@ -275,7 +276,6 @@ func decodeColumn(b []byte, pos, nrows int) (frame.Column, int, error) {
 	var (
 		ints []int64
 		flts []float64
-		strs []string
 		ends []int64
 		boxd []value.Value
 	)
@@ -307,16 +307,7 @@ func decodeColumn(b []byte, pos, nrows int) (frame.Column, int, error) {
 			pos += 8
 		}
 	case value.KindString:
-		strs = make([]string, nrows)
-		for i := range strs {
-			l, sz := binary.Uvarint(b[pos:])
-			if sz <= 0 || l > uint64(len(b)-pos-sz) {
-				return zero, 0, fmt.Errorf("truncated string payload")
-			}
-			pos += sz
-			strs[i] = string(b[pos : pos+int(l)])
-			pos += int(l)
-		}
+		return decodeStrings(b, pos, name, nrows, pres)
 	case value.KindSpan:
 		ints = make([]int64, nrows)
 		ends = make([]int64, nrows)
@@ -346,7 +337,43 @@ func decodeColumn(b []byte, pos, nrows int) (frame.Column, int, error) {
 	default:
 		return zero, 0, fmt.Errorf("unknown column kind %d", kind)
 	}
-	col, err := frame.RawColumn(name, kind, nrows, ints, flts, strs, ends, boxd, pres)
+	col, err := frame.RawColumn(name, kind, nrows, ints, flts, ends, boxd, pres)
+	if err != nil {
+		return zero, 0, err
+	}
+	return col, pos, nil
+}
+
+// decodeStrings decodes a plain string payload, a length and the bytes per
+// cell, into one arena: a first pass checks the lengths and sums them into
+// the offsets, a second copies the bytes into a buffer of exactly that
+// size. A column's strings cost one allocation however many cells it has.
+func decodeStrings(b []byte, pos int, name string, nrows int, pres []uint64) (frame.Column, int, error) {
+	var zero frame.Column
+	off := make([]uint32, nrows+1)
+	end := pos
+	for i := 0; i < nrows; i++ {
+		l, sz := binary.Uvarint(b[end:])
+		if sz <= 0 || l > uint64(len(b)-end-sz) {
+			return zero, 0, fmt.Errorf("truncated string payload")
+		}
+		end += sz + int(l)
+		size := uint64(off[i]) + l
+		if size > math.MaxUint32 {
+			return zero, 0, fmt.Errorf("string payload beyond 4 GiB")
+		}
+		off[i+1] = uint32(size)
+	}
+	var sb strings.Builder
+	sb.Grow(int(off[nrows]))
+	for i := 0; i < nrows; i++ {
+		_, sz := binary.Uvarint(b[pos:])
+		pos += sz
+		l := int(off[i+1] - off[i])
+		sb.Write(b[pos : pos+l])
+		pos += l
+	}
+	col, err := frame.RawStringColumn(name, nrows, sb.String(), off, pres)
 	if err != nil {
 		return zero, 0, err
 	}

@@ -37,6 +37,14 @@ func fuzzSeeds() [][]byte {
 			{"rack": value.Str("r1"), "node": value.Str("n2")},
 			{"rack": value.Str("r2")},
 		}),
+		// Plain string columns (no repeats, so no dictionary): empty
+		// strings, absent cells and invalid UTF-8.
+		frame.FromRows([]value.Row{
+			{"id": value.Str(""), "x": value.Str("\xff\xfe")},
+			{"id": value.Str("n\x00")},
+			{"x": value.Str("")},
+			{"id": value.Str("\xc3"), "x": value.Str("ok")},
+		}),
 	}
 	var seeds [][]byte
 	for _, f := range seedFrames {
