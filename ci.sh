@@ -32,7 +32,11 @@
 #                        re-encodes to the same bytes); 10 s of dictionary
 #                        string columns against plain ones (FuzzDictColumns:
 #                        equal cells, hashes, key equality, NDJSON and wire
-#                        bytes through Gather, ConcatGather and Merge); and
+#                        bytes through Gather, ConcatGather and Merge); 10 s
+#                        of indexed concatenation (FuzzConcatGather:
+#                        ConcatGather with an index equal to concatenating,
+#                        then gathering, in kinds, dictionaries, presence
+#                        bitmaps, cells, NDJSON and wire bytes); and
 #                        10 s of pipelined puts
 #                        against a live shuffle worker (FuzzPipelinedPuts:
 #                        one burst of arbitrary puts, every fetch equal to
@@ -119,6 +123,12 @@ go test -run='^$' -fuzz=FuzzDecodeFrame -fuzztime=10s -fuzzminimizetime=1s ./int
 # codec. Minimization is capped at 1 s like the other decoder stages'.
 echo "==> go test -run='^\$' -fuzz=FuzzDictColumns -fuzztime=10s -fuzzminimizetime=1s ./internal/frame"
 go test -run='^$' -fuzz=FuzzDictColumns -fuzztime=10s -fuzzminimizetime=1s ./internal/frame
+
+# FuzzConcatGather: the keyed kernels gather their output rows straight
+# from an exchange's pieces, so ConcatGather with an index must equal the
+# concatenation it skips, gathered, in representation as well as cells.
+echo "==> go test -run='^\$' -fuzz=FuzzConcatGather -fuzztime=10s -fuzzminimizetime=1s ./internal/frame"
+go test -run='^$' -fuzz=FuzzConcatGather -fuzztime=10s -fuzzminimizetime=1s ./internal/frame
 
 # Each FuzzPipelinedPuts input costs a few loopback round trips, so the
 # default 60 s minimization of every new interesting input would eat the

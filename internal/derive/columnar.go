@@ -21,9 +21,13 @@ import (
 // keyedFrame is a batch traveling through a hash exchange together with
 // its rows' composite key hashes. A routed batch is a selection of its
 // source batch: sel lists the rows of f (and entries of h) it carries, in
-// order, so routing copies no cells; nil sel carries every row. The one
-// copy happens where the destination concatenates (concatKeyed) or, across
-// processes, where the wire encodes.
+// order, so routing copies no cells; nil sel carries every row. A
+// destination receives its partition as a list of such pieces and reads
+// them where they lie: the joins probe the pieces and gather only their
+// output rows from them (frame.ConcatGather with an index), the group
+// kernel and the interpolation join's right side concatenate them
+// (concatKeyed), and across processes the wire encodes each selection in
+// place.
 type keyedFrame struct {
 	f   *frame.Frame
 	h   []uint64
@@ -103,51 +107,59 @@ func routeExchange(frames *rdd.RDD[*frame.Frame], cols []string, convs []func(va
 	})
 }
 
-// gathered materializes a routed batch's selection: its frame and hashes
-// hold exactly the carried rows.
-func (kf keyedFrame) gathered() (*frame.Frame, []uint64) {
-	if kf.sel == nil {
-		return kf.f, kf.h
+// row is the row of f that the batch's t-th row is.
+func (kf keyedFrame) row(t int) int {
+	if kf.sel != nil {
+		return int(kf.sel[t])
 	}
-	return kf.f.Gather(kf.sel), gatherHashes(make([]uint64, 0, len(kf.sel)), kf.h, kf.sel)
+	return t
 }
 
-// gatherHashes appends h's entries at sel (all of h when sel is nil).
-func gatherHashes(dst, h []uint64, sel []int32) []uint64 {
-	if sel == nil {
-		return append(dst, h...)
-	}
-	for _, s := range sel {
-		dst = append(dst, h[s])
-	}
-	return dst
-}
-
-// concatKeyed flattens one partition's batches into a single frame and
-// hash vector, copying each carried row once.
-func concatKeyed(kfs []keyedFrame) (*frame.Frame, []uint64) {
-	if len(kfs) == 1 {
-		return kfs[0].gathered()
-	}
-	fs := make([]*frame.Frame, len(kfs))
-	sels := make([][]int32, len(kfs))
-	n := 0
+// piecesOf lists a partition's pieces as frame.ConcatGather takes them,
+// each frame less the drop columns.
+func piecesOf(kfs []keyedFrame, drop ...string) ([]*frame.Frame, [][]int32) {
+	fs, sels := make([]*frame.Frame, len(kfs)), make([][]int32, len(kfs))
 	for i, kf := range kfs {
 		fs[i], sels[i] = kf.f, kf.sel
-		n += kf.NumRows()
+		if len(drop) > 0 {
+			fs[i] = kf.f.Drop(drop...)
+		}
 	}
-	h := make([]uint64, 0, n)
-	for _, kf := range kfs {
-		h = gatherHashes(h, kf.h, kf.sel)
-	}
-	return frame.ConcatGather(fs, sels), h
+	return fs, sels
 }
 
-// mergePairs materializes matched row pairs: row lsel[k] of lf beside row
-// rsel[k] of rf minus the drop columns, right cells winning wherever the
-// right row has them (value.Row.Merge).
-func mergePairs(lf *frame.Frame, lsel []int32, rf *frame.Frame, rsel []int32, drop []string) *frame.Frame {
-	return frame.Merge(lf.Gather(lsel), rf.Drop(drop...).Gather(rsel))
+// gatherPieces materializes rows idx of a partition's concatenated pieces,
+// less the drop columns, copying each output cell once from the piece it
+// lives in.
+func gatherPieces(kfs []keyedFrame, idx []int32, drop ...string) *frame.Frame {
+	fs, sels := piecesOf(kfs, drop...)
+	return frame.ConcatGather(fs, sels, idx)
+}
+
+// numRows is the number of rows a partition's pieces carry.
+func numRows(kfs []keyedFrame) int {
+	n := 0
+	for _, kf := range kfs {
+		n += kf.NumRows()
+	}
+	return n
+}
+
+// concatKeyed flattens one partition's pieces into a single frame and
+// hash vector, copying each carried row once. One whole piece is returned
+// as it is.
+func concatKeyed(kfs []keyedFrame) (*frame.Frame, []uint64) {
+	if len(kfs) == 1 && kfs[0].sel == nil {
+		return kfs[0].f, kfs[0].h
+	}
+	h := make([]uint64, 0, numRows(kfs))
+	for _, kf := range kfs {
+		for t := 0; t < kf.NumRows(); t++ {
+			h = append(h, kf.h[kf.row(t)])
+		}
+	}
+	fs, sels := piecesOf(kfs)
+	return frame.ConcatGather(fs, sels, nil), h
 }
 
 // colIndexes resolves column names to positions in f (-1 when absent, read
@@ -203,52 +215,68 @@ func byGroup(gid []int32, groups int) rowGroups {
 
 // keyIndex is the hash table under every keyed kernel — the group kernel,
 // the natural join and the interpolation join's exact-key grouping. It
-// groups a batch's rows by their values on the key columns, groups
+// groups a partition's rows by their values on the key columns, groups
 // numbered in first-seen order, and finds the group of any other row. The
-// table is flat: head maps a slot (the top bits of a multiplicative mix of
-// the key hash) to its newest group, next chains the older groups sharing
-// the slot, and first holds each group's first row. A chain walk compares
+// rows are read where they lie, in a list of pieces (one piece for a
+// partition already concatenated); a row's number is its position in the
+// pieces' concatenation. The table is flat: head maps a slot (the top bits
+// of a multiplicative mix of the key hash) to its newest group, next
+// chains the older groups sharing the slot, and each group keeps its first
+// row's piece, row in that piece's frame and hash. A chain walk compares
 // full 64-bit hashes before ValuesEqualOn verifies the key, so neither a
 // slot collision nor a hash collision can merge two keys.
 type keyIndex struct {
-	f     *frame.Frame
-	cols  []int
-	h     []uint64
-	shift uint
-	head  []int32 // slot -> newest group, -1 when empty
-	next  []int32 // group -> older group in its slot, -1 ends the chain
-	first []int32 // group -> its first row
-	gid   []int32 // row -> group
+	pieces []keyedFrame
+	cols   [][]int // piece -> positions of the key columns in its frame
+	shift  uint
+	head   []int32  // slot -> newest group, -1 when empty
+	next   []int32  // group -> older group in its slot, -1 ends the chain
+	fpiece []int32  // group -> the piece of its first row
+	frow   []int32  // group -> its first row, in that piece's frame
+	fhash  []uint64 // group -> its key hash
+	gid    []int32  // row -> group
 }
 
-// newKeyIndex groups f's rows on cols; h holds the rows' hashes on cols.
-// The table's size follows from the row count: at least two slots per row.
-func newKeyIndex(f *frame.Frame, h []uint64, cols []string) *keyIndex {
-	n := f.NumRows()
+// newKeyIndex groups the rows of pieces on cols; each piece carries its
+// rows' hashes on cols. The table's size follows from the row count: at
+// least two slots per row.
+func newKeyIndex(pieces []keyedFrame, cols []string) *keyIndex {
+	n := numRows(pieces)
 	bits := uint(1)
 	for 1<<bits < 2*n {
 		bits++
 	}
 	ix := &keyIndex{
-		f: f, cols: colIndexes(f, cols), h: h, shift: 64 - bits,
-		head:  make([]int32, 1<<bits),
-		next:  make([]int32, 0, n),
-		first: make([]int32, 0, n),
-		gid:   make([]int32, n),
+		pieces: pieces, cols: make([][]int, len(pieces)), shift: 64 - bits,
+		head:   make([]int32, 1<<bits),
+		next:   make([]int32, 0, n),
+		fpiece: make([]int32, 0, n),
+		frow:   make([]int32, 0, n),
+		fhash:  make([]uint64, 0, n),
+		gid:    make([]int32, n),
 	}
 	for s := range ix.head {
 		ix.head[s] = -1
 	}
-	for i := 0; i < n; i++ {
-		g := ix.find(f, i, ix.cols, h[i], nil)
-		if g < 0 {
-			g = int32(len(ix.first))
-			s := ix.slot(h[i])
-			ix.first = append(ix.first, int32(i))
-			ix.next = append(ix.next, ix.head[s])
-			ix.head[s] = g
+	r := 0
+	for p, kf := range pieces {
+		ix.cols[p] = colIndexes(kf.f, cols)
+		for t := 0; t < kf.NumRows(); t++ {
+			i := kf.row(t)
+			h := kf.h[i]
+			g := ix.find(kf.f, i, ix.cols[p], h, nil)
+			if g < 0 {
+				g = int32(len(ix.fhash))
+				s := ix.slot(h)
+				ix.fpiece = append(ix.fpiece, int32(p))
+				ix.frow = append(ix.frow, int32(i))
+				ix.fhash = append(ix.fhash, h)
+				ix.next = append(ix.next, ix.head[s])
+				ix.head[s] = g
+			}
+			ix.gid[r] = g
+			r++
 		}
-		ix.gid[i] = g
 	}
 	return ix
 }
@@ -259,24 +287,69 @@ func newKeyIndex(f *frame.Frame, h []uint64, cols []string) *keyIndex {
 func (ix *keyIndex) slot(h uint64) uint64 { return (h * 0x9E3779B97F4A7C15) >> ix.shift }
 
 // len is the number of groups.
-func (ix *keyIndex) len() int { return len(ix.first) }
+func (ix *keyIndex) len() int { return len(ix.fhash) }
 
 // find returns the group whose key equals row j of pf on pcols (hash ph;
 // convs converts pf's values first, as ValuesEqualOn does), or -1.
 func (ix *keyIndex) find(pf *frame.Frame, j int, pcols []int, ph uint64, convs []func(value.Value) value.Value) int32 {
-	for g := ix.head[ix.slot(ph)]; g >= 0; g = ix.next[g] {
-		r := int(ix.first[g])
-		if ix.h[r] == ph && frame.ValuesEqualOn(ix.f, r, ix.cols, pf, j, pcols, convs) {
-			return g
+	g := ix.candidate(ix.head[ix.slot(ph)], ph)
+	for g >= 0 && !ix.keyEquals(g, pf, j, pcols, convs) {
+		g = ix.candidate(ix.next[g], ph)
+	}
+	return g
+}
+
+// findAll returns what find returns for each row of pieces, in their
+// concatenation order, keyed on cols. It runs in two passes: the
+// first walks each row's chain to the first group with the row's hash,
+// reading only the table; the second verifies those candidates, going on
+// down a chain only past a hash collision. A verification reads a group's
+// key where its first row lies, at random in the pieces the index was
+// built over; in a loop of nothing but verifications several of those
+// reads are in flight at once, where one interleaved with the chain walks
+// waits for each.
+func (ix *keyIndex) findAll(pieces []keyedFrame, cols []string, convs []func(value.Value) value.Value) []int32 {
+	gid := make([]int32, 0, numRows(pieces))
+	for _, kf := range pieces {
+		for t := 0; t < kf.NumRows(); t++ {
+			h := kf.h[kf.row(t)]
+			gid = append(gid, ix.candidate(ix.head[ix.slot(h)], h))
 		}
 	}
-	return -1
+	r := 0
+	for _, kf := range pieces {
+		pcols := colIndexes(kf.f, cols)
+		for t := 0; t < kf.NumRows(); t++ {
+			j, g := kf.row(t), gid[r]
+			for g >= 0 && !ix.keyEquals(g, kf.f, j, pcols, convs) {
+				g = ix.candidate(ix.next[g], kf.h[j])
+			}
+			gid[r] = g
+			r++
+		}
+	}
+	return gid
+}
+
+// candidate returns the first group with hash h on the chain from group g
+// on, or -1.
+func (ix *keyIndex) candidate(g int32, h uint64) int32 {
+	for g >= 0 && ix.fhash[g] != h {
+		g = ix.next[g]
+	}
+	return g
+}
+
+// keyEquals verifies that group g's key equals row j of pf on pcols.
+func (ix *keyIndex) keyEquals(g int32, pf *frame.Frame, j int, pcols []int, convs []func(value.Value) value.Value) bool {
+	p := ix.fpiece[g]
+	return frame.ValuesEqualOn(ix.pieces[p].f, int(ix.frow[g]), ix.cols[p], pf, j, pcols, convs)
 }
 
 // groupRows groups f's rows by their values on cols; h holds the rows'
 // hashes on cols.
 func groupRows(f *frame.Frame, h []uint64, cols []string) rowGroups {
-	ix := newKeyIndex(f, h, cols)
+	ix := newKeyIndex([]keyedFrame{{f: f, h: h}}, cols)
 	return byGroup(ix.gid, ix.len())
 }
 

@@ -27,12 +27,11 @@ func interpJoinColumnar(left, right *rdd.RDD[*frame.Frame], s *interpSpec, schem
 	lex := routeExchange(left, s.leftExact, nil, numOut, left.Name()+"|cogroup-left", binRoute(s.ltCol, 0, 2*s.w, numOut))
 	rex := routeExchange(right, s.rightExact, s.convs, numOut, right.Name()+"|cogroup-right", binRoute(s.rtCol, s.w, 2*s.w, numOut))
 	frames := rdd.ZipPartitions(lex, rex, func(_ int, ls, rs []keyedFrame) []*frame.Frame {
-		lf, lh := concatKeyed(ls)
-		rf, rh := concatKeyed(rs)
-		if lf.NumRows() == 0 || rf.NumRows() == 0 {
+		if numRows(ls) == 0 || numRows(rs) == 0 {
 			return framesOf(frame.Empty())
 		}
-		return framesOf(s.probe(lf, lh, rf, rh))
+		rf, rh := concatKeyed(rs)
+		return framesOf(s.probe(ls, rf, rh))
 	})
 	return dataset.NewFrames(name, frames.WithName(name), schema)
 }
@@ -92,11 +91,14 @@ func instantAt(c *frame.Column, i int) (t int64, ok bool) {
 	return v.TimeNanosVal(), v.Kind() == value.KindTime
 }
 
-// probe joins one partition; every row of lf and rf has an instant.
-func (s *interpSpec) probe(lf *frame.Frame, lh []uint64, rf *frame.Frame, rh []uint64) *frame.Frame {
-	// Left rows group by verified exact key; reps[g] is group g's first row.
-	ix := newKeyIndex(lf, lh, s.leftExact)
-	lgroup, reps := ix.gid, ix.first
+// probe joins one partition: the left rows are read where they lie, in
+// the pieces ls, in arrival order, and the right rows from rf, the right
+// pieces concatenated (the brackets are read at random); every row of
+// both has an instant.
+func (s *interpSpec) probe(ls []keyedFrame, rf *frame.Frame, rh []uint64) *frame.Frame {
+	// Left rows group by verified exact key.
+	ix := newKeyIndex(ls, s.leftExact)
+	lgroup, groups := ix.gid, ix.len()
 	rIdx := colIndexes(rf, s.rightExact)
 
 	// Right rows join a group, then a residual class: the rows whose
@@ -120,7 +122,7 @@ func (s *interpSpec) probe(lf *frame.Frame, lh []uint64, rf *frame.Frame, rh []u
 	if len(s.rightResidual) > 0 {
 		resHash = rf.HashOn(s.rightResidual, nil)
 	} else {
-		gclass = make([]int32, len(reps))
+		gclass = make([]int32, groups)
 		for g := range gclass {
 			gclass[g] = -1
 		}
@@ -186,7 +188,7 @@ func (s *interpSpec) probe(lf *frame.Frame, lh []uint64, rf *frame.Frame, rh []u
 	}
 	st := make([]int64, len(sorted))
 	byGroup := make([]int32, len(classes))
-	gFirst := make([]int32, len(reps)+1)
+	gFirst := make([]int32, groups+1)
 	for c := range classes {
 		sortByTime(sorted[runs[c]:runs[c+1]], rts, rclass)
 		for k := runs[c]; k < runs[c+1]; k++ {
@@ -198,7 +200,7 @@ func (s *interpSpec) probe(lf *frame.Frame, lh []uint64, rf *frame.Frame, rh []u
 	slices.SortFunc(byGroup, func(a, b int32) int {
 		return cmp.Or(cmp.Compare(classes[a].group, classes[b].group), strings.Compare(classes[a].key, classes[b].key))
 	})
-	for g := range reps {
+	for g := range groups {
 		gFirst[g+1] += gFirst[g]
 	}
 
@@ -212,50 +214,55 @@ func (s *interpSpec) probe(lf *frame.Frame, lh []uint64, rf *frame.Frame, rh []u
 	// input rows, past which the vectors grow by append: a group of many
 	// classes that rarely bracket its rows would otherwise reserve far more
 	// than it fills.
-	ltc := lf.Col(s.ltCol)
 	bound := 0
 	for _, g := range lgroup {
 		bound += int(gFirst[g+1] - gFirst[g])
 	}
-	bound = min(bound, 4*(lf.NumRows()+rf.NumRows()))
+	bound = min(bound, 4*(len(lgroup)+rf.NumRows()))
 	lsel, nsel, bsel, asel := make([]int32, 0, bound), make([]int32, 0, bound), make([]int32, 0, bound), make([]int32, 0, bound)
 	frac := make([]float64, 0, bound)
-	for i, g := range lgroup {
-		lt, _ := instantAt(ltc, i)
-		for _, c := range byGroup[gFirst[g]:gFirst[g+1]] {
-			run, ts := sorted[runs[c]:runs[c+1]], st[runs[c]:runs[c+1]]
-			b, a := -1, -1
-			q, _ := slices.BinarySearch(ts, lt)
-			if q < len(ts) && ts[q]-lt <= s.w {
-				a = q
-			}
-			if q < len(ts) && ts[q] == lt {
-				b = q
-			} else if q > 0 && lt-ts[q-1] <= s.w {
-				// The before-bracket is the first row on instant ts[q-1]:
-				// q-1 itself unless the row before it ties.
-				b = q - 1
-				if b > 0 && ts[b-1] == ts[b] {
-					b, _ = slices.BinarySearch(ts[:b], ts[b])
+	i := 0 // the left row's number in the pieces' concatenation
+	for _, kf := range ls {
+		ltc := kf.f.Col(s.ltCol)
+		for t := 0; t < kf.NumRows(); t++ {
+			lt, _ := instantAt(ltc, kf.row(t))
+			g := lgroup[i]
+			for _, c := range byGroup[gFirst[g]:gFirst[g+1]] {
+				run, ts := sorted[runs[c]:runs[c+1]], st[runs[c]:runs[c+1]]
+				b, a := -1, -1
+				q, _ := slices.BinarySearch(ts, lt)
+				if q < len(ts) && ts[q]-lt <= s.w {
+					a = q
+				}
+				if q < len(ts) && ts[q] == lt {
+					b = q
+				} else if q > 0 && lt-ts[q-1] <= s.w {
+					// The before-bracket is the first row on instant ts[q-1]:
+					// q-1 itself unless the row before it ties.
+					b = q - 1
+					if b > 0 && ts[b-1] == ts[b] {
+						b, _ = slices.BinarySearch(ts[:b], ts[b])
+					}
+				}
+				if b < 0 && a < 0 {
+					continue
+				}
+				near := b
+				if b < 0 || (a >= 0 && ts[a]-lt < lt-ts[b]) {
+					near = a
+				}
+				lsel, nsel = append(lsel, int32(i)), append(nsel, run[near])
+				switch {
+				case b < 0:
+					bsel, asel, frac = append(bsel, run[a]), append(asel, -1), append(frac, 0)
+				case a < 0 || ts[a] == ts[b]:
+					bsel, asel, frac = append(bsel, run[b]), append(asel, -1), append(frac, 0)
+				default:
+					bsel, asel = append(bsel, run[b]), append(asel, run[a])
+					frac = append(frac, float64(lt-ts[b])/float64(ts[a]-ts[b]))
 				}
 			}
-			if b < 0 && a < 0 {
-				continue
-			}
-			near := b
-			if b < 0 || (a >= 0 && ts[a]-lt < lt-ts[b]) {
-				near = a
-			}
-			lsel, nsel = append(lsel, int32(i)), append(nsel, run[near])
-			switch {
-			case b < 0:
-				bsel, asel, frac = append(bsel, run[a]), append(asel, -1), append(frac, 0)
-			case a < 0 || ts[a] == ts[b]:
-				bsel, asel, frac = append(bsel, run[b]), append(asel, -1), append(frac, 0)
-			default:
-				bsel, asel = append(bsel, run[b]), append(asel, run[a])
-				frac = append(frac, float64(lt-ts[b])/float64(ts[a]-ts[b]))
-			}
+			i++
 		}
 	}
 
@@ -273,7 +280,7 @@ func (s *interpSpec) probe(lf *frame.Frame, lh []uint64, rf *frame.Frame, rh []u
 			drop = append(drop, c)
 		}
 	}
-	out := mergePairs(lf, lsel, rf, nsel, drop)
+	out := frame.Merge(gatherPieces(ls, lsel), rf.Drop(drop...).Gather(nsel))
 	if len(rebuilt) > 0 {
 		out = frame.Merge(out, frame.New(rebuilt...))
 	}

@@ -2,7 +2,10 @@ package derive
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"scrubjay/internal/dataset"
@@ -46,12 +49,12 @@ func mulInverse(m uint64) uint64 {
 	return x
 }
 
-// TestKeyIndexCollisions builds and probes a keyIndex under injected hash
-// vectors that are valid (equal keys hash equally) but adversarial: every
+// TestKeyIndexCollisions builds a keyIndex over three pieces (whole
+// frames and a selection) and probes it under injected hash vectors that are valid (equal keys hash equally) but adversarial: every
 // key one hash, and distinct hashes that all land in one slot. Groups must
 // come out in first-seen order and every probe must find exactly the group
-// a map keyed by Row.KeyStringOn names — so only the ValuesEqualOn check
-// in find keeps the all-equal case apart.
+// a map keyed by Row.KeyStringOn names, through find and findAll alike —
+// so only the ValuesEqualOn check keeps the all-equal case apart.
 func TestKeyIndexCollisions(t *testing.T) {
 	cols := []string{"a", "b"}
 	inv := mulInverse(0x9E3779B97F4A7C15)
@@ -83,8 +86,29 @@ func TestKeyIndexCollisions(t *testing.T) {
 				}
 				return h
 			}
+			// The build rows arrive as three pieces: a frame of the first
+			// rows, a selection of the middle rows out of a frame of all
+			// of them, and a frame of the last rows. loc[r] is build row
+			// r's piece and row there.
 			bf, pf := frame.FromRows(build), frame.FromRows(probe)
-			ix := newKeyIndex(bf, hashes(build), cols)
+			a := rng.Intn(len(build) + 1)
+			b := a + rng.Intn(len(build)-a+1)
+			mid := make([]int32, 0, b-a)
+			for r := a; r < b; r++ {
+				mid = append(mid, int32(r))
+			}
+			pieces := []keyedFrame{
+				{f: frame.FromRows(build[:a]), h: hashes(build[:a])},
+				{f: bf, h: hashes(build), sel: mid},
+				{f: frame.FromRows(build[b:]), h: hashes(build[b:])},
+			}
+			var loc [][2]int32
+			for p, kf := range pieces {
+				for t := 0; t < kf.NumRows(); t++ {
+					loc = append(loc, [2]int32{int32(p), int32(kf.row(t))})
+				}
+			}
+			ix := newKeyIndex(pieces, cols)
 
 			want := map[string]int32{}
 			for i, r := range build {
@@ -101,19 +125,21 @@ func TestKeyIndexCollisions(t *testing.T) {
 			}
 			gs := byGroup(ix.gid, ix.len())
 			for g := 0; g < gs.len(); g++ {
-				if rows := gs.at(g); rows[0] != ix.first[g] {
-					t.Fatalf("%s trial %d: group %d starts at row %d, first row %d", name, trial, g, rows[0], ix.first[g])
+				first, at := gs.at(g)[0], [2]int32{ix.fpiece[g], ix.frow[g]}
+				if loc[first] != at || ix.fhash[g] != pieces[at[0]].h[at[1]] {
+					t.Fatalf("%s trial %d: group %d starts at row %d (piece and row %v), keeps %v hash %#x", name, trial, g, first, loc[first], at, ix.fhash[g])
 				}
 			}
 
 			ph, pIdx := hashes(probe), colIndexes(pf, cols)
+			all := ix.findAll([]keyedFrame{{f: pf, h: ph}}, cols, nil)
 			for j, r := range probe {
 				g, ok := want[r.KeyStringOn(cols)]
 				if !ok {
 					g = -1
 				}
-				if got := ix.find(pf, j, pIdx, ph[j], nil); got != g {
-					t.Fatalf("%s trial %d: probe row %d (%v) found group %d, want %d", name, trial, j, r, got, g)
+				if got := ix.find(pf, j, pIdx, ph[j], nil); got != g || all[j] != g {
+					t.Fatalf("%s trial %d: probe row %d (%v) found group %d (findAll %d), want %d", name, trial, j, r, got, all[j], g)
 				}
 			}
 		}
@@ -161,6 +187,48 @@ func TestNaturalJoinAllocsFlat(t *testing.T) {
 	a1k, a16k := count(1<<10), count(1<<14)
 	if a16k-a1k > 32 {
 		t.Errorf("NaturalJoin: %.0f allocations over 1k keys, %.0f over 16k; want at most 32 more", a1k, a16k)
+	}
+}
+
+// TestNaturalJoinBytesPerRow: a natural join on unique string keys, four
+// source partitions a side and every destination receiving at least three
+// pieces from the left, allocates at most 200 bytes per output row in all:
+// routing, the key index, the pair selections and the output itself
+// (about 187 here). The join probes and gathers the rows where the
+// exchange left them; concatenating each side's pieces first, which copies
+// every row's cells and hash once more, measured 214.
+func TestNaturalJoinBytesPerRow(t *testing.T) {
+	const n, parts, bound = 1 << 14, 4, 200
+	ctx := rdd.NewContext(2)
+	left, right := natJoinInputs(ctx, n, parts)
+	ex := hashExchange(left.Frames(), []string{"node"}, nil, parts, "pieces")
+	pieces := rdd.MapPartitions(ex, func(_ int, kfs []keyedFrame) []int { return []int{len(kfs)} }).Collect()
+	if slices.Min(pieces) < 3 {
+		t.Fatalf("left pieces per destination %v, want at least 3 each", pieces)
+	}
+	dict := semantics.DefaultDictionary()
+	join := func() {
+		out, err := (&NaturalJoin{}).Apply(left, right, dict)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := out.Count(); got != n {
+			t.Fatalf("join of %d unique keys emitted %d rows", n, got)
+		}
+	}
+	join() // pivots the inputs' frames, which later joins reuse
+	best := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		join()
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	if perRow := float64(best) / n; perRow > bound {
+		t.Errorf("NaturalJoin allocated %.1f bytes per output row, want at most %d", perRow, bound)
+	} else {
+		t.Logf("%.1f bytes per output row", perRow)
 	}
 }
 

@@ -10,11 +10,13 @@ import (
 
 // joinColumnar is the vectorized natural join. Both sides' batches are
 // hash-exchanged on their join columns' hash vectors, then each aligned
-// partition pair is joined batch-wise: a keyIndex groups the left rows by
-// verified key (first-seen order, mirroring the row path's co-group),
-// every right row finds its group, and the matching row pairs are
-// materialized with two column-wise gathers and a frame merge — no per-row
-// maps, no per-group slices, no per-row key strings.
+// partition pair is joined where its pieces lie: a keyIndex over the left
+// pieces groups the left rows by verified key (first-seen order,
+// mirroring the row path's co-group), every right row finds its group
+// piece by piece, and the matching row pairs are gathered straight from
+// the pieces of each side (neither side is concatenated first, and the
+// right key columns are never copied) and merged — no per-row maps, no
+// per-group slices, no per-row key strings.
 func joinColumnar(left, right *dataset.Dataset, schema semantics.Schema, name string,
 	leftCols, rightCols, dropRight []string, convs []func(value.Value) value.Value) *dataset.Dataset {
 
@@ -30,19 +32,13 @@ func joinColumnar(left, right *dataset.Dataset, schema semantics.Schema, name st
 	rex := hashExchange(right.Frames(), rightCols, convs, numOut, right.Frames().Name()+"|cogroup-right")
 
 	frames := rdd.ZipPartitions(lex, rex, func(_ int, ls, rs []keyedFrame) []*frame.Frame {
-		lf, lh := concatKeyed(ls)
-		rf, rh := concatKeyed(rs)
-		if lf.NumRows() == 0 || rf.NumRows() == 0 {
+		if numRows(ls) == 0 || numRows(rs) == 0 {
 			return framesOf(frame.Empty())
 		}
 		// Probe with right rows; convs rescales right units before the
 		// comparison, exactly as the row path keys do.
-		ix := newKeyIndex(lf, lh, leftCols)
-		rIdx := colIndexes(rf, rightCols)
-		rgid := make([]int32, rf.NumRows())
-		for j := range rgid {
-			rgid[j] = ix.find(rf, j, rIdx, rh[j], convs)
-		}
+		ix := newKeyIndex(ls, leftCols)
+		rgid := ix.findAll(rs, rightCols, convs)
 		lg, rg := byGroup(ix.gid, ix.len()), byGroup(rgid, ix.len())
 		// Emit matched pairs group-major (the row path's co-group order):
 		// every left row of a key crossed with every right row of the key.
@@ -63,7 +59,10 @@ func joinColumnar(left, right *dataset.Dataset, schema semantics.Schema, name st
 				}
 			}
 		}
-		return framesOf(mergePairs(lf, lsel, rf, rsel, dropRight))
+		// Matched pairs: left row lsel[k] beside right row rsel[k] less the
+		// drop columns, right cells winning wherever the right row has
+		// them (value.Row.Merge).
+		return framesOf(frame.Merge(gatherPieces(ls, lsel), gatherPieces(rs, rsel, dropRight...)))
 	})
 	return dataset.NewFrames(name, frames.WithName(name), schema)
 }

@@ -22,14 +22,14 @@ import (
 // which keeps distributed runs bit-for-bit identical to in-process ones.
 
 // keyedFrameWire carries columnar exchange batches: the frame plus its
-// per-row composite key hashes. A routed batch gathers its selection as it
-// encodes, so the bytes are those of the selected rows alone and decode to
-// a batch with no selection. Every batch carries one hash per row, so a
+// per-row composite key hashes. A routed batch is encoded straight from
+// its selection (shuffle.AppendSelection), so the bytes are those of the
+// selected rows alone, no gathered copy is built, and they decode to a
+// batch with no selection. Every batch carries one hash per row, so a
 // payload whose hash vector does not match its row count is corrupt.
 var keyedFrameWire = &rdd.Wire[keyedFrame]{
 	Append: func(buf []byte, kf keyedFrame) []byte {
-		f, h := kf.gathered()
-		return shuffle.AppendBatch(buf, f, h)
+		return shuffle.AppendSelection(buf, kf.f, kf.h, kf.sel)
 	},
 	Decode: func(b []byte) (keyedFrame, int, error) {
 		f, h, n, err := shuffle.DecodeBatch(b)

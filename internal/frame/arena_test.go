@@ -12,27 +12,30 @@ import (
 
 // TestRawStringColumnRejects: the decoder's arena check refuses offsets
 // that do not start at 0, that decrease, that do not end at the data's
-// length, or that are not one more than the rows, and accepts a well-formed
-// arena with empty and absent cells.
+// length, or that are not one more than the rows, and an absent cell that
+// holds bytes, and accepts a well-formed arena with empty and absent cells.
 func TestRawStringColumnRejects(t *testing.T) {
 	for _, tc := range []struct {
 		what string
 		n    int
 		data string
 		off  []uint32
+		pres []uint64
 		want string // error substring; "" for a valid column
 	}{
-		{"valid", 3, "abcd", []uint32{0, 1, 1, 4}, ""},
-		{"valid empty", 0, "", []uint32{0}, ""},
-		{"first offset not 0", 2, "abcd", []uint32{1, 2, 4}, "first string offset 1"},
-		{"decreasing offset", 3, "abcd", []uint32{0, 3, 2, 4}, "string offset 2 decreases from 3 to 2"},
-		{"last offset short of the data", 2, "abcd", []uint32{0, 1, 3}, "end at 3, want 4"},
-		{"last offset past the data", 2, "abcd", []uint32{0, 1, 5}, "end at 5, want 4"},
-		{"too few offsets", 3, "abcd", []uint32{0, 1, 4}, "3 string offsets for 3 rows"},
-		{"too many offsets", 1, "abcd", []uint32{0, 1, 4}, "3 string offsets for 1 rows"},
-		{"no offsets", 0, "", nil, "0 string offsets for 0 rows"},
+		{"valid", 3, "abcd", []uint32{0, 1, 1, 4}, nil, ""},
+		{"valid with an absent cell", 3, "abcd", []uint32{0, 1, 1, 4}, []uint64{0b101}, ""},
+		{"absent cell holding bytes", 3, "abcd", []uint32{0, 1, 1, 4}, []uint64{0b011}, "absent string cell 2 holds 3 bytes"},
+		{"valid empty", 0, "", []uint32{0}, nil, ""},
+		{"first offset not 0", 2, "abcd", []uint32{1, 2, 4}, nil, "first string offset 1"},
+		{"decreasing offset", 3, "abcd", []uint32{0, 3, 2, 4}, nil, "string offset 2 decreases from 3 to 2"},
+		{"last offset short of the data", 2, "abcd", []uint32{0, 1, 3}, nil, "end at 3, want 4"},
+		{"last offset past the data", 2, "abcd", []uint32{0, 1, 5}, nil, "end at 5, want 4"},
+		{"too few offsets", 3, "abcd", []uint32{0, 1, 4}, nil, "3 string offsets for 3 rows"},
+		{"too many offsets", 1, "abcd", []uint32{0, 1, 4}, nil, "3 string offsets for 1 rows"},
+		{"no offsets", 0, "", nil, nil, "0 string offsets for 0 rows"},
 	} {
-		c, err := RawStringColumn("k", tc.n, tc.data, tc.off, nil)
+		c, err := RawStringColumn("k", tc.n, tc.data, tc.off, tc.pres)
 		switch {
 		case tc.want == "" && err != nil:
 			t.Errorf("%s: %v", tc.what, err)
@@ -81,7 +84,7 @@ func TestStringGatherAllocsFlat(t *testing.T) {
 		}
 		gather = testing.AllocsPerRun(20, func() { f.Gather(idx) })
 		frames, sels := []*Frame{f, f}, [][]int32{idx, nil}
-		concat = testing.AllocsPerRun(20, func() { ConcatGather(frames, sels) })
+		concat = testing.AllocsPerRun(20, func() { ConcatGather(frames, sels, nil) })
 		return gather, concat
 	}
 	g1, c1 := count(1 << 10)

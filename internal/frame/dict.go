@@ -274,29 +274,39 @@ func (sc *strCoder) addAll(lists [][]string) bool {
 // dictionary lacks.
 func (p *Pivot) FromRows(rows []value.Row) *Frame { return fromRows(rows, p) }
 
-// DictCodes returns a string column's cells as a dictionary of its own:
-// entries lists the distinct present strings in first-use order and
-// codes[i] indexes cell i's string (0 for an absent cell). The result
-// depends only on the cells, never on how the column stores them, so an
-// encoder built on it is canonical. ok is false for any other kind, and
-// when the column has no present cell, a repeat-free sample
+// DictCodes returns the cells sel of a string column (every cell when sel
+// is nil), in that order, as a dictionary of their own: entries lists the
+// distinct present strings in first-use order and codes[k] indexes the
+// k-th cell's string (0 for an absent cell). The result depends only on
+// the cells, never on how the column stores them, and equals DictCodes(nil)
+// on the column Gather(sel) would build, so an encoder built on it is
+// canonical and need not gather first. ok is false for any other kind, and
+// when the cells hold no present one, a repeat-free sample
 // (sampleRepeats) or more distinct strings than maxDictNDV allows. The
 // slices are fresh.
-func (c *Column) DictCodes() (entries []string, codes []uint32, ok bool) {
+func (c *Column) DictCodes(sel []int32) (entries []string, codes []uint32, ok bool) {
 	if c.kind != value.KindString {
 		return nil, nil, false
+	}
+	n, cell := c.n, c.strCell
+	if sel != nil {
+		n, cell = len(sel), func(k int) (string, bool) { return c.strCell(int(sel[k])) }
 	}
 	if c.dict == nil {
 		// The entries live no longer than the column: they may stay
 		// substrings of its arena.
-		sc := newStrCoder(c.n, c.strCell, false)
+		sc := newStrCoder(n, cell, false)
 		if sc == nil {
 			return nil, nil, false
 		}
-		codes = make([]uint32, c.n)
-		for i := range codes {
+		codes = make([]uint32, n)
+		for k := range codes {
+			i := k
+			if sel != nil {
+				i = int(sel[k])
+			}
 			if c.Present(i) {
-				if codes[i], ok = sc.code(c.StrAt(i)); !ok {
+				if codes[k], ok = sc.code(c.StrAt(i)); !ok {
 					return nil, nil, false
 				}
 			}
@@ -305,16 +315,21 @@ func (c *Column) DictCodes() (entries []string, codes []uint32, ok bool) {
 	}
 	// A coded column's entries are distinct already: renumber the ones
 	// its cells use in first-use order, with no string lookups.
-	limit := dictLimit(c.n, c.strCell)
+	limit := dictLimit(n, cell)
 	if limit == 0 {
 		return nil, nil, false
 	}
-	codes = make([]uint32, c.n)
+	codes = make([]uint32, n)
 	local := make([]uint32, len(c.dict.vals)) // entry -> local code + 1
-	for i, g := range c.codes {
+	for k := range codes {
+		i := k
+		if sel != nil {
+			i = int(sel[k])
+		}
 		if !c.Present(i) {
 			continue
 		}
+		g := c.codes[i]
 		if local[g] == 0 {
 			if len(entries) == limit {
 				return nil, nil, false
@@ -322,7 +337,7 @@ func (c *Column) DictCodes() (entries []string, codes []uint32, ok bool) {
 			entries = append(entries, c.dict.vals[g])
 			local[g] = uint32(len(entries))
 		}
-		codes[i] = local[g] - 1
+		codes[k] = local[g] - 1
 	}
 	return entries, codes, true
 }

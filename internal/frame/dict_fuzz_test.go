@@ -51,20 +51,20 @@ func FuzzDictColumns(f *testing.F) {
 		cases := []pair{
 			{"input", ad, ap},
 			{"Gather", ad.Gather(idx), ap.Gather(idx)},
-			{"ConcatGather/one-dict", frame.ConcatGather([]*frame.Frame{ad, ad}, [][]int32{idx, nil}),
-				frame.ConcatGather([]*frame.Frame{ap, ap}, [][]int32{idx, nil})},
-			{"ConcatGather/two-dicts", frame.ConcatGather([]*frame.Frame{ad, bd, ad}, [][]int32{nil, nil, idx}),
-				frame.ConcatGather([]*frame.Frame{ap, bp, ap}, [][]int32{nil, nil, idx})},
-			{"ConcatGather/mixed", frame.ConcatGather([]*frame.Frame{bd, ap, ad}, [][]int32{nil, idx, nil}),
-				frame.ConcatGather([]*frame.Frame{bp, ap, ap}, [][]int32{nil, idx, nil})},
+			{"ConcatGather/one-dict", frame.ConcatGather([]*frame.Frame{ad, ad}, [][]int32{idx, nil}, nil),
+				frame.ConcatGather([]*frame.Frame{ap, ap}, [][]int32{idx, nil}, nil)},
+			{"ConcatGather/two-dicts", frame.ConcatGather([]*frame.Frame{ad, bd, ad}, [][]int32{nil, nil, idx}, nil),
+				frame.ConcatGather([]*frame.Frame{ap, bp, ap}, [][]int32{nil, nil, idx}, nil)},
+			{"ConcatGather/mixed", frame.ConcatGather([]*frame.Frame{bd, ap, ad}, [][]int32{nil, idx, nil}, nil),
+				frame.ConcatGather([]*frame.Frame{bp, ap, ap}, [][]int32{nil, idx, nil}, nil)},
 			{"Merge/one-dict", frame.Merge(ad, ad.Gather(rev)), frame.Merge(ap, ap.Gather(rev))},
 			{"Merge/mixed", frame.Merge(ad, ap.Gather(rev)), frame.Merge(ap, ap.Gather(rev))},
 		}
 		// A Builder holding no present cell cannot know they are strings.
 		if ab.Col("k").Kind() == value.KindString {
 			cases = append(cases, pair{"Builder", ab, ap},
-				pair{"ConcatGather/Builder", frame.ConcatGather([]*frame.Frame{ab, bd, ad}, [][]int32{idx, nil, nil}),
-					frame.ConcatGather([]*frame.Frame{ap, bp, ap}, [][]int32{idx, nil, nil})},
+				pair{"ConcatGather/Builder", frame.ConcatGather([]*frame.Frame{ab, bd, ad}, [][]int32{idx, nil, nil}, nil),
+					frame.ConcatGather([]*frame.Frame{ap, bp, ap}, [][]int32{idx, nil, nil}, nil)},
 				pair{"Merge/Builder", frame.Merge(ab, ad.Gather(rev)), frame.Merge(ap, ap.Gather(rev))})
 		}
 		for _, c := range cases {

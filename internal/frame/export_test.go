@@ -54,3 +54,13 @@ func StrColumnOf(name string, cells []string, present []bool, entries []string) 
 	}
 	return c
 }
+
+// DictEntries returns the entries of a dictionary-encoded column's
+// dictionary (nil for any other column), so tests outside the package can
+// compare two columns' dictionaries, not only their cells.
+func DictEntries(c *Column) []string {
+	if c.dict == nil {
+		return nil
+	}
+	return c.dict.vals
+}

@@ -556,25 +556,26 @@ func (f *Frame) FilterMask(keep []bool) *Frame {
 	return f.Gather(idx)
 }
 
-// ConcatGather concatenates selected rows of frames vertically into one
-// batch: frame i contributes its rows sels[i] in that order (all of its
-// rows when sels is nil or sels[i] is nil), each copied once — the batch
-// concatenating each frame's Gather would give, without the intermediate
-// frames. The column set is the union over the frames that contribute
-// rows; rows from a frame lacking a column are absent there. Columns
-// typed identically everywhere stay typed; disagreeing columns fall back
-// to boxed storage. A string column dictionary-encoded in every
-// contributing frame stays encoded: its codes are copied when the frames
-// share one dictionary, and otherwise remapped into the union of theirs,
-// once per distinct dictionary.
-func ConcatGather(frames []*Frame, sels [][]int32) *Frame {
-	rowsOf := func(i int) int {
-		if sels != nil && sels[i] != nil {
-			return len(sels[i])
-		}
-		return frames[i].n
-	}
-	n := 0
+// ConcatGather gathers rows of a vertical concatenation without building
+// it: frame i contributes its rows sels[i] in that order (all of its rows
+// when sels is nil or sels[i] is nil), and output row k is row idx[k] of
+// the concatenation (every row in order when idx is nil; indices may
+// repeat and must be in range). Each output cell is copied once, straight
+// from the frame it lives in.
+//
+// Everything but the cells is decided over the frames that contribute
+// rows, in frame order, whatever idx picks, so the result equals
+// ConcatGather(frames, sels, nil).Gather(idx) in representation as well as
+// in cells. The column set is the union over the contributing frames; rows
+// from a frame lacking a column are absent there. Columns typed
+// identically everywhere stay typed; disagreeing columns fall back to
+// boxed storage. A string column dictionary-encoded in every contributing
+// frame stays encoded: its codes are copied when the frames share one
+// dictionary, and otherwise remapped into the union of theirs, whose
+// entries follow first use over the whole concatenation. A column has a
+// presence bitmap only when an output cell is absent.
+func ConcatGather(frames []*Frame, sels [][]int32, idx []int32) *Frame {
+	m := newRowMap(frames, sels, idx)
 	type colInfo struct {
 		kind  value.Kind
 		seen  bool
@@ -584,10 +585,8 @@ func ConcatGather(frames []*Frame, sels [][]int32) *Frame {
 		union bool  // contributing string columns use different dictionaries
 	}
 	infos := map[string]*colInfo{}
-	for i, f := range frames {
-		m := rowsOf(i)
-		n += m
-		if m == 0 {
+	for p, f := range frames {
+		if m.rows(p) == 0 {
 			continue
 		}
 		for j := range f.cols {
@@ -622,165 +621,227 @@ func ConcatGather(frames []*Frame, sels [][]int32) *Frame {
 	}
 	sort.Strings(names)
 
-	selOf := func(i int) []int32 {
-		if sels != nil {
-			return sels[i]
-		}
-		return nil
-	}
-
+	n := m.len()
 	cols := make([]Column, len(names))
+	pcs := make([]*Column, len(frames)) // frame p's column of the current name, nil where it lacks one
 	for j, name := range names {
 		ci := infos[name]
+		bits := false // some contributing frame lacks the column or has an absent cell in it
+		for p, f := range frames {
+			pcs[p] = f.Col(name)
+			bits = bits || m.rows(p) > 0 && (pcs[p] == nil || pcs[p].pres != nil)
+		}
 		out := Column{name: name, kind: ci.kind, n: n}
-		var u *dictUnion
-		var sb strings.Builder // the arena of a plain string column
-		plain := false
-		if ci.boxed || !ci.seen {
+		switch {
+		case ci.boxed || !ci.seen:
 			out.kind = value.KindNull
-			out.boxd = make([]value.Value, 0, n)
-		} else {
-			switch {
-			case ci.kind == value.KindFloat:
-				out.flts = make([]float64, 0, n)
-			case ci.kind == value.KindString && !ci.plain:
-				out.dict = ci.dict
-				out.codes = make([]uint32, 0, n)
-				if ci.union {
-					u = newDictUnion()
+			out.boxd = make([]value.Value, n)
+			for k := m.reset(); k < n; k++ {
+				p, i := m.at(k)
+				if c := pcs[p]; c != nil && c.Present(i) {
+					out.boxd[k] = c.Value(i)
 				}
-			case ci.kind == value.KindString:
-				size := 0
-				for fi, f := range frames {
-					if c := f.Col(name); c != nil {
-						size += c.strBytes(selOf(fi), rowsOf(fi))
-					}
+			}
+		case ci.kind == value.KindFloat:
+			out.flts = make([]float64, n)
+			for k := m.reset(); k < n; k++ {
+				if p, i := m.at(k); pcs[p] != nil {
+					out.flts[k] = pcs[p].flts[i]
 				}
-				plain = true
-				growArena(&sb, name, size)
-				out.soff = make([]uint32, 1, n+1)
-			case ci.kind == value.KindSpan:
-				out.ints = make([]int64, 0, n)
-				out.ends = make([]int64, 0, n)
-			default:
-				out.ints = make([]int64, 0, n)
 			}
-		}
-		bits := newBits(n)
-		absent := false
-		pos := 0
-		for fi, f := range frames {
-			m := rowsOf(fi)
-			if m == 0 {
-				continue
-			}
-			c := f.Col(name)
-			if c == nil {
-				absent = true
-				out = appendZeros(out, m)
-				pos += m
-				continue
-			}
-			sel := selOf(fi)
-			if u != nil {
-				u.use(c.dict)
-			}
-			for k := 0; k < m; k++ {
-				i := k
-				if sel != nil {
-					i = int(sel[k])
+		case ci.kind == value.KindString && ci.plain:
+			out.sdat, out.soff = m.plainStrings(name, pcs)
+		case ci.kind == value.KindString && ci.union:
+			out.dict, out.codes = m.unionCodes(pcs)
+		case ci.kind == value.KindString:
+			out.dict, out.codes = ci.dict, make([]uint32, n)
+			for k := m.reset(); k < n; k++ {
+				if p, i := m.at(k); pcs[p] != nil {
+					out.codes[k] = pcs[p].codes[i]
 				}
-				if c.Present(i) {
-					setBit(bits, pos)
-				} else {
-					absent = true
+			}
+		case ci.kind == value.KindSpan:
+			out.ints, out.ends = make([]int64, n), make([]int64, n)
+			for k := m.reset(); k < n; k++ {
+				if p, i := m.at(k); pcs[p] != nil {
+					out.ints[k], out.ends[k] = pcs[p].ints[i], pcs[p].ends[i]
 				}
-				pos++
-				switch {
-				case out.kind == value.KindNull:
-					if c.Present(i) {
-						out.boxd = append(out.boxd, c.Value(i))
-					} else {
-						out.boxd = append(out.boxd, value.Value{})
-					}
-				case out.kind == value.KindFloat:
-					out.flts = append(out.flts, c.flts[i])
-				case u != nil:
-					code := uint32(0)
-					if c.Present(i) {
-						code = u.code(c.codes[i])
-					}
-					out.codes = append(out.codes, code)
-				case out.dict != nil:
-					out.codes = append(out.codes, c.codes[i])
-				case out.kind == value.KindString:
-					s := ""
-					if c.Present(i) {
-						s = c.StrAt(i)
-					}
-					out.soff = appendStr(&sb, out.soff, s)
-				case out.kind == value.KindSpan:
-					out.ints = append(out.ints, c.ints[i])
-					out.ends = append(out.ends, c.ends[i])
-				default:
-					out.ints = append(out.ints, c.ints[i])
+			}
+		default: // bool, int, time
+			out.ints = make([]int64, n)
+			for k := m.reset(); k < n; k++ {
+				if p, i := m.at(k); pcs[p] != nil {
+					out.ints[k] = pcs[p].ints[i]
 				}
 			}
 		}
-		if u != nil {
-			out.dict = u.finish()
-		}
-		if plain {
-			out.sdat = sb.String()
-		}
-		if absent {
-			out.pres = bits
+		if bits {
+			out.pres = m.presence(pcs)
 		}
 		cols[j] = out
 	}
 	return newFrame(cols, n)
 }
 
-// strBytes is the total length of the present strings among cells sel of
-// a string column, or among its first m cells when sel is nil.
-func (c *Column) strBytes(sel []int32, m int) int {
-	size := 0
-	for k := 0; k < m; k++ {
-		i := k
-		if sel != nil {
-			i = int(sel[k])
-		}
-		if c.Present(i) {
-			size += len(c.StrAt(i))
-		}
-	}
-	return size
+// rowMap resolves the output rows of a ConcatGather to the frame each one
+// lives in and its row there. With an idx it lists every row of the
+// concatenation once, in order, and an output row reads its entry; without
+// one it walks the frames in step with the rows, so the concatenation
+// costs no vector of its own.
+type rowMap struct {
+	sels  [][]int32 // frame p's selection; nil selects all its rows
+	start []int     // frame p holds rows start[p]:start[p+1] of the concatenation
+	idx   []int32   // output row k is row idx[k] of the concatenation; nil: row k
+	rowAt []uint64  // with an idx: row g of the concatenation is row uint32(rowAt[g]) of frame rowAt[g]>>32
+	p     int       // without: the frame of the row at resolves next
 }
 
-// appendZeros extends a column's storage by m absent cells.
-func appendZeros(out Column, m int) Column {
-	if out.kind == value.KindNull {
-		for k := 0; k < m; k++ {
-			out.boxd = append(out.boxd, value.Value{})
+func newRowMap(frames []*Frame, sels [][]int32, idx []int32) *rowMap {
+	m := &rowMap{sels: make([][]int32, len(frames)), start: make([]int, len(frames)+1), idx: idx}
+	for p, f := range frames {
+		rows := f.n
+		if sels != nil && sels[p] != nil {
+			m.sels[p], rows = sels[p], len(sels[p])
 		}
-		return out
+		m.start[p+1] = m.start[p] + rows
 	}
-	switch {
-	case out.kind == value.KindFloat:
-		out.flts = append(out.flts, make([]float64, m)...)
-	case out.codes != nil:
-		out.codes = append(out.codes, make([]uint32, m)...)
-	case out.kind == value.KindString:
-		for last := out.soff[len(out.soff)-1]; m > 0; m-- {
-			out.soff = append(out.soff, last)
+	if idx == nil {
+		return m
+	}
+	// One sequential pass: cheaper than searching the frame of each
+	// output row, which a join's index visits in no particular order.
+	m.rowAt = make([]uint64, m.start[len(frames)])
+	for p := range frames {
+		for t, g := 0, m.start[p]; g < m.start[p+1]; t, g = t+1, g+1 {
+			i := t
+			if s := m.sels[p]; s != nil {
+				i = int(s[t])
+			}
+			m.rowAt[g] = uint64(p)<<32 | uint64(uint32(i))
 		}
-	case out.kind == value.KindSpan:
-		out.ints = append(out.ints, make([]int64, m)...)
-		out.ends = append(out.ends, make([]int64, m)...)
-	default:
-		out.ints = append(out.ints, make([]int64, m)...)
 	}
-	return out
+	return m
+}
+
+// rows is the number of rows frame p contributes.
+func (m *rowMap) rows(p int) int { return m.start[p+1] - m.start[p] }
+
+// len is the number of output rows.
+func (m *rowMap) len() int {
+	if m.idx != nil {
+		return len(m.idx)
+	}
+	return m.start[len(m.start)-1]
+}
+
+// reset rewinds the walk to output row 0, which it returns.
+func (m *rowMap) reset() int {
+	m.p = 0
+	return 0
+}
+
+// at returns the frame and row of output row k. A walk (no idx) must visit
+// the rows in ascending order after a reset.
+func (m *rowMap) at(k int) (p, i int) {
+	if m.idx != nil {
+		e := m.rowAt[m.idx[k]]
+		return int(e >> 32), int(uint32(e))
+	}
+	for k >= m.start[m.p+1] {
+		m.p++
+	}
+	i = k - m.start[m.p]
+	if s := m.sels[m.p]; s != nil {
+		i = int(s[i])
+	}
+	return m.p, i
+}
+
+// presence is the presence bitmap of the output column read from pcs.
+// It is nil when every output cell is present.
+func (m *rowMap) presence(pcs []*Column) []uint64 {
+	n := m.len()
+	bits := newBits(n)
+	absent := false
+	for k := m.reset(); k < n; k++ {
+		if p, i := m.at(k); pcs[p] != nil && pcs[p].Present(i) {
+			setBit(bits, k)
+		} else {
+			absent = true
+		}
+	}
+	if !absent {
+		return nil
+	}
+	return bits
+}
+
+// plainStrings builds the arena of a plain output string column read from
+// pcs, some of which may be coded. A plain source cell's length is its
+// offset difference, an absent cell's being 0, so one pass writes the
+// output offsets and a second copies the bytes.
+func (m *rowMap) plainStrings(name string, pcs []*Column) (string, []uint32) {
+	n := m.len()
+	off := make([]uint32, n+1)
+	size := 0
+	for k := m.reset(); k < n; k++ {
+		p, i := m.at(k)
+		switch c := pcs[p]; {
+		case c == nil:
+		case c.dict == nil:
+			size += int(c.soff[i+1] - c.soff[i])
+		case c.Present(i):
+			size += len(c.dict.vals[c.codes[i]])
+		}
+		off[k+1] = uint32(size)
+	}
+	var sb strings.Builder
+	growArena(&sb, name, size)
+	for k := m.reset(); k < n; k++ {
+		p, i := m.at(k)
+		switch c := pcs[p]; {
+		case c == nil:
+		case c.dict == nil:
+			sb.WriteString(c.sdat[c.soff[i]:c.soff[i+1]])
+		case c.Present(i):
+			sb.WriteString(c.dict.vals[c.codes[i]])
+		}
+	}
+	return sb.String(), off
+}
+
+// unionCodes codes an output string column read from pcs, coded in
+// different dictionaries, into their union. The union takes its entries
+// in first use over the whole concatenation, each input dictionary
+// remapped once; the output cells then read their codes through the
+// remaps. An absent cell gets code 0.
+func (m *rowMap) unionCodes(pcs []*Column) (*dict, []uint32) {
+	u := newDictUnion()
+	remaps := make([][]uint32, len(pcs))
+	for p, c := range pcs {
+		if c == nil || m.rows(p) == 0 {
+			continue
+		}
+		u.use(c.dict)
+		for t := 0; t < m.rows(p); t++ {
+			i := t
+			if s := m.sels[p]; s != nil {
+				i = int(s[t])
+			}
+			if c.Present(i) {
+				u.code(c.codes[i])
+			}
+		}
+		remaps[p] = u.remap
+	}
+	n := m.len()
+	codes := make([]uint32, n)
+	for k := m.reset(); k < n; k++ {
+		if p, i := m.at(k); pcs[p] != nil && pcs[p].Present(i) {
+			codes[k] = remaps[p][pcs[p].codes[i]] - 1
+		}
+	}
+	return u.finish(), codes
 }
 
 // Merge combines two equal-length frames column-wise, exactly as

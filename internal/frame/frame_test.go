@@ -187,7 +187,7 @@ func TestConcat(t *testing.T) {
 	a := randRows(rng, 7)
 	b := []value.Row{{"c0": value.Str("not-an-int"), "extra": value.Int(1)}}
 	c := randRows(rng, 5)
-	f := ConcatGather([]*Frame{FromRows(a), FromRows(b), Empty(), FromRows(c)}, nil)
+	f := ConcatGather([]*Frame{FromRows(a), FromRows(b), Empty(), FromRows(c)}, nil, nil)
 	var want []value.Row
 	want = append(want, a...)
 	want = append(want, b...)
@@ -203,8 +203,8 @@ func TestConcatGather(t *testing.T) {
 	a, b, c := FromRows(randRows(rng, 9)), FromRows([]value.Row{{"c0": value.Str("s"), "extra": value.Int(1)}}), FromRows(randRows(rng, 6))
 	frames := []*Frame{a, b, c, a}
 	sels := [][]int32{{8, 0, 0, 3}, {}, nil, {2}}
-	got := ConcatGather(frames, sels)
-	want := ConcatGather([]*Frame{a.Gather(sels[0]), c, a.Gather(sels[3])}, nil)
+	got := ConcatGather(frames, sels, nil)
+	want := ConcatGather([]*Frame{a.Gather(sels[0]), c, a.Gather(sels[3])}, nil, nil)
 	rowsEqual(t, want.ToRows(), got.ToRows())
 	if got.NumCols() != want.NumCols() {
 		t.Fatalf("ConcatGather: %d columns, want %d", got.NumCols(), want.NumCols())
@@ -510,15 +510,15 @@ func TestFramesImmutable(t *testing.T) {
 		{"Gather", func() { f.Gather([]int32{3, 0, 3, 69}) }},
 		{"FilterMask", func() { f.FilterMask(keep) }},
 		{"Merge", func() { Merge(f, other) }},
-		{"ConcatGather", func() { ConcatGather([]*Frame{f, short, f}, [][]int32{{1, 2}, nil, {0}}) }},
+		{"ConcatGather", func() { ConcatGather([]*Frame{f, short, f}, [][]int32{{1, 2}, nil, {0}}, nil) }},
 		{"Gather/dict", func() { df.Gather([]int32{3, 0, 3, 39}) }},
 		{"Select/dict", func() { df.Select([]string{"k"}) }},
 		{"Rename/dict", func() { df.Rename("k", "r") }},
 		{"Merge/dict", func() { Merge(df, df.Gather(perm)) }},
-		{"ConcatGather/dict", func() { ConcatGather([]*Frame{df, df}, [][]int32{{1, 2}, {0}}) }},
-		{"ConcatGather/two-dicts", func() { ConcatGather([]*Frame{df, dg, df}, [][]int32{{1, 2}, nil, {0}}) }},
-		{"ConcatGather/dict+plain", func() { ConcatGather([]*Frame{df, f.Rename("c2", "k")}, nil) }},
-		{"DictCodes", func() { df.Col("k").DictCodes() }},
+		{"ConcatGather/dict", func() { ConcatGather([]*Frame{df, df}, [][]int32{{1, 2}, {0}}, nil) }},
+		{"ConcatGather/two-dicts", func() { ConcatGather([]*Frame{df, dg, df}, [][]int32{{1, 2}, nil, {0}}, nil) }},
+		{"ConcatGather/dict+plain", func() { ConcatGather([]*Frame{df, f.Rename("c2", "k")}, nil, nil) }},
+		{"DictCodes", func() { df.Col("k").DictCodes(nil) }},
 	} {
 		inputs := []*Frame{f, other, short, repl, added, df, dg}
 		before := make([][]byte, len(inputs))
@@ -543,7 +543,7 @@ func TestFramesImmutable(t *testing.T) {
 		"Column.DictCodes": func(f *Frame) []any {
 			var out []any
 			for j := range f.cols {
-				entries, codes, _ := f.cols[j].DictCodes()
+				entries, codes, _ := f.cols[j].DictCodes(nil)
 				out = append(out, entries, codes)
 			}
 			return out

@@ -114,7 +114,9 @@ func RawColumn(name string, kind value.Kind, n int, ints []int64, flts []float64
 // holds every cell's bytes back to back and off its n+1 offsets, so cell i
 // is data[off[i]:off[i+1]]. The offsets must start at 0, never decrease
 // and end at len(data), so a corrupt payload surfaces as an error here
-// rather than as a slice panic on first read. It is an ownership-transfer
+// rather than as a slice panic on first read, and an absent cell must be
+// empty, as every plain column stores it: kernels copy a plain cell by its
+// offsets without reading its presence. It is an ownership-transfer
 // constructor: off is retained, not copied.
 func RawStringColumn(name string, n int, data string, off []uint32, pres []uint64) (Column, error) {
 	if n < 0 || len(off) != n+1 {
@@ -129,6 +131,9 @@ func RawStringColumn(name string, n int, data string, off []uint32, pres []uint6
 	for i := 1; i <= n; i++ {
 		if off[i] < off[i-1] {
 			return Column{}, fmt.Errorf("frame: raw column %q: string offset %d decreases from %d to %d", name, i, off[i-1], off[i])
+		}
+		if off[i] != off[i-1] && pres != nil && pres[(i-1)>>6]&(1<<(uint(i-1)&63)) == 0 {
+			return Column{}, fmt.Errorf("frame: raw column %q: absent string cell %d holds %d bytes", name, i-1, off[i]-off[i-1])
 		}
 	}
 	if int(off[n]) != len(data) {

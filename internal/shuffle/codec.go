@@ -65,31 +65,37 @@ const dictString byte = 0x80 | byte(value.KindString)
 
 // AppendFrame appends the wire encoding of f to buf and returns the
 // extended slice.
-func AppendFrame(buf []byte, f *frame.Frame) []byte {
+func AppendFrame(buf []byte, f *frame.Frame) []byte { return appendFrame(buf, f, nil) }
+
+// appendFrame appends the encoding of f's rows sel, in that order (every
+// row when sel is nil): the bytes AppendFrame appends for f.Gather(sel),
+// read from f without building the gathered frame.
+func appendFrame(buf []byte, f *frame.Frame, sel []int32) []byte {
 	buf = append(buf, frameMarker)
 	n := f.NumRows()
+	if sel != nil {
+		n = len(sel)
+	}
 	buf = binary.AppendUvarint(buf, uint64(n))
 	buf = binary.AppendUvarint(buf, uint64(f.NumCols()))
 	for ci := 0; ci < f.NumCols(); ci++ {
 		c := f.ColAt(ci)
 		buf = binary.AppendUvarint(buf, uint64(len(c.Name())))
 		buf = append(buf, c.Name()...)
-		entries, codes, dict := c.DictCodes()
+		entries, codes, dict := c.DictCodes(sel)
 		if dict {
 			buf = append(buf, dictString)
 		} else {
 			buf = append(buf, byte(c.Kind()))
 		}
-		if c.AllPresent() {
+		if !hasAbsent(c, sel) {
 			buf = append(buf, 0)
 		} else {
 			buf = append(buf, 1)
-			for w := 0; w < (n+63)/64; w++ {
-				buf = binary.LittleEndian.AppendUint64(buf, c.PresenceWord(w))
-			}
+			buf = appendPresence(buf, c, sel, n)
 		}
 		if !dict {
-			buf = appendPayload(buf, c, n)
+			buf = appendPayload(buf, c, sel, n)
 			continue
 		}
 		buf = binary.AppendUvarint(buf, uint64(len(entries)))
@@ -104,34 +110,76 @@ func AppendFrame(buf []byte, f *frame.Frame) []byte {
 	return buf
 }
 
-// appendPayload appends the payload of a column not written as dictString.
-func appendPayload(buf []byte, c *frame.Column, n int) []byte {
+// hasAbsent reports whether the column Gather(sel) would build from c has
+// a presence bitmap: with no selection, whether c has one; with one,
+// whether a selected cell is absent.
+func hasAbsent(c *frame.Column, sel []int32) bool {
+	if sel == nil || c.AllPresent() {
+		return !c.AllPresent()
+	}
+	for _, i := range sel {
+		if !c.Present(int(i)) {
+			return true
+		}
+	}
+	return false
+}
+
+// appendPresence appends the presence bitmap of c's cells sel (c's own
+// bitmap when sel is nil), n cells in all.
+func appendPresence(buf []byte, c *frame.Column, sel []int32, n int) []byte {
+	for w := 0; w < (n+63)/64; w++ {
+		if sel == nil {
+			buf = binary.LittleEndian.AppendUint64(buf, c.PresenceWord(w))
+			continue
+		}
+		var word uint64
+		for b, i := range sel[64*w : min(64*w+64, n)] {
+			if c.Present(int(i)) {
+				word |= 1 << b
+			}
+		}
+		buf = binary.LittleEndian.AppendUint64(buf, word)
+	}
+	return buf
+}
+
+// appendPayload appends the payload of a column not written as dictString:
+// its cells sel, or its first n cells when sel is nil.
+func appendPayload(buf []byte, c *frame.Column, sel []int32, n int) []byte {
+	row := func(k int) int {
+		if sel != nil {
+			return int(sel[k])
+		}
+		return k
+	}
 	switch c.Kind() {
 	case value.KindBool, value.KindInt, value.KindTime:
-		for i := 0; i < n; i++ {
-			buf = binary.AppendVarint(buf, c.IntAt(i))
+		for k := 0; k < n; k++ {
+			buf = binary.AppendVarint(buf, c.IntAt(row(k)))
 		}
 	case value.KindFloat:
-		for i := 0; i < n; i++ {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.FloatAt(i)))
+		for k := 0; k < n; k++ {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.FloatAt(row(k))))
 		}
 	case value.KindString: // an absent cell writes "", however it is stored
-		for i := 0; i < n; i++ {
+		for k := 0; k < n; k++ {
 			var s string
-			if c.Present(i) {
+			if i := row(k); c.Present(i) {
 				s = c.StrAt(i)
 			}
 			buf = binary.AppendUvarint(buf, uint64(len(s)))
 			buf = append(buf, s...)
 		}
 	case value.KindSpan:
-		for i := 0; i < n; i++ {
+		for k := 0; k < n; k++ {
+			i := row(k)
 			buf = binary.AppendVarint(buf, c.IntAt(i))
 			buf = binary.AppendVarint(buf, c.SpanEndAt(i))
 		}
 	default: // boxed: an absent cell boxes to Null, the stored zero value
-		for i := 0; i < n; i++ {
-			buf = c.Value(i).AppendBinary(buf)
+		for k := 0; k < n; k++ {
+			buf = c.Value(row(k)).AppendBinary(buf)
 		}
 	}
 	return buf
@@ -172,15 +220,35 @@ func DecodeFrame(b []byte) (*frame.Frame, int, error) {
 // nil for hash-free exchanges) followed by the frame. len(hashes) must be 0
 // or f.NumRows().
 func AppendBatch(buf []byte, f *frame.Frame, hashes []uint64) []byte {
+	return AppendSelection(buf, f, hashes, nil)
+}
+
+// AppendSelection appends the exchange batch of f's rows sel, in that
+// order (every row when sel is nil), with their entries of hashes: exactly
+// the bytes AppendBatch appends for f.Gather(sel) and hashes gathered at
+// sel, encoded straight from f and hashes. A routed batch is a selection
+// of its source batch, so this is how one crosses the wire without a copy.
+// len(hashes) must be 0 or f.NumRows().
+func AppendSelection(buf []byte, f *frame.Frame, hashes []uint64, sel []int32) []byte {
 	if len(hashes) != 0 && len(hashes) != f.NumRows() {
 		panic("shuffle: AppendBatch hash vector length mismatch")
 	}
 	buf = append(buf, batchMarker)
-	buf = binary.AppendUvarint(buf, uint64(len(hashes)))
-	for _, h := range hashes {
-		buf = binary.LittleEndian.AppendUint64(buf, h)
+	switch {
+	case len(hashes) == 0:
+		buf = binary.AppendUvarint(buf, 0)
+	case sel == nil:
+		buf = binary.AppendUvarint(buf, uint64(len(hashes)))
+		for _, h := range hashes {
+			buf = binary.LittleEndian.AppendUint64(buf, h)
+		}
+	default:
+		buf = binary.AppendUvarint(buf, uint64(len(sel)))
+		for _, i := range sel {
+			buf = binary.LittleEndian.AppendUint64(buf, hashes[i])
+		}
 	}
-	return AppendFrame(buf, f)
+	return appendFrame(buf, f, sel)
 }
 
 // DecodeBatch decodes one batch produced by AppendBatch.

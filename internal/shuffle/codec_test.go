@@ -116,6 +116,77 @@ func TestFrameRoundTripConcatenated(t *testing.T) {
 	}
 }
 
+// TestAppendSelectionMatchesGather: encoding a selection in place writes
+// the bytes that gathering it first and encoding the gathered frame would,
+// hash vector included, for plain, coded, boxed, span, bool and float
+// columns with absent cells, a column whose selected cells are all absent,
+// and empty, whole, reversed and repeating selections.
+func TestAppendSelectionMatchesGather(t *testing.T) {
+	const n = 150 // more than two presence words
+	rows := make([]value.Row, n)
+	for i := range rows {
+		r := value.Row{
+			"coded": value.Str(fmt.Sprintf("rack-%d", i%4)),
+			"span":  value.Span(int64(i), int64(2*i+1)),
+			"bool":  value.Bool(i%3 == 0),
+		}
+		if i%7 != 0 {
+			r["plain"] = value.Str(fmt.Sprintf("node%06d", i))
+			r["float"] = value.Float(float64(i) / 4)
+		}
+		if i%5 == 0 {
+			delete(r, "coded")
+		}
+		switch i % 3 {
+		case 0:
+			r["boxed"] = value.Int(int64(i))
+		case 1:
+			r["boxed"] = value.StrList("a", fmt.Sprint(i))
+		}
+		if i >= 100 {
+			r["late"] = value.Int(int64(i))
+		}
+		rows[i] = r
+	}
+	f := frame.FromRows(rows)
+	if !f.Col("coded").DictEncoded() || f.Col("plain").DictEncoded() || f.Col("boxed").Kind() != value.KindNull {
+		t.Fatal("test frame does not hold a coded, a plain and a boxed column")
+	}
+	hashes := make([]uint64, n)
+	for i := range hashes {
+		hashes[i] = uint64(i)*0x9e3779b97f4a7c15 + 1
+	}
+	all, rev, early, repeat := make([]int32, n), make([]int32, n), make([]int32, 0, 100), make([]int32, 0, 3*n)
+	for i := range all {
+		all[i], rev[i] = int32(i), int32(n-1-i)
+		if i < 100 {
+			early = append(early, int32(i)) // "late" absent throughout
+		}
+		repeat = append(repeat, int32(i%9), int32(i%9), int32(n-1-i%11))
+	}
+	sels := map[string][]int32{
+		"empty": {}, "all": all, "reversed": rev, "all-absent": early, "repeated": repeat,
+		"one-row": {7}, "present-only": {1, 2, 3, 4, 5, 6, 8, 9},
+	}
+	for name, sel := range sels {
+		for _, h := range [][]uint64{hashes, nil} {
+			var hsel []uint64
+			if h != nil {
+				for _, i := range sel {
+					hsel = append(hsel, h[i])
+				}
+			}
+			got, want := AppendSelection(nil, f, h, sel), AppendBatch(nil, f.Gather(sel), hsel)
+			if !slices.Equal(got, want) {
+				t.Errorf("%s (hashes %v): AppendSelection wrote %d bytes, the gathered batch %d, not the same", name, h != nil, len(got), len(want))
+			}
+		}
+	}
+	if got, want := AppendSelection(nil, f, hashes, nil), AppendBatch(nil, f, hashes); !slices.Equal(got, want) {
+		t.Error("AppendSelection with no selection differs from AppendBatch")
+	}
+}
+
 func TestBatchRoundTrip(t *testing.T) {
 	f := testFrames(t)["typed"]
 	hashes := make([]uint64, f.NumRows())
