@@ -125,10 +125,13 @@ func (c *Cache) Get(ctx *rdd.Context, key string) (*dataset.Dataset, bool) {
 // Put stores a dataset under key and evicts LRU entries beyond the budget.
 // The data file is staged to a temp path and renamed into place, so a
 // concurrent Get of the same key sees either the old or the new complete
-// file, never a partial write.
+// file, never a partial write. Writing computes ds, so it can abort (a
+// cancelled request panics through it); the temp file goes on every exit
+// that does not rename it.
 func (c *Cache) Put(key string, ds *dataset.Dataset) error {
 	path := c.dataPath(key)
 	tmp := c.tmpPath(key)
+	defer os.Remove(tmp) // a no-op once renamed
 	if err := wrappers.Write(ds, wrappers.Source{Format: "bin", Path: tmp}); err != nil {
 		return err
 	}
@@ -137,7 +140,6 @@ func (c *Cache) Put(key string, ds *dataset.Dataset) error {
 		size = fi.Size()
 	}
 	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
 		return fmt.Errorf("cache: %w", err)
 	}
 	c.mu.Lock()
@@ -215,14 +217,11 @@ func (c *Cache) saveIndex() error {
 		return err
 	}
 	tmp := c.tmpPath("index")
+	defer os.Remove(tmp) // a no-op once renamed
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, filepath.Join(c.dir, indexFile)); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	return os.Rename(tmp, filepath.Join(c.dir, indexFile))
 }
 
 // SetClock overrides the cache's clock; for tests.

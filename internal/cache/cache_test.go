@@ -1,7 +1,10 @@
 package cache
 
 import (
+	"context"
+	"errors"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -160,6 +163,35 @@ func TestDamagedEntryDropped(t *testing.T) {
 	}
 	if c.Contains("hurt") {
 		t.Error("damaged entry should be dropped from the index")
+	}
+}
+
+// TestCanceledPutLeavesNoTempFile: Put computes a lazy dataset while it
+// writes, so a cancelled request aborts it mid-write with a *rdd.Canceled
+// panic. The staged temp file goes with the write, and the key stays
+// absent.
+func TestCanceledPutLeavesNoTempFile(t *testing.T) {
+	dir := t.TempDir()
+	c, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	ds := smallDataset(rdd.NewContext(1).WithGoContext(gctx), 10)
+	perr, err := rdd.Guard(func() error { return c.Put("k1", ds) })
+	if err == nil {
+		err = perr
+	}
+	var canceled *rdd.Canceled
+	if !errors.As(err, &canceled) {
+		t.Fatalf("Put under a cancelled context returned %v, want a *rdd.Canceled", err)
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) > 0 {
+		t.Errorf("cancelled Put left %v", tmps)
+	}
+	if c.Contains("k1") {
+		t.Error("cancelled Put cached k1")
 	}
 }
 

@@ -23,11 +23,9 @@ import (
 // source batch: sel lists the rows of f (and entries of h) it carries, in
 // order, so routing copies no cells; nil sel carries every row. A
 // destination receives its partition as a list of such pieces and reads
-// them where they lie: the joins probe the pieces and gather only their
-// output rows from them (frame.ConcatGather with an index), the group
-// kernel and the interpolation join's right side concatenate them
-// (concatKeyed), and across processes the wire encodes each selection in
-// place.
+// them where they lie: every keyed kernel builds its keyIndex over the
+// pieces and gathers its output rows from them (gatherPieces), and across
+// processes the wire encodes each selection in place.
 type keyedFrame struct {
 	f   *frame.Frame
 	h   []uint64
@@ -115,9 +113,14 @@ func (kf keyedFrame) row(t int) int {
 	return t
 }
 
-// piecesOf lists a partition's pieces as frame.ConcatGather takes them,
-// each frame less the drop columns.
-func piecesOf(kfs []keyedFrame, drop ...string) ([]*frame.Frame, [][]int32) {
+// gatherPieces materializes rows idx of a partition's concatenated pieces
+// (every row, in arrival order, when idx is nil), less the drop columns,
+// copying each output cell once from the piece it lives in. A lone whole
+// piece asked for every row is returned as it is.
+func gatherPieces(kfs []keyedFrame, idx []int32, drop ...string) *frame.Frame {
+	if idx == nil && len(drop) == 0 && len(kfs) == 1 && kfs[0].sel == nil {
+		return kfs[0].f
+	}
 	fs, sels := make([]*frame.Frame, len(kfs)), make([][]int32, len(kfs))
 	for i, kf := range kfs {
 		fs[i], sels[i] = kf.f, kf.sel
@@ -125,14 +128,6 @@ func piecesOf(kfs []keyedFrame, drop ...string) ([]*frame.Frame, [][]int32) {
 			fs[i] = kf.f.Drop(drop...)
 		}
 	}
-	return fs, sels
-}
-
-// gatherPieces materializes rows idx of a partition's concatenated pieces,
-// less the drop columns, copying each output cell once from the piece it
-// lives in.
-func gatherPieces(kfs []keyedFrame, idx []int32, drop ...string) *frame.Frame {
-	fs, sels := piecesOf(kfs, drop...)
 	return frame.ConcatGather(fs, sels, idx)
 }
 
@@ -143,23 +138,6 @@ func numRows(kfs []keyedFrame) int {
 		n += kf.NumRows()
 	}
 	return n
-}
-
-// concatKeyed flattens one partition's pieces into a single frame and
-// hash vector, copying each carried row once. One whole piece is returned
-// as it is.
-func concatKeyed(kfs []keyedFrame) (*frame.Frame, []uint64) {
-	if len(kfs) == 1 && kfs[0].sel == nil {
-		return kfs[0].f, kfs[0].h
-	}
-	h := make([]uint64, 0, numRows(kfs))
-	for _, kf := range kfs {
-		for t := 0; t < kf.NumRows(); t++ {
-			h = append(h, kf.h[kf.row(t)])
-		}
-	}
-	fs, sels := piecesOf(kfs)
-	return frame.ConcatGather(fs, sels, nil), h
 }
 
 // colIndexes resolves column names to positions in f (-1 when absent, read
@@ -217,9 +195,9 @@ func byGroup(gid []int32, groups int) rowGroups {
 // the natural join and the interpolation join's exact-key grouping. It
 // groups a partition's rows by their values on the key columns, groups
 // numbered in first-seen order, and finds the group of any other row. The
-// rows are read where they lie, in a list of pieces (one piece for a
-// partition already concatenated); a row's number is its position in the
-// pieces' concatenation. The table is flat: head maps a slot (the top bits
+// rows are read where they lie, in the list of pieces the exchange
+// delivered; a row's number is its position in the pieces'
+// concatenation. The table is flat: head maps a slot (the top bits
 // of a multiplicative mix of the key hash) to its newest group, next
 // chains the older groups sharing the slot, and each group keeps its first
 // row's piece, row in that piece's frame and hash. A chain walk compares
@@ -264,7 +242,7 @@ func newKeyIndex(pieces []keyedFrame, cols []string) *keyIndex {
 		for t := 0; t < kf.NumRows(); t++ {
 			i := kf.row(t)
 			h := kf.h[i]
-			g := ix.find(kf.f, i, ix.cols[p], h, nil)
+			g := ix.find(kf.f, i, ix.cols[p], h)
 			if g < 0 {
 				g = int32(len(ix.fhash))
 				s := ix.slot(h)
@@ -289,11 +267,11 @@ func (ix *keyIndex) slot(h uint64) uint64 { return (h * 0x9E3779B97F4A7C15) >> i
 // len is the number of groups.
 func (ix *keyIndex) len() int { return len(ix.fhash) }
 
-// find returns the group whose key equals row j of pf on pcols (hash ph;
-// convs converts pf's values first, as ValuesEqualOn does), or -1.
-func (ix *keyIndex) find(pf *frame.Frame, j int, pcols []int, ph uint64, convs []func(value.Value) value.Value) int32 {
+// find returns the group whose key equals row j of pf on pcols (hash ph),
+// or -1. The build calls it; probes go through findAll.
+func (ix *keyIndex) find(pf *frame.Frame, j int, pcols []int, ph uint64) int32 {
 	g := ix.candidate(ix.head[ix.slot(ph)], ph)
-	for g >= 0 && !ix.keyEquals(g, pf, j, pcols, convs) {
+	for g >= 0 && !ix.keyEquals(g, pf, j, pcols, nil) {
 		g = ix.candidate(ix.next[g], ph)
 	}
 	return g
@@ -344,13 +322,6 @@ func (ix *keyIndex) candidate(g int32, h uint64) int32 {
 func (ix *keyIndex) keyEquals(g int32, pf *frame.Frame, j int, pcols []int, convs []func(value.Value) value.Value) bool {
 	p := ix.fpiece[g]
 	return frame.ValuesEqualOn(ix.pieces[p].f, int(ix.frow[g]), ix.cols[p], pf, j, pcols, convs)
-}
-
-// groupRows groups f's rows by their values on cols; h holds the rows'
-// hashes on cols.
-func groupRows(f *frame.Frame, h []uint64, cols []string) rowGroups {
-	ix := newKeyIndex([]keyedFrame{{f: f, h: h}}, cols)
-	return byGroup(ix.gid, ix.len())
 }
 
 // floatCells reads column c's cells as value.Value.AsFloat coerces them:

@@ -10,10 +10,12 @@ import (
 
 // The group kernel under derive_heat and aggregate. Batches hash-exchange
 // on the group columns, named like the row path's groupByKey stage so
-// traced exchanges count input rows under the input's lineage; each
-// partition's rows group in first-seen order (groupRows), and the
-// derivation's emit folds every group into at most one output row: one
+// traced exchanges count input rows under the input's lineage; a keyIndex
+// over each partition's pieces groups its rows in first-seen order, and
+// the derivation's emit folds every group into at most one output row: one
 // Gather of the groups' representative rows plus the aggregate columns.
+// emit reads its rows at random by row number, so the pieces are copied
+// once, in arrival order, into the frame it reads.
 // Groups are kind-strict (value.Value.Equal), as in the rate and join
 // kernels; the row path keys groups by rendered text, so the two part only
 // when one group column holds values of different kinds that render alike
@@ -26,11 +28,11 @@ func groupColumnar(in *dataset.Dataset, schema semantics.Schema, name string, gr
 	src := in.Frames()
 	ex := hashExchange(src, groupCols, nil, src.NumPartitions(), src.Name()+"|groupByKey")
 	frames := rdd.MapPartitions(ex, func(_ int, kfs []keyedFrame) []*frame.Frame {
-		f, h := concatKeyed(kfs)
-		if f.NumRows() == 0 {
+		if numRows(kfs) == 0 {
 			return framesOf(frame.Empty())
 		}
-		return framesOf(emit(f, groupRows(f, h, groupCols)))
+		ix := newKeyIndex(kfs, groupCols)
+		return framesOf(emit(gatherPieces(kfs, nil), byGroup(ix.gid, ix.len())))
 	})
 	return dataset.NewFrames(name, frames.WithName(name), schema)
 }

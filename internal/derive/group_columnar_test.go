@@ -1,8 +1,11 @@
 package derive
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -228,4 +231,63 @@ func FuzzGroupAggregate(f *testing.F) {
 		c, parts := groupCaseFromBytes(data)
 		checkGroupKernel(t, c, parts)
 	})
+}
+
+// TestGroupKernelBytesPerRow: aggregate (a mean over 4,096 string keys,
+// four rows each) allocates at most a bound per input row in all: routing,
+// the key index, the group lists, the arrival-order copy emit reads and
+// the output. At four source partitions every destination receives at
+// least three pieces, which the key index reads in place; building it over
+// a concatenated copy that carried every row's hash once more measured
+// 119 bytes a row. At one partition the lone whole piece is read as it is,
+// not copied (88).
+func TestGroupKernelBytesPerRow(t *testing.T) {
+	const n, keys = 1 << 14, 4096
+	s := semantics.NewSchema(
+		"node", semantics.IDDomain("compute_node"),
+		"temp", semantics.ValueEntry("temperature", "kelvin"),
+	)
+	rows := make([]value.Row, n)
+	for i := range rows {
+		rows[i] = value.NewRow("node", value.Str(fmt.Sprintf("n%04d", i%keys)), "temp", value.Float(float64(290+i%50)))
+	}
+	agg := &AggregateBy{GroupBy: []string{"node"}, Ops: map[string]string{"temp": "mean"}}
+	dict := semantics.DefaultDictionary()
+	for _, c := range []struct {
+		parts int
+		bound float64
+	}{{4, 115}, {1, 90}} {
+		ctx := rdd.NewContext(2)
+		in := dataset.FromRowsColumnar(ctx, "in", rows, s, c.parts)
+		if c.parts > 1 {
+			ex := hashExchange(in.Frames(), []string{"node"}, nil, c.parts, "pieces")
+			pieces := rdd.MapPartitions(ex, func(_ int, kfs []keyedFrame) []int { return []int{len(kfs)} }).Collect()
+			if slices.Min(pieces) < 3 {
+				t.Fatalf("pieces per destination %v, want at least 3 each", pieces)
+			}
+		}
+		run := func() {
+			out, err := agg.Apply(in, dict)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := out.Count(); got != keys {
+				t.Fatalf("aggregate over %d keys emitted %d rows", keys, got)
+			}
+		}
+		run() // pivots the input's frames, which later runs reuse
+		best := uint64(math.MaxUint64)
+		for range 5 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			run()
+			runtime.ReadMemStats(&after)
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
+		}
+		if perRow := float64(best) / n; perRow > c.bound {
+			t.Errorf("%d partitions: aggregate allocated %.1f bytes per input row, want at most %g", c.parts, perRow, c.bound)
+		} else {
+			t.Logf("%d partitions: %.1f bytes per input row", c.parts, perRow)
+		}
+	}
 }

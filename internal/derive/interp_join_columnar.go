@@ -30,8 +30,7 @@ func interpJoinColumnar(left, right *rdd.RDD[*frame.Frame], s *interpSpec, schem
 		if numRows(ls) == 0 || numRows(rs) == 0 {
 			return framesOf(frame.Empty())
 		}
-		rf, rh := concatKeyed(rs)
-		return framesOf(s.probe(ls, rf, rh))
+		return framesOf(s.probe(ls, rs))
 	})
 	return dataset.NewFrames(name, frames.WithName(name), schema)
 }
@@ -91,17 +90,19 @@ func instantAt(c *frame.Column, i int) (t int64, ok bool) {
 	return v.TimeNanosVal(), v.Kind() == value.KindTime
 }
 
-// probe joins one partition: the left rows are read where they lie, in
-// the pieces ls, in arrival order, and the right rows from rf, the right
-// pieces concatenated (the brackets are read at random); every row of
-// both has an instant.
-func (s *interpSpec) probe(ls []keyedFrame, rf *frame.Frame, rh []uint64) *frame.Frame {
-	// Left rows group by verified exact key.
+// probe joins one partition, the pieces ls and rs, every row of which
+// has an instant. Both sides' rows find their exact-key groups where they
+// lie; the left rows are read there, in arrival order, too, but the right
+// rows are copied once into rf, in arrival order, because the brackets
+// read them at random.
+func (s *interpSpec) probe(ls, rs []keyedFrame) *frame.Frame {
+	// Left rows group by verified exact key; right rows join a left group.
 	ix := newKeyIndex(ls, s.leftExact)
 	lgroup, groups := ix.gid, ix.len()
-	rIdx := colIndexes(rf, s.rightExact)
+	rgroup := ix.findAll(rs, s.rightExact, s.convs)
+	rf := gatherPieces(rs, nil)
 
-	// Right rows join a group, then a residual class: the rows whose
+	// Right rows then join a residual class: the rows whose
 	// residual columns render one joinKey string. A row whose residual
 	// values equal an earlier row's takes that row's class, so a key renders
 	// once per distinct value, not per row. Without residual columns every
@@ -130,7 +131,7 @@ func (s *interpSpec) probe(ls []keyedFrame, rf *frame.Frame, rh []uint64) *frame
 	rclass := make([]int32, rf.NumRows())
 	for j := range rclass {
 		rclass[j] = -1
-		g := ix.find(rf, j, rIdx, rh[j], s.convs)
+		g := rgroup[j]
 		if g < 0 {
 			continue
 		}

@@ -138,7 +138,7 @@ func TestKeyIndexCollisions(t *testing.T) {
 				if !ok {
 					g = -1
 				}
-				if got := ix.find(pf, j, pIdx, ph[j], nil); got != g || all[j] != g {
+				if got := ix.find(pf, j, pIdx, ph[j]); got != g || all[j] != g {
 					t.Fatalf("%s trial %d: probe row %d (%v) found group %d (findAll %d), want %d", name, trial, j, r, got, all[j], g)
 				}
 			}

@@ -209,11 +209,11 @@ var mutations = []mutation{
 		new:  "\t\tvar last *frame.Frame\n\t\tframes := rdd.Map(in.Frames(), func(f *frame.Frame) *frame.Frame {\n\t\t\tlast = convertFrame(f, u, col, from, to)\n\t\t\treturn last\n",
 	},
 	{
-		// The group kernel's hash vector is shared by every partition.
+		// The group kernel's key index is shared by every partition.
 		test: "TestColumnarMatchesRowPath", pkg: "internal/derive",
 		file: "internal/derive/group_columnar.go",
-		old:  "\tframes := rdd.MapPartitions(ex, func(_ int, kfs []keyedFrame) []*frame.Frame {\n\t\tf, h := concatKeyed(kfs)\n",
-		new:  "\tvar h []uint64\n\tframes := rdd.MapPartitions(ex, func(_ int, kfs []keyedFrame) []*frame.Frame {\n\t\tvar f *frame.Frame\n\t\tf, h = concatKeyed(kfs)\n",
+		old:  "\tframes := rdd.MapPartitions(ex, func(_ int, kfs []keyedFrame) []*frame.Frame {\n\t\tif numRows(kfs) == 0 {\n\t\t\treturn framesOf(frame.Empty())\n\t\t}\n\t\tix := newKeyIndex(kfs, groupCols)\n",
+		new:  "\tvar ix *keyIndex\n\tframes := rdd.MapPartitions(ex, func(_ int, kfs []keyedFrame) []*frame.Frame {\n\t\tif numRows(kfs) == 0 {\n\t\t\treturn framesOf(frame.Empty())\n\t\t}\n\t\tix = newKeyIndex(kfs, groupCols)\n",
 	},
 	{
 		// Join keys of different kinds with the same text collide.
