@@ -59,7 +59,10 @@
 #   * smoke            — the one scrubjay binary end to end: serve + load
 #                        for the correctness burst,
 #                        served CSV byte-identical to the local CLI's (cold
-#                        and as a result-cache hit), admission control,
+#                        and as a result-cache hit), the cache directory
+#                        holding whole entries only, the local CLI through
+#                        its own result cache (cold and as a hit) writing
+#                        the uncached bytes, admission control,
 #                        graceful drain, then the
 #                        observability surface (traced query artifact,
 #                        GET /v1/trace/{id}, /metrics, pprof isolation),
@@ -174,7 +177,9 @@ done
 #      result cache — writes a CSV byte-identical to the local CLI's (both
 #      processes keep their default GOMAXPROCS workers: row order depends
 #      on the worker count); a concurrent scrubjay load burst completes
-#      with zero drops;
+#      with zero drops; after the drain the cache directory holds *.bin
+#      entries only, and the local CLI run twice through its own cache
+#      writes the uncached CSV both times;
 #   2. admission control: an oversized burst against a 1-slot/no-queue
 #      server is shed with 429s (scrubjay load -expect-rejections);
 #   3. graceful shutdown: SIGTERM while a burst is in flight — the daemon
@@ -219,6 +224,20 @@ done
 "$SMOKE/scrubjay" load -server "http://$ADDR" -clients 4 -requests 6 $QUERY_ARGS
 kill -TERM "$SRV"
 wait "$SRV"
+# The result cache's directory is its own index: whole <key>.bin entries,
+# no staged temp file and no index file.
+ls "$SMOKE"/cache/*.bin >/dev/null 2>&1 \
+  || { echo "ci.sh: the served queries cached nothing" >&2; exit 1; }
+for F in "$SMOKE"/cache/*.tmp "$SMOKE/cache/index.json"; do
+  if [ -e "$F" ]; then echo "ci.sh: unexpected $F in the result cache" >&2; exit 1; fi
+done
+echo "  -> local query through a result cache, cold then as a hit"
+for RUN in cold cached; do
+  "$SMOKE/scrubjay" query -catalog "$SMOKE/cat" -cache "$SMOKE/local-cache" $QUERY_ARGS \
+    -out "csv:$SMOKE/fig5-local-$RUN.csv" >/dev/null
+  cmp "$SMOKE/fig5-local.csv" "$SMOKE/fig5-local-$RUN.csv" \
+    || { echo "ci.sh: local result through the cache ($RUN) differs from uncached" >&2; exit 1; }
+done
 
 echo "  -> overload burst must be shed with 429/503"
 rm -f "$SMOKE/addr2"

@@ -26,6 +26,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -39,6 +40,7 @@ import (
 	"sync"
 	"syscall"
 
+	"scrubjay/internal/atomicfile"
 	"scrubjay/internal/catalog"
 	"scrubjay/internal/cluster"
 	"scrubjay/internal/dataset"
@@ -267,7 +269,7 @@ func cmdQuery(ctx context.Context, args []string) error {
 		if err != nil {
 			return err
 		}
-		if err := os.WriteFile(*planOut, data, 0o644); err != nil {
+		if err := writeOutput(*planOut, data); err != nil {
 			return err
 		}
 		fmt.Printf("plan written to %s\n", *planOut)
@@ -305,7 +307,7 @@ func cmdQuery(ctx context.Context, args []string) error {
 		if err != nil {
 			return err
 		}
-		if err := os.WriteFile(*traceOut, data, 0o644); err != nil {
+		if err := writeOutput(*traceOut, data); err != nil {
 			return err
 		}
 		fmt.Printf("trace written to %s\n", *traceOut)
@@ -418,7 +420,7 @@ func serverQuery(serverURL string, q engine.Query, window float64, planOut, out 
 	fmt.Printf("query: %s\nplan cache: hit=%v search=%dµs\nderivation sequence:\n%s",
 		q, pr.CacheHit, pr.SearchMicros, plan)
 	if planOut != "" {
-		if err := os.WriteFile(planOut, pr.Plan, 0o644); err != nil {
+		if err := writeOutput(planOut, pr.Plan); err != nil {
 			return err
 		}
 		fmt.Printf("plan written to %s\n", planOut)
@@ -496,6 +498,14 @@ func emit(result *dataset.Dataset, out string, show int) error {
 		fmt.Printf("result written to %s\n", sink.Path)
 	}
 	return nil
+}
+
+// writeOutput lands an encoded plan or trace at path whole.
+func writeOutput(path string, data []byte) error {
+	return atomicfile.Write(path, func(w *bufio.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 }
 
 // cmdTrace renders (or validates) a trace artifact: a local file from

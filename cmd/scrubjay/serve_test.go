@@ -34,8 +34,8 @@ func waitAddrFile(t *testing.T, path string, done <-chan error) string {
 // TestServeWorkerLifecycle boots a worker and a serve that shuffles through
 // it, checks the served Fig-5 rows against the local query byte for byte,
 // then cancels the context and checks both lifecycles wind down: serve
-// drains and writes back its cache index and statistics store, and the
-// worker's listener closes.
+// drains and writes back its statistics store, its result cache holds
+// whole entries only, and the worker's listener closes.
 func TestServeWorkerLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	catDir := filepath.Join(dir, "cat")
@@ -96,10 +96,14 @@ func TestServeWorkerLifecycle(t *testing.T) {
 	if err := <-workerDone; err != nil {
 		t.Fatalf("worker after cancel: %v", err)
 	}
-	for _, p := range []string{filepath.Join(cacheDir, "index.json"), statsPath} {
-		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
-			t.Errorf("%s not written on drain: %v", p, err)
-		}
+	if fi, err := os.Stat(statsPath); err != nil || fi.Size() == 0 {
+		t.Errorf("%s not written on drain: %v", statsPath, err)
+	}
+	if bins, _ := filepath.Glob(filepath.Join(cacheDir, "*.bin")); len(bins) == 0 {
+		t.Errorf("served query cached nothing in %s", cacheDir)
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(cacheDir, "*.tmp")); len(tmps) > 0 {
+		t.Errorf("temp files left in the cache: %v", tmps)
 	}
 	if c, err := net.DialTimeout("tcp", workerAddr, time.Second); err == nil {
 		c.Close()

@@ -3,6 +3,7 @@ package cache
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"scrubjay/internal/rdd"
 	"scrubjay/internal/semantics"
 	"scrubjay/internal/value"
+	"scrubjay/internal/wrappers"
 )
 
 func smallDataset(ctx *rdd.Context, n int) *dataset.Dataset {
@@ -90,8 +92,8 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-// TestColdTierDisabledMisses checks that eviction discards an entry's data,
-// not just its index entry: the cache keeps no second tier to fall back on.
+// TestColdTierDisabledMisses checks that eviction discards an entry's data:
+// the cache keeps no second tier to fall back on.
 func TestColdTierDisabledMisses(t *testing.T) {
 	ctx := rdd.NewContext(1)
 	c, _ := Open(t.TempDir(), 1)
@@ -162,7 +164,7 @@ func TestDamagedEntryDropped(t *testing.T) {
 		t.Error("damaged entry should miss")
 	}
 	if c.Contains("hurt") {
-		t.Error("damaged entry should be dropped from the index")
+		t.Error("damaged entry should be dropped")
 	}
 }
 
@@ -193,6 +195,73 @@ func TestCanceledPutLeavesNoTempFile(t *testing.T) {
 	if c.Contains("k1") {
 		t.Error("cancelled Put cached k1")
 	}
+}
+
+// TestSharedDirectoryStaysInBudget: the CLI and a serving daemon may share
+// one cache directory through two Cache values. Entries either one writes
+// count against the budget both enforce, and a .bin file no Put of this
+// process wrote (left by another process, or by a crash) is served and
+// evicted like any other.
+func TestSharedDirectoryStaysInBudget(t *testing.T) {
+	ctx := rdd.NewContext(1)
+	base := time.Unix(1000, 0)
+	tick := 0
+	clock := func() time.Time {
+		tick++
+		return base.Add(time.Duration(tick) * time.Second)
+	}
+	binFiles := func(dir string) []string {
+		files, _ := filepath.Glob(filepath.Join(dir, "*.bin"))
+		return files
+	}
+
+	t.Run("two caches", func(t *testing.T) {
+		dir := t.TempDir()
+		c1, err := Open(dir, 1) // a one-entry budget
+		if err != nil {
+			t.Fatal(err)
+		}
+		c2, err := Open(dir, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c1.SetClock(clock)
+		c2.SetClock(clock)
+		for i, c := range []*Cache{c1, c2, c1, c2} {
+			if err := c.Put(fmt.Sprintf("k%d", i), smallDataset(ctx, 20)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if files := binFiles(dir); len(files) != 1 || filepath.Base(files[0]) != "k3.bin" {
+			t.Errorf("one-entry budget shared by two caches holds %v, want only the newest k3.bin", files)
+		}
+	})
+
+	t.Run("unlisted entry", func(t *testing.T) {
+		dir := t.TempDir()
+		orphan := filepath.Join(dir, "orphan.bin")
+		if err := wrappers.Write(smallDataset(ctx, 7), wrappers.Source{Format: "bin", Path: orphan}); err != nil {
+			t.Fatal(err)
+		}
+		c, err := Open(dir, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.SetClock(clock)
+		if c.Len() != 1 || !c.Contains("orphan") {
+			t.Errorf("Len = %d, Contains(orphan) = %v: the directory's entry is not listed", c.Len(), c.Contains("orphan"))
+		}
+		if ds, ok := c.Get(ctx, "orphan"); !ok || ds.Count() != 7 {
+			t.Fatalf("Get(orphan) = %v, %v; want its 7 rows", ds, ok)
+		}
+		// Put stamps a newer entry, so the orphan is the one evicted.
+		if err := c.Put("a", smallDataset(ctx, 20)); err != nil {
+			t.Fatal(err)
+		}
+		if files := binFiles(dir); len(files) != 1 || filepath.Base(files[0]) != "a.bin" {
+			t.Errorf("after Put(a) the one-entry cache holds %v, want only a.bin", files)
+		}
+	})
 }
 
 func writeFile(path, content string) error {

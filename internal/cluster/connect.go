@@ -1,13 +1,13 @@
 package cluster
 
 import (
+	"bufio"
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
+	"scrubjay/internal/atomicfile"
 	"scrubjay/internal/shuffle"
 )
 
@@ -58,12 +58,12 @@ func RunWorker(ctx context.Context, addr, addrFile, id string) error {
 	return srv.Close()
 }
 
-// WriteAddrFile lands addr plus a newline in path via temp + rename, so a
-// script polling for the file never reads it empty or half written.
+// WriteAddrFile lands addr plus a newline in path whole
+// (atomicfile.Write), so a script polling for the file never reads it
+// empty or half written.
 func WriteAddrFile(path, addr string) error {
-	tmp := filepath.Join(filepath.Dir(path), "."+filepath.Base(path)+".tmp")
-	if err := os.WriteFile(tmp, []byte(addr+"\n"), 0o644); err != nil {
+	return atomicfile.Write(path, func(w *bufio.Writer) error {
+		_, err := w.WriteString(addr + "\n")
 		return err
-	}
-	return os.Rename(tmp, path)
+	})
 }

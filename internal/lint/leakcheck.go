@@ -8,13 +8,15 @@ import (
 
 // leakcheckPackages are the layers that own OS-level resources: TCP shuffle
 // links, the cluster conn pools and the shard worker's lifecycle, the
-// serving daemon, and the result cache's files. A conn or file leaked there
+// serving daemon, the result cache's files, and the one durable writer
+// every persisted file goes through. A conn or file leaked there
 // accumulates across queries instead of dying with a short-lived command.
 var leakcheckPackages = map[string]bool{
-	"shuffle": true,
-	"cluster": true,
-	"server":  true,
-	"cache":   true,
+	"shuffle":    true,
+	"cluster":    true,
+	"server":     true,
+	"cache":      true,
+	"atomicfile": true,
 }
 
 // releaseMethods are the method names that relinquish a tracked resource.
@@ -25,8 +27,8 @@ var releaseMethods = map[string]bool{"Close": true, "Stop": true, "End": true, "
 
 // LeakCheckAnalyzer proves must-release on every control-flow path: a
 // connection, file, ticker, timer, observability span or worker listener
-// acquired by a function in the shuffle/cluster/server/cache layers must
-// be released (Close/Stop/End), deferred, or handed off —
+// acquired by a function in the shuffle/cluster/server/cache/atomicfile
+// layers must be released (Close/Stop/End), deferred, or handed off —
 // returned, stored, sent, or passed to a callee whose summary says it
 // retains or releases its argument — on every path to function exit.
 // The check is flow-sensitive over the CFG (cfg.go) and interprocedurally

@@ -87,6 +87,14 @@ var mutations = []mutation{
 		new:      "\t\t\treturn err\n",
 	},
 	{
+		// The durable writer leaks a directory handle on every failed
+		// directory sync. No test fails.
+		analyzer: "leakcheck",
+		file:     "internal/atomicfile/atomicfile.go",
+		old:      "\tif err := d.Sync(); err != nil {\n\t\td.Close()\n\t\treturn err\n",
+		new:      "\tif err := d.Sync(); err != nil {\n\t\treturn err\n",
+	},
+	{
 		// The heartbeat ticker is never stopped.
 		analyzer: "leakcheck",
 		file:     "internal/cluster/registry.go",
@@ -331,8 +339,8 @@ func TestRealTreeWitnesses(t *testing.T) {
 	// A row is added with a new analyzer or a newly caught bug class, and
 	// rewritten when a refactor moves its code; dropping one must be a
 	// deliberate edit of this count.
-	if n := len(mutations); n != 35 {
-		t.Fatalf("%d mutation rows, want 35", n)
+	if n := len(mutations); n != 36 {
+		t.Fatalf("%d mutation rows, want 36", n)
 	}
 	root, err := FindModuleRoot(".")
 	if err != nil {

@@ -354,6 +354,9 @@ func execNode(ctx context.Context, rc *rdd.Context, n *Node, cat Catalog, dict *
 		return nil, fmt.Errorf("pipeline: unknown node kind %q", n.Kind)
 	}
 	if n.Kind != KindSource && opts.Cache != nil {
+		// The cache write materializes out's frames once and retains them,
+		// so the parent reads them instead of computing the subtree again.
+		out = out.Columnar().Cache()
 		if err := opts.Cache.Put(n.Hash(), out); err != nil {
 			return nil, fmt.Errorf("pipeline: caching %s: %w", n.Hash(), err)
 		}

@@ -108,8 +108,9 @@ type Daemon struct {
 
 // Run loads the catalog, opens the environment and serves until ctx is
 // cancelled. Then it drains: new queries are answered 503, the listener
-// closes, every admitted query runs to completion, and the result-cache
-// index and statistics store are written back. A drain that overruns
+// closes, every admitted query runs to completion, and the statistics
+// store is written back (result-cache entries are durable once written).
+// A drain that overruns
 // d.Drain is an error: dropped in-flight queries are a reportable failure.
 func (d Daemon) Run(ctx context.Context) error {
 	store := NewStore()
@@ -180,9 +181,6 @@ func (d Daemon) Run(ctx context.Context) error {
 	}
 	if err := <-serveErr; !errors.Is(err, http.ErrServerClosed) {
 		return fmt.Errorf("serve: %w", err)
-	}
-	if err := s.Flush(); err != nil {
-		return fmt.Errorf("flushing result cache: %w", err)
 	}
 	if err := env.SaveStats(); err != nil {
 		return fmt.Errorf("saving statistics store: %w", err)

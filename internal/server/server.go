@@ -139,14 +139,6 @@ func (s *Server) StartDrain() { s.draining.Store(true) }
 // Draining reports whether StartDrain was called.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// Flush persists the derivation-result cache index (graceful shutdown).
-func (s *Server) Flush() error {
-	if s.cfg.Cache == nil {
-		return nil
-	}
-	return s.cfg.Cache.Flush()
-}
-
 // Handler returns the daemon's HTTP API.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()

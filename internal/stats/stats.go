@@ -19,14 +19,15 @@
 package stats
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
 
+	"scrubjay/internal/atomicfile"
 	"scrubjay/internal/frame"
 	"scrubjay/internal/semantics"
 )
@@ -372,18 +373,17 @@ func (s *Store) Decode(data []byte) error {
 	return nil
 }
 
-// Save persists the store via temp file + rename, so readers never observe
-// a partial snapshot.
+// Save persists the store whole (atomicfile.Write), so readers never
+// observe a partial snapshot.
 func (s *Store) Save(path string) error {
 	data, err := s.Encode()
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(filepath.Dir(path), "."+filepath.Base(path)+".tmp")
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	return atomicfile.Write(path, func(w *bufio.Writer) error {
+		_, err := w.Write(data)
 		return err
-	}
-	return os.Rename(tmp, path)
+	})
 }
 
 // LoadFile reads a persisted store. A missing file yields an empty store,

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 
+	"scrubjay/internal/atomicfile"
 	"scrubjay/internal/dataset"
 	"scrubjay/internal/rdd"
 	"scrubjay/internal/semantics"
@@ -25,9 +26,11 @@ func init() {
 }
 
 // writeBin stores a dataset in the binary format (schema embedded; no
-// sidecar needed).
+// sidecar needed). The rows come from the collected frames, so a dataset
+// whose frames RDD is retained (the pipeline's cached steps) computes once
+// for the write and for its consumers.
 func writeBin(ds *dataset.Dataset, dst Source) error {
-	return writeFile("bin", dst.Path, func(w *bufio.Writer) error {
+	return atomicfile.Write(dst.Path, func(w *bufio.Writer) error {
 		if _, err := w.Write(binMagic); err != nil {
 			return err
 		}
@@ -43,7 +46,10 @@ func writeBin(ds *dataset.Dataset, dst Source) error {
 		if _, err := w.Write(schemaJSON); err != nil {
 			return err
 		}
-		rows := ds.Collect()
+		var rows []value.Row
+		for _, f := range ds.Frames().Collect() {
+			rows = append(rows, f.ToRows()...)
+		}
 		var cnt []byte
 		cnt = binary.AppendUvarint(cnt, uint64(len(rows)))
 		if _, err := w.Write(cnt); err != nil {

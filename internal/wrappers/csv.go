@@ -7,6 +7,7 @@ import (
 	"os"
 	"time"
 
+	"scrubjay/internal/atomicfile"
 	"scrubjay/internal/dataset"
 	"scrubjay/internal/rdd"
 	"scrubjay/internal/semantics"
@@ -98,12 +99,10 @@ func readCSV(ctx *rdd.Context, src Source) (*dataset.Dataset, error) {
 }
 
 // writeCSV stores a dataset as a CSV file with a header row plus a schema
-// sidecar, so that reading it back reproduces the dataset.
+// sidecar, so that reading it back reproduces the dataset. The data file
+// lands first: a compute that fails leaves both files as they were.
 func writeCSV(ds *dataset.Dataset, dst Source) error {
-	if err := SaveSchema(dst.Path, ds.Schema()); err != nil {
-		return err
-	}
-	return writeFile("csv", dst.Path, func(bw *bufio.Writer) error {
+	err := atomicfile.Write(dst.Path, func(bw *bufio.Writer) error {
 		w := csv.NewWriter(bw)
 		cols := ds.Schema().Columns()
 		if err := w.Write(cols); err != nil {
@@ -121,4 +120,8 @@ func writeCSV(ds *dataset.Dataset, dst Source) error {
 		w.Flush()
 		return w.Error()
 	})
+	if err != nil {
+		return err
+	}
+	return SaveSchema(dst.Path, ds.Schema())
 }

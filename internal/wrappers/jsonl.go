@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 
+	"scrubjay/internal/atomicfile"
 	"scrubjay/internal/dataset"
 	"scrubjay/internal/rdd"
 	"scrubjay/internal/value"
@@ -47,12 +48,9 @@ func readJSONL(ctx *rdd.Context, src Source) (*dataset.Dataset, error) {
 }
 
 // writeJSONL stores a dataset as one tagged-JSON row per line plus a schema
-// sidecar.
+// sidecar, the data file first (as writeCSV does).
 func writeJSONL(ds *dataset.Dataset, dst Source) error {
-	if err := SaveSchema(dst.Path, ds.Schema()); err != nil {
-		return err
-	}
-	return writeFile("jsonl", dst.Path, func(w *bufio.Writer) error {
+	err := atomicfile.Write(dst.Path, func(w *bufio.Writer) error {
 		for _, row := range ds.Collect() {
 			data, err := json.Marshal(row)
 			if err != nil {
@@ -67,4 +65,8 @@ func writeJSONL(ds *dataset.Dataset, dst Source) error {
 		}
 		return nil
 	})
+	if err != nil {
+		return err
+	}
+	return SaveSchema(dst.Path, ds.Schema())
 }

@@ -19,6 +19,7 @@ import (
 	"sort"
 	"sync"
 
+	"scrubjay/internal/atomicfile"
 	"scrubjay/internal/dataset"
 	"scrubjay/internal/rdd"
 	"scrubjay/internal/semantics"
@@ -123,7 +124,10 @@ func SaveSchema(dataPath string, s semantics.Schema) error {
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(SchemaSidecarPath(dataPath), data, 0o644)
+	return atomicfile.Write(SchemaSidecarPath(dataPath), func(w *bufio.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 }
 
 // LoadSchema reads the schema sidecar for a data file.
@@ -139,24 +143,8 @@ func LoadSchema(dataPath string) (semantics.Schema, error) {
 	return s, nil
 }
 
-// writeFile creates path and writes it through a buffer with write. It
-// returns the first error of write, the final flush and the close, so a
-// short file is never reported as written.
-func writeFile(format, path string, write func(w *bufio.Writer) error) (err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("wrappers: %s: %w", format, err)
-	}
-	defer closeKeep(f, &err)
-	w := bufio.NewWriterSize(f, 1<<20)
-	if err := write(w); err != nil {
-		return err
-	}
-	return w.Flush()
-}
-
 // closeKeep closes c, keeping its error in *err unless *err already holds
-// one. Deferred by writers, whose close is the last step of the write.
+// one. Deferred by the kv writer, whose close is the last step of the write.
 func closeKeep(c io.Closer, err *error) {
 	if cerr := c.Close(); *err == nil {
 		*err = cerr

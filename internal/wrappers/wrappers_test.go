@@ -1,6 +1,7 @@
 package wrappers
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -71,6 +72,43 @@ func TestCSVRoundTrip(t *testing.T) {
 	datasetsEqual(t, ds, got)
 	if got.Name() != "sample" {
 		t.Errorf("name = %q", got.Name())
+	}
+}
+
+// TestCancelledUnwrapKeepsOldFiles: an unwrap computes its dataset while it
+// writes, so a cancelled request aborts it mid-write. The CSV it would
+// replace and that CSV's schema sidecar both keep their old bytes, and no
+// temp file is left.
+func TestCancelledUnwrapKeepsOldFiles(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "out.csv")
+	if err := Write(sampleDataset(rdd.NewContext(2)), Source{Format: "csv", Path: path}); err != nil {
+		t.Fatal(err)
+	}
+	oldData, _ := os.ReadFile(path)
+	oldSchema, _ := os.ReadFile(SchemaSidecarPath(path))
+
+	gctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	s := semantics.NewSchema("x", semantics.ValueEntry("count", "count"))
+	ds := dataset.FromRows(rdd.NewContext(1).WithGoContext(gctx), "x",
+		[]value.Row{value.NewRow("x", value.Int(1))}, s, 1)
+	perr, err := rdd.Guard(func() error { return Write(ds, Source{Format: "csv", Path: path}) })
+	if err == nil {
+		err = perr
+	}
+	var canceled *rdd.Canceled
+	if !errors.As(err, &canceled) {
+		t.Fatalf("unwrap under a cancelled context returned %v, want a *rdd.Canceled", err)
+	}
+	if got, _ := os.ReadFile(path); string(got) != string(oldData) {
+		t.Errorf("cancelled unwrap left %q, want the old %q", got, oldData)
+	}
+	if got, _ := os.ReadFile(SchemaSidecarPath(path)); string(got) != string(oldSchema) {
+		t.Errorf("cancelled unwrap rewrote the schema sidecar:\n%s", got)
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) > 0 {
+		t.Errorf("cancelled unwrap left %v", tmps)
 	}
 }
 
