@@ -62,7 +62,8 @@
 #                        and as a result-cache hit), the cache directory
 #                        holding whole entries only, the local CLI through
 #                        its own result cache (cold and as a hit) writing
-#                        the uncached bytes, admission control,
+#                        the uncached bytes, and again after a catalog
+#                        file is rewritten in place, admission control,
 #                        graceful drain, then the
 #                        observability surface (traced query artifact,
 #                        GET /v1/trace/{id}, /metrics, pprof isolation),
@@ -179,7 +180,9 @@ done
 #      on the worker count); a concurrent scrubjay load burst completes
 #      with zero drops; after the drain the cache directory holds *.bin
 #      entries only, and the local CLI run twice through its own cache
-#      writes the uncached CSV both times;
+#      writes the uncached CSV both times, and through a cache filled
+#      before node_layout.jsonl was rewritten in place, the new uncached
+#      CSV;
 #   2. admission control: an oversized burst against a 1-slot/no-queue
 #      server is shed with 429s (scrubjay load -expect-rejections);
 #   3. graceful shutdown: SIGTERM while a burst is in flight — the daemon
@@ -238,6 +241,24 @@ for RUN in cold cached; do
   cmp "$SMOKE/fig5-local.csv" "$SMOKE/fig5-local-$RUN.csv" \
     || { echo "ci.sh: local result through the cache ($RUN) differs from uncached" >&2; exit 1; }
 done
+echo "  -> local result cache after an in-place catalog edit"
+# A cached result is named by the content its sources held: fill a cache
+# from a copy of the catalog, rewrite the copy's node_layout.jsonl in place
+# (every node to rack00), and the cached query must write the uncached CSV.
+cp -R "$SMOKE/cat" "$SMOKE/cat-edit"
+"$SMOKE/scrubjay" query -catalog "$SMOKE/cat-edit" -cache "$SMOKE/edit-cache" $QUERY_ARGS \
+  -out "csv:$SMOKE/edit-before.csv" >/dev/null
+sed 's/"s":"rack[0-9]*"/"s":"rack00"/g' "$SMOKE/cat-edit/node_layout.jsonl" >"$SMOKE/layout-edit.jsonl"
+cat "$SMOKE/layout-edit.jsonl" >"$SMOKE/cat-edit/node_layout.jsonl"
+"$SMOKE/scrubjay" query -catalog "$SMOKE/cat-edit" -cache "$SMOKE/edit-cache" $QUERY_ARGS \
+  -out "csv:$SMOKE/edit-cached.csv" >/dev/null
+"$SMOKE/scrubjay" query -catalog "$SMOKE/cat-edit" $QUERY_ARGS \
+  -out "csv:$SMOKE/edit-uncached.csv" >/dev/null
+if cmp -s "$SMOKE/edit-before.csv" "$SMOKE/edit-uncached.csv"; then
+  echo "ci.sh: rewriting node_layout.jsonl did not change the result" >&2; exit 1
+fi
+cmp "$SMOKE/edit-uncached.csv" "$SMOKE/edit-cached.csv" \
+  || { echo "ci.sh: the result cache served a result of the catalog before its edit" >&2; exit 1; }
 
 echo "  -> overload burst must be shed with 429/503"
 rm -f "$SMOKE/addr2"

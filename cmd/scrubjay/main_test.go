@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
+	"regexp"
 	"testing"
 
 	"scrubjay/internal/bench"
@@ -118,6 +120,48 @@ func TestCmdQueryRunShowEndToEnd(t *testing.T) {
 	// show: inspect the unwrapped result.
 	if err := cmdShow(ctx, []string{"-in", "csv:" + outPath, "-n", "3"}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCmdQueryCacheFollowsCatalogEdit: a result-cache entry is named by the
+// content its sources held, so after node_layout.jsonl is rewritten in
+// place a query through the warm cache writes the uncached query's CSV.
+func TestCmdQueryCacheFollowsCatalogEdit(t *testing.T) {
+	dir := t.TempDir()
+	catDir, cacheDir := filepath.Join(dir, "cat"), filepath.Join(dir, "cache")
+	if err := os.Mkdir(catDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	writeTestCatalog(t, catDir)
+	query := func(name string, extra ...string) []byte {
+		out := filepath.Join(dir, name+".csv")
+		if err := cmdQuery(ctx, append([]string{"-catalog", catDir, "-domains", "job,rack",
+			"-values", "application,temperature_difference", "-out", "csv:" + out}, extra...)); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	before := query("before", "-cache", cacheDir)
+	// Move every node to rack00, rewriting the file in place.
+	layout := filepath.Join(catDir, "node_layout.jsonl")
+	b, err := os.ReadFile(layout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b = regexp.MustCompile(`"s":"rack\d+"`).ReplaceAll(b, []byte(`"s":"rack00"`))
+	if err := os.WriteFile(layout, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, want := query("cached", "-cache", cacheDir), query("uncached")
+	if bytes.Equal(want, before) {
+		t.Fatal("rewriting node_layout did not change the result")
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("cached query after the edit:\n%s\nuncached:\n%s", got, want)
 	}
 }
 

@@ -29,7 +29,9 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	ctx := rdd.NewContext(0)
+	// A fixed worker count fixes the partitioning, and so the size of the
+	// cache entries, which store each partition's frame.
+	ctx := rdd.NewContext(4)
 	dict := semantics.DefaultDictionary()
 
 	// Simulate the first DAT and unwrap its datasets to JSON-lines files —

@@ -51,6 +51,16 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if _, ok := c.Get(ctx, "missing"); ok {
 		t.Error("missing key should miss")
 	}
+	// A hit has the partitions that were put, not a re-split.
+	multi := dataset.FromRowsColumnar(ctx, "multi", ds.Collect(), ds.Schema(), 3)
+	if err := c.Put("k3", multi); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := c.Get(ctx, "k3"); !ok {
+		t.Error("Get of a 3-partition entry failed")
+	} else if n := got.Frames().NumPartitions(); n != 3 {
+		t.Errorf("hit on a 3-partition entry has %d partitions", n)
+	}
 }
 
 func TestPersistsAcrossReopen(t *testing.T) {

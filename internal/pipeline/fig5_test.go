@@ -2,6 +2,7 @@ package pipeline_test
 
 import (
 	"context"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -15,9 +16,9 @@ import (
 	"scrubjay/internal/semantics"
 )
 
-// TestCacheHitStaysColumnar: cached results come back from disk row-form,
-// yet the plan still runs on the columnar path — with a cached subtree
-// feeding a join, and when the whole result is a cache hit.
+// TestCacheHitStaysColumnar: cached results come back from disk as their
+// stored frames, and the plan runs on the columnar path — with a cached
+// subtree feeding a join, and when the whole result is a cache hit.
 func TestCacheHitStaysColumnar(t *testing.T) {
 	cfg := bench.DefaultCaseStudyConfig()
 	cfg.Racks, cfg.NodesPerRack, cfg.AMGRack = 4, 6, 2
@@ -58,7 +59,11 @@ func TestCacheHitStaysColumnar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Put(join.Hash(), joined); err != nil {
+	joinKey, err := pipeline.ResultKey(rc, join, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put(joinKey, joined); err != nil {
 		t.Fatal(err)
 	}
 	want, err := pipeline.Execute(ctx, rc, plan, cat, dict, pipeline.ExecOptions{})
@@ -78,7 +83,7 @@ func TestCacheHitStaysColumnar(t *testing.T) {
 		if got := out.Collect(); len(got) != len(wantRows) {
 			t.Errorf("%s: %d rows, want %d", run, len(got), len(wantRows))
 		}
-		if !c.Contains(plan.Hash()) {
+		if key, err := pipeline.ResultKey(rc, plan.Root, cat); err != nil || !c.Contains(key) {
 			t.Fatalf("%s: the run did not cache its root", run)
 		}
 	}
@@ -86,8 +91,9 @@ func TestCacheHitStaysColumnar(t *testing.T) {
 
 // TestCachedRunComputesOnce: a cold Fig-5 run with a result cache computes
 // every step once. It runs each stage of the uncached run as often as that
-// run does, plus one collect per cache entry (the write), and it computes
-// each source partition as often as the uncached run.
+// run does, plus one collect per cache entry (the write) and one per
+// distinct source (its digest, which the result keys name it by), and it
+// computes each source partition as often as the uncached run.
 func TestCachedRunComputesOnce(t *testing.T) {
 	cfg := bench.DefaultCaseStudyConfig()
 	cfg.Racks, cfg.NodesPerRack, cfg.AMGRack = 4, 6, 2
@@ -142,9 +148,15 @@ func TestCachedRunComputesOnce(t *testing.T) {
 			t.Errorf("stage %s ran %d times with a cache, %d without", name, cached[name], n)
 		}
 	}
-	if got, want := total(cached), total(plain)+c.Len(); got != want {
-		t.Errorf("with a cache the run took %d stages, want %d (%d without, plus one per %d entries)",
-			got, want, total(plain), c.Len())
+	sources := map[string]bool{}
+	for _, s := range plan.Steps() {
+		if name, ok := strings.CutPrefix(s, "source:"); ok {
+			sources[name] = true
+		}
+	}
+	if got, want := total(cached), total(plain)+c.Len()+len(sources); got != want {
+		t.Errorf("with a cache the run took %d stages, want %d (%d without, plus one per %d entries and %d sources)",
+			got, want, total(plain), c.Len(), len(sources))
 	}
 	if cachedParts != plainParts {
 		t.Errorf("with a cache the run computed %d source partitions, %d without", cachedParts, plainParts)

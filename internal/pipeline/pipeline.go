@@ -122,10 +122,16 @@ func (n *Node) Validate() error {
 }
 
 // canonical renders a node as deterministic JSON-ish text for hashing.
-func (n *Node) canonical(b *strings.Builder) {
+// With srcs, a source step renders as the digest of the content it read.
+func (n *Node) canonical(b *strings.Builder, srcs map[string]resolvedSource) {
 	b.WriteByte('(')
 	b.WriteString(n.Kind)
 	b.WriteByte(':')
+	if n.Kind == KindSource && srcs != nil {
+		b.WriteString(srcs[n.Hash()].digest)
+		b.WriteByte(')')
+		return
+	}
 	if n.Dataset != "" {
 		b.WriteString(n.Dataset)
 	}
@@ -144,16 +150,26 @@ func (n *Node) canonical(b *strings.Builder) {
 		}
 	}
 	for _, in := range n.Inputs {
-		in.canonical(b)
+		in.canonical(b, srcs)
 	}
 	b.WriteByte(')')
 }
 
-// Hash returns a stable content hash of the subtree rooted at n, used as
-// the derivation-cache key.
-func (n *Node) Hash() string {
-	var b strings.Builder
-	n.canonical(&b)
+// Hash returns a stable content hash of the subtree rooted at n: the
+// plan's identity, which names sources by name only.
+func (n *Node) Hash() string { return n.digest("", nil) }
+
+// resultFormat prefixes every result-cache key, n.digest(resultFormat,
+// srcs): the canonical form with each source replaced by the digest of what
+// it read, so a source whose content changed (a served Replace, a catalog
+// file edited in place) never serves an old result. Bump it whenever a
+// derivation's output or the entry format (wrappers' bin) changes.
+const resultFormat = "scrubjay-result-2"
+
+func (n *Node) digest(prefix string, srcs map[string]resolvedSource) string {
+	b := strings.Builder{}
+	b.WriteString(prefix)
+	n.canonical(&b, srcs)
 	sum := sha256.Sum256([]byte(b.String()))
 	return hex.EncodeToString(sum[:16])
 }
@@ -248,8 +264,8 @@ type Catalog map[string]*dataset.Dataset
 // ExecOptions configures plan execution.
 type ExecOptions struct {
 	// Cache, when non-nil, enables the derivation-result cache: every
-	// non-source subtree is looked up by hash before computing and stored
-	// after.
+	// non-source subtree is looked up by its result key (resultFormat)
+	// before computing and stored after.
 	Cache *cache.Cache
 }
 
@@ -279,19 +295,78 @@ func Execute(ctx context.Context, rc *rdd.Context, p *Plan, cat Catalog, dict *s
 			}
 		}
 	}()
-	return execNode(ctx, rc, p.Root, cat, dict, opts)
+	var srcs map[string]resolvedSource
+	if opts.Cache != nil {
+		srcs = map[string]resolvedSource{}
+		if err := resolveSources(rc, p.Root, cat, srcs); err != nil {
+			return nil, err
+		}
+	}
+	return execNode(ctx, rc, p.Root, cat, dict, opts, srcs)
+}
+
+// resolvedSource is a source step a cached run read before executing: its
+// frames, retained, and the digest of their bin encoding.
+type resolvedSource struct {
+	ds     *dataset.Dataset
+	digest string
+}
+
+// resolveSources reads each distinct source step under n once into srcs,
+// keyed by the step's Hash. Retaining the frames lets the run compute each
+// source once although the digest reads it first.
+func resolveSources(rc *rdd.Context, n *Node, cat Catalog, srcs map[string]resolvedSource) error {
+	for _, in := range n.Inputs {
+		if err := resolveSources(rc, in, cat, srcs); err != nil {
+			return err
+		}
+	}
+	if _, done := srcs[n.Hash()]; done || n.Kind != KindSource {
+		return nil
+	}
+	ds, err := readSource(rc, n, cat)
+	if err != nil {
+		return err
+	}
+	frames, h := ds.Frames().Collect(), sha256.New()
+	if err := wrappers.EncodeBin(h, ds.Schema(), frames); err != nil {
+		return err
+	}
+	srcs[n.Hash()] = resolvedSource{
+		ds:     dataset.FromFrames(ds.Context(), ds.Name(), frames, ds.Schema()),
+		digest: hex.EncodeToString(h.Sum(nil)),
+	}
+	return nil
+}
+
+// readSource resolves a source step: its Load spec, else its catalog entry.
+func readSource(rc *rdd.Context, n *Node, cat Catalog) (*dataset.Dataset, error) {
+	if n.Load != nil {
+		ds, err := wrappers.Read(rc, *n.Load)
+		if err != nil {
+			return nil, err
+		}
+		return ds.Columnar(), nil
+	}
+	ds, ok := cat[n.Dataset]
+	if !ok {
+		return nil, fmt.Errorf("pipeline: catalog has no dataset %q", n.Dataset)
+	}
+	return ds.Columnar(), nil
 }
 
 // execNode is the one place that picks the physical representation: every
 // dataset it resolves — catalog entries, Load sources and cache hits — enters
 // execution through Dataset.Columnar(), and the derivations preserve it, so
 // a plan runs on the columnar kernels whoever built the catalog.
-func execNode(ctx context.Context, rc *rdd.Context, n *Node, cat Catalog, dict *semantics.Dictionary, opts ExecOptions) (*dataset.Dataset, error) {
+func execNode(ctx context.Context, rc *rdd.Context, n *Node, cat Catalog, dict *semantics.Dictionary, opts ExecOptions, srcs map[string]resolvedSource) (*dataset.Dataset, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("pipeline: %w", err)
 	}
+	var key string
 	if n.Kind != KindSource && opts.Cache != nil {
-		if ds, ok := opts.Cache.Get(rc, n.Hash()); ok {
+		key = n.digest(resultFormat, srcs)
+		if ds, ok := opts.Cache.Get(rc, key); ok {
 			if sp := rc.Span(); sp != nil {
 				step := sp.Child(obs.KindStep, n.Derivation)
 				step.SetBool(obs.AttrCacheHit, true)
@@ -303,21 +378,12 @@ func execNode(ctx context.Context, rc *rdd.Context, n *Node, cat Catalog, dict *
 	var out *dataset.Dataset
 	switch n.Kind {
 	case KindSource:
-		if n.Load != nil {
-			ds, err := wrappers.Read(rc, *n.Load)
-			if err != nil {
-				return nil, err
-			}
-			out = ds.Columnar()
-			break
+		if s, ok := srcs[n.Hash()]; ok {
+			return s.ds, nil
 		}
-		ds, ok := cat[n.Dataset]
-		if !ok {
-			return nil, fmt.Errorf("pipeline: catalog has no dataset %q", n.Dataset)
-		}
-		out = ds.Columnar()
+		return readSource(rc, n, cat)
 	case KindTransform:
-		in, err := execNode(ctx, rc, n.Inputs[0], cat, dict, opts)
+		in, err := execNode(ctx, rc, n.Inputs[0], cat, dict, opts, srcs)
 		if err != nil {
 			return nil, err
 		}
@@ -332,11 +398,11 @@ func execNode(ctx context.Context, rc *rdd.Context, n *Node, cat Catalog, dict *
 			return nil, err
 		}
 	case KindCombine:
-		left, err := execNode(ctx, rc, n.Inputs[0], cat, dict, opts)
+		left, err := execNode(ctx, rc, n.Inputs[0], cat, dict, opts, srcs)
 		if err != nil {
 			return nil, err
 		}
-		right, err := execNode(ctx, rc, n.Inputs[1], cat, dict, opts)
+		right, err := execNode(ctx, rc, n.Inputs[1], cat, dict, opts, srcs)
 		if err != nil {
 			return nil, err
 		}
@@ -353,12 +419,12 @@ func execNode(ctx context.Context, rc *rdd.Context, n *Node, cat Catalog, dict *
 	default:
 		return nil, fmt.Errorf("pipeline: unknown node kind %q", n.Kind)
 	}
-	if n.Kind != KindSource && opts.Cache != nil {
+	if opts.Cache != nil {
 		// The cache write materializes out's frames once and retains them,
 		// so the parent reads them instead of computing the subtree again.
 		out = out.Columnar().Cache()
-		if err := opts.Cache.Put(n.Hash(), out); err != nil {
-			return nil, fmt.Errorf("pipeline: caching %s: %w", n.Hash(), err)
+		if err := opts.Cache.Put(key, out); err != nil {
+			return nil, fmt.Errorf("pipeline: caching %s: %w", key, err)
 		}
 	}
 	return out, nil

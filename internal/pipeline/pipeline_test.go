@@ -236,8 +236,8 @@ func TestExecuteWithCache(t *testing.T) {
 	if c.Len() != 2 {
 		t.Errorf("cache entries = %d, want 2", c.Len())
 	}
-	if !c.Contains(p.Root.Hash()) {
-		t.Error("root result should be cached")
+	if key, err := ResultKey(ctx, p.Root, cat); err != nil || !c.Contains(key) {
+		t.Errorf("root result should be cached (%v)", err)
 	}
 	out2, err := Execute(context.Background(), ctx, p, cat, dict, ExecOptions{Cache: c})
 	if err != nil {
@@ -254,8 +254,8 @@ func TestExecuteWithCache(t *testing.T) {
 	}
 	// A shared prefix reuses the cached transform result.
 	p3 := &Plan{Root: TransformNode(&derive.ExplodeDiscrete{Column: "nodelist"}, SourceNode("jobs"))}
-	if !c.Contains(p3.Root.Hash()) {
-		t.Error("shared subtree should already be cached")
+	if key, err := ResultKey(ctx, p3.Root, cat); err != nil || !c.Contains(key) {
+		t.Errorf("shared subtree should already be cached (%v)", err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +16,7 @@ import (
 	"testing"
 
 	"scrubjay/internal/bench"
+	"scrubjay/internal/cache"
 	"scrubjay/internal/dataset"
 	"scrubjay/internal/derive"
 	"scrubjay/internal/engine"
@@ -360,6 +362,69 @@ func TestDrainRejectsNewWork(t *testing.T) {
 	}
 }
 
+// moveAllToR99 replaces testStore's layout through the served API, moving
+// every node to rack r99.
+func moveAllToR99(t *testing.T, url string) {
+	t.Helper()
+	layoutSchema := semantics.NewSchema(
+		"node", semantics.IDDomain("compute_node"),
+		"rack", semantics.IDDomain("rack"),
+	)
+	resp := postJSON(t, url+"/v1/catalog/datasets", RegisterRequest{
+		Name:   "layout",
+		Schema: layoutSchema,
+		Rows: []value.Row{
+			value.NewRow("node", value.Str("n1"), "rack", value.Str("r99")),
+			value.NewRow("node", value.Str("n2"), "rack", value.Str("r99")),
+			value.NewRow("node", value.Str("n3"), "rack", value.Str("r99")),
+		},
+		Replace: true,
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("register: status = %d: %s", resp.StatusCode, decodeError(t, resp))
+	}
+	resp.Body.Close()
+}
+
+// TestResultCacheFollowsReplace: a result-cache entry is named by the
+// content its sources held, so after a Replace moves every node to r99 a
+// server with a warm result cache answers r99, writing the same NDJSON
+// rows, byte for byte, as a server without a cache.
+func TestResultCacheFollowsReplace(t *testing.T) {
+	c, err := cache.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := testStore(t)
+	cached := httptest.NewServer(New(st, Config{Workers: 2, Cache: c}).Handler())
+	defer cached.Close()
+	plain := httptest.NewServer(New(st, Config{Workers: 2}).Handler())
+	defer plain.Close()
+	// rowLines returns a query's NDJSON row lines: the body less its
+	// header and trailer lines.
+	rowLines := func(url string) []byte {
+		resp := postJSON(t, url+"/v1/query", QueryRequest{Query: testQuery()})
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("query: status %d, %v: %s", resp.StatusCode, err, body)
+		}
+		lines := bytes.SplitAfter(bytes.TrimSuffix(body, []byte("\n")), []byte("\n"))
+		return bytes.Join(lines[1:len(lines)-1], nil)
+	}
+	if rows := rowLines(cached.URL); !bytes.Contains(rows, []byte("r18")) || c.Len() == 0 {
+		t.Fatalf("warm-up: %d cache entries, rows:\n%s", c.Len(), rows)
+	}
+	moveAllToR99(t, cached.URL)
+	got, want := rowLines(cached.URL), rowLines(plain.URL)
+	if !bytes.Equal(got, want) {
+		t.Errorf("cached server after Replace:\n%s\nuncached server:\n%s", got, want)
+	}
+	if bytes.Contains(want, []byte("r1")) || !bytes.Contains(want, []byte("r99")) {
+		t.Errorf("uncached server after Replace still answers the old racks:\n%s", want)
+	}
+}
+
 func TestHotReloadInvalidatesPlans(t *testing.T) {
 	s := New(testStore(t), Config{Workers: 2})
 	ts := httptest.NewServer(s.Handler())
@@ -374,25 +439,7 @@ func TestHotReloadInvalidatesPlans(t *testing.T) {
 		t.Fatalf("expected r18 before reload, got %v", racks)
 	}
 
-	// Move every node to rack r99 and hot-reload.
-	layoutSchema := semantics.NewSchema(
-		"node", semantics.IDDomain("compute_node"),
-		"rack", semantics.IDDomain("rack"),
-	)
-	resp := postJSON(t, ts.URL+"/v1/catalog/datasets", RegisterRequest{
-		Name:   "layout",
-		Schema: layoutSchema,
-		Rows: []value.Row{
-			value.NewRow("node", value.Str("n1"), "rack", value.Str("r99")),
-			value.NewRow("node", value.Str("n2"), "rack", value.Str("r99")),
-			value.NewRow("node", value.Str("n3"), "rack", value.Str("r99")),
-		},
-		Replace: true,
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("register: status = %d: %s", resp.StatusCode, decodeError(t, resp))
-	}
-	resp.Body.Close()
+	moveAllToR99(t, ts.URL)
 
 	header2, rows2, _ := readStream(t, postJSON(t, ts.URL+"/v1/query", QueryRequest{Query: testQuery()}))
 	if header2.CacheHit {

@@ -8,8 +8,8 @@ import (
 // AppendBinary appends a compact binary encoding of the value: a kind byte
 // followed by a kind-specific payload (zigzag varints for integral kinds,
 // raw bits for floats, length-prefixed bytes for strings). It is the
-// high-throughput sibling of the JSON form, used by the "bin" wrapper
-// format and the derivation-result cache.
+// compact sibling of the JSON form, used by kv tables (rows) and by the
+// shuffle codec's boxed columns (cells).
 func (v Value) AppendBinary(b []byte) []byte {
 	b = append(b, byte(v.kind))
 	switch v.kind {

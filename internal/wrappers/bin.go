@@ -2,6 +2,7 @@ package wrappers
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -10,115 +11,79 @@ import (
 
 	"scrubjay/internal/atomicfile"
 	"scrubjay/internal/dataset"
+	"scrubjay/internal/frame"
 	"scrubjay/internal/rdd"
 	"scrubjay/internal/semantics"
-	"scrubjay/internal/value"
+	"scrubjay/internal/shuffle"
 )
 
-// binMagic identifies ScrubJay's binary dataset format: a self-contained
-// file holding the schema (JSON) followed by length-prefixed binary rows.
-// It is roughly an order of magnitude faster to (de)serialize than the
-// JSON-lines form and is what the derivation-result cache uses.
-var binMagic = []byte("SJBIN1\n")
+// binMagic starts ScrubJay's binary dataset format, version 2, which every
+// result-cache entry uses: the schema as one line of JSON, a uvarint frame
+// count, then each partition's frame in the shuffle codec's encoding
+// (shuffle.AppendFrame). Version 1 ("SJBIN1") stored boxed rows.
+var binMagic = []byte("SJBIN2\n")
 
-func init() {
-	RegisterFormat("bin", readBin, writeBin)
-}
-
-// writeBin stores a dataset in the binary format (schema embedded; no
-// sidecar needed). The rows come from the collected frames, so a dataset
-// whose frames RDD is retained (the pipeline's cached steps) computes once
-// for the write and for its consumers.
+// writeBin stores a dataset in the binary format. A retained frames RDD (a
+// cached pipeline step) computes once for the write and its consumers.
 func writeBin(ds *dataset.Dataset, dst Source) error {
 	return atomicfile.Write(dst.Path, func(w *bufio.Writer) error {
-		if _, err := w.Write(binMagic); err != nil {
-			return err
-		}
-		schemaJSON, err := json.Marshal(ds.Schema())
-		if err != nil {
-			return err
-		}
-		var hdr []byte
-		hdr = binary.AppendUvarint(hdr, uint64(len(schemaJSON)))
-		if _, err := w.Write(hdr); err != nil {
-			return err
-		}
-		if _, err := w.Write(schemaJSON); err != nil {
-			return err
-		}
-		var rows []value.Row
-		for _, f := range ds.Frames().Collect() {
-			rows = append(rows, f.ToRows()...)
-		}
-		var cnt []byte
-		cnt = binary.AppendUvarint(cnt, uint64(len(rows)))
-		if _, err := w.Write(cnt); err != nil {
-			return err
-		}
-		buf := make([]byte, 0, 4096)
-		for _, r := range rows {
-			buf = buf[:0]
-			buf = r.AppendBinary(buf)
-			var pre []byte
-			pre = binary.AppendUvarint(pre, uint64(len(buf)))
-			if _, err := w.Write(pre); err != nil {
-				return err
-			}
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
-		}
-		return nil
+		return EncodeBin(w, ds.Schema(), ds.Frames().Collect())
 	})
 }
 
-// readBin loads a binary dataset file.
+// EncodeBin writes schema and frames in the binary format. The bytes depend
+// only on the schema and the frames, so hashed they digest the content.
+func EncodeBin(w io.Writer, schema semantics.Schema, frames []*frame.Frame) error {
+	schemaJSON, err := json.Marshal(schema)
+	if err != nil {
+		return err
+	}
+	buf := append(append(append([]byte(nil), binMagic...), schemaJSON...), '\n')
+	buf = binary.AppendUvarint(buf, uint64(len(frames)))
+	for _, f := range frames {
+		if _, err := w.Write(buf); err != nil {
+			return err
+		}
+		buf = shuffle.AppendFrame(buf[:0], f)
+	}
+	_, err = w.Write(buf)
+	return err
+}
+
+// readBin loads a binary dataset file, one partition per stored frame.
 func readBin(ctx *rdd.Context, src Source) (*dataset.Dataset, error) {
-	f, err := os.Open(src.Path)
+	b, err := os.ReadFile(src.Path)
 	if err != nil {
 		return nil, fmt.Errorf("wrappers: bin: %w", err)
 	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
-	magic := make([]byte, len(binMagic))
-	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != string(binMagic) {
-		return nil, fmt.Errorf("wrappers: bin %s: bad magic", src.Path)
+	bad := func(format string, a ...any) (*dataset.Dataset, error) {
+		return nil, fmt.Errorf("wrappers: bin %s: "+format, append([]any{src.Path}, a...)...)
 	}
-	schemaLen, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, fmt.Errorf("wrappers: bin %s: %w", src.Path, err)
-	}
-	schemaJSON := make([]byte, schemaLen)
-	if _, err := io.ReadFull(r, schemaJSON); err != nil {
-		return nil, fmt.Errorf("wrappers: bin %s: schema: %w", src.Path, err)
+	b, ok := bytes.CutPrefix(b, binMagic)
+	if !ok {
+		return bad("bad magic %.7q, not SJBIN2 (SJBIN1 is the retired row format)", b)
 	}
 	var schema semantics.Schema
+	schemaJSON, b, _ := bytes.Cut(b, []byte("\n"))
 	if err := json.Unmarshal(schemaJSON, &schema); err != nil {
-		return nil, fmt.Errorf("wrappers: bin %s: schema: %w", src.Path, err)
+		return bad("schema: %w", err)
 	}
-	count, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, fmt.Errorf("wrappers: bin %s: row count: %w", src.Path, err)
+	count, k := binary.Uvarint(b)
+	if k <= 0 || count > uint64(len(b)-k) {
+		return bad("bad frame count")
+	} else if src.Partitions != 0 && uint64(src.Partitions) != count {
+		return bad("stores %d partitions, not %d", count, src.Partitions)
 	}
-	rows := make([]value.Row, 0, count)
-	buf := make([]byte, 0, 4096)
-	for i := uint64(0); i < count; i++ {
-		sz, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, fmt.Errorf("wrappers: bin %s: row %d: %w", src.Path, i, err)
+	b = b[k:]
+	frames := make([]*frame.Frame, count)
+	for i := range frames {
+		if frames[i], k, err = shuffle.DecodeFrame(b); err != nil {
+			return bad("frame %d: %w", i, err)
 		}
-		if uint64(cap(buf)) < sz {
-			buf = make([]byte, sz)
-		}
-		buf = buf[:sz]
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, fmt.Errorf("wrappers: bin %s: row %d: %w", src.Path, i, err)
-		}
-		row, _, err := value.DecodeRow(buf)
-		if err != nil {
-			return nil, fmt.Errorf("wrappers: bin %s: row %d: %w", src.Path, i, err)
-		}
-		rows = append(rows, row)
+		b = b[k:]
 	}
-	return dataset.FromRowsColumnar(ctx, datasetName(src), rows, schema, src.Partitions), nil
+	if len(b) != 0 {
+		return bad("%d bytes after the last frame", len(b))
+	}
+	return dataset.FromFrames(ctx, datasetName(src), frames, schema), nil
 }

@@ -61,7 +61,7 @@ func readKV(ctx *rdd.Context, src Source) (*dataset.Dataset, error) {
 
 // writeKV stores a dataset as a key-value table with zero-padded row keys
 // (so scans return rows in insertion order) and the schema under a reserved
-// key.
+// key, replacing what the table held: rows past the new count are deleted.
 func writeKV(ds *dataset.Dataset, dst Source) (err error) {
 	store, err := kvstore.Open(dst.Path)
 	if err != nil {
@@ -79,8 +79,14 @@ func writeKV(ds *dataset.Dataset, dst Source) (err error) {
 	if err := tbl.Put(SchemaKey, schemaData); err != nil {
 		return err
 	}
-	for i, row := range ds.Collect() {
+	rows := ds.Collect()
+	for i, row := range rows {
 		if err := tbl.Put(RowKey(i), row.AppendBinary(nil)); err != nil {
+			return err
+		}
+	}
+	for _, key := range tbl.Keys("row:")[len(rows):] {
+		if err := tbl.Delete(key); err != nil {
 			return err
 		}
 	}

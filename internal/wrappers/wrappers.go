@@ -2,10 +2,11 @@
 // (§4.1, §5.4 of the paper): pluggable functions that parse a storage
 // format into a semantically annotated Dataset and write Datasets back out.
 // Built-in formats are CSV (with a JSON schema sidecar), JSON-lines
-// (lossless tagged values), and tables in the embedded key-value store.
-// Their wrappers return frame datasets, pivoted once as they are read
-// (dataset.FromRowsColumnar), so every partition of a low-cardinality
-// string column codes against one dictionary.
+// (lossless tagged values), tables in the embedded key-value store, and
+// bin (schema and frames: the result cache's entries). The row formats'
+// wrappers pivot once as they read (dataset.FromRowsColumnar), so every
+// partition of a low-cardinality string column codes against one
+// dictionary.
 // Custom formats register with RegisterFormat and participate in
 // reproducible pipelines by name.
 package wrappers
@@ -112,6 +113,7 @@ func init() {
 	RegisterFormat("csv", readCSV, writeCSV)
 	RegisterFormat("jsonl", readJSONL, writeJSONL)
 	RegisterFormat("kv", readKV, writeKV)
+	RegisterFormat("bin", readBin, writeBin)
 }
 
 // SchemaSidecarPath is the conventional location of the schema that

@@ -3,12 +3,15 @@ package wrappers
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"scrubjay/internal/dataset"
+	"scrubjay/internal/frame"
 	"scrubjay/internal/rdd"
 	"scrubjay/internal/semantics"
 	"scrubjay/internal/value"
@@ -301,10 +304,50 @@ func TestSchemaSidecarErrors(t *testing.T) {
 	}
 }
 
+// binDataset is a three-partition frame dataset that exercises every part
+// of the bin format: a dictionary-coded string column (rack), a plain one
+// (node_id), a boxed list column (nodelist) and absent cells (temp).
+func binDataset(ctx *rdd.Context) *dataset.Dataset {
+	schema := semantics.NewSchema(
+		"node_id", semantics.IDDomain("compute_node"),
+		"rack", semantics.IDDomain("rack"),
+		"nodelist", semantics.IDListDomain("compute_node"),
+		"temp", semantics.ValueEntry("temperature", "degrees_celsius"),
+	)
+	rows := make([]value.Row, 30)
+	for i := range rows {
+		node := fmt.Sprintf("cab%02d", i)
+		rows[i] = value.NewRow("node_id", value.Str(node), "rack", value.Str(fmt.Sprintf("r%d", i%2)),
+			"nodelist", value.StrList(node, "cab99"))
+		if i%3 != 0 {
+			rows[i]["temp"] = value.Float(60 + float64(i)/4)
+		}
+	}
+	return dataset.FromRowsColumnar(ctx, "nodes", rows, schema, 3)
+}
+
+// frameJSON renders each frame's rows as AppendRowJSON does, one line each.
+func frameJSON(frames []*frame.Frame) []string {
+	out := make([]string, len(frames))
+	for i, f := range frames {
+		keys := f.EncodedKeys()
+		var b []byte
+		for r := 0; r < f.NumRows(); r++ {
+			b = append(f.AppendRowJSON(b, r, keys), '\n')
+		}
+		out[i] = string(b)
+	}
+	return out
+}
+
+// TestBinRoundTrip: a bin file holds the partitions and cells written —
+// the frame count and every row's JSON bytes — for row- and frame-form
+// datasets alike.
 func TestBinRoundTrip(t *testing.T) {
 	ctx := rdd.NewContext(2)
+	dir := t.TempDir()
 	ds := sampleDataset(ctx)
-	path := filepath.Join(t.TempDir(), "sample.bin")
+	path := filepath.Join(dir, "sample.bin")
 	if err := Write(ds, Source{Format: "bin", Path: path}); err != nil {
 		t.Fatal(err)
 	}
@@ -313,27 +356,94 @@ func TestBinRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	datasetsEqual(t, ds, got)
+
+	ds = binDataset(ctx)
+	want := ds.Frames().Collect()
+	if !want[0].Col("rack").DictEncoded() || want[0].Col("node_id").DictEncoded() ||
+		want[0].Col("nodelist").Kind() != value.KindNull || want[0].Col("temp").AllPresent() {
+		t.Fatal("binDataset no longer has a coded, a plain, a boxed and a sparse column")
+	}
+	path = filepath.Join(dir, "nodes.bin")
+	if err := Write(ds, Source{Format: "bin", Path: path}); err != nil {
+		t.Fatal(err)
+	}
+	got, err = Read(ctx, Source{Format: "bin", Path: path, Partitions: len(want)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Schema().Equal(ds.Schema()) {
+		t.Errorf("schema %v, want %v", got.Schema(), ds.Schema())
+	}
+	if n := got.Frames().NumPartitions(); n != len(want) {
+		t.Errorf("%d partitions, want %d", n, len(want))
+	}
+	if g, w := frameJSON(got.Frames().Collect()), frameJSON(want); !reflect.DeepEqual(g, w) {
+		t.Errorf("rows differ:\n%q\nwant\n%q", g, w)
+	}
+	if _, err := Read(ctx, Source{Format: "bin", Path: path, Partitions: len(want) + 1}); err == nil {
+		t.Error("a partition count other than the stored one should fail")
+	}
 }
 
 func TestBinBadInputs(t *testing.T) {
 	ctx := rdd.NewContext(1)
 	dir := t.TempDir()
-	// Missing file.
+	read := func(b []byte) error {
+		p := filepath.Join(dir, "x.bin")
+		if err := os.WriteFile(p, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Read(ctx, Source{Format: "bin", Path: p})
+		return err
+	}
 	if _, err := Read(ctx, Source{Format: "bin", Path: filepath.Join(dir, "none.bin")}); err == nil {
 		t.Error("missing file should fail")
 	}
-	// Bad magic.
-	p := filepath.Join(dir, "bad.bin")
-	os.WriteFile(p, []byte("NOTMAGIC"), 0o644)
-	if _, err := Read(ctx, Source{Format: "bin", Path: p}); err == nil {
+	if err := read([]byte("NOTMAGIC")); err == nil {
 		t.Error("bad magic should fail")
 	}
-	// Truncated after magic.
-	p2 := filepath.Join(dir, "trunc.bin")
-	os.WriteFile(p2, []byte("SJBIN1\n"), 0o644)
-	if _, err := Read(ctx, Source{Format: "bin", Path: p2}); err == nil {
-		t.Error("truncated header should fail")
+	if err := read([]byte("SJBIN1\n\x02{}\x00")); err == nil || !strings.Contains(err.Error(), "SJBIN1") {
+		t.Errorf("an SJBIN1 file should fail naming the retired format, got %v", err)
 	}
+	path := filepath.Join(dir, "nodes.bin")
+	if err := Write(binDataset(ctx), Source{Format: "bin", Path: path}); err != nil {
+		t.Fatal(err)
+	}
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := read(whole); err != nil {
+		t.Fatal(err)
+	}
+	for n := range whole {
+		if err := read(whole[:n]); err == nil {
+			t.Fatalf("the file's first %d of %d bytes read without error", n, len(whole))
+		}
+	}
+	if err := read(append(whole, 0)); err == nil {
+		t.Error("a trailing byte should fail")
+	}
+}
+
+// TestKVOverwriteReplacesTable: unwrapping to an existing kv table replaces
+// it, so a shorter dataset does not read back the old table's extra rows.
+func TestKVOverwriteReplacesTable(t *testing.T) {
+	ctx := rdd.NewContext(1)
+	dir := t.TempDir()
+	src := Source{Format: "kv", Path: dir, Table: "nodes", Name: "sample"}
+	if err := Write(binDataset(ctx), src); err != nil {
+		t.Fatal(err)
+	}
+	ds := sampleDataset(ctx)
+	if err := Write(ds, src); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Read(ctx, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	datasetsEqual(t, ds, got)
 }
 
 type closeErr struct{ err error }
